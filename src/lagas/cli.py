@@ -22,7 +22,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
@@ -39,7 +39,7 @@ from .core import (
     StiffnessError,
     make_grid,
 )
-from .diagnostics import AuditRecord, audit_header, audit_row
+from .diagnostics import DEFAULT_EXCESS_THRESHOLDS, AuditRecord, audit_header, audit_row
 from .integrate import StepControl, advance
 from .verification import (
     InitialDataSpec,
@@ -70,6 +70,8 @@ class MmsSettings:
     family: str = "gaussian_pulse"
 
     def __post_init__(self) -> None:
+        if len(self.n_list) < 3:
+            raise ConfigurationError("'n_list' must be a list of at least 3 integers")
         if self.family not in ("gaussian_pulse", "steady"):
             raise ConfigurationError(
                 f"mms family must be 'gaussian_pulse' or 'steady', got {self.family!r}"
@@ -95,6 +97,29 @@ class RunConfig:
     mms: MmsSettings | None
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+#: dataclass field annotation -> (JSON check, conversion, description)
+_FIELD_TYPES = {
+    "float": (_is_number, float, "a number"),
+    "int": (_is_int, int, "an integer"),
+    "str": (lambda x: isinstance(x, str), str, "a string"),
+    "tuple[int, ...]": (
+        lambda x: isinstance(x, list) and all(map(_is_int, x)), tuple, "a list of integers"
+    ),
+    "tuple[float, ...]": (
+        lambda x: isinstance(x, list) and all(map(_is_number, x)),
+        lambda x: tuple(map(float, x)), "a list of numbers",
+    ),
+}
+
+
 class _Section:
     """One level of the config tree; rejects unknown keys with their path."""
 
@@ -115,35 +140,20 @@ class _Section:
             raise ConfigurationError(f"missing required config key '{self._join(key)}'")
         return default
 
-    def take_float(self, key: str, default: Any = _MISSING) -> Any:
+    def take_typed(self, key: str, kind: str, default: Any = _MISSING) -> Any:
+        """Take ``key`` as JSON for a dataclass field annotated ``kind``."""
         value = self.take(key, default)
         if value is default and default is not _MISSING:
             return value
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        accepts, convert, label = _FIELD_TYPES[kind]
+        if not accepts(value):
             raise ConfigurationError(
-                f"config key '{self._join(key)}' must be a number, got {value!r}"
+                f"config key '{self._join(key)}' must be {label}, got {value!r}"
             )
-        return float(value)
+        return convert(value)
 
-    def take_int(self, key: str, default: Any = _MISSING) -> Any:
-        value = self.take(key, default)
-        if value is default and default is not _MISSING:
-            return value
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigurationError(
-                f"config key '{self._join(key)}' must be an integer, got {value!r}"
-            )
-        return int(value)
-
-    def take_str(self, key: str, default: Any = _MISSING) -> Any:
-        value = self.take(key, default)
-        if value is default and default is not _MISSING:
-            return value
-        if not isinstance(value, str):
-            raise ConfigurationError(
-                f"config key '{self._join(key)}' must be a string, got {value!r}"
-            )
-        return value
+    def __contains__(self, key: str) -> bool:
+        return key in self._data
 
     def subsection(self, key: str) -> "_Section | None":
         if key not in self._data:
@@ -166,8 +176,19 @@ def _parse_setup(name: str) -> ProblemSetup:
         ) from None
 
 
-def _wrap(path: str, exc: ConfigurationError) -> ConfigurationError:
-    return ConfigurationError(f"config key '{path}': {exc}")
+def _section_dataclass(root: _Section, key: str, cls, **defaults: Any):
+    """Build ``cls`` from config section ``key``, each key typed by its field; absent
+    keys take ``defaults``, else the dataclass's own defaults."""
+    section = root.subsection(key)
+    try:
+        if section is not None:
+            for field in fields(cls):
+                if field.name in section:
+                    defaults[field.name] = section.take_typed(field.name, field.type)
+            section.finish()
+        return cls(**defaults)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"config key '{key}': {exc}") from None
 
 
 def parse_config(text: str) -> RunConfig:
@@ -181,130 +202,52 @@ def parse_config(text: str) -> RunConfig:
 
 def config_from_dict(raw: Any) -> RunConfig:
     root = _Section(raw)
-    if "theta_bc" in root._data:
+    if "theta_bc" in root:
         raise ConfigurationError(
             "config key 'theta_bc': the isothermal wall temperature is fixed "
             "at 1 and cannot be configured"
         )
 
-    setup = _parse_setup(root.take_str("setup"))
-    half_length = root.take_float("L")
-    n_cells = root.take_int("n")
+    setup = _parse_setup(root.take_typed("setup", "str"))
+    half_length = root.take_typed("L", "float")
+    n_cells = root.take_typed("n", "int")
     if n_cells < 4:
         raise ConfigurationError(f"config key 'n': must be an integer >= 4, got {n_cells}")
-    t_end = root.take_float("t_end")
+    t_end = root.take_typed("t_end", "float")
     if not (np.isfinite(t_end) and t_end >= 0.0):
         raise ConfigurationError(f"config key 't_end': must be >= 0, got {t_end}")
     default_cadence = t_end / 100.0 if t_end > 0.0 else 1.0
-    cadence = root.take_float("cadence", default_cadence)
+    cadence = root.take_typed("cadence", "float", default_cadence)
     if not cadence > 0.0:
         raise ConfigurationError(f"config key 'cadence': must be positive, got {cadence}")
 
-    gas_section = root.subsection("gas")
-    try:
-        if gas_section is None:
-            gas = GasParams(mu=1.0, kappa=1.0, R=1.0, c_v=1.5)
-        else:
-            gas = GasParams(
-                mu=gas_section.take_float("mu", 1.0),
-                kappa=gas_section.take_float("kappa", 1.0),
-                R=gas_section.take_float("R", 1.0),
-                c_v=gas_section.take_float("c_v", 1.5),
-            )
-            gas_section.finish()
-    except ConfigurationError as exc:
-        raise _wrap("gas", exc) from None
-
-    step_section = root.subsection("step")
-    try:
-        if step_section is None:
-            control = StepControl()
-        else:
-            control = StepControl(
-                cfl_hyperbolic=step_section.take_float("cfl_hyperbolic", 0.4),
-                cfl_parabolic=step_section.take_float("cfl_parabolic", 0.4),
-                dt_min=step_section.take_float("dt_min", 1e-12),
-                dt_max=step_section.take_float("dt_max", 1.0),
-                positivity_floor=step_section.take_float("positivity_floor", 1e-10),
-            )
-            step_section.finish()
-    except ConfigurationError as exc:
-        raise _wrap("step", exc) from None
-
-    init_section = root.subsection("initial_data")
+    gas = _section_dataclass(root, "gas", GasParams, mu=1.0, kappa=1.0, R=1.0, c_v=1.5)
+    control = _section_dataclass(root, "step", StepControl)
     default_center = 0.0 if setup.kind is SetupKind.CAUCHY else 0.5 * half_length
-    try:
-        if init_section is None:
-            initial = InitialDataSpec(center=default_center)
-        else:
-            initial = InitialDataSpec(
-                family=init_section.take_str("family", "gaussian_bump"),
-                amplitude_v=init_section.take_float("amplitude_v", 0.0),
-                amplitude_u=init_section.take_float("amplitude_u", 0.0),
-                amplitude_theta=init_section.take_float("amplitude_theta", 0.0),
-                width=init_section.take_float("width", 1.0),
-                center=init_section.take_float("center", default_center),
-                seed=init_section.take_int("seed", 0),
-                modes=init_section.take_int("modes", 8),
-            )
-            init_section.finish()
-    except ConfigurationError as exc:
-        raise _wrap("initial_data", exc) from None
+    initial = _section_dataclass(root, "initial_data", InitialDataSpec, center=default_center)
 
-    out_value = root.take_str("out_dir", None)
-    if out_value is None:
-        out_dir = Path(os.environ.get(OUT_ROOT_ENV, "runs")) / "run"
-    else:
-        out_dir = Path(out_value)
+    default_out = str(Path(os.environ.get(OUT_ROOT_ENV, "runs")) / "run")
+    out_dir = Path(root.take_typed("out_dir", "str", default_out))
 
-    thresholds_raw = root.take("excess_thresholds", [1.5, 2.0, 3.0])
-    if (
-        not isinstance(thresholds_raw, list)
-        or not thresholds_raw
-        or any(isinstance(a, bool) or not isinstance(a, (int, float)) for a in thresholds_raw)
-    ):
+    excess_thresholds = tuple(sorted(root.take_typed(
+        "excess_thresholds", "tuple[float, ...]", DEFAULT_EXCESS_THRESHOLDS
+    )))
+    if not excess_thresholds or any(a <= 1.0 for a in excess_thresholds):
         raise ConfigurationError(
-            "config key 'excess_thresholds': must be a non-empty list of numbers"
-        )
-    excess_thresholds = tuple(sorted(float(a) for a in thresholds_raw))
-    if any(a <= 1.0 for a in excess_thresholds):
-        raise ConfigurationError(
-            "config key 'excess_thresholds': every threshold must exceed 1"
+            "config key 'excess_thresholds': must be a non-empty list, every threshold above 1"
         )
 
-    truncation_threshold = root.take_float("truncation_threshold", 1e-3)
+    truncation_threshold = root.take_typed("truncation_threshold", "float", 1e-3)
     if not truncation_threshold > 0.0:
         raise ConfigurationError(
             "config key 'truncation_threshold': must be positive"
         )
 
-    snapshot_every = root.take_float("snapshot_every", None)
+    snapshot_every = root.take_typed("snapshot_every", "float", None)
     if snapshot_every is not None and not snapshot_every > 0.0:
         raise ConfigurationError("config key 'snapshot_every': must be positive")
 
-    mms_section = root.subsection("mms")
-    try:
-        if mms_section is None:
-            mms_settings = None
-        else:
-            n_list_raw = mms_section.take("n_list", [64, 128, 256, 512])
-            if (
-                not isinstance(n_list_raw, list)
-                or len(n_list_raw) < 3
-                or any(isinstance(n, bool) or not isinstance(n, int) for n in n_list_raw)
-            ):
-                raise ConfigurationError(
-                    "'n_list' must be a list of at least 3 integers"
-                )
-            mms_settings = MmsSettings(
-                n_list=tuple(n_list_raw),
-                t_end=mms_section.take_float("t_end", 0.3),
-                threshold=mms_section.take_float("threshold", 1.9),
-                family=mms_section.take_str("family", "gaussian_pulse"),
-            )
-            mms_section.finish()
-    except ConfigurationError as exc:
-        raise _wrap("mms", exc) from None
+    mms_settings = _section_dataclass(root, "mms", MmsSettings) if "mms" in root else None
 
     root.finish()
     return RunConfig(
@@ -338,6 +281,16 @@ def _write_snapshot(path: Path, state: FluidState, grid: MassGrid) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _snapshot_path(out: Path, t: float, taken: set[str]) -> Path:
+    """``snap_<t:g>.csv``; where %g (six digits) repeats a name this run used, the
+    round-trip ``repr`` of t, and if even that is taken, one suffixed by a count."""
+    for name in (f"snap_{t:g}", f"snap_{t!r}", f"snap_{t!r}_{len(taken)}"):
+        if name not in taken:
+            break
+    taken.add(name)
+    return out / f"{name}.csv"
+
+
 class _TruncationAudit:
     """Running max deviation from (1, 0, 1) in the outermost 5% of cells."""
 
@@ -348,19 +301,16 @@ class _TruncationAudit:
 
     def update(self, state: FluidState) -> None:
         k = self.n_outer
-        dev = max(
-            float(np.abs(state.v[-k:] - 1.0).max()),
-            float(np.abs(state.theta[-k:] - 1.0).max()),
-            float(np.abs(state.u[-(k + 1):]).max()),
-        )
+        ends = [(slice(-k, None), slice(-(k + 1), None))]  # (cells, nodes)
         if self.both_sides:
-            dev = max(
-                dev,
-                float(np.abs(state.v[:k] - 1.0).max()),
-                float(np.abs(state.theta[:k] - 1.0).max()),
-                float(np.abs(state.u[: k + 1]).max()),
+            ends.append((slice(None, k), slice(None, k + 1)))
+        for cells, nodes in ends:
+            self.max_deviation = max(
+                self.max_deviation,
+                float(np.abs(state.v[cells] - 1.0).max()),
+                float(np.abs(state.theta[cells] - 1.0).max()),
+                float(np.abs(state.u[nodes]).max()),
             )
-        self.max_deviation = max(self.max_deviation, dev)
 
 
 def _tail_monotone(values: list[float], fraction: float = 0.2, jitter: float = 0.01) -> bool:
@@ -380,6 +330,7 @@ def run(config: RunConfig) -> int:
 
     truncation = _TruncationAudit(grid, config.setup)
     snap_times: list[float] = []
+    snap_names: set[str] = set()
     last_snap = [None]
 
     audit_path = out / "audit.csv"
@@ -397,7 +348,7 @@ def run(config: RunConfig) -> int:
                 and snapshot.t - last_snap[0] >= config.snapshot_every * (1.0 - 1e-9)
             )
             if due or snapshot.t >= config.t_end:
-                _write_snapshot(out / f"snap_{snapshot.t:g}.csv", snapshot, grid)
+                _write_snapshot(_snapshot_path(out, snapshot.t, snap_names), snapshot, grid)
                 snap_times.append(snapshot.t)
                 last_snap[0] = snapshot.t
 
@@ -418,6 +369,7 @@ def run(config: RunConfig) -> int:
                 "time": getattr(exc, "time", records[-1].t if records else 0.0),
                 "cause": str(exc),
                 "kind": type(exc).__name__,
+                **{key: getattr(exc, key, None) for key in ("stage", "cell", "field_name")},
             }
             (out / "failure.json").write_text(
                 json.dumps(failure, indent=2) + "\n", encoding="utf-8"

@@ -24,6 +24,7 @@ __all__ = [
     "ValidationReport",
     "POSITIVITY_FLOOR",
     "make_grid",
+    "require_positive",
     "steady_state",
     "validate_state",
 ]
@@ -216,6 +217,16 @@ class FluidState:
     def copy(self) -> "FluidState":
         return FluidState(self.t, self.v.copy(), self.theta.copy(), self.u.copy())
 
+    def packed(self) -> np.ndarray:
+        """The fields copied into one contiguous buffer ``[v | theta | u]`` (3n+1)."""
+        return np.concatenate((self.v, self.theta, self.u))
+
+    @classmethod
+    def from_packed(cls, t: float, y: np.ndarray) -> "FluidState":
+        """A state whose fields are views of a packed ``[v | theta | u]`` buffer."""
+        n = (y.shape[0] - 1) // 3
+        return cls(t, y[:n], y[n : 2 * n], y[2 * n :])
+
 
 def steady_state(grid: MassGrid) -> FluidState:
     """The rest state (v, u, theta) = (1, 0, 1) at t = 0."""
@@ -236,6 +247,15 @@ class ValidationReport:
         if self.ok:
             return "state ok"
         return f"{self.field_name}[{self.index}] {self.reason}"
+
+
+def require_positive(what: str, *fields: np.ndarray) -> float:
+    """Raise DomainError unless every entry is finite and > 0 (NaN fails the min);
+    return the first field's min, which callers may need next."""
+    lows = [values.min() for values in fields]
+    if not all(low > 0.0 for low in lows) or not all(x.max() < np.inf for x in fields):
+        raise DomainError(f"{what} needs finite positive v and theta")
+    return lows[0]
 
 
 def validate_state(state: FluidState, floor: float = POSITIVITY_FLOOR) -> ValidationReport:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, FluidState, GasParams, MassGrid, ProblemSetup
+from .core import DomainError, FluidState, GasParams, MassGrid, ProblemSetup, require_positive
 from .scheme import total_energy
 
 __all__ = [
@@ -39,18 +39,13 @@ __all__ = [
 DEFAULT_EXCESS_THRESHOLDS = (1.5, 2.0, 3.0)
 
 
-def _require_positive_fields(state: FluidState, what: str) -> None:
-    if state.v.min() <= 0.0 or state.theta.min() <= 0.0:
-        raise DomainError(f"{what} needs positive v and theta")
-
-
 def entropy_energy(state: FluidState, params: GasParams, grid: MassGrid) -> float:
     """Nonnegative energy u^2/2 + R*(v - ln v - 1) + c_v*(theta - ln theta - 1).
 
     Midpoint quadrature over cells, with u averaged to cell centers.  Zero
     exactly at the rest state and strictly positive elsewhere.
     """
-    _require_positive_fields(state, "entropy energy")
+    require_positive("entropy energy", state.v, state.theta)
     v, th = state.v, state.theta
     ubar = state.cell_velocity()
     density = (
@@ -70,7 +65,7 @@ def dissipation_rates(
     D_heat = kappa * sum over interior faces of theta_x^2/(v*theta^2) * dm
     with face values by arithmetic mean.
     """
-    _require_positive_fields(state, "dissipation rates")
+    require_positive("dissipation rates", state.v, state.theta)
     v, th = state.v, state.theta
     dm = grid.dm
     s = np.diff(state.u) / dm

@@ -4,6 +4,14 @@
 every diagnostic tick (and the final time) is hit exactly, and emits one
 :class:`~lagas.diagnostics.AuditRecord` per tick.  Trajectories are
 deterministic: identical inputs give bit-identical outputs.
+
+Inside a step every stage is one contiguous float64 buffer ``[v | theta | u]``
+(n cells, n cells, n + 1 nodes).  ``rhs`` returns rates in the same layout,
+each stage is one whole-buffer combination computed in place in its rate
+buffer, and only the step's result becomes a FluidState, with views of its
+buffer as fields.  A stage passes on one min over ``[v | theta]`` against the
+floor and one finiteness test; only a failing stage goes through
+``validate_state``, to name the stage, field and cell.
 """
 
 from __future__ import annotations
@@ -15,13 +23,13 @@ import numpy as np
 
 from .core import (
     ConfigurationError,
-    DomainError,
     FluidState,
     GasParams,
     IntegrationError,
     MassGrid,
     ProblemSetup,
     StiffnessError,
+    require_positive,
     validate_state,
 )
 from .diagnostics import DEFAULT_EXCESS_THRESHOLDS, AuditRecord, AuditTrail, EnergyLedger
@@ -66,13 +74,14 @@ def stable_dt(
     step falls below dt_min (blow-up or floor-level v/theta).
     """
     v, th = state.v, state.theta
-    if v.min() <= 0.0 or th.min() <= 0.0:
-        raise DomainError("stable_dt needs positive v and theta")
+    v_min = require_positive("stable_dt", v, th)
     dm = grid.dm
     sound = np.sqrt(params.R * th * params.gamma) / v
     dt_hyp = ctrl.cfl_hyperbolic * dm / float(sound.max())
-    diffusivity = np.maximum(params.mu / v, params.kappa / (params.c_v * v))
-    dt_par = ctrl.cfl_parabolic * dm * dm / (2.0 * float(diffusivity.max()))
+    # rounded division and multiplication are monotone, so the largest
+    # diffusivity over the cells is the one at min v, bit for bit
+    diffusivity = max(params.mu / v_min, params.kappa / (params.c_v * v_min))
+    dt_par = ctrl.cfl_parabolic * dm * dm / (2.0 * float(diffusivity))
     dt = min(dt_hyp, dt_par)
     if dt < ctrl.dt_min:
         raise StiffnessError(
@@ -82,8 +91,15 @@ def stable_dt(
     return min(dt, ctrl.dt_max)
 
 
-def _checked(state: FluidState, floor: float, stage: int, t_start: float) -> FluidState:
-    report = validate_state(state, floor)
+def _checked(y: np.ndarray, floor: float, stage: int, t_start: float) -> None:
+    """Raise IntegrationError unless the packed stage is finite with v, theta above floor.
+
+    One min over ``[v | theta]`` (NaN fails it) and one finiteness test; only
+    a failing stage goes through validate_state to name the field and cell.
+    """
+    if y[: 2 * (y.shape[0] // 3)].min() > floor and np.isfinite(y).all():
+        return
+    report = validate_state(FluidState.from_packed(t_start, y), floor)
     if not report.ok:
         raise IntegrationError(
             f"stage {stage} at t = {t_start:.6g}: {report.message()}",
@@ -92,7 +108,17 @@ def _checked(state: FluidState, floor: float, stage: int, t_start: float) -> Flu
             cell=report.index,
             field_name=report.field_name,
         )
-    return state
+
+
+def _convex_stage(
+    k: np.ndarray, dt: float, y: np.ndarray, w: float, y0: np.ndarray, w0: float
+) -> np.ndarray:
+    """w0*y0 + w*(y + dt*k), the same float operations, in place in the rates k."""
+    k *= dt
+    k += y
+    k *= w
+    k += w0 * y0
+    return k
 
 
 def step(
@@ -114,46 +140,29 @@ def step(
     if not dt > 0.0:
         raise ConfigurationError(f"dt must be positive, got {dt!r}")
     t0 = state.t
-
-    def rate(s: FluidState):
-        extra = sources(s.t) if sources is not None else None
-        return rhs(s, grid, params, setup, extra)
-
     floor = ctrl.positivity_floor
-    k0 = rate(state)
-    y1 = FluidState(
-        t0 + dt,
-        state.v + dt * k0.dv,
-        state.theta + dt * k0.dtheta,
-        state.u + dt * k0.du,
-    )
+
+    def rate(y: np.ndarray, t: float) -> np.ndarray:
+        extra = sources(t) if sources is not None else None
+        return rhs(y, grid, params, setup, extra).rates
+
+    y0 = state.packed()
+    y1 = rate(y0, t0)
+    y1 *= dt
+    y1 += y0
     _checked(y1, floor, 1, t0)
-
-    k1 = rate(y1)
-    y2 = FluidState(
-        t0 + 0.5 * dt,
-        0.75 * state.v + 0.25 * (y1.v + dt * k1.dv),
-        0.75 * state.theta + 0.25 * (y1.theta + dt * k1.dtheta),
-        0.75 * state.u + 0.25 * (y1.u + dt * k1.du),
-    )
+    y2 = _convex_stage(rate(y1, t0 + dt), dt, y1, 0.25, y0, 0.75)
     _checked(y2, floor, 2, t0)
-
-    k2 = rate(y2)
     third = 1.0 / 3.0
-    out = FluidState(
-        t0 + dt,
-        third * state.v + (2.0 * third) * (y2.v + dt * k2.dv),
-        third * state.theta + (2.0 * third) * (y2.theta + dt * k2.dtheta),
-        third * state.u + (2.0 * third) * (y2.u + dt * k2.du),
-    )
+    out = _convex_stage(rate(y2, t0 + 0.5 * dt), dt, y2, 2.0 * third, y0, third)
     _checked(out, floor, 3, t0)
 
     if ledger is not None:
-        bp0 = boundary_power(state, grid, params, setup)
+        bp0 = boundary_power(y0, grid, params, setup)
         bp1 = boundary_power(y1, grid, params, setup)
         bp2 = boundary_power(y2, grid, params, setup)
         ledger.add(dt * (bp0 + bp1 + 4.0 * bp2) / 6.0)
-    return out
+    return FluidState.from_packed(t0 + dt, out)
 
 
 def advance(

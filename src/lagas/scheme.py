@@ -28,6 +28,7 @@ from .core import (
     MassGrid,
     ProblemSetup,
     SetupKind,
+    require_positive,
 )
 
 __all__ = [
@@ -57,18 +58,15 @@ class BoundaryRule(enum.Enum):
 
 @dataclass(frozen=True)
 class GhostClosure:
+    """How the left end closes; the right end is always far field."""
+
     left: BoundaryRule
-    right: BoundaryRule
 
 
 _CLOSURES = {
-    SetupKind.CAUCHY: GhostClosure(BoundaryRule.FAR_FIELD, BoundaryRule.FAR_FIELD),
-    SetupKind.HALFLINE_INSULATED: GhostClosure(
-        BoundaryRule.WALL_INSULATED, BoundaryRule.FAR_FIELD
-    ),
-    SetupKind.HALFLINE_ISOTHERMAL: GhostClosure(
-        BoundaryRule.WALL_ISOTHERMAL, BoundaryRule.FAR_FIELD
-    ),
+    SetupKind.CAUCHY: GhostClosure(BoundaryRule.FAR_FIELD),
+    SetupKind.HALFLINE_INSULATED: GhostClosure(BoundaryRule.WALL_INSULATED),
+    SetupKind.HALFLINE_ISOTHERMAL: GhostClosure(BoundaryRule.WALL_ISOTHERMAL),
 }
 
 
@@ -79,11 +77,12 @@ def ghost_closure(setup: ProblemSetup) -> GhostClosure:
 
 @dataclass(frozen=True)
 class StateDerivative:
-    """Rates of change: dv, dtheta per cell; du per node."""
+    """Rates packed like a stage, ``[dv | dtheta | du]``; the fields are views of it."""
 
+    rates: np.ndarray
     dv: np.ndarray
-    du: np.ndarray
     dtheta: np.ndarray
+    du: np.ndarray
 
 
 def pressure(v, theta, R):
@@ -111,19 +110,26 @@ def strain_rate(state: FluidState, grid: MassGrid) -> np.ndarray:
 
 
 def _boundary_heat_fluxes(
-    state: FluidState, grid: MassGrid, closure: GhostClosure, kappa: float
+    v: np.ndarray, th: np.ndarray, dm: float, left: BoundaryRule, kappa: float
 ) -> tuple[float, float]:
     """Heat flux through the left and right closures (scheme's own formulas)."""
-    v, th = state.v, state.theta
-    dm = grid.dm
-    if closure.left is BoundaryRule.FAR_FIELD:
-        left = kappa * (th[0] - 1.0) / (dm * 0.5 * (v[0] + 1.0))
-    elif closure.left is BoundaryRule.WALL_INSULATED:
-        left = 0.0
+    if left is BoundaryRule.FAR_FIELD:
+        flux_left = kappa * (th[0] - 1.0) / (dm * 0.5 * (v[0] + 1.0))
+    elif left is BoundaryRule.WALL_INSULATED:
+        flux_left = 0.0
     else:  # isothermal wall: one-sided difference against the wall value at dm/2
-        left = kappa * (th[0] - 1.0) / (0.5 * dm * v[0])
-    right = kappa * (1.0 - th[-1]) / (dm * 0.5 * (1.0 + v[-1]))
-    return float(left), float(right)
+        flux_left = kappa * (th[0] - 1.0) / (0.5 * dm * v[0])
+    flux_right = kappa * (1.0 - th[-1]) / (dm * 0.5 * (1.0 + v[-1]))
+    return float(flux_left), float(flux_right)
+
+
+def _heat_flux(
+    v: np.ndarray, th: np.ndarray, dm: float, left: BoundaryRule, kappa: float
+) -> np.ndarray:
+    flux = np.empty(v.shape[0] + 1)
+    flux[1:-1] = kappa * (th[1:] - th[:-1]) / (dm * (0.5 * (v[:-1] + v[1:])))
+    flux[0], flux[-1] = _boundary_heat_fluxes(v, th, dm, left, kappa)
+    return flux
 
 
 def heat_flux_faces(
@@ -134,17 +140,16 @@ def heat_flux_faces(
     Interior faces use the face difference of theta over the arithmetic-mean
     specific volume; boundary faces follow the ghost closure.
     """
-    v, th = state.v, state.theta
-    dm = grid.dm
-    flux = np.empty(state.n_cells + 1)
-    v_face = 0.5 * (v[:-1] + v[1:])
-    flux[1:-1] = kappa * np.diff(th) / (dm * v_face)
-    flux[0], flux[-1] = _boundary_heat_fluxes(state, grid, ghost, kappa)
-    return flux
+    return _heat_flux(state.v, state.theta, grid.dm, ghost.left, kappa)
+
+
+def _far_field_stress(u_out: float, params: GasParams, dm: float) -> float:
+    """Stress of the rest-state ghost cell beyond an end whose node moves out at u_out."""
+    return -params.R - params.mu * (u_out / dm)
 
 
 def rhs(
-    state: FluidState,
+    state: FluidState | np.ndarray,
     grid: MassGrid,
     params: GasParams,
     setup: ProblemSetup,
@@ -156,60 +161,76 @@ def rhs(
     stress = mu*u_x/v - p.  Far-field boundary nodes see a ghost cell at the
     rest state whose strain uses a ghost node with u = 0; a wall node has
     du = 0, imposing u(0, t) = 0 strongly.  ``sources`` are optional extra
-    rates (dv, du, dtheta), e.g. manufactured forcings.
+    rates (dv, du, dtheta), e.g. manufactured forcings.  ``state`` may be a
+    FluidState or a packed ``[v | theta | u]`` stage; the rates come back
+    packed the same way.
     """
-    closure = ghost_closure(setup)
-    v, th, u = state.v, state.theta, state.u
-    dm = grid.dm
+    y = state if isinstance(state, np.ndarray) else state.packed()
+    n = grid.n_cells
+    require_positive("rhs", y[: 2 * n])
+    left = ghost_closure(setup).left
+    v, th, u = y[:n], y[n : 2 * n], y[2 * n :]
+    dm, mu = grid.dm, params.mu
 
-    s = np.diff(u) / dm
-    p = pressure(v, th, params.R)
-    stress = params.mu * (s / v) - p
-
-    du = np.empty_like(u)
-    du[1:-1] = np.diff(stress) / dm
-    # right end is always an artificial far-field truncation
-    stress_right = -params.R - params.mu * (u[-1] / dm)
-    du[-1] = (stress_right - stress[-1]) / dm
-    if closure.left is BoundaryRule.FAR_FIELD:
-        stress_left = -params.R + params.mu * (u[0] / dm)
-        du[0] = (stress[0] - stress_left) / dm
+    rates = np.empty_like(y)
+    dv, dth, du = rates[:n], rates[n : 2 * n], rates[2 * n :]
+    # the module docstring's formulas in their order, in place where that
+    # saves a temporary; dv holds u_x until sources are added
+    s = np.subtract(u[1:], u[:-1], out=dv)
+    s /= dm
+    p = params.R * th
+    p /= v
+    stress = s / v
+    stress *= mu
+    stress -= p
+    inner = np.subtract(stress[1:], stress[:-1], out=du[1:-1])
+    inner /= dm
+    du[-1] = (_far_field_stress(u[-1], params, dm) - stress[-1]) / dm
+    if left is BoundaryRule.FAR_FIELD:
+        du[0] = (stress[0] - _far_field_stress(-u[0], params, dm)) / dm
     else:
         du[0] = 0.0
-
-    flux = heat_flux_faces(state, grid, closure, params.kappa)
-    dth = (-p * s + np.diff(flux) / dm + params.mu * s * s / v) / params.c_v
-    dv = s.copy()
+    # c_v*dtheta = -p*s + diff(flux)/dm + mu*s*s/v; c + (-p*s) == c - p*s exactly
+    flux = _heat_flux(v, th, dm, left, params.kappa)
+    work = np.subtract(flux[1:], flux[:-1])
+    work /= dm
+    p *= s
+    work -= p
+    heating = mu * s
+    heating *= s
+    heating /= v
+    work += heating
+    np.divide(work, params.c_v, out=dth)
 
     if sources is not None:
         sv, su, sth = sources
-        dv = dv + sv
-        du = du + su
-        dth = dth + sth
-        if closure.left is not BoundaryRule.FAR_FIELD:
+        dv += sv
+        du += su
+        dth += sth
+        if left is not BoundaryRule.FAR_FIELD:
             du[0] = 0.0  # the wall rate stays pinned even under forcing
 
-    return StateDerivative(dv=dv, du=du, dtheta=dth)
+    return StateDerivative(rates, dv, dth, du)
 
 
 def boundary_power(
-    state: FluidState, grid: MassGrid, params: GasParams, setup: ProblemSetup
+    state: FluidState | np.ndarray, grid: MassGrid, params: GasParams, setup: ProblemSetup
 ) -> float:
     """Rate of total-energy inflow through the two closures.
 
     Uses the scheme's own boundary fluxes, so the semi-discrete budget
     d/dt total_energy == boundary_power holds exactly (walls do no work
-    because u = 0 there).
+    because u = 0 there).  ``state`` may be a FluidState or a packed stage.
     """
-    closure = ghost_closure(setup)
-    f_left, f_right = _boundary_heat_fluxes(state, grid, closure, params.kappa)
-    u0 = float(state.u[0])
-    un = float(state.u[-1])
-    stress_right = -params.R - params.mu * (un / grid.dm)
-    work = un * stress_right
-    if closure.left is BoundaryRule.FAR_FIELD:
-        stress_left = -params.R + params.mu * (u0 / grid.dm)
-        work -= u0 * stress_left
+    y = state if isinstance(state, np.ndarray) else state.packed()
+    n, dm = grid.n_cells, grid.dm
+    left = ghost_closure(setup).left
+    f_left, f_right = _boundary_heat_fluxes(y[:n], y[n : 2 * n], dm, left, params.kappa)
+    u0 = float(y[2 * n])
+    un = float(y[-1])
+    work = un * _far_field_stress(un, params, dm)
+    if left is BoundaryRule.FAR_FIELD:
+        work -= u0 * _far_field_stress(-u0, params, dm)
     return f_right - f_left + work
 
 

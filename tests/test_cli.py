@@ -4,11 +4,13 @@ import math
 import pytest
 
 from lagas import ConfigurationError, SetupKind
+import lagas.integrate
 from lagas.cli import (
     EXIT_INTEGRATION,
     EXIT_MMS_FAIL,
     EXIT_OK,
     EXIT_TRUNCATION,
+    _snapshot_path,
     main,
     mms,
     parse_config,
@@ -133,6 +135,46 @@ def test_run_integration_failure_writes_failure_json(tmp_path):
     assert "dt_min" in failure["cause"]
     assert (out / "audit.csv").exists()  # partial output retained
     assert not (out / "summary.json").exists()
+
+
+def test_positivity_failure_json_names_stage_cell_and_field(tmp_path, monkeypatch):
+    stable_dt = lagas.integrate.stable_dt
+    monkeypatch.setattr(
+        lagas.integrate, "stable_dt", lambda *args: 500.0 * stable_dt(*args)
+    )
+    # the bump of test_step_failure_names_stage_and_cell; one tick, so the
+    # oversized step is not cut short to land on it
+    config = cfg(
+        tmp_path, L=8.0, n=64, t_end=100.0, cadence=100.0,
+        initial_data={"amplitude_v": 0.8, "amplitude_u": 0.5, "amplitude_theta": -0.4},
+    )
+    assert run(config) == EXIT_INTEGRATION
+    failure = json.loads((tmp_path / "out" / "failure.json").read_text())
+    assert failure["kind"] == "IntegrationError"
+    assert failure["stage"] in (1, 2, 3)
+    assert isinstance(failure["cell"], int) and 0 <= failure["cell"] <= 64
+    assert failure["field_name"] in ("v", "theta", "u")
+    assert f"stage {failure['stage']}" in failure["cause"]
+    assert f"{failure['field_name']}[{failure['cell']}]" in failure["cause"]
+
+
+def test_stiffness_failure_json_has_no_stage(tmp_path):
+    config = cfg(tmp_path, n=64, t_end=1.0, step={"dt_min": 0.1})
+    assert run(config) == EXIT_INTEGRATION
+    failure = json.loads((tmp_path / "out" / "failure.json").read_text())
+    assert failure["stage"] is None and failure["cell"] is None
+    assert failure["field_name"] is None
+
+
+def test_snapshot_names_never_repeat_within_a_run(tmp_path):
+    # %g keeps six significant digits: 10000.01 and 10000.02 both print 10000
+    taken = set()
+    times = [0.0, 0.2, 10000.01, 10000.02, 10000.0, 0.30000000000000004, 0.3]
+    names = [_snapshot_path(tmp_path, t, taken).name for t in times]
+    assert names == [
+        "snap_0.csv", "snap_0.2.csv", "snap_10000.csv", "snap_10000.02.csv",
+        "snap_10000.0.csv", "snap_0.3.csv", "snap_0.3_6.csv",
+    ]
 
 
 def test_snapshot_cadence(tmp_path):

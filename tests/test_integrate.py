@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_state
 from lagas import (
     ConfigurationError,
+    DomainError,
     FluidState,
     GasParams,
     IntegrationError,
@@ -19,7 +22,9 @@ from lagas import (
     steady_state,
     step,
 )
+from lagas.core import validate_state
 from lagas.diagnostics import entropy_energy
+from lagas.integrate import _checked
 
 
 def bump_state(setup, half_length=8.0, n=64, center=None):
@@ -85,6 +90,36 @@ def test_stable_dt_clamps_to_dt_max(cauchy, unit_params):
     assert stable_dt(steady_state(grid), grid, unit_params, ctrl) == 1e-3
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+def test_stable_dt_rejects_nonpositive_or_nonfinite_fields(cauchy, unit_params, value):
+    grid = make_grid(cauchy, 0.5, 10)
+    state = steady_state(grid)
+    state.theta[3] = value
+    with pytest.raises(DomainError):
+        stable_dt(state, grid, unit_params, StepControl())
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    mu=st.floats(0.1, 10.0),
+    kappa=st.floats(0.1, 10.0),
+    c_v=st.floats(0.1, 10.0),
+)
+@settings(max_examples=40, deadline=None)
+def test_stable_dt_diffusive_bound_matches_cellwise_maximum(seed, mu, kappa, c_v):
+    # oracle: the bound taken at min v equals the per-cell maximum bit for bit
+    params = GasParams(mu=mu, kappa=kappa, R=1.0, c_v=c_v)
+    grid = make_grid(ProblemSetup(SetupKind.CAUCHY), 2.0, 64)
+    state = random_state(grid, seed)
+    ctrl = StepControl(cfl_hyperbolic=1.0, cfl_parabolic=0.01, dt_min=1e-300)
+    v = state.v
+    diffusivity = np.maximum(params.mu / v, params.kappa / (params.c_v * v))
+    dt_par = ctrl.cfl_parabolic * grid.dm * grid.dm / (2.0 * float(diffusivity.max()))
+    sound = np.sqrt(params.R * state.theta * params.gamma) / v
+    assert dt_par < ctrl.cfl_hyperbolic * grid.dm / float(sound.max())
+    assert stable_dt(state, grid, params, ctrl) == dt_par
+
+
 @pytest.mark.parametrize("kind", list(SetupKind), ids=lambda k: k.value)
 def test_step_preserves_steady_state_exactly(kind, params, ctrl):
     setup = ProblemSetup(kind)
@@ -124,6 +159,28 @@ def test_step_failure_names_stage_and_cell(cauchy, params, ctrl):
     assert err.cell is not None
     assert err.field_name in ("v", "theta", "u")
     assert "stage" in str(err)
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    index=st.integers(0, 3 * 8),
+    bad=st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -1.0, 1e-10, 2e-10, 1e308]),
+)
+@settings(max_examples=60, deadline=None)
+def test_stage_fast_check_agrees_with_validate_state(seed, index, bad):
+    # oracle: the fast stage check raises exactly when validate_state fails,
+    # and then names the same field and cell
+    grid = make_grid(ProblemSetup(SetupKind.CAUCHY), 2.0, 8)
+    y = random_state(grid, seed).packed()
+    y[index] = bad
+    report = validate_state(FluidState.from_packed(0.0, y), 1e-10)
+    if report.ok:
+        _checked(y, 1e-10, 2, 0.0)
+        return
+    with pytest.raises(IntegrationError) as excinfo:
+        _checked(y, 1e-10, 2, 0.0)
+    err = excinfo.value
+    assert (err.stage, err.field_name, err.cell) == (2, report.field_name, report.index)
 
 
 def test_step_halving_shows_third_order(cauchy, params):

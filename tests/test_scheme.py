@@ -78,8 +78,6 @@ def test_ghost_closures_match_setups():
         ghost_closure(ProblemSetup(SetupKind.HALFLINE_ISOTHERMAL)).left
         is BoundaryRule.WALL_ISOTHERMAL
     )
-    for setup in ALL_SETUPS:
-        assert ghost_closure(setup).right is BoundaryRule.FAR_FIELD
 
 
 @pytest.mark.parametrize("setup", ALL_SETUPS, ids=lambda s: s.kind.value)
@@ -214,10 +212,15 @@ def test_rhs_translation_equivariance(cauchy, params):
     assert np.array_equal(d_shifted.dtheta[6:56], d.dtheta[window])
 
 
-def test_rhs_propagates_domain_error(cauchy, params):
+@pytest.mark.parametrize(
+    "field,value",
+    [("v", -1.0), ("v", np.nan), ("v", np.inf), ("theta", -np.inf), ("theta", np.nan),
+     ("theta", np.inf)],
+)
+def test_rhs_propagates_domain_error(cauchy, params, field, value):
     grid = make_grid(cauchy, 2.0, 8)
     state = steady_state(grid)
-    state.v[2] = -1.0
+    getattr(state, field)[2] = value
     with pytest.raises(DomainError):
         rhs(state, grid, params, cauchy)
 
