@@ -24,6 +24,13 @@ AUDIT_SHA256 = {
     "halfline_insulated": "ed70ea7325c1824face9f6dd4485a4ef283ac70e18cf665fd6bac6bb63df91e8",
     "halfline_isothermal": "74bc975c7471d3f0cd0b7829fa4cf83d5c3e16c8ba5467b2c78df5b01151fe13",
 }
+# summary.json echoes config values (setup, n_cells, half_length, t_end, the
+# truncation threshold), so these also pin how the run config is typed
+SUMMARY_SHA256 = {
+    "cauchy": "8574ba0301848660ff7d20c0cf6d6de45df68d3b5444503ddf96147c1badae48",
+    "halfline_insulated": "9c119fa147689bf1917205e120309634262d95a1ad1baeeecb5b4862cbefbb45",
+    "halfline_isothermal": "054e13f0b47e8f3aee0937ff56c7abe435a7ca1c1e370cf74d9e98cc75b8f1fb",
+}
 FORCED_SHA256 = "c934f8f3abf56a3d9104ab43a20631b16873a70d2bf6618dd8b8f53df14f8cc6"
 
 
@@ -53,6 +60,8 @@ def test_cli_audit_bytes_are_pinned(tmp_path, kind):
     assert run(parse_config(json.dumps(raw))) == EXIT_OK
     audit = (tmp_path / "out" / "audit.csv").read_bytes()
     assert sha256(audit) == AUDIT_SHA256[kind.value]
+    summary = (tmp_path / "out" / "summary.json").read_bytes()
+    assert sha256(summary) == SUMMARY_SHA256[kind.value]
 
 
 def test_forced_advance_final_state_is_pinned():
