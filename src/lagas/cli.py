@@ -22,7 +22,8 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any
 
@@ -30,6 +31,7 @@ import numpy as np
 
 from .core import (
     ConfigurationError,
+    DomainError,
     FluidState,
     GasParams,
     IntegrationError,
@@ -39,11 +41,18 @@ from .core import (
     StiffnessError,
     make_grid,
 )
-from .diagnostics import DEFAULT_EXCESS_THRESHOLDS, AuditRecord, audit_header, audit_row
+from .diagnostics import (
+    DEFAULT_EXCESS_THRESHOLDS,
+    AuditRecord,
+    audit_header,
+    audit_row,
+    check_excess_thresholds,
+)
 from .integrate import StepControl, advance
 from .verification import (
     InitialDataSpec,
     build_initial_data,
+    check_refinement,
     convergence_study,
     default_pulse_solution,
     steady_solution,
@@ -59,7 +68,14 @@ EXIT_MMS_FAIL = 4
 
 OUT_ROOT_ENV = "LAGAS_OUT_ROOT"
 
-_MISSING = object()
+
+@contextmanager
+def _config_key(key: str):
+    """Report a library check that fails inside as a ConfigurationError naming ``key``."""
+    try:
+        yield
+    except (ConfigurationError, DomainError) as exc:
+        raise ConfigurationError(f"config key '{key}': {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -70,31 +86,51 @@ class MmsSettings:
     family: str = "gaussian_pulse"
 
     def __post_init__(self) -> None:
-        if len(self.n_list) < 3:
-            raise ConfigurationError("'n_list' must be a list of at least 3 integers")
+        object.__setattr__(self, "n_list", check_refinement(self.n_list, self.t_end))
         if self.family not in ("gaussian_pulse", "steady"):
             raise ConfigurationError(
                 f"mms family must be 'gaussian_pulse' or 'steady', got {self.family!r}"
             )
-        if not self.t_end > 0.0:
-            raise ConfigurationError("mms t_end must be positive")
+
+
+def _default_out_dir() -> Path:
+    return Path(os.environ.get(OUT_ROOT_ENV, "runs")) / "run"
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run, checked on construction; errors name the config key of the field
+    (``n`` for ``n_cells``).  ``excess_thresholds`` is kept sorted, in audit column order."""
+
     setup: ProblemSetup
     half_length: float
     n_cells: int
     t_end: float
     cadence: float
-    gas: GasParams
-    control: StepControl
     initial: InitialDataSpec
-    out_dir: Path
-    excess_thresholds: tuple[float, ...]
-    truncation_threshold: float
-    snapshot_every: float | None
-    mms: MmsSettings | None
+    gas: GasParams = GasParams(mu=1.0, kappa=1.0, R=1.0, c_v=1.5)
+    control: StepControl = StepControl()
+    out_dir: Path = field(default_factory=_default_out_dir)
+    excess_thresholds: tuple[float, ...] = DEFAULT_EXCESS_THRESHOLDS
+    truncation_threshold: float = 1e-3
+    snapshot_every: float | None = None
+    mms: MmsSettings = MmsSettings()
+
+    def __post_init__(self) -> None:
+        for key, ok, rule in (
+            ("n", self.n_cells >= 4, f"must be an integer >= 4, got {self.n_cells}"),
+            ("t_end", math.isfinite(self.t_end) and self.t_end >= 0.0,
+             f"must be >= 0, got {self.t_end}"),
+            ("cadence", self.cadence > 0.0, f"must be positive, got {self.cadence}"),
+            ("truncation_threshold", self.truncation_threshold > 0.0, "must be positive"),
+            ("snapshot_every", self.snapshot_every is None or self.snapshot_every > 0.0,
+             "must be positive"),
+        ):
+            if not ok:
+                raise ConfigurationError(f"config key '{key}': {rule}")
+        with _config_key("excess_thresholds"):
+            thresholds = check_excess_thresholds(self.excess_thresholds)
+        object.__setattr__(self, "excess_thresholds", thresholds)
 
 
 def _is_int(value: Any) -> bool:
@@ -108,8 +144,11 @@ def _is_number(value: Any) -> bool:
 #: dataclass field annotation -> (JSON check, conversion, description)
 _FIELD_TYPES = {
     "float": (_is_number, float, "a number"),
+    "float | None": (lambda x: x is None or _is_number(x),
+                     lambda x: None if x is None else float(x), "a number or null"),
     "int": (_is_int, int, "an integer"),
     "str": (lambda x: isinstance(x, str), str, "a string"),
+    "Path": (lambda x: isinstance(x, str), Path, "a string"),
     "tuple[int, ...]": (
         lambda x: isinstance(x, list) and all(map(_is_int, x)), tuple, "a list of integers"
     ),
@@ -120,31 +159,27 @@ _FIELD_TYPES = {
 }
 
 
+def _json_object(data: Any, path: str) -> dict:
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"config section '{path or '<root>'}' must be a JSON object")
+    return data
+
+
 class _Section:
     """One level of the config tree; rejects unknown keys with their path."""
 
     def __init__(self, data: Any, path: str = "") -> None:
-        if not isinstance(data, dict):
-            where = path or "<root>"
-            raise ConfigurationError(f"config section '{where}' must be a JSON object")
-        self._data = dict(data)
+        self._data = dict(_json_object(data, path))
         self._path = path
 
     def _join(self, key: str) -> str:
         return f"{self._path}.{key}" if self._path else key
 
-    def take(self, key: str, default: Any = _MISSING) -> Any:
-        if key in self._data:
-            return self._data.pop(key)
-        if default is _MISSING:
-            raise ConfigurationError(f"missing required config key '{self._join(key)}'")
-        return default
-
-    def take_typed(self, key: str, kind: str, default: Any = _MISSING) -> Any:
+    def take_typed(self, key: str, kind: str) -> Any:
         """Take ``key`` as JSON for a dataclass field annotated ``kind``."""
-        value = self.take(key, default)
-        if value is default and default is not _MISSING:
-            return value
+        if key not in self._data:
+            raise ConfigurationError(f"missing required config key '{self._join(key)}'")
+        value = self._data.pop(key)
         accepts, convert, label = _FIELD_TYPES[kind]
         if not accepts(value):
             raise ConfigurationError(
@@ -176,94 +211,61 @@ def _parse_setup(name: str) -> ProblemSetup:
         ) from None
 
 
-def _section_dataclass(root: _Section, key: str, cls, **defaults: Any):
-    """Build ``cls`` from config section ``key``, each key typed by its field; absent
-    keys take ``defaults``, else the dataclass's own defaults."""
+def _section_dataclass(root: _Section, key: str, default):
+    """``default`` with the fields that config section ``key`` sets, typed by annotation."""
     section = root.subsection(key)
-    try:
-        if section is not None:
-            for field in fields(cls):
-                if field.name in section:
-                    defaults[field.name] = section.take_typed(field.name, field.type)
-            section.finish()
-        return cls(**defaults)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"config key '{key}': {exc}") from None
+    if section is None:
+        return default
+    with _config_key(key):
+        values = {f.name: section.take_typed(f.name, f.type)
+                  for f in fields(default) if f.name in section}
+        section.finish()
+        return replace(default, **values)
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and fully validate a JSON run configuration."""
+def _decode(text: str) -> dict:
+    """The root object of a JSON config."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"malformed JSON config: {exc}") from exc
-    return config_from_dict(raw)
+    return _json_object(raw, "")
+
+
+def parse_config(text: str) -> RunConfig:
+    """Parse and fully validate a JSON run configuration."""
+    return config_from_dict(_decode(text))
 
 
 def config_from_dict(raw: Any) -> RunConfig:
+    """Read, type and locate the keys of a decoded config; :class:`RunConfig`
+    supplies the defaults of absent keys and checks the values."""
     root = _Section(raw)
     if "theta_bc" in root:
         raise ConfigurationError(
             "config key 'theta_bc': the isothermal wall temperature is fixed "
             "at 1 and cannot be configured"
         )
-
     setup = _parse_setup(root.take_typed("setup", "str"))
     half_length = root.take_typed("L", "float")
     n_cells = root.take_typed("n", "int")
-    if n_cells < 4:
-        raise ConfigurationError(f"config key 'n': must be an integer >= 4, got {n_cells}")
     t_end = root.take_typed("t_end", "float")
-    if not (np.isfinite(t_end) and t_end >= 0.0):
-        raise ConfigurationError(f"config key 't_end': must be >= 0, got {t_end}")
-    default_cadence = t_end / 100.0 if t_end > 0.0 else 1.0
-    cadence = root.take_typed("cadence", "float", default_cadence)
-    if not cadence > 0.0:
-        raise ConfigurationError(f"config key 'cadence': must be positive, got {cadence}")
-
-    gas = _section_dataclass(root, "gas", GasParams, mu=1.0, kappa=1.0, R=1.0, c_v=1.5)
-    control = _section_dataclass(root, "step", StepControl)
-    default_center = 0.0 if setup.kind is SetupKind.CAUCHY else 0.5 * half_length
-    initial = _section_dataclass(root, "initial_data", InitialDataSpec, center=default_center)
-
-    default_out = str(Path(os.environ.get(OUT_ROOT_ENV, "runs")) / "run")
-    out_dir = Path(root.take_typed("out_dir", "str", default_out))
-
-    excess_thresholds = tuple(sorted(root.take_typed(
-        "excess_thresholds", "tuple[float, ...]", DEFAULT_EXCESS_THRESHOLDS
-    )))
-    if not excess_thresholds or any(a <= 1.0 for a in excess_thresholds):
-        raise ConfigurationError(
-            "config key 'excess_thresholds': must be a non-empty list, every threshold above 1"
-        )
-
-    truncation_threshold = root.take_typed("truncation_threshold", "float", 1e-3)
-    if not truncation_threshold > 0.0:
-        raise ConfigurationError(
-            "config key 'truncation_threshold': must be positive"
-        )
-
-    snapshot_every = root.take_typed("snapshot_every", "float", None)
-    if snapshot_every is not None and not snapshot_every > 0.0:
-        raise ConfigurationError("config key 'snapshot_every': must be positive")
-
-    mms_settings = _section_dataclass(root, "mms", MmsSettings) if "mms" in root else None
-
+    center = 0.0 if setup.kind is SetupKind.CAUCHY else 0.5 * half_length
+    values = {
+        "cadence": t_end / 100.0 if t_end > 0.0 else 1.0,
+        "gas": _section_dataclass(root, "gas", RunConfig.gas),
+        "control": _section_dataclass(root, "step", RunConfig.control),
+        "initial": _section_dataclass(root, "initial_data", InitialDataSpec(center=center)),
+        "mms": _section_dataclass(root, "mms", RunConfig.mms),
+    }
+    kinds = {f.name: f.type for f in fields(RunConfig)}
+    for key in ("cadence", "out_dir", "excess_thresholds", "truncation_threshold",
+                "snapshot_every"):
+        if key in root:
+            values[key] = root.take_typed(key, kinds[key])
     root.finish()
     return RunConfig(
-        setup=setup,
-        half_length=half_length,
-        n_cells=n_cells,
-        t_end=t_end,
-        cadence=cadence,
-        gas=gas,
-        control=control,
-        initial=initial,
-        out_dir=out_dir,
-        excess_thresholds=excess_thresholds,
-        truncation_threshold=truncation_threshold,
-        snapshot_every=snapshot_every,
-        mms=mms_settings,
+        setup=setup, half_length=half_length, n_cells=n_cells, t_end=t_end, **values
     )
 
 
@@ -323,10 +325,12 @@ def _tail_monotone(values: list[float], fraction: float = 0.2, jitter: float = 0
 
 def run(config: RunConfig) -> int:
     """Simulate one configuration, writing audit.csv, snapshots, and summary.json."""
-    out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     grid = make_grid(config.setup, config.half_length, config.n_cells)
     state = build_initial_data(config.initial, config.setup, grid)
+    out = config.out_dir
+    out.mkdir(parents=True, exist_ok=True)
+    for verdict in ("summary.json", "failure.json"):  # an earlier run's, if any
+        (out / verdict).unlink(missing_ok=True)
 
     truncation = _TruncationAudit(grid, config.setup)
     snap_times: list[float] = []
@@ -431,7 +435,7 @@ def run(config: RunConfig) -> int:
 
 def mms(config: RunConfig) -> int:
     """Convergence study against a manufactured solution; writes mms_report.json."""
-    settings = config.mms if config.mms is not None else MmsSettings()
+    settings = config.mms
     if settings.family == "steady":
         solution = steady_solution()
     else:
@@ -477,47 +481,38 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return merged
 
 
-def _run_from_dict(raw: dict) -> int:
-    return run(config_from_dict(raw))
-
-
 def sweep(raw: dict, jobs: int = 1) -> int:
-    """Run every variant of a base config, each in its own output directory."""
+    """Run every variant of a base config, each in its own output directory.
+
+    Every variant is parsed and checked before the first one runs."""
     base = dict(raw)
-    sweep_spec = base.pop("sweep", None)
-    if not isinstance(sweep_spec, dict) or not isinstance(
-        sweep_spec.get("variants"), list
-    ):
-        raise ConfigurationError(
-            "sweep configs need a 'sweep' object with a 'variants' list"
-        )
-    variants = sweep_spec["variants"]
-    if not variants:
-        raise ConfigurationError("config key 'sweep.variants': must not be empty")
+    variants = _json_object(base.pop("sweep", None), "sweep").get("variants")
+    if not (isinstance(variants, list) and variants):
+        raise ConfigurationError("config key 'sweep.variants': must be a non-empty list")
 
-    base_config = config_from_dict(_deep_merge(base, variants[0]))  # validate early
-    root_out = Path(base.get("out_dir", str(base_config.out_dir)))
-
-    merged: list[dict] = []
+    merged = []
     for i, variant in enumerate(variants):
-        if not isinstance(variant, dict):
-            raise ConfigurationError(f"config key 'sweep.variants[{i}]': must be an object")
-        raw_i = _deep_merge(base, variant)
-        raw_i["out_dir"] = str(Path(raw_i.get("out_dir", str(root_out))) / f"variant_{i}")
-        merged.append(raw_i)
+        raw_i = _deep_merge(base, _json_object(variant, f"sweep.variants[{i}]"))
+        with _config_key(f"sweep.variants[{i}]"):
+            merged.append((raw_i, config_from_dict(raw_i)))
+    root_out = Path(base.get("out_dir", merged[0][1].out_dir))
+    configs = [
+        replace(config, out_dir=Path(raw_i.get("out_dir", root_out)) / f"variant_{i}")
+        for i, (raw_i, config) in enumerate(merged)
+    ]
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            codes = list(pool.map(_run_from_dict, merged))
+            codes = list(pool.map(run, configs))
     else:
-        codes = [_run_from_dict(raw_i) for raw_i in merged]
+        codes = [run(config) for config in configs]
 
     root_out.mkdir(parents=True, exist_ok=True)
     (root_out / "sweep_summary.json").write_text(
         json.dumps(
             {
-                "variants": len(merged),
-                "out_dirs": [m["out_dir"] for m in merged],
+                "variants": len(configs),
+                "out_dirs": [str(config.out_dir) for config in configs],
                 "exit_codes": codes,
             },
             indent=2,
@@ -588,16 +583,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
 
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        print(f"malformed JSON config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if not isinstance(raw, dict):
-        print("config must be a JSON object", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        raw = _apply_overrides(raw, args.assignments, args.out)
+        raw = _apply_overrides(_decode(text), args.assignments, args.out)
         if args.command == "run":
             return run(config_from_dict(raw))
         if args.command == "mms":

@@ -28,6 +28,7 @@ __all__ = [
     "lp_deviation",
     "h1_seminorms",
     "truncated_excess",
+    "check_excess_thresholds",
     "sup_embedding_check",
     "df8_rate",
     "z4_rate",
@@ -37,6 +38,14 @@ __all__ = [
 ]
 
 DEFAULT_EXCESS_THRESHOLDS = (1.5, 2.0, 3.0)
+
+
+def check_excess_thresholds(thresholds) -> tuple[float, ...]:
+    """The levels a of the truncated-excess audit, sorted; each must exceed 1."""
+    levels = tuple(sorted(float(a) for a in thresholds))
+    if not levels or not all(a > 1.0 for a in levels):
+        raise DomainError(f"excess thresholds must be non-empty and each above 1, got {levels!r}")
+    return levels
 
 
 def entropy_energy(state: FluidState, params: GasParams, grid: MassGrid) -> float:
@@ -146,8 +155,7 @@ def truncated_excess(
 
     The super-level set is measured by cell counting.
     """
-    if not a > 1.0:
-        raise DomainError(f"excess threshold must exceed 1, got {a!r}")
+    check_excess_thresholds((a,))
     over = np.maximum(state.theta - a, 0.0)
     excess = float((over * over).sum() * grid.dm)
     omega = float(np.count_nonzero(state.theta > a) * grid.dm)
@@ -296,13 +304,10 @@ class AuditTrail:
         setup: ProblemSetup,
         excess_thresholds=DEFAULT_EXCESS_THRESHOLDS,
     ) -> None:
-        thresholds = tuple(float(a) for a in excess_thresholds)
-        if not thresholds or any(a <= 1.0 for a in thresholds):
-            raise DomainError("excess thresholds must all exceed 1")
+        self.excess_thresholds = check_excess_thresholds(excess_thresholds)
         self.grid = grid
         self.params = params
         self.setup = setup
-        self.excess_thresholds = tuple(sorted(thresholds))
         self.ledger = EnergyLedger()
         self._te0 = total_energy(initial, grid, params)
         self._prev: tuple[float, float, float, float] | None = None

@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (
+    POSITIVITY_FLOOR,
     ConfigurationError,
     FluidState,
     GasParams,
@@ -49,7 +50,7 @@ class StepControl:
     cfl_parabolic: float = 0.4
     dt_min: float = 1e-12
     dt_max: float = 1.0
-    positivity_floor: float = 1e-10
+    positivity_floor: float = POSITIVITY_FLOOR
 
     def __post_init__(self) -> None:
         for name in ("cfl_hyperbolic", "cfl_parabolic"):

@@ -44,6 +44,7 @@ __all__ = [
     "make_source_rates",
     "sample_state",
     "ConvergenceResult",
+    "check_refinement",
     "convergence_study",
 ]
 
@@ -384,6 +385,21 @@ class ConvergenceResult:
     ROUNDOFF = 1e-11
 
 
+def check_refinement(n_list, t_end: float) -> tuple[int, ...]:
+    """The grid sizes of a refinement study (at least 3, each >= 4 cells, increasing),
+    after checking them and the end time."""
+    n_list = tuple(int(n) for n in n_list)
+    if len(n_list) < 3:
+        raise ConfigurationError(f"n_list needs at least 3 resolutions, got {n_list!r}")
+    if any(n < 4 for n in n_list):
+        raise ConfigurationError(f"n_list: every resolution must be >= 4 cells, got {n_list!r}")
+    if any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ConfigurationError(f"n_list must be strictly increasing, got {n_list!r}")
+    if not t_end > 0.0:
+        raise ConfigurationError(f"t_end must be positive, got {t_end!r}")
+    return n_list
+
+
 def convergence_study(
     ms: ManufacturedSolution,
     setup: ProblemSetup,
@@ -391,7 +407,7 @@ def convergence_study(
     n_list,
     t_end: float,
     half_length: float,
-    ctrl: StepControl | None = None,
+    ctrl: StepControl = StepControl(),
 ) -> ConvergenceResult:
     """Run the forced problem at each resolution and fit the spatial order.
 
@@ -399,19 +415,7 @@ def convergence_study(
     at ``t_end``.  When every error sits at round-off (e.g. the steady
     solution) the order fit is skipped and ``orders`` is None.
     """
-    n_list = tuple(int(n) for n in n_list)
-    if len(n_list) < 3:
-        raise ConfigurationError(
-            f"a convergence study needs at least 3 resolutions, got {n_list!r}"
-        )
-    if any(n < 4 for n in n_list):
-        raise ConfigurationError("every resolution must be >= 4 cells")
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ConfigurationError("resolutions must be strictly increasing")
-    if not t_end > 0.0:
-        raise ConfigurationError("t_end must be positive")
-    if ctrl is None:
-        ctrl = StepControl(dt_max=1.0)
+    n_list = check_refinement(n_list, t_end)
 
     dms: list[float] = []
     errors: dict[str, list[float]] = {"v": [], "u": [], "theta": []}

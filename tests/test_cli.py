@@ -3,13 +3,14 @@ import math
 
 import pytest
 
-from lagas import ConfigurationError, SetupKind
+from lagas import ConfigurationError, ProblemSetup, SetupKind
 import lagas.integrate
 from lagas.cli import (
     EXIT_INTEGRATION,
     EXIT_MMS_FAIL,
     EXIT_OK,
     EXIT_TRUNCATION,
+    RunConfig,
     _snapshot_path,
     main,
     mms,
@@ -17,6 +18,7 @@ from lagas.cli import (
     run,
     sweep,
 )
+from lagas.verification import InitialDataSpec
 
 MINIMAL = {"setup": "cauchy", "L": 10.0, "n": 256, "t_end": 5.0}
 
@@ -73,6 +75,36 @@ def test_parse_rejects_malformed_json():
 def test_parse_wraps_gas_errors_with_path():
     raw = dict(MINIMAL, gas={"mu": -1.0})
     with pytest.raises(ConfigurationError, match="gas"):
+        parse_config(json.dumps(raw))
+
+
+def hand_built(tmp_path, **overrides):
+    args = dict(setup=ProblemSetup(SetupKind.CAUCHY), half_length=10.0, n_cells=64,
+                t_end=1.0, cadence=0.1, initial=InitialDataSpec(), out_dir=tmp_path)
+    return RunConfig(**dict(args, **overrides))
+
+
+@pytest.mark.parametrize("field, value, key", [
+    ("n_cells", 2, "n"),
+    ("excess_thresholds", (0.5,), "excess_thresholds"),
+    ("truncation_threshold", 0.0, "truncation_threshold"),
+    ("snapshot_every", -1.0, "snapshot_every"),
+])
+def test_hand_built_run_config_is_checked(tmp_path, field, value, key):
+    with pytest.raises(ConfigurationError, match=f"'{key}'"):
+        hand_built(tmp_path, **{field: value})
+
+
+def test_run_config_sorts_excess_thresholds(tmp_path):
+    # audit_row writes the excess columns in sorted order; the header must match
+    config = hand_built(tmp_path, excess_thresholds=[3, 1.5, 2.0])
+    assert config.excess_thresholds == (1.5, 2.0, 3.0)
+
+
+@pytest.mark.parametrize("n_list", [[64, 32, 128], [2, 3, 4]])
+def test_parse_rejects_bad_mms_resolutions(n_list):
+    raw = dict(MINIMAL, mms={"n_list": n_list})
+    with pytest.raises(ConfigurationError, match="n_list"):
         parse_config(json.dumps(raw))
 
 
@@ -135,6 +167,17 @@ def test_run_integration_failure_writes_failure_json(tmp_path):
     assert "dt_min" in failure["cause"]
     assert (out / "audit.csv").exists()  # partial output retained
     assert not (out / "summary.json").exists()
+
+
+def test_rerun_leaves_only_its_own_verdict(tmp_path):
+    failing = cfg(tmp_path, n=64, t_end=1.0, step={"dt_min": 0.1})
+    passing = cfg(tmp_path, n=64, t_end=0.2, cadence=0.1)
+    out = tmp_path / "out"
+    assert run(failing) == EXIT_INTEGRATION
+    assert run(passing) == EXIT_OK
+    assert (out / "summary.json").exists() and not (out / "failure.json").exists()
+    assert run(failing) == EXIT_INTEGRATION
+    assert (out / "failure.json").exists() and not (out / "summary.json").exists()
 
 
 def test_positivity_failure_json_names_stage_cell_and_field(tmp_path, monkeypatch):
@@ -226,22 +269,43 @@ def test_mms_threshold_failure_exit_code(tmp_path):
     assert mms(config) == EXIT_MMS_FAIL
 
 
-def test_sweep_runs_variants(tmp_path):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_runs_variants(tmp_path, jobs):
+    amplitudes = (0.2, 0.4)
     raw = dict(
         MINIMAL,
         n=64,
         t_end=0.2,
         cadence=0.1,
         out_dir=str(tmp_path / "sweep"),
-        sweep={"variants": [{"initial_data": {"amplitude_v": 0.2}},
-                            {"initial_data": {"amplitude_v": 0.4}}]},
+        sweep={"variants": [{"initial_data": {"amplitude_v": a}} for a in amplitudes]},
     )
-    assert sweep(raw) == EXIT_OK
+    assert sweep(raw, jobs=jobs) == EXIT_OK
     summary = json.loads((tmp_path / "sweep" / "sweep_summary.json").read_text())
     assert summary["variants"] == 2
     assert summary["exit_codes"] == [0, 0]
-    for i in (0, 1):
-        assert (tmp_path / "sweep" / f"variant_{i}" / "summary.json").exists()
+    for i, a in enumerate(amplitudes):
+        variant = tmp_path / "sweep" / f"variant_{i}"
+        assert (variant / "summary.json").exists()
+        # the same bytes as a serial run of the variant on its own
+        single = cfg(tmp_path / f"single_{i}", n=64, t_end=0.2, cadence=0.1,
+                     initial_data={"amplitude_v": a})
+        assert run(single) == EXIT_OK
+        expected = (tmp_path / f"single_{i}" / "out" / "audit.csv").read_bytes()
+        assert (variant / "audit.csv").read_bytes() == expected
+
+
+def test_sweep_checks_every_variant_before_running_any(tmp_path):
+    raw = dict(
+        MINIMAL,
+        n=64,
+        t_end=0.2,
+        out_dir=str(tmp_path / "sweep"),
+        sweep={"variants": [{}, {"t_end": 0.1}, {"n": 2}]},
+    )
+    with pytest.raises(ConfigurationError, match=r"sweep\.variants\[2\].*'n'"):
+        sweep(raw)
+    assert not list(tmp_path.glob("sweep/variant_*"))
 
 
 def test_sweep_requires_variants(tmp_path):
