@@ -270,17 +270,13 @@ def config_from_dict(raw: Any) -> RunConfig:
 
 
 def _write_snapshot(path: Path, state: FluidState, grid: MassGrid) -> None:
-    centers = grid.cell_centers()
-    nodes = grid.nodes()
-    n = grid.n_cells
-    lines = ["x_center,v,theta,x_node,u"]
-    for i in range(n + 1):
-        if i < n:
-            cell_part = f"{centers[i]!r},{state.v[i]!r},{state.theta[i]!r}"
-        else:
-            cell_part = ",,"
-        lines.append(f"{cell_part},{nodes[i]!r},{state.u[i]!r}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """One row per node, the cell columns first (empty on the last row), as
+    shortest round-trip decimals."""
+    cells = [f"{x!r},{v!r},{th!r}" for x, v, th in zip(
+        grid.cell_centers().tolist(), state.v.tolist(), state.theta.tolist())] + [",,"]
+    rows = [f"{cell},{x!r},{u!r}"
+            for cell, x, u in zip(cells, grid.nodes().tolist(), state.u.tolist())]
+    path.write_text("\n".join(["x_center,v,theta,x_node,u", *rows]) + "\n", encoding="utf-8")
 
 
 def _snapshot_path(out: Path, t: float, taken: set[str]) -> Path:
@@ -323,14 +319,20 @@ def _tail_monotone(values: list[float], fraction: float = 0.2, jitter: float = 0
     )
 
 
+def _initial_state(config: RunConfig) -> tuple[MassGrid, FluidState]:
+    """The grid and the checked initial data of a run."""
+    grid = make_grid(config.setup, config.half_length, config.n_cells)
+    return grid, build_initial_data(config.initial, config.setup, grid)
+
+
 def run(config: RunConfig) -> int:
     """Simulate one configuration, writing audit.csv, snapshots, and summary.json."""
-    grid = make_grid(config.setup, config.half_length, config.n_cells)
-    state = build_initial_data(config.initial, config.setup, grid)
+    grid, state = _initial_state(config)
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    for verdict in ("summary.json", "failure.json"):  # an earlier run's, if any
-        (out / verdict).unlink(missing_ok=True)
+    # an earlier run's verdict and snapshots, if any: what stays is this run's
+    for stale in [out / "summary.json", out / "failure.json", *out.glob("snap_*.csv")]:
+        stale.unlink(missing_ok=True)
 
     truncation = _TruncationAudit(grid, config.setup)
     snap_times: list[float] = []
@@ -484,7 +486,8 @@ def _deep_merge(base: dict, override: dict) -> dict:
 def sweep(raw: dict, jobs: int = 1) -> int:
     """Run every variant of a base config, each in its own output directory.
 
-    Every variant is parsed and checked before the first one runs."""
+    Every variant is parsed, and its grid and initial data built, before the
+    first one runs."""
     base = dict(raw)
     variants = _json_object(base.pop("sweep", None), "sweep").get("variants")
     if not (isinstance(variants, list) and variants):
@@ -494,7 +497,9 @@ def sweep(raw: dict, jobs: int = 1) -> int:
     for i, variant in enumerate(variants):
         raw_i = _deep_merge(base, _json_object(variant, f"sweep.variants[{i}]"))
         with _config_key(f"sweep.variants[{i}]"):
-            merged.append((raw_i, config_from_dict(raw_i)))
+            config = config_from_dict(raw_i)
+            _initial_state(config)
+        merged.append((raw_i, config))
     root_out = Path(base.get("out_dir", merged[0][1].out_dir))
     configs = [
         replace(config, out_dir=Path(raw_i.get("out_dir", root_out)) / f"variant_{i}")

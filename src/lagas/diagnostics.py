@@ -9,11 +9,11 @@ tracks the total-energy ledger the integrator feeds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import DomainError, FluidState, GasParams, MassGrid, ProblemSetup, require_positive
+from .core import DomainError, FluidState, GasParams, MassGrid, ProblemSetup
 from .scheme import total_energy
 
 __all__ = [
@@ -48,21 +48,94 @@ def check_excess_thresholds(thresholds) -> tuple[float, ...]:
     return levels
 
 
+def _dx(w: np.ndarray, dm: float) -> np.ndarray:
+    """Divided first difference; the same subtraction as ``np.diff``, without its overhead."""
+    return (w[1:] - w[:-1]) / dm
+
+
+class _Tick:
+    """The intermediates of one state that several functionals share, computed once:
+    differences at the stagger locations :func:`h1_seminorms` names, face means,
+    squares and sums of squares.
+
+    Each functional is one method here: an audit record applies them all to one
+    instance, and each public functional applies its own to a fresh one.  With
+    ``check`` set, v and theta must be finite and positive (NaN fails the minima),
+    tested on the bounds before any other array work; DomainError names ``check``.
+    Operand order is part of the audit.csv bytes that tests/test_golden.py pins:
+    df8's ``((1 + theta + ubar^2)*s)*s`` is not ``(1 + theta + ubar^2)*(s*s)``.
+    """
+
+    def __init__(self, state: FluidState, dm: float, check: str | None = None) -> None:
+        self.state, self.dm = state, dm
+        self.bounds = v_min, v_max, th_min, th_max = field_bounds(state)
+        if check and not (v_min > 0.0 and th_min > 0.0 and max(v_max, th_max) < math.inf):
+            raise DomainError(f"{check} needs finite positive v and theta")
+        v, th = state.v, state.theta
+        self.ubar = state.cell_velocity()
+        self.vx, self.ux, self.thx = _dx(v, dm), _dx(state.u, dm), _dx(th, dm)
+        self.ux_sq, self.thx_sq = self.ux * self.ux, self.thx * self.thx
+        self.th_face = 0.5 * (th[:-1] + th[1:])
+        uxx, thxx = _dx(self.ux, dm), _dx(self.thx, dm)
+        #: sums of squares of (v_x, u_x, theta_x, u_xx, theta_xx)
+        self.sq_sums = tuple(float(w.sum()) for w in (
+            self.vx * self.vx, self.ux_sq, self.thx_sq, uxx * uxx, thxx * thxx))
+        #: |v - 1|, |u| averaged to cells, |theta - 1|
+        self.abs_dev = np.abs(v - 1.0), np.abs(self.ubar), np.abs(th - 1.0)
+
+    def entropy_energy(self, params: GasParams) -> float:
+        v, th, ubar = self.state.v, self.state.theta, self.ubar
+        density = (
+            0.5 * ubar * ubar
+            + params.R * (v - np.log(v) - 1.0)
+            + params.c_v * (th - np.log(th) - 1.0)
+        )
+        return float(density.sum() * self.dm)
+
+    def dissipation_rates(self, params: GasParams) -> tuple[float, float]:
+        v, th, dm = self.state.v, self.state.theta, self.dm
+        d_visc = params.mu * float((self.ux_sq / (v * th)).sum()) * dm
+        v_face = 0.5 * (v[:-1] + v[1:])
+        th_face = self.th_face
+        d_heat = params.kappa * float((self.thx_sq / (v_face * th_face * th_face)).sum()) * dm
+        return d_visc, d_heat
+
+    def lp_deviation(self, p: float) -> float:
+        if not p > 1.0:
+            raise DomainError(f"lp_deviation needs p in (1, inf], got {p!r}")
+        dv, du, dth = self.abs_dev
+        if math.isinf(p):
+            return float(max(dv.max(), du.max(), dth.max()))
+        total = (dv ** p + du ** p + dth ** p).sum() * self.dm
+        return float(total ** (1.0 / p))
+
+    def h1_seminorms(self) -> "H1Seminorms":
+        return H1Seminorms(*(math.sqrt(total * self.dm) for total in self.sq_sums))
+
+    def truncated_excess(self, a: float) -> tuple[float, float]:
+        if a >= self.bounds[3]:  # the bits the array path gives for theta <= a
+            return 0.0, 0.0
+        th = self.state.theta
+        over = np.maximum(th - a, 0.0)
+        return float((over * over).sum() * self.dm), float(np.count_nonzero(th > a) * self.dm)
+
+    def df8_rate(self) -> float:
+        s, ubar = self.ux, self.ubar
+        cells = ((1.0 + self.state.theta + ubar * ubar) * s * s).sum()
+        return float((cells + self.sq_sums[2]) * self.dm)
+
+    def z4_rate(self) -> float:
+        vx, sums = self.vx, self.sq_sums
+        return float(((self.th_face * vx * vx).sum() + sums[3] + sums[4]) * self.dm)
+
+
 def entropy_energy(state: FluidState, params: GasParams, grid: MassGrid) -> float:
     """Nonnegative energy u^2/2 + R*(v - ln v - 1) + c_v*(theta - ln theta - 1).
 
     Midpoint quadrature over cells, with u averaged to cell centers.  Zero
     exactly at the rest state and strictly positive elsewhere.
     """
-    require_positive("entropy energy", state.v, state.theta)
-    v, th = state.v, state.theta
-    ubar = state.cell_velocity()
-    density = (
-        0.5 * ubar * ubar
-        + params.R * (v - np.log(v) - 1.0)
-        + params.c_v * (th - np.log(th) - 1.0)
-    )
-    return float(density.sum() * grid.dm)
+    return _Tick(state, grid.dm, check="entropy energy").entropy_energy(params)
 
 
 def dissipation_rates(
@@ -74,16 +147,7 @@ def dissipation_rates(
     D_heat = kappa * sum over interior faces of theta_x^2/(v*theta^2) * dm
     with face values by arithmetic mean.
     """
-    require_positive("dissipation rates", state.v, state.theta)
-    v, th = state.v, state.theta
-    dm = grid.dm
-    s = np.diff(state.u) / dm
-    d_visc = params.mu * float((s * s / (v * th)).sum()) * dm
-    th_x = np.diff(th) / dm
-    v_face = 0.5 * (v[:-1] + v[1:])
-    th_face = 0.5 * (th[:-1] + th[1:])
-    d_heat = params.kappa * float((th_x * th_x / (v_face * th_face * th_face)).sum()) * dm
-    return d_visc, d_heat
+    return _Tick(state, grid.dm, check="dissipation rates").dissipation_rates(params)
 
 
 def energy_balance_residual(
@@ -95,27 +159,13 @@ def energy_balance_residual(
 
 def field_bounds(state: FluidState) -> tuple[float, float, float, float]:
     """(v_min, v_max, theta_min, theta_max), exact over cells."""
-    return (
-        float(state.v.min()),
-        float(state.v.max()),
-        float(state.theta.min()),
-        float(state.theta.max()),
-    )
+    v, th = state.v, state.theta
+    return float(v.min()), float(v.max()), float(th.min()), float(th.max())
 
 
 def lp_deviation(state: FluidState, grid: MassGrid, p: float) -> float:
     """L^p norm of (v-1, u, theta-1) with node u averaged to cells; p in (1, inf]."""
-    if not p > 1.0:
-        raise DomainError(f"lp_deviation needs p in (1, inf], got {p!r}")
-    dv = state.v - 1.0
-    du = state.cell_velocity()
-    dth = state.theta - 1.0
-    if math.isinf(p):
-        return float(
-            max(np.abs(dv).max(), np.abs(du).max(), np.abs(dth).max())
-        )
-    total = (np.abs(dv) ** p + np.abs(du) ** p + np.abs(dth) ** p).sum() * grid.dm
-    return float(total ** (1.0 / p))
+    return _Tick(state, grid.dm).lp_deviation(p)
 
 
 @dataclass(frozen=True)
@@ -135,17 +185,7 @@ def h1_seminorms(state: FluidState, grid: MassGrid) -> H1Seminorms:
     v_x and theta_x live on interior faces, u_x on cells; second differences
     compose the first ones (u_xx on interior nodes, theta_xx on interior cells).
     """
-    dm = grid.dm
-
-    def l2(w: np.ndarray) -> float:
-        return float(np.sqrt((w * w).sum() * dm))
-
-    vx = np.diff(state.v) / dm
-    thx = np.diff(state.theta) / dm
-    ux = np.diff(state.u) / dm
-    uxx = np.diff(ux) / dm
-    thxx = np.diff(thx) / dm
-    return H1Seminorms(l2(vx), l2(ux), l2(thx), l2(uxx), l2(thxx))
+    return _Tick(state, grid.dm).h1_seminorms()
 
 
 def truncated_excess(
@@ -156,10 +196,7 @@ def truncated_excess(
     The super-level set is measured by cell counting.
     """
     check_excess_thresholds((a,))
-    over = np.maximum(state.theta - a, 0.0)
-    excess = float((over * over).sum() * grid.dm)
-    omega = float(np.count_nonzero(state.theta > a) * grid.dm)
-    return excess, omega
+    return _Tick(state, grid.dm).truncated_excess(a)
 
 
 def sup_embedding_check(values: np.ndarray, grid: MassGrid) -> tuple[float, float]:
@@ -176,24 +213,12 @@ def sup_embedding_check(values: np.ndarray, grid: MassGrid) -> tuple[float, floa
 
 def df8_rate(state: FluidState, grid: MassGrid) -> float:
     """Instantaneous value of the integral of (1 + theta + u^2)*u_x^2 + theta_x^2."""
-    dm = grid.dm
-    s = np.diff(state.u) / dm
-    ubar = state.cell_velocity()
-    thx = np.diff(state.theta) / dm
-    cells = ((1.0 + state.theta + ubar * ubar) * s * s).sum()
-    faces = (thx * thx).sum()
-    return float((cells + faces) * dm)
+    return _Tick(state, grid.dm).df8_rate()
 
 
 def z4_rate(state: FluidState, grid: MassGrid) -> float:
     """Instantaneous value of the integral of theta*v_x^2 + u_xx^2 + theta_xx^2."""
-    dm = grid.dm
-    vx = np.diff(state.v) / dm
-    th_face = 0.5 * (state.theta[:-1] + state.theta[1:])
-    ux = np.diff(state.u) / dm
-    uxx = np.diff(ux) / dm
-    thxx = np.diff(np.diff(state.theta) / dm) / dm
-    return float(((th_face * vx * vx).sum() + (uxx * uxx).sum() + (thxx * thxx).sum()) * dm)
+    return _Tick(state, grid.dm).z4_rate()
 
 
 @dataclass(frozen=True)
@@ -226,36 +251,16 @@ class AuditRecord:
     energy_balance_residual: float
 
 
-# CSV column names; the tagged ones are pinned by the audit file format.
-_SCALAR_COLUMNS: tuple[tuple[str, str], ...] = (
-    ("t", "t"),
-    ("E", "E_eq2.12"),
-    ("D_visc", "D_visc_eq2.12"),
-    ("D_heat", "D_heat_eq2.12"),
-    ("cum_D", "cum_D_eq2.12"),
-    ("v_min", "v_min"),
-    ("v_max", "v_max"),
-    ("theta_min", "theta_min"),
-    ("theta_max", "theta_max"),
-    ("lp2_dev", "lp2_dev"),
-    ("lpinf_dev", "lpinf_dev"),
-    ("vx_l2", "vx_l2"),
-    ("ux_l2", "ux_l2"),
-    ("thetax_l2", "thetax_l2"),
-    ("uxx_l2", "uxx_l2"),
-    ("thetaxx_l2", "thetaxx_l2"),
-    ("df8_rate", "df8_rate"),
-    ("cum_df8", "cum_df8"),
-    ("z4_rate", "z4_rate"),
-    ("cum_z4", "cum_z4"),
-    ("int_u4", "int_u4"),
-    ("sup_theta_excess", "sup_theta_excess"),
-)
+#: audit.csv's scalar columns: the AuditRecord fields before ``excess``, in order;
+#: the energy-identity ones carry the equation tag of the audit file format
+_SCALAR_FIELDS = tuple(f.name for f in fields(AuditRecord))
+_SCALAR_FIELDS = _SCALAR_FIELDS[: _SCALAR_FIELDS.index("excess")]
+_TAGGED = ("E", "D_visc", "D_heat", "cum_D")
 
 
 def audit_columns(excess_thresholds=DEFAULT_EXCESS_THRESHOLDS) -> list[str]:
     """Column names in audit.csv order."""
-    names = [column for _, column in _SCALAR_COLUMNS]
+    names = [f"{name}_eq2.12" if name in _TAGGED else name for name in _SCALAR_FIELDS]
     for a in excess_thresholds:
         names.append(f"excess_a{a:g}")
         names.append(f"omega_a{a:g}")
@@ -269,7 +274,7 @@ def audit_header(excess_thresholds=DEFAULT_EXCESS_THRESHOLDS) -> str:
 
 def audit_row(record: AuditRecord) -> str:
     """Serialize one record in audit_columns order (shortest round-trip floats)."""
-    parts = [repr(getattr(record, field)) for field, _ in _SCALAR_COLUMNS]
+    parts = [repr(getattr(record, name)) for name in _SCALAR_FIELDS]
     for a in sorted(record.excess):
         excess, omega = record.excess[a]
         parts.append(repr(excess))
@@ -317,10 +322,11 @@ class AuditTrail:
 
     def record(self, state: FluidState) -> AuditRecord:
         grid, params = self.grid, self.params
-        d_visc, d_heat = dissipation_rates(state, params, grid)
+        tick = _Tick(state, grid.dm, check="audit record")
+        d_visc, d_heat = tick.dissipation_rates(params)
         d_total = d_visc + d_heat
-        df8 = df8_rate(state, grid)
-        z4 = z4_rate(state, grid)
+        df8 = tick.df8_rate()
+        z4 = tick.z4_rate()
         if self._prev is not None:
             t_prev, d_prev, df8_prev, z4_prev = self._prev
             h = state.t - t_prev
@@ -329,18 +335,11 @@ class AuditTrail:
             self._cum_z4 += 0.5 * (z4 + z4_prev) * h
         self._prev = (state.t, d_total, df8, z4)
 
-        v_min, v_max, th_min, th_max = field_bounds(state)
-        h1 = h1_seminorms(state, grid)
-        ubar = state.cell_velocity()
-        int_u4 = float((ubar ** 4).sum() * grid.dm)
-        sup_excess = max(th_max - 1.5, 0.0) ** 2
-        excess = {a: truncated_excess(state, grid, a) for a in self.excess_thresholds}
+        v_min, v_max, th_min, th_max = tick.bounds
         te = total_energy(state, grid, params)
-        residual = energy_balance_residual(te, self._te0, self.ledger.inflow)
-
         return AuditRecord(
             t=state.t,
-            E=entropy_energy(state, params, grid),
+            E=tick.entropy_energy(params),
             D_visc=d_visc,
             D_heat=d_heat,
             cum_D=self._cum_d,
@@ -348,19 +347,15 @@ class AuditTrail:
             v_max=v_max,
             theta_min=th_min,
             theta_max=th_max,
-            lp2_dev=lp_deviation(state, grid, 2.0),
-            lpinf_dev=lp_deviation(state, grid, math.inf),
-            vx_l2=h1.vx_l2,
-            ux_l2=h1.ux_l2,
-            thetax_l2=h1.thetax_l2,
-            uxx_l2=h1.uxx_l2,
-            thetaxx_l2=h1.thetaxx_l2,
+            lp2_dev=tick.lp_deviation(2.0),
+            lpinf_dev=tick.lp_deviation(math.inf),
+            **vars(tick.h1_seminorms()),
             df8_rate=df8,
             cum_df8=self._cum_df8,
             z4_rate=z4,
             cum_z4=self._cum_z4,
-            int_u4=int_u4,
-            sup_theta_excess=sup_excess,
-            excess=excess,
-            energy_balance_residual=residual,
+            int_u4=float((tick.ubar ** 4).sum() * grid.dm),
+            sup_theta_excess=max(th_max - 1.5, 0.0) ** 2,
+            excess={a: tick.truncated_excess(a) for a in self.excess_thresholds},
+            energy_balance_residual=energy_balance_residual(te, self._te0, self.ledger.inflow),
         )

@@ -1,9 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from lagas import ConfigurationError, ProblemSetup, SetupKind
+from lagas import ConfigurationError, ProblemSetup, SetupKind, advance, build_initial_data, make_grid
 import lagas.integrate
 from lagas.cli import (
     EXIT_INTEGRATION,
@@ -180,6 +181,17 @@ def test_rerun_leaves_only_its_own_verdict(tmp_path):
     assert (out / "failure.json").exists() and not (out / "summary.json").exists()
 
 
+def test_rerun_leaves_only_its_own_snapshots(tmp_path):
+    out = tmp_path / "out"
+    assert run(cfg(tmp_path, n=64, t_end=0.4, cadence=0.1, snapshot_every=0.1)) == EXIT_OK
+    assert run(cfg(tmp_path, n=64, t_end=0.2, cadence=0.1, snapshot_every=0.1)) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["snapshots"] == [0.0, 0.1, 0.2]
+    assert sorted(p.name for p in out.glob("snap_*.csv")) == [
+        "snap_0.1.csv", "snap_0.2.csv", "snap_0.csv",
+    ]
+
+
 def test_positivity_failure_json_names_stage_cell_and_field(tmp_path, monkeypatch):
     stable_dt = lagas.integrate.stable_dt
     monkeypatch.setattr(
@@ -230,6 +242,25 @@ def test_snapshot_cadence(tmp_path):
     assert snap[0] == "x_center,v,theta,x_node,u"
     assert len(snap) == 1 + 65  # one row per node; last row has empty cell columns
     assert snap[-1].startswith(",,")
+
+
+def test_snapshot_cells_are_round_trip_decimals(tmp_path):
+    config = cfg(tmp_path, n=64, t_end=0.2, cadence=0.1,
+                 initial_data={"amplitude_v": 0.5, "amplitude_u": 0.3, "amplitude_theta": -0.2})
+    assert run(config) == EXIT_OK
+    grid = make_grid(config.setup, config.half_length, config.n_cells)
+    final, _ = advance(build_initial_data(config.initial, config.setup, grid), config.t_end,
+                       config.cadence, grid, config.gas, config.setup, config.control)
+    lines = (tmp_path / "out" / "snap_0.2.csv").read_text().splitlines()
+    assert lines[0] == "x_center,v,theta,x_node,u"
+    rows = [line.split(",") for line in lines[1:]]
+    assert rows[-1][:3] == ["", "", ""]
+    cells = np.array([[float(x) for x in row[:3]] for row in rows[:-1]])
+    nodes = np.array([[float(x) for x in row[3:]] for row in rows])
+    for column, expected in ((cells[:, 0], grid.cell_centers()), (cells[:, 1], final.v),
+                             (cells[:, 2], final.theta), (nodes[:, 0], grid.nodes()),
+                             (nodes[:, 1], final.u)):
+        assert column.tobytes() == expected.tobytes()
 
 
 def test_mms_steady_family_passes_at_roundoff(tmp_path):
@@ -295,15 +326,22 @@ def test_sweep_runs_variants(tmp_path, jobs):
         assert (variant / "audit.csv").read_bytes() == expected
 
 
-def test_sweep_checks_every_variant_before_running_any(tmp_path):
+# a bad root key, invalid initial data (theta < 0 at the bump) and a
+# non-positive L: each fails only once the grid and the state are built
+@pytest.mark.parametrize("bad,message", [
+    ({"n": 2}, "'n'"),
+    ({"initial_data": {"amplitude_theta": -2.0}}, "initial data invalid: theta"),
+    ({"L": -1.0}, "half_length must be positive"),
+], ids=["n", "initial_data", "L"])
+def test_sweep_checks_every_variant_before_running_any(tmp_path, bad, message):
     raw = dict(
         MINIMAL,
         n=64,
         t_end=0.2,
         out_dir=str(tmp_path / "sweep"),
-        sweep={"variants": [{}, {"t_end": 0.1}, {"n": 2}]},
+        sweep={"variants": [{}, {"t_end": 0.1}, bad]},
     )
-    with pytest.raises(ConfigurationError, match=r"sweep\.variants\[2\].*'n'"):
+    with pytest.raises(ConfigurationError, match=r"sweep\.variants\[2\].*" + message):
         sweep(raw)
     assert not list(tmp_path.glob("sweep/variant_*"))
 

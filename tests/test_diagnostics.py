@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -366,3 +367,83 @@ def test_audit_csv_shape_and_determinism():
 def test_audit_trail_rejects_bad_thresholds(params, cauchy, grid16):
     with pytest.raises(DomainError):
         AuditTrail(steady_state(grid16), grid16, params, cauchy, excess_thresholds=(0.5,))
+
+
+# ---------------------------------------------------------------- one record, one pass
+
+
+def hot_state(grid, seed, theta_top):
+    """A positive random state whose theta peaks at exactly ``theta_top``."""
+    rng = np.random.default_rng(seed)
+    n = grid.n_cells
+    theta = rng.uniform(0.4, theta_top, n)
+    theta[rng.integers(n)] = theta_top
+    v = rng.uniform(0.3, 2.5, n)
+    u = rng.uniform(-0.8, 0.8, n + 1)
+    return FluidState(0.0, v, theta, u)
+
+
+# theta peaks below every excess level, just above one, between levels, on
+# one, and above all of them
+@pytest.mark.parametrize("theta_top", [1.4, 1.5 + 1e-9, 1.8, 2.0, 2.5, 3.0 + 1e-9, 3.5])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_audit_record_matches_functionals_and_bruteforce(params, cauchy, theta_top, seed):
+    grid = make_grid(cauchy, 4.0, 32)
+    state = hot_state(grid, seed, theta_top)
+    levels = (1.5, 2.0, 3.0)
+    record = AuditTrail(state, grid, params, cauchy, levels).record(state)
+
+    h1 = h1_seminorms(state, grid)
+    assert record.E == entropy_energy(state, params, grid)
+    assert (record.D_visc, record.D_heat) == dissipation_rates(state, params, grid)
+    assert (record.v_min, record.v_max, record.theta_min, record.theta_max) == field_bounds(state)
+    assert record.lp2_dev == lp_deviation(state, grid, 2.0)
+    assert record.lpinf_dev == lp_deviation(state, grid, math.inf)
+    assert (record.vx_l2, record.ux_l2, record.thetax_l2, record.uxx_l2,
+            record.thetaxx_l2) == (h1.vx_l2, h1.ux_l2, h1.thetax_l2, h1.uxx_l2, h1.thetaxx_l2)
+    assert record.df8_rate == df8_rate(state, grid)
+    assert record.z4_rate == z4_rate(state, grid)
+    assert sorted(record.excess) == list(levels)
+    for a in levels:
+        assert record.excess[a] == truncated_excess(state, grid, a)
+        # a level at or above max theta skips the array work; it must give
+        # the same bits the array expression gives
+        over = np.maximum(state.theta - a, 0.0)
+        array_path = (float((over * over).sum() * grid.dm),
+                      float(np.count_nonzero(state.theta > a) * grid.dm))
+        assert record.excess[a] == array_path
+        assert (record.excess[a] == (0.0, 0.0)) == (a >= theta_top)
+
+    def close(expected):
+        return pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    assert record.E == close(bruteforce.entropy_energy(state, params, grid))
+    assert (record.D_visc, record.D_heat) == close(bruteforce.dissipation_rates(state, params, grid))
+    assert (record.v_min, record.v_max, record.theta_min, record.theta_max) == close(
+        bruteforce.field_bounds(state))
+    assert record.lp2_dev == close(bruteforce.lp_deviation(state, grid, 2.0))
+    assert record.lpinf_dev == close(bruteforce.lp_deviation(state, grid, math.inf))
+    assert (record.vx_l2, record.ux_l2, record.thetax_l2, record.uxx_l2,
+            record.thetaxx_l2) == close(bruteforce.h1_seminorms(state, grid))
+    assert record.df8_rate == close(bruteforce.df8_rate(state, grid))
+    assert record.z4_rate == close(bruteforce.z4_rate(state, grid))
+    for a in levels:
+        assert record.excess[a] == close(bruteforce.truncated_excess(state, grid, a))
+    ubar = [0.5 * (state.u[j] + state.u[j + 1]) for j in range(grid.n_cells)]
+    assert record.int_u4 == close(sum(w**4 for w in ubar) * grid.dm)
+    assert record.sup_theta_excess == close(max(theta_top - 1.5, 0.0) ** 2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.5])
+@pytest.mark.parametrize("field", ["v", "theta"])
+def test_audit_record_rejects_nonfinite_or_nonpositive_fields(params, cauchy, grid16,
+                                                               field, bad):
+    state = positive_state(grid16, seed=4)
+    trail = AuditTrail(state, grid16, params, cauchy)
+    broken = state.copy()
+    getattr(broken, field)[5] = bad
+    # the check runs on the bounds, before any array work could warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="finite positive"):
+            trail.record(broken)

@@ -31,6 +31,13 @@ SUMMARY_SHA256 = {
     "halfline_insulated": "9c119fa147689bf1917205e120309634262d95a1ad1baeeecb5b4862cbefbb45",
     "halfline_isothermal": "054e13f0b47e8f3aee0937ff56c7abe435a7ca1c1e370cf74d9e98cc75b8f1fb",
 }
+# the run's snapshot files, sorted names and bytes, recorded once snapshots were
+# written as shortest round-trip decimals
+SNAPSHOT_SHA256 = {
+    "cauchy": "28be7d26012eb955ff359fac5fffaa039533f87132c673dec1b7104fa89805db",
+    "halfline_insulated": "7ea75fe06a03536851099ff55d4e92a993ac3733b89a609e252d969906080552",
+    "halfline_isothermal": "83c8254f58ee71ebd0133116eb49dbe66e812088ba78752a790ccfa27c1ecd32",
+}
 FORCED_SHA256 = "c934f8f3abf56a3d9104ab43a20631b16873a70d2bf6618dd8b8f53df14f8cc6"
 
 
@@ -62,6 +69,10 @@ def test_cli_audit_bytes_are_pinned(tmp_path, kind):
     assert sha256(audit) == AUDIT_SHA256[kind.value]
     summary = (tmp_path / "out" / "summary.json").read_bytes()
     assert sha256(summary) == SUMMARY_SHA256[kind.value]
+    snapshots = sorted((tmp_path / "out").glob("snap_*.csv"))
+    assert len(snapshots) == 6  # the first ticks at or past 0, 0.1, ..., 0.4, and 0.5
+    data = b"".join(path.name.encode() + path.read_bytes() for path in snapshots)
+    assert sha256(data) == SNAPSHOT_SHA256[kind.value]
 
 
 def test_forced_advance_final_state_is_pinned():
