@@ -109,7 +109,7 @@ class _Tick:
         total = (dv ** p + du ** p + dth ** p).sum() * self.dm
         return float(total ** (1.0 / p))
 
-    def h1_seminorms(self) -> "H1Seminorms":
+    def h1_seminorms(self) -> H1Seminorms:
         return H1Seminorms(*(math.sqrt(total * self.dm) for total in self.sq_sums))
 
     def truncated_excess(self, a: float) -> tuple[float, float]:
@@ -120,13 +120,13 @@ class _Tick:
         return float((over * over).sum() * self.dm), float(np.count_nonzero(th > a) * self.dm)
 
     def df8_rate(self) -> float:
-        s, ubar = self.ux, self.ubar
+        s, ubar, (_, _, thx_ss, _, _) = self.ux, self.ubar, self.sq_sums
         cells = ((1.0 + self.state.theta + ubar * ubar) * s * s).sum()
-        return float((cells + self.sq_sums[2]) * self.dm)
+        return float((cells + thx_ss) * self.dm)
 
     def z4_rate(self) -> float:
-        vx, sums = self.vx, self.sq_sums
-        return float(((self.th_face * vx * vx).sum() + sums[3] + sums[4]) * self.dm)
+        vx, (_, _, _, uxx_ss, thxx_ss) = self.vx, self.sq_sums
+        return float(((self.th_face * vx * vx).sum() + uxx_ss + thxx_ss) * self.dm)
 
 
 def entropy_energy(state: FluidState, params: GasParams, grid: MassGrid) -> float:
