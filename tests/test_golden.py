@@ -38,7 +38,12 @@ SNAPSHOT_SHA256 = {
     "halfline_insulated": "7ea75fe06a03536851099ff55d4e92a993ac3733b89a609e252d969906080552",
     "halfline_isothermal": "83c8254f58ee71ebd0133116eb49dbe66e812088ba78752a790ccfa27c1ecd32",
 }
-FORCED_SHA256 = "c934f8f3abf56a3d9104ab43a20631b16873a70d2bf6618dd8b8f53df14f8cc6"
+# the final state of a forced run of each setup's default pulse solution
+FORCED_SHA256 = {
+    "cauchy": "d666496630613bd610dca15cd641159cc47cc9d70d25fb338cb0ec35928d053d",
+    "halfline_insulated": "b0eebdcb6e7bcd309ac3c17570ba350603b3f75532fc1487e86092f4626543f8",
+    "halfline_isothermal": "c934f8f3abf56a3d9104ab43a20631b16873a70d2bf6618dd8b8f53df14f8cc6",
+}
 
 
 def sha256(data: bytes) -> str:
@@ -75,8 +80,9 @@ def test_cli_audit_bytes_are_pinned(tmp_path, kind):
     assert sha256(data) == SNAPSHOT_SHA256[kind.value]
 
 
-def test_forced_advance_final_state_is_pinned():
-    setup = ProblemSetup(SetupKind.HALFLINE_ISOTHERMAL)
+@pytest.mark.parametrize("kind", list(SetupKind), ids=lambda k: k.value)
+def test_forced_advance_final_state_is_pinned(kind):
+    setup = ProblemSetup(kind)
     params = GasParams(mu=1.0, kappa=1.0, R=1.0, c_v=1.5)
     grid = make_grid(setup, 10.0, 64)
     solution = default_pulse_solution(setup, 10.0)
@@ -85,4 +91,4 @@ def test_forced_advance_final_state_is_pinned():
         sources=make_source_rates(solution, params, grid),
     )
     data = np.float64(final.t).tobytes() + final.v.tobytes() + final.theta.tobytes()
-    assert sha256(data + final.u.tobytes()) == FORCED_SHA256
+    assert sha256(data + final.u.tobytes()) == FORCED_SHA256[kind.value]
