@@ -91,6 +91,8 @@ class MmsSettings:
             raise ConfigurationError(
                 f"mms family must be 'gaussian_pulse' or 'steady', got {self.family!r}"
             )
+        if not (math.isfinite(self.threshold) and self.threshold > 0.0):
+            raise ConfigurationError(f"threshold must be finite and > 0, got {self.threshold}")
 
 
 def _default_out_dir() -> Path:

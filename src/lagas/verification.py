@@ -8,14 +8,16 @@ slope) and odd-reflected for the isothermal wall (value 1 at the wall).
 
 Manufactured solutions carry their own closed-form partials so the forcing
 terms can be evaluated exactly; a finite-difference oracle cross-checks the
-closed forms in the test-suite.
+closed forms in the test-suite.  Each field is sampled once per point set:
+the spatial profiles (and their exponentials) are computed there once, and
+time enters every partial only through one scalar factor exp(-decay*t).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,6 +36,7 @@ from .integrate import StepControl, advance
 __all__ = [
     "InitialDataSpec",
     "build_initial_data",
+    "Partials",
     "FieldFunctions",
     "ManufacturedSolution",
     "steady_solution",
@@ -142,9 +145,7 @@ def build_initial_data(
 ) -> FluidState:
     """Sample an initial state; wall compatibility is enforced by construction."""
     builder = _PROFILE_BUILDERS[spec.family]
-    p_v = builder(spec, 1)
-    p_u = builder(spec, 2)
-    p_th = builder(spec, 3)
+    p_v, p_u, p_th = (builder(spec, tag) for tag in (1, 2, 3))
 
     if setup.has_wall:
         def even(p):
@@ -172,14 +173,30 @@ def build_initial_data(
     return state
 
 
+class Partials(NamedTuple):
+    """A field and the partials the sources read, at one point set and time."""
+
+    value: np.ndarray
+    dt: np.ndarray
+    dx: np.ndarray
+    dxx: np.ndarray
+
+
+def _partial(name: str):
+    return lambda field, x, t: getattr(field.sample(x)(t), name)
+
+
 @dataclass(frozen=True)
 class FieldFunctions:
-    """One closed-form space-time field with the partials the sources need."""
+    """One closed-form space-time field with the partials the sources need.
 
-    value: Callable[[np.ndarray, float], np.ndarray]
-    dt: Callable[[np.ndarray, float], np.ndarray]
-    dx: Callable[[np.ndarray, float], np.ndarray]
-    dxx: Callable[[np.ndarray, float], np.ndarray]
+    ``sample(x)`` does the time-independent work at the points x once and returns
+    ``at(t)``, the :class:`Partials` there at time t; ``value``, ``dt``, ``dx``
+    and ``dxx`` (x, t) each return one of them from a fresh sample.
+    """
+
+    sample: Callable[[np.ndarray], Callable[[float], Partials]]
+    value, dt, dx, dxx = map(_partial, Partials._fields)
 
 
 @dataclass(frozen=True)
@@ -192,47 +209,41 @@ class ManufacturedSolution:
 
 
 def _constant_field(value: float) -> FieldFunctions:
-    def const(x, t):
-        return value + 0.0 * np.asarray(x, dtype=np.float64)
+    def sample(x):
+        zero = 0.0 * np.asarray(x, dtype=np.float64)
+        partials = Partials(value + zero, zero, zero, zero)
+        return lambda t: partials
 
-    def zero(x, t):
-        return 0.0 * np.asarray(x, dtype=np.float64)
-
-    return FieldFunctions(const, zero, zero, zero)
+    return FieldFunctions(sample)
 
 
 def _gaussian_pulse_field(
     amplitude: float, center: float, width: float, decay: float, baseline: float
 ) -> FieldFunctions:
-    if baseline - abs(amplitude) <= 0.0 and baseline != 0.0:
+    if not (all(map(math.isfinite, (amplitude, center, width, decay))) and width > 0.0
+            and (baseline == 0.0 or baseline - abs(amplitude) > 0.0)):
         raise ConfigurationError(
-            f"pulse amplitude {amplitude!r} would break positivity of baseline {baseline!r}"
+            f"pulse needs finite parameters, width > 0 and |amplitude| < baseline {baseline!r},"
+            f" got amplitude, center, width, decay = {(amplitude, center, width, decay)!r}"
         )
 
-    def offset(x):
-        return (np.asarray(x, dtype=np.float64) - center) / width
+    def sample(x):
+        z = (np.asarray(x, dtype=np.float64) - center) / width
+        shape = np.exp(-z * z)
+        slope = -2.0 * z / width
+        curvature = 4.0 * z * z - 2.0
 
-    def shape(x):
-        z = offset(x)
-        return np.exp(-z * z)
+        def at(t):
+            e = math.exp(-decay * t)
+            scaled = amplitude * e * shape
+            return Partials(
+                baseline + scaled, -decay * amplitude * e * shape,
+                scaled * slope, scaled * curvature / (width * width),
+            )
 
-    def scaled(x, t):
-        return amplitude * math.exp(-decay * t) * shape(x)
+        return at
 
-    def value(x, t):
-        return baseline + scaled(x, t)
-
-    def dt(x, t):
-        return -decay * amplitude * math.exp(-decay * t) * shape(x)
-
-    def dx(x, t):
-        return scaled(x, t) * (-2.0 * offset(x) / width)
-
-    def dxx(x, t):
-        z = offset(x)
-        return scaled(x, t) * (4.0 * z * z - 2.0) / (width * width)
-
-    return FieldFunctions(value, dt, dx, dxx)
+    return FieldFunctions(sample)
 
 
 def steady_solution() -> ManufacturedSolution:
@@ -261,25 +272,26 @@ def gaussian_pulse_solution(
 
 def sine_temperature_solution(amplitude: float = 0.1, decay: float = 1.0) -> ManufacturedSolution:
     """v = 1, u = 0, theta = 1 + a*sin(x)*exp(-decay*t)."""
-    if not abs(amplitude) < 1.0:
-        raise ConfigurationError("sine amplitude must keep theta positive")
+    if not (abs(amplitude) < 1.0 and math.isfinite(decay)):
+        raise ConfigurationError(
+            f"sine needs |amplitude| < 1 and a finite decay, got {amplitude!r}, {decay!r}"
+        )
 
-    def value(x, t):
-        return 1.0 + amplitude * math.exp(-decay * t) * np.sin(np.asarray(x, float))
+    def sample(x):
+        sin = np.sin(np.asarray(x, float))
+        cos = np.cos(np.asarray(x, float))
 
-    def dt(x, t):
-        return -decay * amplitude * math.exp(-decay * t) * np.sin(np.asarray(x, float))
+        def at(t):
+            e = math.exp(-decay * t)
+            return Partials(
+                1.0 + amplitude * e * sin, -decay * amplitude * e * sin,
+                amplitude * e * cos, -amplitude * e * sin,
+            )
 
-    def dx(x, t):
-        return amplitude * math.exp(-decay * t) * np.cos(np.asarray(x, float))
-
-    def dxx(x, t):
-        return -amplitude * math.exp(-decay * t) * np.sin(np.asarray(x, float))
+        return at
 
     return ManufacturedSolution(
-        v=_constant_field(1.0),
-        u=_constant_field(0.0),
-        theta=FieldFunctions(value, dt, dx, dxx),
+        v=_constant_field(1.0), u=_constant_field(0.0), theta=FieldFunctions(sample)
     )
 
 
@@ -302,39 +314,28 @@ def default_pulse_solution(setup: ProblemSetup, half_length: float) -> Manufactu
     )
 
 
-def _mass_thermal_sources(ms: ManufacturedSolution, params: GasParams, x, t: float):
-    v = ms.v.value(x, t)
-    v_x = ms.v.dx(x, t)
-    v_t = ms.v.dt(x, t)
-    u_x = ms.u.dx(x, t)
-    th = ms.theta.value(x, t)
-    th_t = ms.theta.dt(x, t)
-    th_x = ms.theta.dx(x, t)
-    th_xx = ms.theta.dxx(x, t)
+def _sample_fields(ms: ManufacturedSolution, x):
+    """``at(t)``: the (v, u, theta) partials at the points x."""
+    at_v, at_u, at_th = ms.v.sample(x), ms.u.sample(x), ms.theta.sample(x)
+    return lambda t: (at_v(t), at_u(t), at_th(t))
 
-    heat_over_v_x = th_xx / v - th_x * v_x / (v * v)
-    s_v = v_t - u_x
+
+def _mass_thermal_sources(params: GasParams, v: Partials, u: Partials, th: Partials):
+    heat_over_v_x = th.dxx / v.value - th.dx * v.dx / (v.value * v.value)
+    s_v = v.dt - u.dx
     s_th = (
-        params.c_v * th_t
-        + params.R * (th / v) * u_x
+        params.c_v * th.dt
+        + params.R * (th.value / v.value) * u.dx
         - params.kappa * heat_over_v_x
-        - params.mu * u_x * u_x / v
+        - params.mu * u.dx * u.dx / v.value
     )
     return s_v, s_th
 
 
-def _momentum_source(ms: ManufacturedSolution, params: GasParams, x, t: float):
-    v = ms.v.value(x, t)
-    v_x = ms.v.dx(x, t)
-    u_t = ms.u.dt(x, t)
-    u_x = ms.u.dx(x, t)
-    u_xx = ms.u.dxx(x, t)
-    th = ms.theta.value(x, t)
-    th_x = ms.theta.dx(x, t)
-
-    p_x = params.R * (th_x / v - th * v_x / (v * v))
-    strain_over_v_x = u_xx / v - u_x * v_x / (v * v)
-    return u_t + p_x - params.mu * strain_over_v_x
+def _momentum_source(params: GasParams, v: Partials, u: Partials, th: Partials):
+    p_x = params.R * (th.dx / v.value - th.value * v.dx / (v.value * v.value))
+    strain_over_v_x = u.dxx / v.value - u.dx * v.dx / (v.value * v.value)
+    return u.dt + p_x - params.mu * strain_over_v_x
 
 
 def manufactured_sources(
@@ -345,23 +346,25 @@ def manufactured_sources(
     Returned per equation: mass (v_t - u_x), momentum, and thermal, the
     latter scaled as the c_v*theta_t equation.
     """
-    s_v, s_th = _mass_thermal_sources(ms, params, x, t)
-    return s_v, _momentum_source(ms, params, x, t), s_th
+    fields = _sample_fields(ms, x)(t)
+    s_v, s_th = _mass_thermal_sources(params, *fields)
+    return s_v, _momentum_source(params, *fields), s_th
 
 
 def make_source_rates(ms: ManufacturedSolution, params: GasParams, grid: MassGrid):
     """Adapt manufactured forcings to the rate layout the integrator expects.
 
     Mass and thermal rates sample at cell centers (thermal divided by c_v to
-    become a theta rate); the momentum rate samples at nodes.  Each forcing
-    is evaluated only where it is sampled.
+    become a theta rate); the momentum rate samples at nodes.  The fields are
+    sampled once per point set here, so each ``rates(t)`` call only scales
+    the stored profiles.
     """
-    centers = grid.cell_centers()
-    nodes = grid.nodes()
+    at_centers = _sample_fields(ms, grid.cell_centers())
+    at_nodes = _sample_fields(ms, grid.nodes())
 
     def rates(t: float):
-        s_v, s_th = _mass_thermal_sources(ms, params, centers, t)
-        return s_v, _momentum_source(ms, params, nodes, t), s_th / params.c_v
+        s_v, s_th = _mass_thermal_sources(params, *at_centers(t))
+        return s_v, _momentum_source(params, *at_nodes(t)), s_th / params.c_v
 
     return rates
 
@@ -427,17 +430,12 @@ def convergence_study(
             state, t_end, every=t_end,
             grid=grid, params=params, setup=setup, ctrl=ctrl, sources=sources,
         )
-        centers = grid.cell_centers()
-        nodes = grid.nodes()
+        exact = sample_state(ms, grid, t_end)
         dm = grid.dm
         dms.append(dm)
-
-        def l2(delta: np.ndarray) -> float:
-            return float(np.sqrt((delta * delta).sum() * dm))
-
-        errors["v"].append(l2(final.v - ms.v.value(centers, t_end)))
-        errors["u"].append(l2(final.u - ms.u.value(nodes, t_end)))
-        errors["theta"].append(l2(final.theta - ms.theta.value(centers, t_end)))
+        for name in errors:
+            delta = getattr(final, name) - getattr(exact, name)
+            errors[name].append(float(np.sqrt((delta * delta).sum() * dm)))
 
     frozen = {name: tuple(vals) for name, vals in errors.items()}
     worst = max(max(vals) for vals in frozen.values())

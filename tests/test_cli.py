@@ -109,6 +109,14 @@ def test_parse_rejects_bad_mms_resolutions(n_list):
         parse_config(json.dumps(raw))
 
 
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1.0])
+def test_parse_rejects_bad_mms_threshold(threshold):
+    # NaN and inf would fail every study after running it; -1 would pass every study
+    raw = dict(MINIMAL, mms={"threshold": threshold})
+    with pytest.raises(ConfigurationError, match="config key 'mms': threshold"):
+        parse_config(json.dumps(raw))
+
+
 def test_run_steady_state_outputs(tmp_path):
     config = cfg(tmp_path, n=64, t_end=0.5, cadence=0.1)
     assert run(config) == EXIT_OK

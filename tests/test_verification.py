@@ -22,7 +22,7 @@ from lagas import (
     steady_state,
     validate_state,
 )
-from lagas.verification import gaussian_pulse_solution, sine_temperature_solution
+from lagas.verification import Partials, gaussian_pulse_solution, sine_temperature_solution
 
 
 # ---------------------------------------------------------------- initial data
@@ -211,6 +211,62 @@ def test_closed_form_sources_match_fd_oracle(solution, params):
         approx = _fd_sources(solution, params, np.array([x]), t)
         for e, a in zip(exact, approx):
             assert float(a[0]) == pytest.approx(float(e[0]), rel=1e-8, abs=1e-8)
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize(
+    "solution",
+    [
+        steady_solution(),
+        sine_temperature_solution(0.3, decay=0.7),
+        gaussian_pulse_solution(
+            amplitudes=(0.15, -0.12, 0.2), centers=(-1.0, 0.5, 0.0),
+            widths=(1.8, 0.9, 1.3), decay=0.6,
+        ),
+    ],
+    ids=["steady", "sine-theta", "gaussian-pulse"],
+)
+@pytest.mark.parametrize("kind", list(SetupKind), ids=lambda k: k.value)
+def test_source_rates_equal_pointwise_sources_bit_for_bit(solution, kind, params):
+    # make_source_rates samples each field once per grid and reuses the
+    # profiles at every t; that must give the bits of a fresh evaluation
+    grid = make_grid(ProblemSetup(kind), 10.0, 48)
+    centers, nodes = grid.cell_centers(), grid.nodes()
+    rates = make_source_rates(solution, params, grid)
+    at_nodes = [field.sample(nodes) for field in (solution.v, solution.u, solution.theta)]
+    for t in np.random.default_rng(11).uniform(0.0, 3.0, 6):
+        s_v, s_u, s_th = rates(t)
+        c_v, _, c_th = manufactured_sources(solution, params, centers, t)
+        assert _bits(s_v) == _bits(c_v)
+        assert _bits(s_u) == _bits(manufactured_sources(solution, params, nodes, t)[1])
+        assert _bits(s_th) == _bits(c_th / params.c_v)
+        for field, at in zip((solution.v, solution.u, solution.theta), at_nodes):
+            for name, sampled in zip(Partials._fields, at(t)):
+                assert _bits(getattr(field, name)(nodes, t)) == _bits(sampled), name
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: gaussian_pulse_solution((0.1, 0.1, 0.1), (0.0, 0.0, 0.0), (1.0, 0.0, 1.0)),
+        lambda: gaussian_pulse_solution((math.nan, 0.1, 0.1), (0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
+        lambda: gaussian_pulse_solution((0.1, math.inf, 0.1), (0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
+        lambda: gaussian_pulse_solution(
+            (0.1, 0.1, 0.1), (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), decay=math.nan
+        ),
+        lambda: sine_temperature_solution(0.1, decay=math.nan),
+    ],
+    ids=["pulse-zero-width", "pulse-nan-amplitude", "pulse-inf-amplitude",
+         "pulse-nan-decay", "sine-nan-decay"],
+)
+def test_manufactured_solution_rejects_bad_parameters(build):
+    # each would otherwise give a division by zero or NaN sources, found only
+    # once a study runs
+    with pytest.raises(ConfigurationError):
+        build()
 
 
 @pytest.mark.parametrize("kind", list(SetupKind), ids=lambda k: k.value)
