@@ -223,8 +223,8 @@ def _gaussian_pulse_field(
     if not (all(map(math.isfinite, (amplitude, center, width, decay))) and width > 0.0
             and (baseline == 0.0 or baseline - abs(amplitude) > 0.0)):
         raise ConfigurationError(
-            f"pulse needs finite parameters, width > 0 and |amplitude| < baseline {baseline!r},"
-            f" got amplitude, center, width, decay = {(amplitude, center, width, decay)!r}"
+            f"pulse (amplitude, center, width, decay) = {(amplitude, center, width, decay)!r}:"
+            f" need all finite, width > 0 and |amplitude| < baseline {baseline!r} if nonzero"
         )
 
     def sample(x):
