@@ -4,6 +4,11 @@ A staggered-grid, method-of-lines solver for the (v, u, theta) system with
 three boundary setups (whole line, insulated wall, isothermal wall), plus a
 diagnostic layer that audits energy dissipation, field bounds, space-time
 integral budgets, and large-time decay along every run.
+
+The top level exports the names runs and studies use: setups, grids,
+states, the integrator, ``rhs``, initial data and manufactured solutions.
+The other scheme operators and the audit functionals live in
+:mod:`lagas.scheme` and :mod:`lagas.diagnostics`.
 """
 
 from .core import (
@@ -20,38 +25,13 @@ from .core import (
     steady_state,
     validate_state,
 )
-from .diagnostics import (
-    AuditRecord,
-    AuditTrail,
-    df8_rate,
-    dissipation_rates,
-    entropy_energy,
-    field_bounds,
-    h1_seminorms,
-    lp_deviation,
-    sup_embedding_check,
-    truncated_excess,
-    z4_rate,
-)
 from .integrate import StepControl, advance, stable_dt, step
-from .scheme import (
-    GhostClosure,
-    StateDerivative,
-    boundary_power,
-    ghost_closure,
-    heat_flux_faces,
-    pressure,
-    rhs,
-    strain_rate,
-    total_energy,
-)
+from .scheme import rhs
 from .verification import (
     InitialDataSpec,
-    ManufacturedSolution,
     build_initial_data,
     convergence_study,
     default_pulse_solution,
-    gaussian_pulse_solution,
     manufactured_sources,
     make_source_rates,
     sample_state,
@@ -61,50 +41,29 @@ from .verification import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuditRecord",
-    "AuditTrail",
     "ConfigurationError",
     "DomainError",
     "FluidState",
     "GasParams",
-    "GhostClosure",
     "InitialDataSpec",
     "IntegrationError",
-    "ManufacturedSolution",
     "MassGrid",
     "ProblemSetup",
     "SetupKind",
-    "StateDerivative",
     "StepControl",
     "StiffnessError",
     "advance",
-    "boundary_power",
     "build_initial_data",
     "convergence_study",
     "default_pulse_solution",
-    "df8_rate",
-    "dissipation_rates",
-    "entropy_energy",
-    "field_bounds",
-    "gaussian_pulse_solution",
-    "ghost_closure",
-    "h1_seminorms",
-    "heat_flux_faces",
-    "lp_deviation",
     "make_grid",
     "make_source_rates",
     "manufactured_sources",
-    "pressure",
     "rhs",
     "sample_state",
     "stable_dt",
     "steady_solution",
     "steady_state",
     "step",
-    "strain_rate",
-    "sup_embedding_check",
-    "total_energy",
-    "truncated_excess",
     "validate_state",
-    "z4_rate",
 ]

@@ -72,23 +72,15 @@ class SetupKind(enum.Enum):
     HALFLINE_ISOTHERMAL = "halfline_isothermal"
 
 
-#: Rest state (v, u, theta) every setup relaxes to; not configurable.
-FAR_FIELD = (1.0, 0.0, 1.0)
-
-
 @dataclass(frozen=True)
 class ProblemSetup:
     """Which boundary/far-field configuration a run uses.
 
     The far-field (and wall, where present) reference state is the fixed
-    triple ``(1, 0, 1)``.
+    triple ``(v, u, theta) = (1, 0, 1)``; it is not configurable.
     """
 
     kind: SetupKind
-
-    @property
-    def far_field(self) -> tuple[float, float, float]:
-        return FAR_FIELD
 
     @property
     def has_wall(self) -> bool:
@@ -145,7 +137,7 @@ class MassGrid:
             raise ConfigurationError(
                 f"grid needs x_left < x_right, got [{self.x_left}, {self.x_right}]"
             )
-        if int(self.n_cells) != self.n_cells or self.n_cells < 4:
+        if not isinstance(self.n_cells, (int, np.integer)) or self.n_cells < 4:
             raise ConfigurationError(
                 f"n_cells must be an integer >= 4, got {self.n_cells!r}"
             )
@@ -153,10 +145,6 @@ class MassGrid:
     @property
     def dm(self) -> float:
         return (self.x_right - self.x_left) / self.n_cells
-
-    @property
-    def span(self) -> float:
-        return self.x_right - self.x_left
 
     def cell_centers(self) -> np.ndarray:
         return self.x_left + (np.arange(self.n_cells) + 0.5) * self.dm

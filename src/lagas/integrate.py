@@ -57,12 +57,15 @@ class StepControl:
             value = getattr(self, name)
             if not (0.0 < value <= 1.0):
                 raise ConfigurationError(f"{name} must lie in (0, 1], got {value!r}")
-        if not (0.0 < self.dt_min <= self.dt_max):
+        if not (0.0 < self.dt_min <= self.dt_max and np.isfinite(self.dt_min)):
             raise ConfigurationError(
-                f"need 0 < dt_min <= dt_max, got ({self.dt_min!r}, {self.dt_max!r})"
+                f"need 0 < dt_min <= dt_max with dt_min finite, "
+                f"got ({self.dt_min!r}, {self.dt_max!r})"
             )
-        if not self.positivity_floor > 0.0:
-            raise ConfigurationError("positivity_floor must be positive")
+        if not (self.positivity_floor > 0.0 and np.isfinite(self.positivity_floor)):
+            raise ConfigurationError(
+                f"positivity_floor must be finite and positive, got {self.positivity_floor!r}"
+            )
 
 
 def stable_dt(

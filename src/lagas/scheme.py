@@ -9,7 +9,9 @@ The governing rates are
 with u_x the cell-centered divided difference of the node velocities and
 theta_x the face-centered difference of the cell temperatures.  Artificial
 far-field ends close with ghost cells pinned at the rest state (1, 0, 1);
-walls hold u = 0 strongly and apply the configured temperature rule.
+walls hold u = 0 strongly and apply the configured temperature rule.  The
+right end is always far field; the :class:`BoundaryRule` that
+:func:`ghost_closure` returns for a setup says how the left end closes.
 
 All operators are pure functions of their inputs and deterministic.
 """
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DomainError,
     FluidState,
     GasParams,
     MassGrid,
@@ -33,11 +34,8 @@ from .core import (
 
 __all__ = [
     "BoundaryRule",
-    "GhostClosure",
     "StateDerivative",
     "ghost_closure",
-    "pressure",
-    "strain_rate",
     "heat_flux_faces",
     "rhs",
     "boundary_power",
@@ -56,22 +54,15 @@ class BoundaryRule(enum.Enum):
     WALL_ISOTHERMAL = "wall_isothermal"
 
 
-@dataclass(frozen=True)
-class GhostClosure:
-    """How the left end closes; the right end is always far field."""
-
-    left: BoundaryRule
-
-
 _CLOSURES = {
-    SetupKind.CAUCHY: GhostClosure(BoundaryRule.FAR_FIELD),
-    SetupKind.HALFLINE_INSULATED: GhostClosure(BoundaryRule.WALL_INSULATED),
-    SetupKind.HALFLINE_ISOTHERMAL: GhostClosure(BoundaryRule.WALL_ISOTHERMAL),
+    SetupKind.CAUCHY: BoundaryRule.FAR_FIELD,
+    SetupKind.HALFLINE_INSULATED: BoundaryRule.WALL_INSULATED,
+    SetupKind.HALFLINE_ISOTHERMAL: BoundaryRule.WALL_ISOTHERMAL,
 }
 
 
-def ghost_closure(setup: ProblemSetup) -> GhostClosure:
-    """The boundary closure matching a problem setup."""
+def ghost_closure(setup: ProblemSetup) -> BoundaryRule:
+    """How the left end of a problem setup closes; the right end is always far field."""
     return _CLOSURES[setup.kind]
 
 
@@ -83,30 +74,6 @@ class StateDerivative:
     dv: np.ndarray
     dtheta: np.ndarray
     du: np.ndarray
-
-
-def pressure(v, theta, R):
-    """Ideal-gas pressure R*theta/v; rejects nonpositive inputs."""
-    v_arr = np.asarray(v, dtype=np.float64)
-    th_arr = np.asarray(theta, dtype=np.float64)
-    if not (np.isfinite(R) and R > 0.0):
-        raise DomainError(f"gas constant must be positive, got {R!r}")
-    if v_arr.size == 0 or th_arr.size == 0:
-        raise DomainError("pressure needs at least one sample")
-    if not np.all(np.isfinite(v_arr)) or not np.all(np.isfinite(th_arr)):
-        raise DomainError("pressure inputs must be finite")
-    if v_arr.min() <= 0.0 or th_arr.min() <= 0.0:
-        raise DomainError(
-            f"pressure needs v > 0 and theta > 0, got min v = {v_arr.min():g}, "
-            f"min theta = {th_arr.min():g}"
-        )
-    out = R * th_arr / v_arr
-    return out if out.ndim else float(out)
-
-
-def strain_rate(state: FluidState, grid: MassGrid) -> np.ndarray:
-    """Cell-centered velocity gradient (u[j+1] - u[j]) / dm."""
-    return np.diff(state.u) / grid.dm
 
 
 def _boundary_heat_fluxes(
@@ -133,14 +100,15 @@ def _heat_flux(
 
 
 def heat_flux_faces(
-    state: FluidState, grid: MassGrid, ghost: GhostClosure, kappa: float
+    state: FluidState, grid: MassGrid, rule: BoundaryRule, kappa: float
 ) -> np.ndarray:
     """Heat flux kappa*theta_x/v at every node (face), one per node.
 
     Interior faces use the face difference of theta over the arithmetic-mean
-    specific volume; boundary faces follow the ghost closure.
+    specific volume; the left boundary face follows ``rule`` and the right
+    one the far-field closure.
     """
-    return _heat_flux(state.v, state.theta, grid.dm, ghost.left, kappa)
+    return _heat_flux(state.v, state.theta, grid.dm, rule, kappa)
 
 
 def _far_field_stress(u_out: float, params: GasParams, dm: float) -> float:
@@ -168,7 +136,7 @@ def rhs(
     y = state if isinstance(state, np.ndarray) else state.packed()
     n = grid.n_cells
     require_positive("rhs", y[: 2 * n])
-    left = ghost_closure(setup).left
+    left = ghost_closure(setup)
     v, th, u = y[:n], y[n : 2 * n], y[2 * n :]
     dm, mu = grid.dm, params.mu
 
@@ -224,7 +192,7 @@ def boundary_power(
     """
     y = state if isinstance(state, np.ndarray) else state.packed()
     n, dm = grid.n_cells, grid.dm
-    left = ghost_closure(setup).left
+    left = ghost_closure(setup)
     f_left, f_right = _boundary_heat_fluxes(y[:n], y[n : 2 * n], dm, left, params.kappa)
     u0 = float(y[2 * n])
     un = float(y[-1])

@@ -8,8 +8,9 @@ slope) and odd-reflected for the isothermal wall (value 1 at the wall).
 
 Manufactured solutions carry their own closed-form partials so the forcing
 terms can be evaluated exactly; a finite-difference oracle cross-checks the
-closed forms in the test-suite.  Each field is sampled once per point set:
-the spatial profiles (and their exponentials) are computed there once, and
+closed forms in the test-suite.  A manufactured field is its sampler:
+``field(x)`` computes the spatial profiles (and their exponentials) at the
+points x once and returns ``at(t)``, the :class:`Partials` there at time t;
 time enters every partial only through one scalar factor exp(-decay*t).
 """
 
@@ -37,7 +38,6 @@ __all__ = [
     "InitialDataSpec",
     "build_initial_data",
     "Partials",
-    "FieldFunctions",
     "ManufacturedSolution",
     "steady_solution",
     "gaussian_pulse_solution",
@@ -81,6 +81,8 @@ class InitialDataSpec:
             raise ConfigurationError(f"width must be positive, got {self.width!r}")
         if self.modes < 1:
             raise ConfigurationError(f"modes must be >= 1, got {self.modes!r}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed!r}")
 
 
 def _gaussian_profile(spec: InitialDataSpec, tag: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -182,44 +184,31 @@ class Partials(NamedTuple):
     dxx: np.ndarray
 
 
-def _partial(name: str):
-    return lambda field, x, t: getattr(field.sample(x)(t), name)
-
-
-@dataclass(frozen=True)
-class FieldFunctions:
-    """One closed-form space-time field with the partials the sources need.
-
-    ``sample(x)`` does the time-independent work at the points x once and returns
-    ``at(t)``, the :class:`Partials` there at time t; ``value``, ``dt``, ``dx``
-    and ``dxx`` (x, t) each return one of them from a fresh sample.
-    """
-
-    sample: Callable[[np.ndarray], Callable[[float], Partials]]
-    value, dt, dx, dxx = map(_partial, Partials._fields)
+#: a closed-form space-time field: ``field(x)`` returns ``at(t) -> Partials``
+Field = Callable[[np.ndarray], Callable[[float], Partials]]
 
 
 @dataclass(frozen=True)
 class ManufacturedSolution:
     """Smooth positive fields (v, u, theta) used as an exact forced solution."""
 
-    v: FieldFunctions
-    u: FieldFunctions
-    theta: FieldFunctions
+    v: Field
+    u: Field
+    theta: Field
 
 
-def _constant_field(value: float) -> FieldFunctions:
+def _constant_field(value: float) -> Field:
     def sample(x):
         zero = 0.0 * np.asarray(x, dtype=np.float64)
         partials = Partials(value + zero, zero, zero, zero)
         return lambda t: partials
 
-    return FieldFunctions(sample)
+    return sample
 
 
 def _gaussian_pulse_field(
     amplitude: float, center: float, width: float, decay: float, baseline: float
-) -> FieldFunctions:
+) -> Field:
     if not (all(map(math.isfinite, (amplitude, center, width, decay))) and width > 0.0
             and (baseline == 0.0 or baseline - abs(amplitude) > 0.0)):
         raise ConfigurationError(
@@ -243,7 +232,7 @@ def _gaussian_pulse_field(
 
         return at
 
-    return FieldFunctions(sample)
+    return sample
 
 
 def steady_solution() -> ManufacturedSolution:
@@ -290,9 +279,7 @@ def sine_temperature_solution(amplitude: float = 0.1, decay: float = 1.0) -> Man
 
         return at
 
-    return ManufacturedSolution(
-        v=_constant_field(1.0), u=_constant_field(0.0), theta=FieldFunctions(sample)
-    )
+    return ManufacturedSolution(v=_constant_field(1.0), u=_constant_field(0.0), theta=sample)
 
 
 def default_pulse_solution(setup: ProblemSetup, half_length: float) -> ManufacturedSolution:
@@ -316,7 +303,7 @@ def default_pulse_solution(setup: ProblemSetup, half_length: float) -> Manufactu
 
 def _sample_fields(ms: ManufacturedSolution, x):
     """``at(t)``: the (v, u, theta) partials at the points x."""
-    at_v, at_u, at_th = ms.v.sample(x), ms.u.sample(x), ms.theta.sample(x)
+    at_v, at_u, at_th = ms.v(x), ms.u(x), ms.theta(x)
     return lambda t: (at_v(t), at_u(t), at_th(t))
 
 
@@ -373,7 +360,7 @@ def sample_state(ms: ManufacturedSolution, grid: MassGrid, t: float = 0.0) -> Fl
     """Evaluate a manufactured solution on the grid."""
     centers = grid.cell_centers()
     nodes = grid.nodes()
-    return FluidState(t, ms.v.value(centers, t), ms.theta.value(centers, t), ms.u.value(nodes, t))
+    return FluidState(t, ms.v(centers)(t).value, ms.theta(centers)(t).value, ms.u(nodes)(t).value)
 
 
 @dataclass(frozen=True)

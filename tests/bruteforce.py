@@ -131,6 +131,11 @@ def z4_rate(state, grid):
     return total
 
 
+def strain_rate(state, grid):
+    """Cell-centered velocity gradient (u[j+1] - u[j]) / dm."""
+    return [(state.u[j + 1] - state.u[j]) / grid.dm for j in range(state.n_cells)]
+
+
 def rhs(state, grid, params, setup):
     """Stencil-by-stencil rate evaluation, including the boundary closures."""
     from lagas.core import SetupKind

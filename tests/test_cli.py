@@ -7,6 +7,7 @@ import pytest
 from lagas import ConfigurationError, ProblemSetup, SetupKind, advance, build_initial_data, make_grid
 import lagas.integrate
 from lagas.cli import (
+    EXIT_CONFIG,
     EXIT_INTEGRATION,
     EXIT_MMS_FAIL,
     EXIT_OK,
@@ -90,6 +91,9 @@ def hand_built(tmp_path, **overrides):
     ("excess_thresholds", (0.5,), "excess_thresholds"),
     ("truncation_threshold", 0.0, "truncation_threshold"),
     ("snapshot_every", -1.0, "snapshot_every"),
+    # both would be named excess_a2 and omega_a2: a header with repeated columns
+    ("excess_thresholds", (2.0, 2.0), "excess_thresholds"),
+    ("excess_thresholds", (2.0, 2.0000001), "excess_thresholds"),
 ])
 def test_hand_built_run_config_is_checked(tmp_path, field, value, key):
     with pytest.raises(ConfigurationError, match=f"'{key}'"):
@@ -374,6 +378,24 @@ def test_main_reports_config_errors(tmp_path, capsys):
     code = main(["run", str(bad)])
     assert code == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, body", [
+    ("initial_data", '{"family": "random_smooth", "seed": -1}'),
+    ("initial_data", '{"family": "gaussian_bump", "seed": -1}'),
+    ("step", '{"positivity_floor": 1e400}'),
+], ids=["random-seed", "gaussian-seed", "floor"])
+def test_main_rejects_bad_numbers_before_any_output(tmp_path, capsys, section, body):
+    # numpy's generator raises a bare ValueError on a negative seed, and an
+    # infinite floor would fail only mid-run: both are config errors, caught
+    # before any file is written
+    out = tmp_path / "out"
+    raw = json.dumps(dict(MINIMAL, n=64, t_end=0.2, out_dir=str(out)))
+    path = tmp_path / "config.json"
+    path.write_text(raw[:-1] + f', "{section}": {body}}}')
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_nested_set_override(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,7 +31,9 @@ def test_make_grid_halfline(insulated):
     assert grid.dm == pytest.approx(0.05)
 
 
-@pytest.mark.parametrize("bad", [(10.0, 3), (-1.0, 100), (0.0, 100)])
+# a float or infinite n must fail here, not later as a TypeError or OverflowError
+@pytest.mark.parametrize("bad", [(10.0, 3), (-1.0, 100), (0.0, 100), (10.0, 4.0),
+                                 (10.0, math.inf)])
 def test_make_grid_rejects_bad_config(cauchy, bad):
     half_length, n = bad
     with pytest.raises(ConfigurationError):
@@ -41,7 +45,7 @@ def test_grid_layout():
     assert grid.nodes().shape == (9,)
     assert grid.cell_centers().shape == (8,)
     assert grid.cell_centers()[0] == pytest.approx(0.25)
-    assert grid.span == 4.0
+    assert MassGrid(0.0, 4.0, np.int64(8)) == grid
 
 
 # dyadic extents make every node exactly representable, so uniformity
@@ -164,8 +168,7 @@ def test_cell_velocity_averages_nodes(cauchy):
     assert np.allclose(state.cell_velocity(), [0.5, 1.5, 2.5, 3.5])
 
 
-def test_far_field_triple_is_fixed():
-    for kind in SetupKind:
-        assert ProblemSetup(kind).far_field == (1.0, 0.0, 1.0)
+def test_only_half_line_setups_have_a_wall():
     assert not ProblemSetup(SetupKind.CAUCHY).has_wall
+    assert ProblemSetup(SetupKind.HALFLINE_INSULATED).has_wall
     assert ProblemSetup(SetupKind.HALFLINE_ISOTHERMAL).has_wall

@@ -369,6 +369,14 @@ def test_audit_trail_rejects_bad_thresholds(params, cauchy, grid16):
         AuditTrail(steady_state(grid16), grid16, params, cauchy, excess_thresholds=(0.5,))
 
 
+@pytest.mark.parametrize("thresholds", [(2.0, 2.0), (3.0, 2.0000001, 2.0)])
+def test_audit_trail_rejects_thresholds_sharing_a_column(params, cauchy, grid16, thresholds):
+    # audit_columns names each level excess_a{a:g}; a repeat gives a header
+    # longer than every row
+    with pytest.raises(DomainError, match="distinct column names"):
+        AuditTrail(steady_state(grid16), grid16, params, cauchy, thresholds)
+
+
 # ---------------------------------------------------------------- one record, one pass
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,6 +58,18 @@ def bump_state(setup, half_length=8.0, n=64, center=None):
 def test_step_control_validation(field, value):
     with pytest.raises(ConfigurationError):
         StepControl(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "limits",
+    [dict(positivity_floor=math.inf), dict(dt_min=math.inf, dt_max=math.inf)],
+    ids=["floor", "dt_min"],
+)
+def test_step_control_rejects_infinite_limits(limits):
+    # an infinite floor fails every state mid-run; an infinite dt_min fails
+    # the first step as a StiffnessError
+    with pytest.raises(ConfigurationError):
+        StepControl(**limits)
 
 
 def test_stable_dt_worked_example(cauchy, unit_params):

@@ -1,0 +1,29 @@
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import lagas
+
+SUBMODULES = ["cli", "core", "diagnostics", "integrate", "scheme", "verification"]
+
+
+@pytest.mark.parametrize("module", ["lagas", *(f"lagas.{name}" for name in SUBMODULES)])
+def test_every_exported_name_resolves(module):
+    # a deleted name must not linger in an export list
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []
+    assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+def test_top_level_exports_exactly_what_it_imports():
+    tree = ast.parse(Path(lagas.__file__).read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert set(lagas.__all__) == imported

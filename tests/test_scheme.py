@@ -19,64 +19,60 @@ from lagas.scheme import (
     boundary_power,
     ghost_closure,
     heat_flux_faces,
-    pressure,
     rhs,
-    strain_rate,
     total_energy,
 )
 
 ALL_SETUPS = [ProblemSetup(kind) for kind in SetupKind]
 
 
-def test_pressure_identity_state():
-    assert pressure(1.0, 1.0, 1.0) == 1.0
-
-
-def test_pressure_formula():
-    assert pressure(2.0, 3.0, 1.0) == pytest.approx(1.5)
+def test_pressure_formula(cauchy):
+    # a uniform state at rest feels only the pressure jump p - R against the
+    # rest-state ghost cells, with p = R*theta/v
+    params = GasParams(mu=0.7, kappa=1.3, R=2.0, c_v=1.1)
+    grid = make_grid(cauchy, 2.0, 8)
+    state = FluidState(0.0, np.full(8, 2.0), np.full(8, 3.0), np.zeros(9))
+    d = rhs(state, grid, params, cauchy)
+    assert d.du[-1] * grid.dm == pytest.approx(2.0 * 3.0 / 2.0 - 2.0, rel=1e-14)
+    assert d.du[0] * grid.dm == pytest.approx(2.0 - 2.0 * 3.0 / 2.0, rel=1e-14)
+    assert np.all(d.du[1:-1] == 0.0)
 
 
 @pytest.mark.parametrize("v,theta", [(0.0, 1.0), (1.0, 0.0), (-2.0, 1.0), (1.0, -0.5)])
-def test_pressure_rejects_nonpositive(v, theta):
-    with pytest.raises(DomainError):
-        pressure(v, theta, 1.0)
-
-
-def test_pressure_vectorized():
-    out = pressure(np.array([1.0, 2.0]), np.array([1.0, 3.0]), 2.0)
-    assert np.allclose(out, [2.0, 3.0])
-
-
-def test_strain_rate_zero_velocity(cauchy):
+def test_pressure_rejects_nonpositive(cauchy, params, v, theta):
     grid = make_grid(cauchy, 2.0, 8)
-    assert np.all(strain_rate(steady_state(grid), grid) == 0.0)
+    state = steady_state(grid)
+    state.v[3], state.theta[3] = v, theta
+    with pytest.raises(DomainError):
+        rhs(state, grid, params, cauchy)
 
 
-def test_strain_rate_linear_velocity(cauchy):
+# without sources the mass rate dv is the cell strain u_x
+def test_strain_rate_zero_velocity(cauchy, params):
+    grid = make_grid(cauchy, 2.0, 8)
+    assert np.all(rhs(steady_state(grid), grid, params, cauchy).dv == 0.0)
+
+
+def test_strain_rate_linear_velocity(cauchy, params):
     grid = make_grid(cauchy, 2.0, 8)
     slope = 0.75
     u = slope * grid.dm * np.arange(9)
     state = FluidState(0.0, np.ones(8), np.ones(8), u)
-    assert np.allclose(strain_rate(state, grid), slope, rtol=1e-13)
+    assert np.allclose(rhs(state, grid, params, cauchy).dv, slope, rtol=1e-13)
 
 
-def test_strain_rate_matches_bruteforce(cauchy):
+def test_strain_rate_matches_bruteforce(cauchy, params):
     grid = make_grid(cauchy, 2.0, 8)
     state = random_state(grid, seed=7)
-    s = strain_rate(state, grid)
-    expected = [(state.u[j + 1] - state.u[j]) / grid.dm for j in range(8)]
-    assert np.allclose(s, expected, rtol=1e-14)
+    s = rhs(state, grid, params, cauchy).dv
+    assert np.allclose(s, bruteforce.strain_rate(state, grid), rtol=1e-14)
 
 
 def test_ghost_closures_match_setups():
-    assert ghost_closure(ProblemSetup(SetupKind.CAUCHY)).left is BoundaryRule.FAR_FIELD
+    assert ghost_closure(ProblemSetup(SetupKind.CAUCHY)) is BoundaryRule.FAR_FIELD
+    assert ghost_closure(ProblemSetup(SetupKind.HALFLINE_INSULATED)) is BoundaryRule.WALL_INSULATED
     assert (
-        ghost_closure(ProblemSetup(SetupKind.HALFLINE_INSULATED)).left
-        is BoundaryRule.WALL_INSULATED
-    )
-    assert (
-        ghost_closure(ProblemSetup(SetupKind.HALFLINE_ISOTHERMAL)).left
-        is BoundaryRule.WALL_ISOTHERMAL
+        ghost_closure(ProblemSetup(SetupKind.HALFLINE_ISOTHERMAL)) is BoundaryRule.WALL_ISOTHERMAL
     )
 
 
@@ -174,7 +170,7 @@ def test_rhs_discrete_momentum_identity(cauchy, params):
     grid = make_grid(cauchy, 3.0, 24)
     state = random_state(grid, seed=9)
     d = rhs(state, grid, params, cauchy)
-    s = strain_rate(state, grid)
+    s = np.array(bruteforce.strain_rate(state, grid))
     stress = params.mu * s / state.v - params.R * state.theta / state.v
     interior_sum = float(d.du[1:-1].sum() * grid.dm)
     assert interior_sum == pytest.approx(float(stress[-1] - stress[0]), rel=1e-12, abs=1e-12)
@@ -187,7 +183,7 @@ def test_viscous_heating_is_pointwise_nonnegative(seed):
     setup = ProblemSetup(SetupKind.CAUCHY)
     grid = make_grid(setup, 3.0, 16)
     state = random_state(grid, seed=seed)
-    s = strain_rate(state, grid)
+    s = np.array(bruteforce.strain_rate(state, grid))
     heating = params.mu * s * s / state.v
     assert np.all(heating >= 0.0)
 
@@ -257,5 +253,5 @@ def test_total_energy_budget_closes_semi_discretely(setup, params):
 def test_total_energy_of_steady_state(cauchy, params):
     grid = make_grid(cauchy, 2.0, 8)
     assert total_energy(steady_state(grid), grid, params) == pytest.approx(
-        params.c_v * grid.span
+        params.c_v * (grid.x_right - grid.x_left)
     )
