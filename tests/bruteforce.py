@@ -192,3 +192,38 @@ def rhs(state, grid, params, setup):
         dth.append((work + heat + heating) / params.c_v)
 
     return dv, du, dth
+
+
+def explicit_rk_step(state, dt, grid, params, setup, a, b, c, sources=None):
+    """One explicit Runge-Kutta step with Butcher tableau ``(a, b, c)``.
+
+    Stage i is Y_i = y0 + dt * sum_j a[i][j] K_j with K_j = rhs(Y_j) plus
+    ``sources(t0 + c[j]*dt)``; the result is y0 + dt * sum_i b[i] K_i.
+    Fields are lists ordered [v | theta | u].  Returns the result and the
+    stage inputs Y_i, each a ``(v, theta, u)`` triple of lists.
+    """
+    from types import SimpleNamespace
+
+    from lagas.core import SetupKind
+
+    n = state.n_cells
+    y0 = [*state.v, *state.theta, *state.u]
+    stages, rates = [], []
+    for i in range(len(b)):
+        y = [
+            y0[m] + dt * sum(a[i][j] * rates[j][m] for j in range(i))
+            for m in range(len(y0))
+        ]
+        stages.append((y[:n], y[n : 2 * n], y[2 * n :]))
+        stage = SimpleNamespace(n_cells=n, v=y[:n], theta=y[n : 2 * n], u=y[2 * n :])
+        dv, du, dth = rhs(stage, grid, params, setup)
+        k = [*dv, *dth, *du]
+        if sources is not None:
+            sv, su, sth = sources(state.t + c[i] * dt)
+            extra = [*sv, *sth, *su]
+            if setup.kind is not SetupKind.CAUCHY:
+                extra[2 * n] = 0.0  # the wall rate stays pinned under forcing
+            k = [k[m] + extra[m] for m in range(len(k))]
+        rates.append(k)
+    y = [y0[m] + dt * sum(b[i] * rates[i][m] for i in range(len(b))) for m in range(len(y0))]
+    return (y[:n], y[n : 2 * n], y[2 * n :]), stages

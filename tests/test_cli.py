@@ -40,7 +40,7 @@ def test_parse_minimal_config_fills_defaults(tmp_path):
     assert config.t_end == 5.0
     assert config.cadence == pytest.approx(0.05)
     assert config.gas.mu == 1.0 and config.gas.c_v == 1.5
-    assert config.control.cfl_parabolic == 0.4
+    assert config.control.cfl_parabolic == 0.3
     assert config.excess_thresholds == (1.5, 2.0, 3.0)
     assert config.initial.amplitude_v == 0.0
 

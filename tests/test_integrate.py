@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bruteforce
 from conftest import random_state
 from lagas import (
     ConfigurationError,
@@ -25,8 +26,10 @@ from lagas import (
     step,
 )
 from lagas.core import validate_state
-from lagas.diagnostics import entropy_energy
+from lagas.diagnostics import EnergyLedger, entropy_energy
 from lagas.integrate import _checked
+from lagas.scheme import boundary_power
+from lagas.verification import default_pulse_solution, make_source_rates
 
 
 def bump_state(setup, half_length=8.0, n=64, center=None):
@@ -73,13 +76,13 @@ def test_step_control_rejects_infinite_limits(limits):
 
 
 def test_stable_dt_worked_example(cauchy, unit_params):
-    # steady state, unit coefficients, dm = 0.1, factors 0.4:
-    # hyperbolic 0.4*0.1/sqrt(2), parabolic 0.4*0.01/2 = 0.002 -> parabolic wins
+    # steady state, unit coefficients, dm = 0.1, factors 0.4: hyperbolic
+    # 0.4*0.1/sqrt(2), parabolic SSP coefficient 2 * 0.4*0.01/2 = 0.004 -> parabolic wins
     grid = make_grid(cauchy, 0.5, 10)
     assert grid.dm == pytest.approx(0.1)
     ctrl = StepControl(cfl_hyperbolic=0.4, cfl_parabolic=0.4)
     dt = stable_dt(steady_state(grid), grid, unit_params, ctrl)
-    assert dt == pytest.approx(0.002, rel=1e-12)
+    assert dt == pytest.approx(0.004, rel=1e-12)
 
 
 def test_stable_dt_parabolic_scaling(cauchy, unit_params):
@@ -93,7 +96,7 @@ def test_stable_dt_parabolic_scaling(cauchy, unit_params):
 
 def test_stable_dt_stiffness_error(cauchy, unit_params):
     grid = make_grid(cauchy, 0.5, 10)
-    ctrl = StepControl(dt_min=0.01, dt_max=1.0)  # above the parabolic limit 0.002
+    ctrl = StepControl(dt_min=0.01, dt_max=1.0)  # above the parabolic limit 0.003
     with pytest.raises(StiffnessError):
         stable_dt(steady_state(grid), grid, unit_params, ctrl)
 
@@ -121,14 +124,15 @@ def test_stable_dt_rejects_nonpositive_or_nonfinite_fields(cauchy, unit_params, 
 )
 @settings(max_examples=40, deadline=None)
 def test_stable_dt_diffusive_bound_matches_cellwise_maximum(seed, mu, kappa, c_v):
-    # oracle: the bound taken at min v equals the per-cell maximum bit for bit
+    # oracle: the bound taken at min v equals the per-cell maximum bit for bit;
+    # SSPRK(4,3)'s SSP coefficient 2 doubles the forward-Euler limit exactly
     params = GasParams(mu=mu, kappa=kappa, R=1.0, c_v=c_v)
     grid = make_grid(ProblemSetup(SetupKind.CAUCHY), 2.0, 64)
     state = random_state(grid, seed)
     ctrl = StepControl(cfl_hyperbolic=1.0, cfl_parabolic=0.01, dt_min=1e-300)
     v = state.v
     diffusivity = np.maximum(params.mu / v, params.kappa / (params.c_v * v))
-    dt_par = ctrl.cfl_parabolic * grid.dm * grid.dm / (2.0 * float(diffusivity.max()))
+    dt_par = 2.0 * ctrl.cfl_parabolic * grid.dm * grid.dm / (2.0 * float(diffusivity.max()))
     sound = np.sqrt(params.R * state.theta * params.gamma) / v
     assert dt_par < ctrl.cfl_hyperbolic * grid.dm / float(sound.max())
     assert stable_dt(state, grid, params, ctrl) == dt_par
@@ -169,7 +173,7 @@ def test_step_failure_names_stage_and_cell(cauchy, params, ctrl):
     with pytest.raises(IntegrationError) as excinfo:
         step(state, dt, grid, params, cauchy, ctrl)
     err = excinfo.value
-    assert err.stage in (1, 2, 3)
+    assert err.stage in (1, 2, 3, 4)
     assert err.cell is not None
     assert err.field_name in ("v", "theta", "u")
     assert "stage" in str(err)
@@ -195,6 +199,43 @@ def test_stage_fast_check_agrees_with_validate_state(seed, index, bad):
         _checked(y, 1e-10, 2, 0.0)
     err = excinfo.value
     assert (err.stage, err.field_name, err.cell) == (2, report.field_name, report.index)
+
+
+# SSPRK(4,3) (Spiteri & Ruuth 2002) as a Butcher tableau
+SSPRK43_A = [[], [0.5], [0.5, 0.5], [1.0 / 6.0, 1.0 / 6.0, 1.0 / 6.0]]
+SSPRK43_B = [1.0 / 6.0, 1.0 / 6.0, 1.0 / 6.0, 0.5]
+SSPRK43_C = [0.0, 0.5, 1.0, 0.5]
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+@pytest.mark.parametrize("kind", list(SetupKind), ids=lambda k: k.value)
+def test_step_matches_butcher_tableau_oracle(kind, forced, params, ctrl):
+    # oracle: the loop rhs stepped by the generic explicit Runge-Kutta form;
+    # the ledger gets dt * sum_i b_i boundary_power(Y_i) over its stages
+    # on a random state, so the boundary power is order one; forced from t = 0.3
+    setup = ProblemSetup(kind)
+    grid = make_grid(setup, 4.0, 16)
+    sources = None
+    state = random_state(grid, seed=11)
+    if forced:
+        sources = make_source_rates(default_pulse_solution(setup, 4.0), params, grid)
+        state = FluidState(0.3, state.v, state.theta, state.u)
+    dt = stable_dt(state, grid, params, ctrl)
+    ledger = EnergyLedger()
+    new = step(state, dt, grid, params, setup, ctrl, sources=sources, ledger=ledger)
+    expected, stages = bruteforce.explicit_rk_step(
+        state, dt, grid, params, setup, SSPRK43_A, SSPRK43_B, SSPRK43_C, sources
+    )
+    assert new.t == state.t + dt
+    for got, want in zip((new.v, new.theta, new.u), expected):
+        want = np.array(want)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    inflow = dt * sum(
+        b * boundary_power(FluidState(state.t, *map(np.array, y)), grid, params, setup)
+        for b, y in zip(SSPRK43_B, stages)
+    )
+    assert type(ledger.inflow) is float
+    assert ledger.inflow == pytest.approx(inflow, rel=1e-12, abs=0.0)
 
 
 def test_step_halving_shows_third_order(cauchy, params):
