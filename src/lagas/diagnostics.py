@@ -357,7 +357,7 @@ class AuditTrail:
             cum_df8=self._cum_df8,
             z4_rate=z4,
             cum_z4=self._cum_z4,
-            int_u4=float((tick.ubar ** 4).sum() * grid.dm),
+            int_u4=float(np.square(tick.ubar * tick.ubar).sum() * grid.dm),
             sup_theta_excess=max(th_max - 1.5, 0.0) ** 2,
             excess={a: tick.truncated_excess(a) for a in self.excess_thresholds},
             energy_balance_residual=energy_balance_residual(te, self._te0, self.ledger.inflow),
