@@ -1,7 +1,8 @@
 """Byte-level regression pins for the stepping core.
 
-The sha256 digests below were recorded with numpy 2.4.6 on x86-64 before the
-stepping core was rewritten around packed stage buffers.  A change that keeps
+The sha256 digests below were recorded with numpy 2.4.6 on x86-64, last when
+SSPRK(4,3) with its SSP-scaled diffusive limit replaced SSP-RK3 and the
+audit's int_u4 became a squared square.  A change that keeps
 every formula and its evaluation order keeps them; a change to the numerics
 on purpose records new digests and says in CHANGES.md what moved.  The
 initial data and the audit use numpy's exp and log, whose last bit may differ
@@ -20,29 +21,29 @@ from lagas.cli import EXIT_OK, parse_config, run
 from lagas.verification import default_pulse_solution, make_source_rates, sample_state
 
 AUDIT_SHA256 = {
-    "cauchy": "eade56d808b0db192497ed61bf08047ea4540c0f70ca1568a65235b88d37cf08",
-    "halfline_insulated": "ed70ea7325c1824face9f6dd4485a4ef283ac70e18cf665fd6bac6bb63df91e8",
-    "halfline_isothermal": "74bc975c7471d3f0cd0b7829fa4cf83d5c3e16c8ba5467b2c78df5b01151fe13",
+    "cauchy": "f33492f020967a01ea2efb3993030e318eab61579e276a73ef0074f50be014c8",
+    "halfline_insulated": "ce5f404c2835b2aa074971ccef52d065626ec76ddf71875f53a4e1b733c28a04",
+    "halfline_isothermal": "3e100a17050cfdcdfc6dd824807825e141ccda951d090576fa91d0ba0520c0aa",
 }
 # summary.json echoes config values (setup, n_cells, half_length, t_end, the
 # truncation threshold), so these also pin how the run config is typed
 SUMMARY_SHA256 = {
-    "cauchy": "8574ba0301848660ff7d20c0cf6d6de45df68d3b5444503ddf96147c1badae48",
-    "halfline_insulated": "9c119fa147689bf1917205e120309634262d95a1ad1baeeecb5b4862cbefbb45",
-    "halfline_isothermal": "054e13f0b47e8f3aee0937ff56c7abe435a7ca1c1e370cf74d9e98cc75b8f1fb",
+    "cauchy": "b9735fcb413480dbcc23711c6f6d2d9457c5f530c9d81b378574aef7f93a9566",
+    "halfline_insulated": "6a3b2bc269b511de6a08dda6d9eb9c543ac125bf4ea90966420d717aa3d5eb6c",
+    "halfline_isothermal": "5dd00290016a5de9957ff666c2ea0d1df2d50798521df6452cf34feddd6a7786",
 }
 # the run's snapshot files, sorted names and bytes, recorded once snapshots were
 # written as shortest round-trip decimals
 SNAPSHOT_SHA256 = {
-    "cauchy": "28be7d26012eb955ff359fac5fffaa039533f87132c673dec1b7104fa89805db",
-    "halfline_insulated": "7ea75fe06a03536851099ff55d4e92a993ac3733b89a609e252d969906080552",
-    "halfline_isothermal": "83c8254f58ee71ebd0133116eb49dbe66e812088ba78752a790ccfa27c1ecd32",
+    "cauchy": "836694216a34ef7a2fbbc33d470e241798d3380c2fbcbad2a63e0b2969fda41b",
+    "halfline_insulated": "934be6e93ce97479c4996265e44e71788b2bedf389da65e47b55e37075c5157f",
+    "halfline_isothermal": "35216872af8f22f3fdc94fbe37a3b8a3c2f7c2307e9c6ee7e2c6c65e586fbd8e",
 }
 # the final state of a forced run of each setup's default pulse solution
 FORCED_SHA256 = {
-    "cauchy": "d666496630613bd610dca15cd641159cc47cc9d70d25fb338cb0ec35928d053d",
-    "halfline_insulated": "b0eebdcb6e7bcd309ac3c17570ba350603b3f75532fc1487e86092f4626543f8",
-    "halfline_isothermal": "c934f8f3abf56a3d9104ab43a20631b16873a70d2bf6618dd8b8f53df14f8cc6",
+    "cauchy": "56f63ddcad026e06aefe570371190641e0e49836ae009e58065ff35e663677db",
+    "halfline_insulated": "ff6ee2a7c7a9d362d0b163594946ea10fdfe47a4bf371a90337713393e830fc0",
+    "halfline_isothermal": "a6c6d03f02fd8fa1a138f8b4cef789391e46f9fa848cc48416ed5446fbf0c406",
 }
 
 
