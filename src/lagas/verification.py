@@ -77,8 +77,11 @@ class InitialDataSpec:
             raise ConfigurationError(
                 f"unknown initial-data family {self.family!r}; choose from {FAMILIES}"
             )
-        if not self.width > 0.0:
-            raise ConfigurationError(f"width must be positive, got {self.width!r}")
+        if not 0.0 < self.width < math.inf:
+            raise ConfigurationError(f"width must be finite and positive, got {self.width!r}")
+        for name in ("amplitude_v", "amplitude_u", "amplitude_theta", "center"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.modes < 1:
             raise ConfigurationError(f"modes must be >= 1, got {self.modes!r}")
         if self.seed < 0:

@@ -384,11 +384,15 @@ def test_main_reports_config_errors(tmp_path, capsys):
     ("initial_data", '{"family": "random_smooth", "seed": -1}'),
     ("initial_data", '{"family": "gaussian_bump", "seed": -1}'),
     ("step", '{"positivity_floor": 1e400}'),
-], ids=["random-seed", "gaussian-seed", "floor"])
+    ("initial_data", '{"width": 1e400}'),
+    ("initial_data", '{"center": -1e400}'),
+    ("initial_data", '{"amplitude_u": NaN}'),
+], ids=["random-seed", "gaussian-seed", "floor", "width-inf", "center-inf", "amplitude-nan"])
 def test_main_rejects_bad_numbers_before_any_output(tmp_path, capsys, section, body):
-    # numpy's generator raises a bare ValueError on a negative seed, and an
-    # infinite floor would fail only mid-run: both are config errors, caught
-    # before any file is written
+    # numpy's generator raises a bare ValueError on a negative seed, an
+    # infinite floor would fail only mid-run, and an infinite width turns the
+    # bump into a uniform offset that never decays to the rest state: all are
+    # config errors, caught before any file is written
     out = tmp_path / "out"
     raw = json.dumps(dict(MINIMAL, n=64, t_end=0.2, out_dir=str(out)))
     path = tmp_path / "config.json"
