@@ -1,5 +1,6 @@
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,3 +28,17 @@ def test_top_level_exports_exactly_what_it_imports():
         for alias in node.names
     }
     assert set(lagas.__all__) == imported
+
+
+def test_perfbench_trace_targets_exist(monkeypatch):
+    # perfbench's tracer replaces these module attributes by name; a rename
+    # would break traced benchmark runs while every other test still passes
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    sys.modules.pop("tracer")
+    missing = [
+        (owner.__name__, attr)
+        for owner, attr, _ in tracer.targets(lagas)
+        if attr not in owner.__dict__
+    ]
+    assert missing == []
