@@ -210,13 +210,13 @@ SSPRK43_C = [0.0, 0.5, 1.0, 0.5]
 @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
 @pytest.mark.parametrize("kind", list(SetupKind), ids=lambda k: k.value)
 def test_step_matches_butcher_tableau_oracle(kind, forced, params, ctrl):
-    # oracle: the loop rhs stepped by the generic explicit Runge-Kutta form;
-    # the ledger gets dt * sum_i b_i boundary_power(Y_i) over its stages
-    # on a random state, so the boundary power is order one; forced from t = 0.3
+    # oracle: the loop rhs stepped by the generic explicit Runge-Kutta form,
+    # and the ledger as dt * sum_i b_i boundary_power(Y_i); a random state
+    # keeps the boundary power of order one, and forcing starts at t = 0.3
     setup = ProblemSetup(kind)
     grid = make_grid(setup, 4.0, 16)
-    sources = None
     state = random_state(grid, seed=11)
+    sources = None
     if forced:
         sources = make_source_rates(default_pulse_solution(setup, 4.0), params, grid)
         state = FluidState(0.3, state.v, state.theta, state.u)
