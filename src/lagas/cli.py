@@ -374,7 +374,7 @@ def run(config: RunConfig) -> int:
             )
         except (IntegrationError, StiffnessError) as exc:
             failure = {
-                "time": getattr(exc, "time", records[-1].t if records else 0.0),
+                "time": exc.time,
                 "cause": str(exc),
                 "kind": type(exc).__name__,
                 **{key: getattr(exc, key, None) for key in ("stage", "cell", "field_name")},

@@ -42,7 +42,11 @@ class DomainError(ValueError):
 
 
 class StiffnessError(RuntimeError):
-    """The stable time step fell below the configured minimum."""
+    """The stable time step fell below the configured minimum at state ``time``."""
+
+    def __init__(self, message: str, *, time: float) -> None:
+        super().__init__(message)
+        self.time = time
 
 
 class IntegrationError(RuntimeError):

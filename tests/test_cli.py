@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -225,10 +226,21 @@ def test_positivity_failure_json_names_stage_cell_and_field(tmp_path, monkeypatc
     assert f"{failure['field_name']}[{failure['cell']}]" in failure["cause"]
 
 
-def test_stiffness_failure_json_has_no_stage(tmp_path):
-    config = cfg(tmp_path, n=64, t_end=1.0, step={"dt_min": 0.1})
+def test_stiffness_failure_json_has_no_stage(tmp_path, monkeypatch):
+    stable_dt = lagas.integrate.stable_dt
+
+    def stiff_after(state, grid, params, ctrl):
+        if state.t > 0.05:
+            ctrl = replace(ctrl, dt_min=1.0)
+        return stable_dt(state, grid, params, ctrl)
+
+    monkeypatch.setattr(lagas.integrate, "stable_dt", stiff_after)
+    config = cfg(tmp_path, n=64, t_end=1.0, cadence=0.1)
     assert run(config) == EXIT_INTEGRATION
     failure = json.loads((tmp_path / "out" / "failure.json").read_text())
+    assert failure["kind"] == "StiffnessError"
+    # the state time at which dt collapsed, not the last audit tick (t = 0)
+    assert failure["time"] > 0.05
     assert failure["stage"] is None and failure["cell"] is None
     assert failure["field_name"] is None
 
