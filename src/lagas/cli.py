@@ -47,6 +47,7 @@ from .diagnostics import (
     audit_header,
     audit_row,
     check_excess_thresholds,
+    summarize,
 )
 from .integrate import StepControl, advance
 from .verification import (
@@ -313,12 +314,8 @@ class _TruncationAudit:
             )
 
 
-def _tail_monotone(values: list[float], fraction: float = 0.2, jitter: float = 0.01) -> bool:
-    tail = values[max(0, math.floor(len(values) * (1.0 - fraction))):]
-    return all(
-        later <= earlier * (1.0 + jitter) + 1e-14
-        for earlier, later in zip(tail, tail[1:])
-    )
+def _write_json(path: Path, data: dict) -> None:
+    path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
 
 
 def _initial_state(config: RunConfig) -> tuple[MassGrid, FluidState]:
@@ -339,29 +336,24 @@ def run(config: RunConfig) -> int:
     truncation = _TruncationAudit(grid, config.setup)
     snap_times: list[float] = []
     snap_names: set[str] = set()
-    last_snap = [None]
 
-    audit_path = out / "audit.csv"
-    records: list[AuditRecord] = []
-    with audit_path.open("w", encoding="utf-8", newline="\n") as audit_file:
+    with (out / "audit.csv").open("w", encoding="utf-8", newline="\n") as audit_file:
         audit_file.write(audit_header(config.excess_thresholds) + "\n")
 
         def on_record(record: AuditRecord, snapshot: FluidState) -> None:
             audit_file.write(audit_row(record) + "\n")
             audit_file.flush()
-            records.append(record)
             truncation.update(snapshot)
-            due = last_snap[0] is None or (
+            due = not snap_times or (
                 config.snapshot_every is not None
-                and snapshot.t - last_snap[0] >= config.snapshot_every * (1.0 - 1e-9)
+                and snapshot.t - snap_times[-1] >= config.snapshot_every * (1.0 - 1e-9)
             )
             if due or snapshot.t >= config.t_end:
                 _write_snapshot(_snapshot_path(out, snapshot.t, snap_names), snapshot, grid)
                 snap_times.append(snapshot.t)
-                last_snap[0] = snapshot.t
 
         try:
-            final, _ = advance(
+            _, records = advance(
                 state,
                 config.t_end,
                 every=config.cadence,
@@ -373,67 +365,28 @@ def run(config: RunConfig) -> int:
                 on_record=on_record,
             )
         except (IntegrationError, StiffnessError) as exc:
-            failure = {
+            _write_json(out / "failure.json", {
                 "time": exc.time,
                 "cause": str(exc),
                 "kind": type(exc).__name__,
                 **{key: getattr(exc, key, None) for key in ("stage", "cell", "field_name")},
-            }
-            (out / "failure.json").write_text(
-                json.dumps(failure, indent=2) + "\n", encoding="utf-8"
-            )
+            })
             return EXIT_INTEGRATION
 
-    e0 = records[0].E
-    linf = [r.lpinf_dev for r in records]
-    linf_max = max(linf)
-    defects = [r.E + r.cum_D - e0 for r in records]
-    entropy_tol = e0 * 1e-3 + 1e-6
     truncation_ok = truncation.max_deviation <= config.truncation_threshold
-
-    def ratio(final_value: float, peak: float) -> float:
-        return final_value / peak if peak > 0.0 else 0.0
-
-    summary = {
+    _write_json(out / "summary.json", {
         "setup": config.setup.kind.value,
         "n_cells": config.n_cells,
         "half_length": config.half_length,
         "t_end": config.t_end,
-        "records": len(records),
-        "bounds": {
-            "v": [min(r.v_min for r in records), max(r.v_max for r in records)],
-            "theta": [min(r.theta_min for r in records), max(r.theta_max for r in records)],
-        },
-        "decay": {
-            "linf_initial": linf[0],
-            "linf_max": linf_max,
-            "linf_final": linf[-1],
-            "final_over_max": ratio(linf[-1], linf_max),
-            "tail_monotone": _tail_monotone(linf),
-        },
-        "h1_final_over_max": {
-            "vx": ratio(records[-1].vx_l2, max(r.vx_l2 for r in records)),
-            "ux": ratio(records[-1].ux_l2, max(r.ux_l2 for r in records)),
-            "thetax": ratio(records[-1].thetax_l2, max(r.thetax_l2 for r in records)),
-        },
-        "entropy_audit": {
-            "initial": e0,
-            "max_defect": max(defects),
-            "tolerance": entropy_tol,
-            "ok": max(defects) <= entropy_tol,
-        },
-        "energy_balance_residual": records[-1].energy_balance_residual,
-        "int_u4_max": max(r.int_u4 for r in records),
+        **summarize(records),
         "truncation": {
             "threshold": config.truncation_threshold,
             "max_outer_deviation": truncation.max_deviation,
             "ok": truncation_ok,
         },
         "snapshots": snap_times,
-    }
-    (out / "summary.json").write_text(
-        json.dumps(summary, indent=2) + "\n", encoding="utf-8"
-    )
+    })
     return EXIT_OK if truncation_ok else EXIT_TRUNCATION
 
 
@@ -469,9 +422,7 @@ def mms(config: RunConfig) -> int:
     }
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    (out / "mms_report.json").write_text(
-        json.dumps(report, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(out / "mms_report.json", report)
     return EXIT_OK if passed else EXIT_MMS_FAIL
 
 
@@ -515,18 +466,11 @@ def sweep(raw: dict, jobs: int = 1) -> int:
         codes = [run(config) for config in configs]
 
     root_out.mkdir(parents=True, exist_ok=True)
-    (root_out / "sweep_summary.json").write_text(
-        json.dumps(
-            {
-                "variants": len(configs),
-                "out_dirs": [str(config.out_dir) for config in configs],
-                "exit_codes": codes,
-            },
-            indent=2,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
+    _write_json(root_out / "sweep_summary.json", {
+        "variants": len(configs),
+        "out_dirs": [str(config.out_dir) for config in configs],
+        "exit_codes": codes,
+    })
     return EXIT_OK if all(code == EXIT_OK for code in codes) else max(codes)
 
 

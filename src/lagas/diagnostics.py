@@ -35,6 +35,7 @@ __all__ = [
     "audit_columns",
     "audit_header",
     "audit_row",
+    "summarize",
 ]
 
 DEFAULT_EXCESS_THRESHOLDS = (1.5, 2.0, 3.0)
@@ -362,3 +363,49 @@ class AuditTrail:
             excess={a: tick.truncated_excess(a) for a in self.excess_thresholds},
             energy_balance_residual=energy_balance_residual(te, self._te0, self.ledger.inflow),
         )
+
+
+
+#: a run's tail is its last fifth; there the sup norm may rise 1 % from record to record
+_TAIL_FRACTION, _TAIL_JITTER = 0.2, 0.01
+
+
+def summarize(records: list[AuditRecord]) -> dict:
+    """The verdicts of summary.json that a run's records give, in its key order.
+
+    A final-over-peak ratio is 0.0 where the peak is 0; the entropy budget
+    E + cum_D - E0 is ok while its maximum stays within E0*1e-3 + 1e-6."""
+    e0, last = records[0].E, records[-1]
+    linf = [r.lpinf_dev for r in records]
+    tail = linf[math.floor(len(linf) * (1.0 - _TAIL_FRACTION)):]
+    max_defect = max(r.E + r.cum_D - e0 for r in records)
+    tolerance = e0 * 1e-3 + 1e-6
+
+    def final_over_max(name: str) -> float:
+        peak = max(getattr(r, name) for r in records)
+        return getattr(last, name) / peak if peak > 0.0 else 0.0
+
+    return {
+        "records": len(records),
+        "bounds": {
+            "v": [min(r.v_min for r in records), max(r.v_max for r in records)],
+            "theta": [min(r.theta_min for r in records), max(r.theta_max for r in records)],
+        },
+        "decay": {
+            "linf_initial": linf[0],
+            "linf_max": max(linf),
+            "linf_final": linf[-1],
+            "final_over_max": final_over_max("lpinf_dev"),
+            "tail_monotone": all(later <= earlier * (1.0 + _TAIL_JITTER) + 1e-14
+                                 for earlier, later in zip(tail, tail[1:])),
+        },
+        "h1_final_over_max": {key: final_over_max(f"{key}_l2") for key in ("vx", "ux", "thetax")},
+        "entropy_audit": {
+            "initial": e0,
+            "max_defect": max_defect,
+            "tolerance": tolerance,
+            "ok": max_defect <= tolerance,
+        },
+        "energy_balance_residual": last.energy_balance_residual,
+        "int_u4_max": max(r.int_u4 for r in records),
+    }

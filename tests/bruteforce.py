@@ -227,3 +227,63 @@ def explicit_rk_step(state, dt, grid, params, setup, a, b, c, sources=None):
         rates.append(k)
     y = [y0[m] + dt * sum(b[i] * rates[i][m] for i in range(len(b))) for m in range(len(y0))]
     return (y[:n], y[n : 2 * n], y[2 * n :]), stages
+
+
+def summarize(records):
+    """summary.json's record-derived sections, by explicit loops over the records."""
+    e0 = records[0].E
+    last = records[-1]
+
+    def extreme(name, larger):
+        best = getattr(records[0], name)
+        for r in records[1:]:
+            value = getattr(r, name)
+            if (value > best) if larger else (value < best):
+                best = value
+        return best
+
+    def final_over_max(name):
+        peak = extreme(name, True)
+        if peak > 0.0:
+            return getattr(last, name) / peak
+        return 0.0
+
+    tail_monotone = True
+    for i in range(math.floor(len(records) * 0.8) + 1, len(records)):
+        if records[i].lpinf_dev > records[i - 1].lpinf_dev * 1.01 + 1e-14:
+            tail_monotone = False
+
+    max_defect = -math.inf
+    for r in records:
+        defect = r.E + r.cum_D - e0
+        if defect > max_defect:
+            max_defect = defect
+    tolerance = e0 * 1e-3 + 1e-6
+
+    return {
+        "records": len(records),
+        "bounds": {
+            "v": [extreme("v_min", False), extreme("v_max", True)],
+            "theta": [extreme("theta_min", False), extreme("theta_max", True)],
+        },
+        "decay": {
+            "linf_initial": records[0].lpinf_dev,
+            "linf_max": extreme("lpinf_dev", True),
+            "linf_final": last.lpinf_dev,
+            "final_over_max": final_over_max("lpinf_dev"),
+            "tail_monotone": tail_monotone,
+        },
+        "h1_final_over_max": {
+            "vx": final_over_max("vx_l2"),
+            "ux": final_over_max("ux_l2"),
+            "thetax": final_over_max("thetax_l2"),
+        },
+        "entropy_audit": {
+            "initial": e0,
+            "max_defect": max_defect,
+            "tolerance": tolerance,
+            "ok": max_defect <= tolerance,
+        },
+        "energy_balance_residual": last.energy_balance_residual,
+        "int_u4_max": extreme("int_u4", True),
+    }

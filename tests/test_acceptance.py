@@ -36,6 +36,7 @@ from lagas.diagnostics import (
     field_bounds,
     h1_seminorms,
     lp_deviation,
+    summarize,
     sup_embedding_check,
     truncated_excess,
     z4_rate,
@@ -167,15 +168,14 @@ def test_criterion_2_mms_spatial_order():
 
 def test_criterion_3_energy_estimate_audit(audit_run, halved_dt_run):
     records = [r for r in audit_run.records if r.t <= 20.0 + 1e-9]
-    e0 = records[0].E
-    tolerance = e0 * 1e-3 + 1e-6
-    max_budget = max(r.E + r.cum_D - e0 for r in records)
+    audit = summarize(records)["entropy_audit"]
+    tolerance = audit["initial"] * 1e-3 + 1e-6
+    max_budget = audit["max_defect"]
     rates_ok = all(r.D_visc >= 0.0 and r.D_heat >= 0.0 for r in records)
 
-    half = halved_dt_run
-    e0_half = half[0].E
-    max_budget_half = max(r.E + r.cum_D - e0_half for r in half)
-    half_tolerance = (e0_half * 1e-3 + 1e-6) / 2.0
+    half = summarize(halved_dt_run)["entropy_audit"]
+    max_budget_half = half["max_defect"]
+    half_tolerance = (half["initial"] * 1e-3 + 1e-6) / 2.0
 
     ok = max_budget <= tolerance and rates_ok and max_budget_half <= half_tolerance
     assert _criterion(
@@ -206,14 +206,11 @@ def test_criterion_4_uniform_bounds_witness(audit_run):
 
 
 def test_criterion_5_large_time_decay_witness(audit_run):
-    records = audit_run.records
-    linf = [r.lpinf_dev for r in records]
-    ratios = {"linf": linf[-1] / max(linf)}
-    for name in ("vx_l2", "ux_l2", "thetax_l2"):
-        series = [getattr(r, name) for r in records]
-        ratios[name] = series[-1] / max(series)
-    tail = linf[math.floor(len(linf) * 0.8):]
-    tail_ok = all(b <= a * 1.01 + 1e-14 for a, b in zip(tail, tail[1:]))
+    summary = summarize(audit_run.records)
+    h1 = summary["h1_final_over_max"]
+    ratios = {"linf": summary["decay"]["final_over_max"]}
+    ratios.update({f"{key}_l2": h1[key] for key in ("vx", "ux", "thetax")})
+    tail_ok = summary["decay"]["tail_monotone"]
     ok = all(r < 0.10 for r in ratios.values()) and tail_ok
     assert _criterion(
         5, "large-time decay of sup norm and gradients", ok,

@@ -1,5 +1,9 @@
+import importlib
 import math
+import sys
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +37,7 @@ from lagas.diagnostics import (
     field_bounds,
     h1_seminorms,
     lp_deviation,
+    summarize,
     sup_embedding_check,
     truncated_excess,
     z4_rate,
@@ -455,3 +460,83 @@ def test_audit_record_rejects_nonfinite_or_nonpositive_fields(params, cauchy, gr
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="finite positive"):
             trail.record(broken)
+
+
+# ---------------------------------------------------------------- summarize
+
+
+def short_run(t_end=0.5, rest=False):
+    """Records every 0.05 of seeded random data on the whole line, or of the rest state."""
+    setup = ProblemSetup(SetupKind.CAUCHY)
+    grid = make_grid(setup, 8.0, 32)
+    spec = InitialDataSpec(family="random_smooth", amplitude_v=0.5, amplitude_u=0.4,
+                           amplitude_theta=-0.3, width=2.0, seed=3, modes=4)
+    state = steady_state(grid) if rest else build_initial_data(spec, setup, grid)
+    params = GasParams(1.0, 1.0, 1.0, 1.5)
+    return advance(state, t_end, 0.05, grid, params, setup, StepControl())[1]
+
+
+def test_summarize_matches_loop_oracle_on_a_run():
+    records = short_run()
+    assert len(records) == 11
+    assert summarize(records) == bruteforce.summarize(records)
+
+
+def test_summarize_single_record():
+    records = short_run(t_end=0.0)
+    summary = summarize(records)
+    assert summary == bruteforce.summarize(records)
+    assert summary["records"] == 1 and summary["decay"]["tail_monotone"] is True
+
+
+def test_summarize_rest_state_ratios_are_zero():
+    records = short_run(rest=True)
+    summary = summarize(records)
+    assert summary == bruteforce.summarize(records)
+    assert summary["decay"]["final_over_max"] == 0.0
+    assert summary["h1_final_over_max"] == {"vx": 0.0, "ux": 0.0, "thetax": 0.0}
+
+
+@pytest.mark.parametrize("index, rise, monotone", [
+    (10, 1.01, True),      # exactly 1 % in the tail
+    (10, 1.0102, False),   # 1.02 %
+    (9, 1.0102, False),    # the first step inside the tail, records 8 -> 9 of 11
+    (8, 1.5, True),        # records 7 -> 8: before the tail starts
+])
+def test_summarize_tail_allows_one_percent_rise(index, rise, monotone):
+    records = short_run()
+    linf = [1.0 - 0.05 * k for k in range(len(records))]
+    linf[index] = linf[index - 1] * rise
+    edited = [replace(r, lpinf_dev=x) for r, x in zip(records, linf)]
+    summary = summarize(edited)
+    assert summary["decay"]["tail_monotone"] is monotone
+    assert summary == bruteforce.summarize(edited)
+
+
+@pytest.mark.parametrize("cum_d, ok", [(1e-6, True), (math.nextafter(1e-6, 1.0), False)])
+def test_summarize_entropy_defect_at_the_tolerance(cum_d, ok):
+    records = short_run(rest=True)  # E = 0 throughout: the tolerance is 1e-6
+    edited = records[:-1] + [replace(records[-1], cum_D=cum_d)]
+    summary = summarize(edited)
+    audit = summary["entropy_audit"]
+    assert audit["tolerance"] == 1e-6 and audit["max_defect"] == cum_d
+    assert audit["ok"] is ok
+    assert summary == bruteforce.summarize(edited)
+
+
+def test_perfbench_entropy_verdict_agrees_with_summarize(monkeypatch):
+    # perfbench/worker.py keeps its own copy of the entropy tolerance
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    worker = importlib.import_module("worker")
+    sys.modules.pop("worker")
+    sys.modules.pop("tracer")
+    records = short_run()
+    e0 = records[0].E
+    tolerance = e0 * 1e-3 + 1e-6
+    verdicts = []
+    for share in (0.0, 0.5, 0.999, 1.001, 2.0):
+        edited = [records[0], replace(records[-1], E=e0, cum_D=share * tolerance)]
+        ok = summarize(edited)["entropy_audit"]["ok"]
+        assert worker.entropy_defect_ok([r.E for r in edited], [r.cum_D for r in edited]) == ok
+        verdicts.append(ok)
+    assert verdicts == [True, True, True, False, False]
