@@ -7,9 +7,9 @@ the last fifth of each run; a small value means the budget has saturated.
 """
 
 import argparse
-import math
 
 from lagas.core import GasParams, ProblemSetup, SetupKind, make_grid
+from lagas.diagnostics import summarize
 from lagas.integrate import StepControl, advance
 from lagas.verification import InitialDataSpec, build_initial_data
 
@@ -40,13 +40,11 @@ def main() -> int:
         )
         state = build_initial_data(spec, setup, grid)
         _, records = advance(state, args.t_end, 0.1, grid, params, setup, ctrl)
-        cum = [r.cum_df8 for r in records]
-        i80 = math.floor(len(cum) * 0.8)
-        growth = (cum[-1] - cum[i80]) / cum[-1]
+        growth = summarize(records)["df8_tail_growth"]
         ok = growth < 0.01
         all_ok = all_ok and ok
         print(
-            f"seed {seed:4d}: E0={records[0].E:7.3f}  cum_df8={cum[-1]:8.3f}  "
+            f"seed {seed:4d}: E0={records[0].E:7.3f}  cum_df8={records[-1].cum_df8:8.3f}  "
             f"final-20% growth={growth:.4%}  {'ok' if ok else 'NOT plateaued'}"
         )
     return 0 if all_ok else 1

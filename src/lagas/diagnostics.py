@@ -373,17 +373,20 @@ _TAIL_FRACTION, _TAIL_JITTER = 0.2, 0.01
 def summarize(records: list[AuditRecord]) -> dict:
     """The verdicts of summary.json that a run's records give, in its key order.
 
-    A final-over-peak ratio is 0.0 where the peak is 0; the entropy budget
-    E + cum_D - E0 is ok while its maximum stays within E0*1e-3 + 1e-6."""
+    A ratio is 0.0 where its denominator is 0; the entropy budget E + cum_D - E0
+    is ok while its maximum stays within E0*1e-3 + 1e-6; df8_tail_growth is the
+    share of the final cum_df8 that accrued over the tail."""
     e0, last = records[0].E, records[-1]
+    start = math.floor(len(records) * (1.0 - _TAIL_FRACTION))
     linf = [r.lpinf_dev for r in records]
-    tail = linf[math.floor(len(linf) * (1.0 - _TAIL_FRACTION)):]
-    max_defect = max(r.E + r.cum_D - e0 for r in records)
+    defects = [r.E + r.cum_D - e0 for r in records]
     tolerance = e0 * 1e-3 + 1e-6
 
+    def ratio(value: float, peak: float) -> float:
+        return value / peak if peak > 0.0 else 0.0
+
     def final_over_max(name: str) -> float:
-        peak = max(getattr(r, name) for r in records)
-        return getattr(last, name) / peak if peak > 0.0 else 0.0
+        return ratio(getattr(last, name), max(getattr(r, name) for r in records))
 
     return {
         "records": len(records),
@@ -397,15 +400,17 @@ def summarize(records: list[AuditRecord]) -> dict:
             "linf_final": linf[-1],
             "final_over_max": final_over_max("lpinf_dev"),
             "tail_monotone": all(later <= earlier * (1.0 + _TAIL_JITTER) + 1e-14
-                                 for earlier, later in zip(tail, tail[1:])),
+                                 for earlier, later in zip(linf[start:], linf[start + 1:])),
         },
         "h1_final_over_max": {key: final_over_max(f"{key}_l2") for key in ("vx", "ux", "thetax")},
         "entropy_audit": {
             "initial": e0,
-            "max_defect": max_defect,
+            "max_defect": max(defects),
+            "min_defect": min(defects),
             "tolerance": tolerance,
-            "ok": max_defect <= tolerance,
+            "ok": max(defects) <= tolerance,
         },
         "energy_balance_residual": last.energy_balance_residual,
         "int_u4_max": max(r.int_u4 for r in records),
+        "df8_tail_growth": ratio(last.cum_df8 - records[start].cum_df8, last.cum_df8),
     }

@@ -98,8 +98,7 @@ def stable_dt(
     if dt < ctrl.dt_min:
         raise StiffnessError(
             f"stable step {dt:.3e} fell below dt_min {ctrl.dt_min:.3e} "
-            f"at t = {state.t:.6g}",
-            time=state.t,
+            f"at t = {state.t:.6g}", time=state.t,
         )
     return min(dt, ctrl.dt_max)
 

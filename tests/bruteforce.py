@@ -248,17 +248,24 @@ def summarize(records):
             return getattr(last, name) / peak
         return 0.0
 
+    start = math.floor(len(records) * 0.8)
     tail_monotone = True
-    for i in range(math.floor(len(records) * 0.8) + 1, len(records)):
+    for i in range(start + 1, len(records)):
         if records[i].lpinf_dev > records[i - 1].lpinf_dev * 1.01 + 1e-14:
             tail_monotone = False
 
-    max_defect = -math.inf
+    max_defect, min_defect = -math.inf, math.inf
     for r in records:
         defect = r.E + r.cum_D - e0
         if defect > max_defect:
             max_defect = defect
+        if defect < min_defect:
+            min_defect = defect
     tolerance = e0 * 1e-3 + 1e-6
+
+    df8_tail_growth = 0.0
+    if last.cum_df8 != 0.0:
+        df8_tail_growth = (last.cum_df8 - records[start].cum_df8) / last.cum_df8
 
     return {
         "records": len(records),
@@ -281,9 +288,11 @@ def summarize(records):
         "entropy_audit": {
             "initial": e0,
             "max_defect": max_defect,
+            "min_defect": min_defect,
             "tolerance": tolerance,
             "ok": max_defect <= tolerance,
         },
         "energy_balance_residual": last.energy_balance_residual,
         "int_u4_max": extreme("int_u4", True),
+        "df8_tail_growth": df8_tail_growth,
     }

@@ -220,11 +220,9 @@ def test_criterion_5_large_time_decay_witness(audit_run):
 
 
 def test_criterion_6_df8_budget_plateau(seeded_runs):
-    growths = {}
-    for seed, records in seeded_runs.items():
-        cum = [r.cum_df8 for r in records]
-        i80 = math.floor(len(cum) * 0.8)
-        growths[seed] = (cum[-1] - cum[i80]) / cum[-1]
+    growths = {
+        seed: summarize(records)["df8_tail_growth"] for seed, records in seeded_runs.items()
+    }
     ok = all(g < 0.01 for g in growths.values())
     assert _criterion(
         6, "space-time gradient budget plateaus", ok,

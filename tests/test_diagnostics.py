@@ -495,6 +495,7 @@ def test_summarize_rest_state_ratios_are_zero():
     assert summary == bruteforce.summarize(records)
     assert summary["decay"]["final_over_max"] == 0.0
     assert summary["h1_final_over_max"] == {"vx": 0.0, "ux": 0.0, "thetax": 0.0}
+    assert summary["df8_tail_growth"] == 0.0
 
 
 @pytest.mark.parametrize("index, rise, monotone", [
@@ -520,7 +521,18 @@ def test_summarize_entropy_defect_at_the_tolerance(cum_d, ok):
     summary = summarize(edited)
     audit = summary["entropy_audit"]
     assert audit["tolerance"] == 1e-6 and audit["max_defect"] == cum_d
-    assert audit["ok"] is ok
+    assert audit["ok"] is ok and audit["min_defect"] == 0.0
+    assert summary == bruteforce.summarize(edited)
+
+
+def test_summarize_reports_the_signed_budget_and_df8_tail_growth():
+    records = short_run()  # 11 records: the tail runs from record 8
+    e0 = records[0].E
+    edited = [replace(r, E=e0, cum_D=-0.1 * k, cum_df8=float(k)) for k, r in enumerate(records)]
+    summary = summarize(edited)
+    assert summary["entropy_audit"]["max_defect"] == 0.0
+    assert summary["entropy_audit"]["min_defect"] == pytest.approx(-1.0, rel=1e-12)
+    assert summary["df8_tail_growth"] == 0.2
     assert summary == bruteforce.summarize(edited)
 
 
