@@ -26,11 +26,12 @@ AUDIT_SHA256 = {
     "halfline_isothermal": "3e100a17050cfdcdfc6dd824807825e141ccda951d090576fa91d0ba0520c0aa",
 }
 # summary.json echoes config values (setup, n_cells, half_length, t_end, the
-# truncation threshold), so these also pin how the run config is typed
+# truncation threshold), so these also pin how the run config is typed;
+# recorded last when it gained entropy_audit.min_defect and df8_tail_growth
 SUMMARY_SHA256 = {
-    "cauchy": "b9735fcb413480dbcc23711c6f6d2d9457c5f530c9d81b378574aef7f93a9566",
-    "halfline_insulated": "6a3b2bc269b511de6a08dda6d9eb9c543ac125bf4ea90966420d717aa3d5eb6c",
-    "halfline_isothermal": "5dd00290016a5de9957ff666c2ea0d1df2d50798521df6452cf34feddd6a7786",
+    "cauchy": "a0bd63323c1b6149f1a5ecdc0dcf1a2f50f8118cec703ad77063c7ac8e5ad688",
+    "halfline_insulated": "d094cf8540801b1cc9d93910cdf492161aef47f1dca8cef2ed5f13ee7c2fceb3",
+    "halfline_isothermal": "732b3cbbebfaa224591c5d2fae6e371214eb7286dc1bc5e3a64a909282521813",
 }
 # the run's snapshot files, sorted names and bytes, recorded once snapshots were
 # written as shortest round-trip decimals
