@@ -365,7 +365,6 @@ class AuditTrail:
         )
 
 
-
 #: a run's tail is its last fifth; there the sup norm may rise 1 % from record to record
 _TAIL_FRACTION, _TAIL_JITTER = 0.2, 0.01
 
@@ -374,8 +373,8 @@ def summarize(records: list[AuditRecord]) -> dict:
     """The verdicts of summary.json that a run's records give, in its key order.
 
     A ratio is 0.0 where its denominator is 0; the entropy budget E + cum_D - E0
-    is ok while its maximum stays within E0*1e-3 + 1e-6; df8_tail_growth is the
-    share of the final cum_df8 that accrued over the tail."""
+    is ok while its maximum stays within a thousandth of E0 plus 1e-6;
+    df8_tail_growth is the share of the final cum_df8 accrued over the tail."""
     e0, last = records[0].E, records[-1]
     start = math.floor(len(records) * (1.0 - _TAIL_FRACTION))
     linf = [r.lpinf_dev for r in records]
