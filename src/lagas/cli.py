@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -460,6 +459,8 @@ def sweep(raw: dict, jobs: int = 1) -> int:
     ]
 
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only --jobs pays its import
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             codes = list(pool.map(run, configs))
     else:

@@ -7,6 +7,7 @@ Everything here is value-like: grids and parameter sets are frozen, and a
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,16 @@ class DomainError(ValueError):
     """A physical quantity left its admissible range (v > 0, theta > 0, ...)."""
 
 
-class StiffnessError(RuntimeError):
+class _TimedError(RuntimeError):
+    """A run failure at state ``time``."""
+
+    def __reduce__(self):
+        # RuntimeError pickles as cls(*args), which drops the keyword-only time;
+        # the other fields come back with the instance state
+        return functools.partial(type(self), time=self.time), self.args, self.__dict__
+
+
+class StiffnessError(_TimedError):
     """The stable time step fell below the configured minimum at state ``time``."""
 
     def __init__(self, message: str, *, time: float) -> None:
@@ -49,7 +59,7 @@ class StiffnessError(RuntimeError):
         self.time = time
 
 
-class IntegrationError(RuntimeError):
+class IntegrationError(_TimedError):
     """A time step produced an invalid state."""
 
     def __init__(

@@ -6,19 +6,21 @@ perturbation is odd-reflected across x = 0 (so u(0) = 0 exactly), the
 temperature perturbation is even-reflected for the insulated wall (zero
 slope) and odd-reflected for the isothermal wall (value 1 at the wall).
 
-Manufactured solutions carry their own closed-form partials so the forcing
-terms can be evaluated exactly; a finite-difference oracle cross-checks the
-closed forms in the test-suite.  A manufactured field is its sampler:
-``field(x)`` computes the spatial profiles (and their exponentials) at the
-points x once and returns ``at(t)``, the :class:`Partials` there at time t;
-time enters every partial only through one scalar factor exp(-decay*t).
+Manufactured solutions are separable: each is the rest state (1, 0, 1)
+plus exp(-decay*t) times a fixed profile per field, with one decay rate
+shared by v, u and theta.  A field is its profile sampler, ``field(x) ->
+(F, F_x, F_xx)`` in closed form; a finite-difference oracle cross-checks
+those in the test-suite.  The forcing terms are polynomial in e =
+exp(-decay*t) and r = 1/(1 + e*F_v), so their coefficient profiles are
+built once per point set and each evaluation at a time t costs one scalar
+exp.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -37,7 +39,6 @@ from .integrate import StepControl, advance
 __all__ = [
     "InitialDataSpec",
     "build_initial_data",
-    "Partials",
     "ManufacturedSolution",
     "steady_solution",
     "gaussian_pulse_solution",
@@ -178,71 +179,51 @@ def build_initial_data(
     return state
 
 
-class Partials(NamedTuple):
-    """A field and the partials the sources read, at one point set and time."""
-
-    value: np.ndarray
-    dt: np.ndarray
-    dx: np.ndarray
-    dxx: np.ndarray
-
-
-#: a closed-form space-time field: ``field(x)`` returns ``at(t) -> Partials``
-Field = Callable[[np.ndarray], Callable[[float], Partials]]
+#: a closed-form profile: ``profile(x) -> (F, F_x, F_xx)`` at the points x
+Profile = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
 class ManufacturedSolution:
-    """Smooth positive fields (v, u, theta) used as an exact forced solution."""
+    """An exact forced solution (1, 0, 1) + exp(-decay*t) * (F_v, F_u, F_theta).
 
-    v: Field
-    u: Field
-    theta: Field
+    Each field is the :data:`Profile` of its deviation from the rest state;
+    one decay rate is shared by all three.
+    """
+
+    decay: float
+    v: Profile
+    u: Profile
+    theta: Profile
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.decay):
+            raise ConfigurationError(f"decay must be finite, got {self.decay!r}")
 
 
-def _constant_field(value: float) -> Field:
-    def sample(x):
-        zero = 0.0 * np.asarray(x, dtype=np.float64)
-        partials = Partials(value + zero, zero, zero, zero)
-        return lambda t: partials
-
-    return sample
+def _zero_profile(x):
+    zero = np.zeros_like(np.asarray(x, dtype=np.float64))
+    return zero, zero, zero
 
 
-def _gaussian_pulse_field(
-    amplitude: float, center: float, width: float, decay: float, baseline: float
-) -> Field:
-    if not (all(map(math.isfinite, (amplitude, center, width, decay))) and width > 0.0
-            and (baseline == 0.0 or baseline - abs(amplitude) > 0.0)):
+def _pulse_profile(amplitude: float, center: float, width: float) -> Profile:
+    if not (math.isfinite(amplitude) and math.isfinite(center) and 0.0 < width < math.inf):
         raise ConfigurationError(
-            f"pulse (amplitude, center, width, decay) = {(amplitude, center, width, decay)!r}:"
-            f" need all finite, width > 0 and |amplitude| < baseline {baseline!r} if nonzero"
+            f"pulse (amplitude, center, width) = {(amplitude, center, width)!r}:"
+            " need all finite and width > 0"
         )
 
-    def sample(x):
+    def profile(x):
         z = (np.asarray(x, dtype=np.float64) - center) / width
-        shape = np.exp(-z * z)
-        slope = -2.0 * z / width
-        curvature = 4.0 * z * z - 2.0
+        f = amplitude * np.exp(-z * z)
+        return f, f * (-2.0 * z / width), f * (4.0 * z * z - 2.0) / (width * width)
 
-        def at(t):
-            e = math.exp(-decay * t)
-            scaled = amplitude * e * shape
-            return Partials(
-                baseline + scaled, -decay * amplitude * e * shape,
-                scaled * slope, scaled * curvature / (width * width),
-            )
-
-        return at
-
-    return sample
+    return profile
 
 
 def steady_solution() -> ManufacturedSolution:
     """The rest state as a (trivial) manufactured solution."""
-    return ManufacturedSolution(
-        v=_constant_field(1.0), u=_constant_field(0.0), theta=_constant_field(1.0)
-    )
+    return ManufacturedSolution(1.0, _zero_profile, _zero_profile, _zero_profile)
 
 
 def gaussian_pulse_solution(
@@ -252,37 +233,26 @@ def gaussian_pulse_solution(
     decay: float = 1.0,
 ) -> ManufacturedSolution:
     """Time-decaying Gaussian pulses around the rest state."""
-    a_v, a_u, a_th = amplitudes
-    c_v_, c_u, c_th = centers
-    w_v, w_u, w_th = widths
-    return ManufacturedSolution(
-        v=_gaussian_pulse_field(a_v, c_v_, w_v, decay, 1.0),
-        u=_gaussian_pulse_field(a_u, c_u, w_u, decay, 0.0),
-        theta=_gaussian_pulse_field(a_th, c_th, w_th, decay, 1.0),
-    )
+    a_v, _, a_th = amplitudes
+    if not (abs(a_v) < 1.0 and abs(a_th) < 1.0):
+        raise ConfigurationError(
+            f"pulse amplitudes {amplitudes!r}: v and theta need |amplitude| < 1 to stay positive"
+        )
+    v, u, theta = map(_pulse_profile, amplitudes, centers, widths)
+    return ManufacturedSolution(decay, v, u, theta)
 
 
 def sine_temperature_solution(amplitude: float = 0.1, decay: float = 1.0) -> ManufacturedSolution:
     """v = 1, u = 0, theta = 1 + a*sin(x)*exp(-decay*t)."""
-    if not (abs(amplitude) < 1.0 and math.isfinite(decay)):
-        raise ConfigurationError(
-            f"sine needs |amplitude| < 1 and a finite decay, got {amplitude!r}, {decay!r}"
-        )
+    if not abs(amplitude) < 1.0:
+        raise ConfigurationError(f"sine needs |amplitude| < 1, got {amplitude!r}")
 
-    def sample(x):
-        sin = np.sin(np.asarray(x, float))
-        cos = np.cos(np.asarray(x, float))
+    def theta(x):
+        x = np.asarray(x, dtype=np.float64)
+        f = amplitude * np.sin(x)
+        return f, amplitude * np.cos(x), -f
 
-        def at(t):
-            e = math.exp(-decay * t)
-            return Partials(
-                1.0 + amplitude * e * sin, -decay * amplitude * e * sin,
-                amplitude * e * cos, -amplitude * e * sin,
-            )
-
-        return at
-
-    return ManufacturedSolution(v=_constant_field(1.0), u=_constant_field(0.0), theta=sample)
+    return ManufacturedSolution(decay, _zero_profile, _zero_profile, theta)
 
 
 def default_pulse_solution(setup: ProblemSetup, half_length: float) -> ManufacturedSolution:
@@ -304,28 +274,43 @@ def default_pulse_solution(setup: ProblemSetup, half_length: float) -> Manufactu
     )
 
 
-def _sample_fields(ms: ManufacturedSolution, x):
-    """``at(t)``: the (v, u, theta) partials at the points x."""
-    at_v, at_u, at_th = ms.v(x), ms.u(x), ms.theta(x)
-    return lambda t: (at_v(t), at_u(t), at_th(t))
+# With e = exp(-decay*t) and r = 1/(1 + e*F_v), the sources are
+#   mass      s_v  = e*K
+#   momentum  s_u  = e*(M0 + r*(M1 + r*(M2 + e*M3)))
+#   thermal   s_th = e*(T0 + r*(T1 + e*T2 + (e*r)*T3))
+# in time-independent coefficient profiles, built once per point set below;
+# s_th is the source of the c_v*theta_t equation.
 
 
-def _mass_thermal_sources(params: GasParams, v: Partials, u: Partials, th: Partials):
-    heat_over_v_x = th.dxx / v.value - th.dx * v.dx / (v.value * v.value)
-    s_v = v.dt - u.dx
-    s_th = (
-        params.c_v * th.dt
-        + params.R * (th.value / v.value) * u.dx
-        - params.kappa * heat_over_v_x
-        - params.mu * u.dx * u.dx / v.value
-    )
-    return s_v, s_th
+def _mass_thermal_sources(ms: ManufacturedSolution, params: GasParams, x):
+    """``at(e) -> (s_v, s_th)`` at the points x."""
+    (fv, fv_x, _), (_, fu_x, _), (fth, fth_x, fth_xx) = ms.v(x), ms.u(x), ms.theta(x)
+    k = -ms.decay * fv - fu_x
+    t0 = -params.c_v * ms.decay * fth
+    t1 = params.R * fu_x - params.kappa * fth_xx
+    t2 = (params.R * fth - params.mu * fu_x) * fu_x
+    t3 = params.kappa * fth_x * fv_x
+
+    def at(e: float):
+        r = 1.0 / (1.0 + e * fv)
+        return e * k, e * (t0 + r * (t1 + e * t2 + (e * r) * t3))
+
+    return at
 
 
-def _momentum_source(params: GasParams, v: Partials, u: Partials, th: Partials):
-    p_x = params.R * (th.dx / v.value - th.value * v.dx / (v.value * v.value))
-    strain_over_v_x = u.dxx / v.value - u.dx * v.dx / (v.value * v.value)
-    return u.dt + p_x - params.mu * strain_over_v_x
+def _momentum_source(ms: ManufacturedSolution, params: GasParams, x):
+    """``at(e) -> s_u`` at the points x."""
+    (fv, fv_x, _), (fu, fu_x, fu_xx), (fth, fth_x, _) = ms.v(x), ms.u(x), ms.theta(x)
+    m0 = -ms.decay * fu
+    m1 = params.R * fth_x - params.mu * fu_xx
+    m2 = -params.R * fv_x
+    m3 = (params.mu * fu_x - params.R * fth) * fv_x
+
+    def at(e: float):
+        r = 1.0 / (1.0 + e * fv)
+        return e * (m0 + r * (m1 + r * (m2 + e * m3)))
+
+    return at
 
 
 def manufactured_sources(
@@ -336,34 +321,37 @@ def manufactured_sources(
     Returned per equation: mass (v_t - u_x), momentum, and thermal, the
     latter scaled as the c_v*theta_t equation.
     """
-    fields = _sample_fields(ms, x)(t)
-    s_v, s_th = _mass_thermal_sources(params, *fields)
-    return s_v, _momentum_source(params, *fields), s_th
+    e = math.exp(-ms.decay * t)
+    s_v, s_th = _mass_thermal_sources(ms, params, x)(e)
+    return s_v, _momentum_source(ms, params, x)(e), s_th
 
 
 def make_source_rates(ms: ManufacturedSolution, params: GasParams, grid: MassGrid):
     """Adapt manufactured forcings to the rate layout the integrator expects.
 
     Mass and thermal rates sample at cell centers (thermal divided by c_v to
-    become a theta rate); the momentum rate samples at nodes.  The fields are
-    sampled once per point set here, so each ``rates(t)`` call only scales
-    the stored profiles.
+    become a theta rate); the momentum rate samples at nodes.  The coefficient
+    profiles are built once per point set here, so each ``rates(t)`` call
+    costs one scalar exp and a few array products.
     """
-    at_centers = _sample_fields(ms, grid.cell_centers())
-    at_nodes = _sample_fields(ms, grid.nodes())
+    mass_thermal = _mass_thermal_sources(ms, params, grid.cell_centers())
+    momentum = _momentum_source(ms, params, grid.nodes())
 
     def rates(t: float):
-        s_v, s_th = _mass_thermal_sources(params, *at_centers(t))
-        return s_v, _momentum_source(params, *at_nodes(t)), s_th / params.c_v
+        e = math.exp(-ms.decay * t)
+        s_v, s_th = mass_thermal(e)
+        return s_v, momentum(e), s_th / params.c_v
 
     return rates
 
 
 def sample_state(ms: ManufacturedSolution, grid: MassGrid, t: float = 0.0) -> FluidState:
     """Evaluate a manufactured solution on the grid."""
+    e = math.exp(-ms.decay * t)
     centers = grid.cell_centers()
-    nodes = grid.nodes()
-    return FluidState(t, ms.v(centers)(t).value, ms.theta(centers)(t).value, ms.u(nodes)(t).value)
+    return FluidState(
+        t, 1.0 + e * ms.v(centers)[0], 1.0 + e * ms.theta(centers)[0], e * ms.u(grid.nodes())[0]
+    )
 
 
 @dataclass(frozen=True)

@@ -296,3 +296,47 @@ def summarize(records):
         "int_u4_max": extreme("int_u4", True),
         "df8_tail_growth": df8_tail_growth,
     }
+
+
+def manufactured_sources(fields, decay, params, xs, t):
+    """Point-by-point forcings of a manufactured solution, in the closed forms
+    of the governing system (not the separable coefficient form).
+
+    ``fields`` gives (v, u, theta), each ``None`` for its rest value, or
+    ``("pulse", amplitude, center, width)`` for ``amplitude * exp(-z^2)``
+    with ``z = (x - center) / width``, or ``("sine", amplitude)`` for
+    ``amplitude * sin(x)``; every deviation is scaled by exp(-decay*t).
+    Returns the mass, momentum and thermal (c_v*theta_t) source lists.
+    """
+    e = math.exp(-decay * t)
+
+    def partials(field, rest, x):
+        """(value, d/dt, d/dx, d2/dx2) of one field at one point."""
+        if field is None:
+            return rest, 0.0, 0.0, 0.0
+        if field[0] == "sine":
+            a = field[1]
+            f, f_x, f_xx = a * math.sin(x), a * math.cos(x), -a * math.sin(x)
+        else:
+            _, a, center, width = field
+            z = (x - center) / width
+            f = a * math.exp(-z * z)
+            f_x = f * (-2.0 * z / width)
+            f_xx = f * (4.0 * z * z - 2.0) / (width * width)
+        return rest + e * f, -decay * e * f, e * f_x, e * f_xx
+
+    s_v, s_u, s_th = [], [], []
+    for x in xs:
+        v, v_t, v_x, _ = partials(fields[0], 1.0, x)
+        _, u_t, u_x, u_xx = partials(fields[1], 0.0, x)
+        th, th_t, th_x, th_xx = partials(fields[2], 1.0, x)
+        s_v.append(v_t - u_x)
+        p_x = params.R * (th_x / v - th * v_x / (v * v))
+        s_u.append(u_t + p_x - params.mu * (u_xx / v - u_x * v_x / (v * v)))
+        s_th.append(
+            params.c_v * th_t
+            + params.R * (th / v) * u_x
+            - params.kappa * (th_xx / v - th_x * v_x / (v * v))
+            - params.mu * u_x * u_x / v
+        )
+    return s_v, s_u, s_th

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -426,6 +429,18 @@ def test_main_nested_set_override(tmp_path):
     assert code == EXIT_OK
     audit = (tmp_path / "o" / "audit.csv").read_text().splitlines()
     assert len(audit) > 2
+
+
+def test_importing_cli_leaves_the_process_pool_unloaded():
+    # only `sweep --jobs N` needs the pool; importing it costs every other command
+    src = os.path.dirname(os.path.dirname(lagas.integrate.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, lagas.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 class _FakeStdin:

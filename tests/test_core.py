@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from lagas import (
     ConfigurationError,
     FluidState,
     GasParams,
+    IntegrationError,
     MassGrid,
     ProblemSetup,
     SetupKind,
+    StiffnessError,
     make_grid,
     steady_state,
     validate_state,
@@ -172,3 +175,21 @@ def test_only_half_line_setups_have_a_wall():
     assert not ProblemSetup(SetupKind.CAUCHY).has_wall
     assert ProblemSetup(SetupKind.HALFLINE_INSULATED).has_wall
     assert ProblemSetup(SetupKind.HALFLINE_ISOTHERMAL).has_wall
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        StiffnessError("dt collapsed", time=1.25),
+        IntegrationError("theta <= 0", time=2.5, stage=3, cell=17, field_name="theta"),
+        IntegrationError("non-finite u", time=0.5),
+    ],
+    ids=["stiffness", "integration", "integration-no-context"],
+)
+def test_run_errors_survive_pickling(error):
+    # a worker process of `lagas sweep --jobs` sends its failures back pickled
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error)
+    assert str(back) == str(error)
+    for name in ("time", "stage", "cell", "field_name"):
+        assert getattr(back, name, None) == getattr(error, name, None), name

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import bruteforce
 from lagas import (
     ConfigurationError,
     GasParams,
@@ -22,7 +23,7 @@ from lagas import (
     steady_state,
     validate_state,
 )
-from lagas.verification import Partials, gaussian_pulse_solution, sine_temperature_solution
+from lagas.verification import gaussian_pulse_solution, sine_temperature_solution
 
 
 # ---------------------------------------------------------------- initial data
@@ -167,22 +168,31 @@ def _fd(f, x, t, var, order, h=1e-3):
     return (-m2 + 16.0 * m1 - 30.0 * center + 16.0 * p1 - p2) / (12.0 * h * h)
 
 
-def _values(field):
-    """The field's value as a function of (x, t), its partials unused."""
-    return lambda x, t: field(x)(t).value
+REST = {"v": 1.0, "u": 0.0, "theta": 1.0}
+
+
+def _values(ms, name):
+    """The field's value as a function of (x, t), its closed-form partials unused."""
+    profile = getattr(ms, name)
+    return lambda x, t: REST[name] + math.exp(-ms.decay * t) * profile(x)[0]
+
+
+def _time_rate(ms, name, x, t):
+    """The closed-form time derivative of one field."""
+    return -ms.decay * math.exp(-ms.decay * t) * getattr(ms, name)(x)[0]
 
 
 def _fd_sources(ms, params, x, t):
-    v = ms.v(x)(t).value
-    th = ms.theta(x)(t).value
-    u_x = _fd(_values(ms.u), x, t, "x", 1)
-    v_x = _fd(_values(ms.v), x, t, "x", 1)
-    th_x = _fd(_values(ms.theta), x, t, "x", 1)
-    u_xx = _fd(_values(ms.u), x, t, "x", 2)
-    th_xx = _fd(_values(ms.theta), x, t, "x", 2)
-    v_t = _fd(_values(ms.v), x, t, "t", 1)
-    u_t = _fd(_values(ms.u), x, t, "t", 1)
-    th_t = _fd(_values(ms.theta), x, t, "t", 1)
+    v = _values(ms, "v")(x, t)
+    th = _values(ms, "theta")(x, t)
+    u_x = _fd(_values(ms, "u"), x, t, "x", 1)
+    v_x = _fd(_values(ms, "v"), x, t, "x", 1)
+    th_x = _fd(_values(ms, "theta"), x, t, "x", 1)
+    u_xx = _fd(_values(ms, "u"), x, t, "x", 2)
+    th_xx = _fd(_values(ms, "theta"), x, t, "x", 2)
+    v_t = _fd(_values(ms, "v"), x, t, "t", 1)
+    u_t = _fd(_values(ms, "u"), x, t, "t", 1)
+    th_t = _fd(_values(ms, "theta"), x, t, "t", 1)
     p_x = params.R * (th_x / v - th * v_x / v**2)
     s_v = v_t - u_x
     s_u = u_t + p_x - params.mu * (u_xx / v - u_x * v_x / v**2)
@@ -204,8 +214,16 @@ def _fd_sources(ms, params, x, t):
             centers=(-1.0, 0.5, 0.0),
             widths=(1.8, 1.8, 1.8),
         ),
+        # at decay 1 a decay factor misplaced in a coefficient goes unseen
+        sine_temperature_solution(0.1, decay=0.7),
+        gaussian_pulse_solution(
+            amplitudes=(0.15, 0.12, -0.12),
+            centers=(-1.0, 0.5, 0.0),
+            widths=(1.8, 1.8, 1.8),
+            decay=0.6,
+        ),
     ],
-    ids=["sine-theta", "gaussian-pulse"],
+    ids=["sine-theta", "gaussian-pulse", "sine-theta-decay-0.7", "gaussian-pulse-decay-0.6"],
 )
 def test_closed_form_sources_match_fd_oracle(solution, params):
     rng = np.random.default_rng(2024)
@@ -216,6 +234,33 @@ def test_closed_form_sources_match_fd_oracle(solution, params):
         approx = _fd_sources(solution, params, np.array([x]), t)
         for e, a in zip(exact, approx):
             assert float(a[0]) == pytest.approx(float(e[0]), rel=1e-8, abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    ("solution", "fields"),
+    [
+        (steady_solution(), (None, None, None)),
+        (sine_temperature_solution(0.3, decay=0.7), (None, None, ("sine", 0.3))),
+        (
+            gaussian_pulse_solution(
+                amplitudes=(0.15, -0.12, 0.2), centers=(-1.0, 0.5, 0.0),
+                widths=(1.8, 0.9, 1.3), decay=0.6,
+            ),
+            (("pulse", 0.15, -1.0, 1.8), ("pulse", -0.12, 0.5, 0.9), ("pulse", 0.2, 0.0, 1.3)),
+        ),
+    ],
+    ids=["steady", "sine-theta", "gaussian-pulse"],
+)
+def test_separable_sources_match_loop_oracle(solution, fields, params):
+    # the coefficient-profile form regroups the closed-form sources, so it
+    # matches them to rounding, not bit for bit
+    rng = np.random.default_rng(7)
+    for t in rng.uniform(0.0, 3.0, 8):
+        x = rng.uniform(-4.0, 4.0, 200)
+        oracle = bruteforce.manufactured_sources(fields, solution.decay, params, x, t)
+        for got, want in zip(manufactured_sources(solution, params, x, t), oracle):
+            want = np.asarray(want)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def _bits(a) -> bytes:
@@ -236,21 +281,22 @@ def _bits(a) -> bytes:
 )
 @pytest.mark.parametrize("kind", list(SetupKind), ids=lambda k: k.value)
 def test_source_rates_equal_pointwise_sources_bit_for_bit(solution, kind, params):
-    # make_source_rates samples each field once per grid and reuses the
-    # profiles at every t; that must give the bits of a fresh evaluation
+    # make_source_rates builds the coefficient profiles once per grid and
+    # reuses them at every t; that must give the bits of a fresh evaluation,
+    # and sample_state the bits of rest + exp(-decay*t) * profile
     grid = make_grid(ProblemSetup(kind), 10.0, 48)
     centers, nodes = grid.cell_centers(), grid.nodes()
     rates = make_source_rates(solution, params, grid)
-    at_nodes = [field(nodes) for field in (solution.v, solution.u, solution.theta)]
     for t in np.random.default_rng(11).uniform(0.0, 3.0, 6):
         s_v, s_u, s_th = rates(t)
         c_mass, _, c_th = manufactured_sources(solution, params, centers, t)
         assert _bits(s_v) == _bits(c_mass)
         assert _bits(s_u) == _bits(manufactured_sources(solution, params, nodes, t)[1])
         assert _bits(s_th) == _bits(c_th / params.c_v)
-        for field, at in zip((solution.v, solution.u, solution.theta), at_nodes):
-            for name, sampled, fresh in zip(Partials._fields, at(t), field(nodes)(t)):
-                assert _bits(fresh) == _bits(sampled), name
+        state = sample_state(solution, grid, t)
+        for name in REST:
+            x = nodes if name == "u" else centers
+            assert _bits(getattr(state, name)) == _bits(_values(solution, name)(x, t)), name
 
 
 @pytest.mark.parametrize(
@@ -288,9 +334,9 @@ def test_forced_rhs_consistent_with_analytic_rates(kind, params):
         d = rhs(state, grid, params, setup, rates)
         centers, nodes = grid.cell_centers(), grid.nodes()
         err = max(
-            np.abs(d.dv - ms.v(centers)(0.0).dt).max(),
-            np.abs(d.du[1:-1] - ms.u(nodes)(0.0).dt[1:-1]).max(),
-            np.abs(d.dtheta - ms.theta(centers)(0.0).dt).max(),
+            np.abs(d.dv - _time_rate(ms, "v", centers, 0.0)).max(),
+            np.abs(d.du[1:-1] - _time_rate(ms, "u", nodes, 0.0)[1:-1]).max(),
+            np.abs(d.dtheta - _time_rate(ms, "theta", centers, 0.0)).max(),
         )
         errs.append(err)
     assert errs[0] / errs[1] > 3.0  # ~4x under dm halving
