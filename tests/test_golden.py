@@ -40,11 +40,12 @@ SNAPSHOT_SHA256 = {
     "halfline_insulated": "934be6e93ce97479c4996265e44e71788b2bedf389da65e47b55e37075c5157f",
     "halfline_isothermal": "35216872af8f22f3fdc94fbe37a3b8a3c2f7c2307e9c6ee7e2c6c65e586fbd8e",
 }
-# the final state of a forced run of each setup's default pulse solution
+# the final state of a forced run of each setup's default pulse solution, recorded
+# last when the sources moved to the separable coefficient-profile form
 FORCED_SHA256 = {
-    "cauchy": "56f63ddcad026e06aefe570371190641e0e49836ae009e58065ff35e663677db",
-    "halfline_insulated": "ff6ee2a7c7a9d362d0b163594946ea10fdfe47a4bf371a90337713393e830fc0",
-    "halfline_isothermal": "a6c6d03f02fd8fa1a138f8b4cef789391e46f9fa848cc48416ed5446fbf0c406",
+    "cauchy": "28936d2e0fbfe899f3a500ac5d3ff6a408dc76308c5f8db1fe9fbb7d1f2c35ca",
+    "halfline_insulated": "3cfeccd26d7194f51b88d58e345d7571a4cfcf0baf71f57e1331b815dbd4c977",
+    "halfline_isothermal": "5189a2828f3eb3d897ee6e86a3e308b39005b40c2eeda686b091f54842e9c17b",
 }
 
 
