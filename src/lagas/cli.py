@@ -124,7 +124,8 @@ class RunConfig:
             ("t_end", math.isfinite(self.t_end) and self.t_end >= 0.0,
              f"must be >= 0, got {self.t_end}"),
             ("cadence", self.cadence > 0.0, f"must be positive, got {self.cadence}"),
-            ("truncation_threshold", self.truncation_threshold > 0.0, "must be positive"),
+            ("truncation_threshold", 0.0 < self.truncation_threshold < math.inf,
+             "must be finite and positive"),
             ("snapshot_every", self.snapshot_every is None or self.snapshot_every > 0.0,
              "must be positive"),
         ):
@@ -440,6 +441,8 @@ def sweep(raw: dict, jobs: int = 1) -> int:
 
     Every variant is parsed, and its grid and initial data built, before the
     first one runs."""
+    if jobs < 1:
+        raise ConfigurationError(f"--jobs must be >= 1, got {jobs}")
     base = dict(raw)
     variants = _json_object(base.pop("sweep", None), "sweep").get("variants")
     if not (isinstance(variants, list) and variants):

@@ -13,6 +13,10 @@ walls hold u = 0 strongly and apply the configured temperature rule.  The
 right end is always far field; the :class:`BoundaryRule` that
 :func:`ghost_closure` returns for a setup says how the left end closes.
 
+:func:`rhs` evaluates the thermal rate in stress-power form,
+c_v * theta_t = (kappa * theta_x / v)_x + sigma * u_x with the momentum stress
+sigma = mu * u_x / v - p; in exact arithmetic that is the third line above.
+
 All operators are pure functions of their inputs and deterministic.
 """
 
@@ -79,36 +83,36 @@ class StateDerivative:
 def _boundary_heat_fluxes(
     v: np.ndarray, th: np.ndarray, dm: float, left: BoundaryRule, kappa: float
 ) -> tuple[float, float]:
-    """Heat flux through the left and right closures (scheme's own formulas)."""
+    """Heat flux through the left and right closures, as Python floats: the interior
+    formula against a ghost cell (1, 1), or against the isothermal wall at dm/2."""
+    c = 2.0 * kappa / dm
+    th0 = th.item(0) - 1.0
     if left is BoundaryRule.FAR_FIELD:
-        flux_left = kappa * (th[0] - 1.0) / (dm * 0.5 * (v[0] + 1.0))
+        flux_left = c * (th0 / (v.item(0) + 1.0))
     elif left is BoundaryRule.WALL_INSULATED:
         flux_left = 0.0
-    else:  # isothermal wall: one-sided difference against the wall value at dm/2
-        flux_left = kappa * (th[0] - 1.0) / (0.5 * dm * v[0])
-    flux_right = kappa * (1.0 - th[-1]) / (dm * 0.5 * (1.0 + v[-1]))
-    return float(flux_left), float(flux_right)
+    else:
+        flux_left = c * (th0 / v.item(0))
+    return flux_left, c * ((1.0 - th.item(-1)) / (1.0 + v.item(-1)))
 
 
-def _heat_flux(
-    v: np.ndarray, th: np.ndarray, dm: float, left: BoundaryRule, kappa: float
-) -> np.ndarray:
-    flux = np.empty(v.shape[0] + 1)
-    flux[1:-1] = kappa * (th[1:] - th[:-1]) / (dm * (0.5 * (v[:-1] + v[1:])))
-    flux[0], flux[-1] = _boundary_heat_fluxes(v, th, dm, left, kappa)
-    return flux
+def _heat_flux(v, th, dm: float, left: BoundaryRule, kappa: float, out: np.ndarray):
+    """Heat flux (2*kappa/dm)*(theta_i - theta_{i-1})/(v_{i-1} + v_i) into ``out``."""
+    inner = np.subtract(th[1:], th[:-1], out=out[1:-1])
+    inner /= v[:-1] + v[1:]
+    inner *= 2.0 * kappa / dm
+    out[0], out[-1] = _boundary_heat_fluxes(v, th, dm, left, kappa)
+    return out
 
 
 def heat_flux_faces(
     state: FluidState, grid: MassGrid, rule: BoundaryRule, kappa: float
 ) -> np.ndarray:
-    """Heat flux kappa*theta_x/v at every node (face), one per node.
-
-    Interior faces use the face difference of theta over the arithmetic-mean
-    specific volume; the left boundary face follows ``rule`` and the right
-    one the far-field closure.
-    """
-    return _heat_flux(state.v, state.theta, grid.dm, rule, kappa)
+    """Heat flux kappa*theta_x/v at every node (face): the face difference of theta over
+    the arithmetic-mean specific volume, the left face closed by ``rule``, the right one
+    by the far field.  ``rhs`` and ``boundary_power`` use the same fluxes."""
+    out = np.empty(grid.n_cells + 1)
+    return _heat_flux(state.v, state.theta, grid.dm, rule, kappa, out)
 
 
 def _far_field_stress(u_out: float, params: GasParams, dm: float) -> float:
@@ -126,49 +130,42 @@ def rhs(
     """Semi-discrete rates for (v, u, theta).
 
     Interior node i feels the stress difference of its two neighbor cells,
-    stress = mu*u_x/v - p.  Far-field boundary nodes see a ghost cell at the
-    rest state whose strain uses a ghost node with u = 0; a wall node has
-    du = 0, imposing u(0, t) = 0 strongly.  ``sources`` are optional extra
-    rates (dv, du, dtheta), e.g. manufactured forcings.  ``state`` may be a
-    FluidState or a packed ``[v | theta | u]`` stage; the rates come back
-    packed the same way.
+    stress = (mu*u_x - R*theta)/v.  Far-field boundary nodes see a ghost cell
+    at the rest state whose strain uses a ghost node with u = 0; a wall node
+    has du = 0, imposing u(0, t) = 0 strongly.  ``sources`` are optional
+    extra rates (dv, du, dtheta), e.g. manufactured forcings.  ``state`` may
+    be a FluidState or a packed ``[v | theta | u]`` stage; the rates come
+    back packed the same way.
     """
     y = state if isinstance(state, np.ndarray) else state.packed()
     n = grid.n_cells
     require_positive("rhs", y[: 2 * n])
     left = ghost_closure(setup)
     v, th, u = y[:n], y[n : 2 * n], y[2 * n :]
-    dm, mu = grid.dm, params.mu
+    dm = grid.dm
 
     rates = np.empty_like(y)
     dv, dth, du = rates[:n], rates[n : 2 * n], rates[2 * n :]
-    # the module docstring's formulas in their order, in place where that
-    # saves a temporary; dv holds u_x until sources are added
-    s = np.subtract(u[1:], u[:-1], out=dv)
+    # faces holds [heat flux (n + 1) | stress (n) | right ghost stress]: one
+    # difference of it is the flux divergence followed by every du, with the
+    # seam (stress[0] - flux[n]) on du[0], which the left closure then sets
+    faces = np.empty(2 * n + 2)
+    _heat_flux(v, th, dm, left, params.kappa, faces[: n + 1])
+    s = np.subtract(u[1:], u[:-1], out=dv)  # u_x; dv until sources are added
     s /= dm
-    p = params.R * th
-    p /= v
-    stress = s / v
-    stress *= mu
-    stress -= p
-    inner = np.subtract(stress[1:], stress[:-1], out=du[1:-1])
-    inner /= dm
-    du[-1] = (_far_field_stress(u[-1], params, dm) - stress[-1]) / dm
+    stress = np.multiply(s, params.mu, out=faces[n + 1 : -1])
+    rt = params.R * th
+    stress -= rt
+    stress /= v
+    faces[-1] = _far_field_stress(u.item(-1), params, dm)
+    np.subtract(faces[1:], faces[:-1], out=rates[n:])
+    rates[n:] /= dm
     if left is BoundaryRule.FAR_FIELD:
-        du[0] = (stress[0] - _far_field_stress(-u[0], params, dm)) / dm
+        du[0] = (stress.item(0) - _far_field_stress(-u.item(0), params, dm)) / dm
     else:
         du[0] = 0.0
-    # c_v*dtheta = -p*s + diff(flux)/dm + mu*s*s/v; c + (-p*s) == c - p*s exactly
-    flux = _heat_flux(v, th, dm, left, params.kappa)
-    work = np.subtract(flux[1:], flux[:-1])
-    work /= dm
-    p *= s
-    work -= p
-    heating = mu * s
-    heating *= s
-    heating /= v
-    work += heating
-    np.divide(work, params.c_v, out=dth)
+    dth += np.multiply(s, stress, out=rt)  # c_v*dtheta: plus the stress power
+    dth /= params.c_v
 
     if sources is not None:
         sv, su, sth = sources
@@ -194,8 +191,7 @@ def boundary_power(
     n, dm = grid.n_cells, grid.dm
     left = ghost_closure(setup)
     f_left, f_right = _boundary_heat_fluxes(y[:n], y[n : 2 * n], dm, left, params.kappa)
-    u0 = float(y[2 * n])
-    un = float(y[-1])
+    u0, un = y.item(2 * n), y.item(-1)
     work = un * _far_field_stress(un, params, dm)
     if left is BoundaryRule.FAR_FIELD:
         work -= u0 * _far_field_stress(-u0, params, dm)

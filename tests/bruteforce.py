@@ -136,8 +136,31 @@ def strain_rate(state, grid):
     return [(state.u[j + 1] - state.u[j]) / grid.dm for j in range(state.n_cells)]
 
 
-def rhs(state, grid, params, setup):
-    """Stencil-by-stencil rate evaluation, including the boundary closures."""
+def heat_flux(state, grid, params, setup, i):
+    """Heat flux kappa*theta_x/v through face (node) i, boundary closures included."""
+    from lagas.core import SetupKind
+
+    dm, n = grid.dm, state.n_cells
+    v, th = state.v, state.theta
+    if i == 0:
+        if setup.kind is SetupKind.CAUCHY:
+            return params.kappa * (th[0] - 1.0) / (dm * 0.5 * (v[0] + 1.0))
+        if setup.kind is SetupKind.HALFLINE_INSULATED:
+            return 0.0
+        return params.kappa * (th[0] - 1.0) / (0.5 * dm * v[0])
+    if i == n:
+        return params.kappa * (1.0 - th[n - 1]) / (dm * 0.5 * (1.0 + v[n - 1]))
+    v_face = 0.5 * (v[i - 1] + v[i])
+    return params.kappa * (th[i] - th[i - 1]) / (dm * v_face)
+
+
+def rhs(state, grid, params, setup, sources=None):
+    """Stencil-by-stencil rate evaluation, including the boundary closures.
+
+    The thermal rate is the governing equation's -p*s + (flux)_x + mu*s*s/v,
+    term by term.  ``sources`` = (dv, du, dtheta) are added to the rates; a
+    wall node's du stays 0 under them.
+    """
     from lagas.core import SetupKind
 
     dm = grid.dm
@@ -172,16 +195,7 @@ def rhs(state, grid, params, setup):
         du[0] = 0.0
 
     def flux(i):
-        if i == 0:
-            if setup.kind is SetupKind.CAUCHY:
-                return params.kappa * (th[0] - 1.0) / (dm * 0.5 * (v[0] + 1.0))
-            if setup.kind is SetupKind.HALFLINE_INSULATED:
-                return 0.0
-            return params.kappa * (th[0] - 1.0) / (0.5 * dm * v[0])
-        if i == n:
-            return params.kappa * (1.0 - th[n - 1]) / (dm * 0.5 * (1.0 + v[n - 1]))
-        v_face = 0.5 * (v[i - 1] + v[i])
-        return params.kappa * (th[i] - th[i - 1]) / (dm * v_face)
+        return heat_flux(state, grid, params, setup, i)
 
     dth = []
     for j in range(n):
@@ -191,6 +205,13 @@ def rhs(state, grid, params, setup):
         heating = params.mu * s * s / v[j]
         dth.append((work + heat + heating) / params.c_v)
 
+    if sources is not None:
+        sv, su, sth = sources
+        dv = [dv[j] + sv[j] for j in range(n)]
+        du = [du[i] + su[i] for i in range(n + 1)]
+        dth = [dth[j] + sth[j] for j in range(n)]
+        if setup.kind is not SetupKind.CAUCHY:
+            du[0] = 0.0
     return dv, du, dth
 
 

@@ -373,6 +373,18 @@ def test_sweep_checks_every_variant_before_running_any(tmp_path, bad, message):
     assert not list(tmp_path.glob("sweep/variant_*"))
 
 
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_sweep_rejects_fewer_than_one_job(tmp_path, capsys, jobs):
+    out = tmp_path / "sweep"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(
+        MINIMAL, n=64, t_end=0.2, out_dir=str(out), sweep={"variants": [{}]},
+    )))
+    assert main(["sweep", str(path), "--jobs", str(jobs)]) == EXIT_CONFIG
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_requires_variants(tmp_path):
     with pytest.raises(ConfigurationError, match="variants"):
         sweep(dict(MINIMAL, sweep={}))
@@ -402,11 +414,14 @@ def test_main_reports_config_errors(tmp_path, capsys):
     ("initial_data", '{"width": 1e400}'),
     ("initial_data", '{"center": -1e400}'),
     ("initial_data", '{"amplitude_u": NaN}'),
-], ids=["random-seed", "gaussian-seed", "floor", "width-inf", "center-inf", "amplitude-nan"])
+    ("truncation_threshold", "1e400"),
+], ids=["random-seed", "gaussian-seed", "floor", "width-inf", "center-inf", "amplitude-nan",
+        "truncation-inf"])
 def test_main_rejects_bad_numbers_before_any_output(tmp_path, capsys, section, body):
     # numpy's generator raises a bare ValueError on a negative seed, an
-    # infinite floor would fail only mid-run, and an infinite width turns the
-    # bump into a uniform offset that never decays to the rest state: all are
+    # infinite floor would fail only mid-run, an infinite width turns the
+    # bump into a uniform offset that never decays to the rest state, and an
+    # infinite truncation threshold passes every truncation audit: all are
     # config errors, caught before any file is written
     out = tmp_path / "out"
     raw = json.dumps(dict(MINIMAL, n=64, t_end=0.2, out_dir=str(out)))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bruteforce
@@ -153,6 +153,55 @@ def test_rhs_matches_bruteforce_stencils(setup, params):
     assert np.allclose(d.dv, dv, rtol=1e-12, atol=1e-12)
     assert np.allclose(d.du, du, rtol=1e-12, atol=1e-12)
     assert np.allclose(d.dtheta, dth, rtol=1e-12, atol=1e-12)
+
+
+def assert_close_to_oracle(actual, expected, rel=1e-12):
+    """Every entry within ``rel`` times the oracle's largest magnitude."""
+    expected = np.asarray(expected)
+    assert np.max(np.abs(actual - expected)) <= rel * np.max(np.abs(expected))
+
+
+ORACLE_PARAMS = [GasParams(mu=1.0, kappa=1.0, R=1.0, c_v=1.5),
+                 GasParams(mu=0.7, kappa=1.3, R=2.0, c_v=1.1)]
+
+
+@given(
+    n=st.integers(min_value=4, max_value=40),
+    kind=st.sampled_from(list(SetupKind)),
+    params=st.sampled_from(ORACLE_PARAMS),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(n=4, kind=SetupKind.CAUCHY, params=ORACLE_PARAMS[1], seed=0)
+@example(n=4, kind=SetupKind.HALFLINE_ISOTHERMAL, params=ORACLE_PARAMS[1], seed=1)
+@settings(max_examples=60, deadline=None)
+def test_rhs_matches_loop_oracle_with_and_without_sources(n, kind, params, seed):
+    # rhs takes the thermal rate as flux divergence plus stress power s*stress
+    # and one difference pass over [flux | stress | ghost stress]; the oracle
+    # sums -p*s + (flux)_x + mu*s*s/v stencil by stencil.  At n = 4 the
+    # seam of that pass lands on du[0] next to only three interior nodes.
+    setup = ProblemSetup(kind)
+    grid = make_grid(setup, 3.0, n)
+    state = random_state(grid, seed=seed)
+    if setup.has_wall:
+        state.u[0] = 0.0
+    rng = np.random.default_rng(seed)
+    sources = (rng.uniform(-2.0, 2.0, n), rng.uniform(-2.0, 2.0, n + 1),
+               rng.uniform(-2.0, 2.0, n))
+    for extra in (None, sources):
+        d = rhs(state, grid, params, setup, extra)
+        expected = bruteforce.rhs(state, grid, params, setup, extra)
+        for actual, oracle in zip((d.dv, d.du, d.dtheta), expected):
+            assert_close_to_oracle(actual, oracle)
+
+    flux = heat_flux_faces(state, grid, ghost_closure(setup), params.kappa)
+    oracle = [bruteforce.heat_flux(state, grid, params, setup, i) for i in range(n + 1)]
+    assert_close_to_oracle(flux, oracle)
+
+    # d/dt total_energy == boundary_power, to 1e-12 of the summed magnitudes
+    d = rhs(state, grid, params, setup)
+    terms = np.concatenate([params.c_v * d.dtheta, state.u * d.du]) * grid.dm
+    power = boundary_power(state, grid, params, setup)
+    assert abs(float(terms.sum()) - power) <= 1e-12 * float(np.abs(terms).sum())
 
 
 @pytest.mark.parametrize("setup", ALL_SETUPS, ids=lambda s: s.kind.value)
