@@ -1,8 +1,8 @@
 """Byte-level regression pins for the stepping core.
 
 The sha256 digests below were recorded with numpy 2.4.6 on x86-64, last when
-SSPRK(4,3) with its SSP-scaled diffusive limit replaced SSP-RK3 and the
-audit's int_u4 became a squared square.  A change that keeps
+rhs took the thermal rate in stress-power form and the heat flux and stress
+from one face-difference pass (all four sets moved).  A change that keeps
 every formula and its evaluation order keeps them; a change to the numerics
 on purpose records new digests and says in CHANGES.md what moved.  The
 initial data and the audit use numpy's exp and log, whose last bit may differ
@@ -21,31 +21,31 @@ from lagas.cli import EXIT_OK, parse_config, run
 from lagas.verification import default_pulse_solution, make_source_rates, sample_state
 
 AUDIT_SHA256 = {
-    "cauchy": "f33492f020967a01ea2efb3993030e318eab61579e276a73ef0074f50be014c8",
-    "halfline_insulated": "ce5f404c2835b2aa074971ccef52d065626ec76ddf71875f53a4e1b733c28a04",
-    "halfline_isothermal": "3e100a17050cfdcdfc6dd824807825e141ccda951d090576fa91d0ba0520c0aa",
+    "cauchy": "0e72b5fd6a5976269f896b02b4038a7ffe2afdfa99912a5b464dc726af190c3d",
+    "halfline_insulated": "5d91376b1352becd42044cf1388ed0dcd6ffe628ed29c07367bb83cd382a966a",
+    "halfline_isothermal": "85024e5fd80a4ebe8c2dbb7ab7d38d49151b6ba8fbb5f6c9811e792dea60aad6",
 }
 # summary.json echoes config values (setup, n_cells, half_length, t_end, the
 # truncation threshold), so these also pin how the run config is typed;
-# recorded last when it gained entropy_audit.min_defect and df8_tail_growth
+# recorded last with the stress-power rhs
 SUMMARY_SHA256 = {
-    "cauchy": "a0bd63323c1b6149f1a5ecdc0dcf1a2f50f8118cec703ad77063c7ac8e5ad688",
-    "halfline_insulated": "d094cf8540801b1cc9d93910cdf492161aef47f1dca8cef2ed5f13ee7c2fceb3",
-    "halfline_isothermal": "732b3cbbebfaa224591c5d2fae6e371214eb7286dc1bc5e3a64a909282521813",
+    "cauchy": "e49b9f71d6049deb334ab7c0879d4545c03714b2f33b721b514fa93230a4d538",
+    "halfline_insulated": "d837a136a24697645dc5929657b1f33277b369e78cc3bf74428bd1fd3f658c40",
+    "halfline_isothermal": "2f3d648db2f20a797691e950b06d921b75a8a5f53e66bc3bfea70a038eea1a3c",
 }
-# the run's snapshot files, sorted names and bytes, recorded once snapshots were
-# written as shortest round-trip decimals
+# the run's snapshot files, sorted names and bytes (shortest round-trip
+# decimals), recorded last with the stress-power rhs
 SNAPSHOT_SHA256 = {
-    "cauchy": "836694216a34ef7a2fbbc33d470e241798d3380c2fbcbad2a63e0b2969fda41b",
-    "halfline_insulated": "934be6e93ce97479c4996265e44e71788b2bedf389da65e47b55e37075c5157f",
-    "halfline_isothermal": "35216872af8f22f3fdc94fbe37a3b8a3c2f7c2307e9c6ee7e2c6c65e586fbd8e",
+    "cauchy": "36978eff36ec92fde911827836e57b4ec2516f6a448586c20e0fd3519f463552",
+    "halfline_insulated": "267ef990241f2d3efaa34df22b2f11ba64dc9bc9381b213994781466132742e7",
+    "halfline_isothermal": "d3a82b8118ee136d30ee364c2544a3d41866300f482c281c59388314a7dc566f",
 }
 # the final state of a forced run of each setup's default pulse solution, recorded
-# last when the sources moved to the separable coefficient-profile form
+# last with the stress-power rhs
 FORCED_SHA256 = {
-    "cauchy": "28936d2e0fbfe899f3a500ac5d3ff6a408dc76308c5f8db1fe9fbb7d1f2c35ca",
-    "halfline_insulated": "3cfeccd26d7194f51b88d58e345d7571a4cfcf0baf71f57e1331b815dbd4c977",
-    "halfline_isothermal": "5189a2828f3eb3d897ee6e86a3e308b39005b40c2eeda686b091f54842e9c17b",
+    "cauchy": "5a3bd61f0d584eee077643944ee21479e17b48b2756951dccd8ea4a3b3ea4bda",
+    "halfline_insulated": "ddf33090e88aeb47772a936950492079e4ec5c29ed09f68aeca48ca81109080f",
+    "halfline_isothermal": "6c9f03b0b7389788f22989d89ff331adca8a3126883d2ccf98a1822de49d19e2",
 }
 
 
