@@ -96,7 +96,8 @@ def _boundary_heat_fluxes(
     return flux_left, c * ((1.0 - th.item(-1)) / (1.0 + v.item(-1)))
 
 
-def _heat_flux(v, th, dm: float, left: BoundaryRule, kappa: float, out: np.ndarray):
+def _heat_flux(v: np.ndarray, th: np.ndarray, dm: float, left: BoundaryRule, kappa: float,
+               out: np.ndarray) -> np.ndarray:
     """Heat flux (2*kappa/dm)*(theta_i - theta_{i-1})/(v_{i-1} + v_i) into ``out``."""
     inner = np.subtract(th[1:], th[:-1], out=out[1:-1])
     inner /= v[:-1] + v[1:]
@@ -164,7 +165,7 @@ def rhs(
         du[0] = (stress.item(0) - _far_field_stress(-u.item(0), params, dm)) / dm
     else:
         du[0] = 0.0
-    dth += np.multiply(s, stress, out=rt)  # c_v*dtheta: plus the stress power
+    dth += np.multiply(s, stress, out=rt)  # c_v*dtheta = diff(flux)/dm + s*stress
     dth /= params.c_v
 
     if sources is not None:
