@@ -190,6 +190,10 @@ class _Section:
             )
         return convert(value)
 
+    def take(self, key: str) -> Any:
+        """Take ``key`` as raw JSON; None when it is absent."""
+        return self._data.pop(key, None)
+
     def __contains__(self, key: str) -> bool:
         return key in self._data
 
@@ -444,9 +448,13 @@ def sweep(raw: dict, jobs: int = 1) -> int:
     if jobs < 1:
         raise ConfigurationError(f"--jobs must be >= 1, got {jobs}")
     base = dict(raw)
-    variants = _json_object(base.pop("sweep", None), "sweep").get("variants")
+    section = _Section(base.pop("sweep", None), "sweep")
+    variants = section.take("variants")
     if not (isinstance(variants, list) and variants):
         raise ConfigurationError("config key 'sweep.variants': must be a non-empty list")
+    section.finish()
+    # the sweep's root: checked here, as no variant parse sees it when all override it
+    base_out = _Section(base).take_typed("out_dir", "Path") if "out_dir" in base else None
 
     merged = []
     for i, variant in enumerate(variants):
@@ -455,7 +463,7 @@ def sweep(raw: dict, jobs: int = 1) -> int:
             config = config_from_dict(raw_i)
             _initial_state(config)
         merged.append((raw_i, config))
-    root_out = Path(base.get("out_dir", merged[0][1].out_dir))
+    root_out = merged[0][1].out_dir if base_out is None else base_out
     configs = [
         replace(config, out_dir=Path(raw_i.get("out_dir", root_out)) / f"variant_{i}")
         for i, (raw_i, config) in enumerate(merged)

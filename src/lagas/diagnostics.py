@@ -42,11 +42,13 @@ DEFAULT_EXCESS_THRESHOLDS = (1.5, 2.0, 3.0)
 
 
 def check_excess_thresholds(thresholds) -> tuple[float, ...]:
-    """The levels a of the truncated-excess audit, sorted; each must exceed 1, and
-    no two may share an audit column name ``excess_a{a:g}``."""
+    """The levels a of the truncated-excess audit, sorted; each must be finite and
+    exceed 1, and no two may share an audit column name ``excess_a{a:g}``."""
     levels = tuple(sorted(float(a) for a in thresholds))
-    if not levels or not all(a > 1.0 for a in levels):
-        raise DomainError(f"excess thresholds must be non-empty and each above 1, got {levels!r}")
+    if not levels or not all(1.0 < a < math.inf for a in levels):
+        raise DomainError(
+            f"excess thresholds must be non-empty, finite and each above 1, got {levels!r}"
+        )
     if len({f"{a:g}" for a in levels}) < len(levels):
         raise DomainError(f"excess thresholds must have distinct column names, got {levels!r}")
     return levels

@@ -7,11 +7,14 @@ The governing rates are
     c_v * theta_t = -p * u_x + (kappa * theta_x / v)_x + mu * u_x**2 / v
 
 with u_x the cell-centered divided difference of the node velocities and
-theta_x the face-centered difference of the cell temperatures.  Artificial
-far-field ends close with ghost cells pinned at the rest state (1, 0, 1);
-walls hold u = 0 strongly and apply the configured temperature rule.  The
-right end is always far field; the :class:`BoundaryRule` that
-:func:`ghost_closure` returns for a setup says how the left end closes.
+theta_x the face-centered difference of the cell temperatures.  The right end
+is always far field; the setup's kind says how the left end closes:
+
+- ``CAUCHY``: far field, a ghost cell (v, theta) = (1, 1) at full spacing and
+  a ghost node u = 0;
+- ``HALFLINE_INSULATED``: a solid wall, u = 0 held strongly, zero heat flux;
+- ``HALFLINE_ISOTHERMAL``: a solid wall, u = 0 held strongly, wall temperature
+  1 applied at half spacing.
 
 :func:`rhs` evaluates the thermal rate in stress-power form,
 c_v * theta_t = (kappa * theta_x / v)_x + sigma * u_x with the momentum stress
@@ -22,7 +25,6 @@ All operators are pure functions of their inputs and deterministic.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,37 +39,12 @@ from .core import (
 )
 
 __all__ = [
-    "BoundaryRule",
     "StateDerivative",
-    "ghost_closure",
     "heat_flux_faces",
     "rhs",
     "boundary_power",
     "total_energy",
 ]
-
-
-class BoundaryRule(enum.Enum):
-    """How one end of the truncated domain is closed."""
-
-    #: ghost cell (v, theta) = (1, 1) at full spacing; ghost node u = 0
-    FAR_FIELD = "far_field"
-    #: solid wall, u = 0, zero heat flux
-    WALL_INSULATED = "wall_insulated"
-    #: solid wall, u = 0, wall temperature 1 applied at half spacing
-    WALL_ISOTHERMAL = "wall_isothermal"
-
-
-_CLOSURES = {
-    SetupKind.CAUCHY: BoundaryRule.FAR_FIELD,
-    SetupKind.HALFLINE_INSULATED: BoundaryRule.WALL_INSULATED,
-    SetupKind.HALFLINE_ISOTHERMAL: BoundaryRule.WALL_ISOTHERMAL,
-}
-
-
-def ghost_closure(setup: ProblemSetup) -> BoundaryRule:
-    """How the left end of a problem setup closes; the right end is always far field."""
-    return _CLOSURES[setup.kind]
 
 
 @dataclass(frozen=True)
@@ -81,39 +58,39 @@ class StateDerivative:
 
 
 def _boundary_heat_fluxes(
-    v: np.ndarray, th: np.ndarray, dm: float, left: BoundaryRule, kappa: float
+    v: np.ndarray, th: np.ndarray, dm: float, kind: SetupKind, kappa: float
 ) -> tuple[float, float]:
     """Heat flux through the left and right closures, as Python floats: the interior
     formula against a ghost cell (1, 1), or against the isothermal wall at dm/2."""
     c = 2.0 * kappa / dm
     th0 = th.item(0) - 1.0
-    if left is BoundaryRule.FAR_FIELD:
+    if kind is SetupKind.CAUCHY:
         flux_left = c * (th0 / (v.item(0) + 1.0))
-    elif left is BoundaryRule.WALL_INSULATED:
+    elif kind is SetupKind.HALFLINE_INSULATED:
         flux_left = 0.0
     else:
         flux_left = c * (th0 / v.item(0))
     return flux_left, c * ((1.0 - th.item(-1)) / (1.0 + v.item(-1)))
 
 
-def _heat_flux(v: np.ndarray, th: np.ndarray, dm: float, left: BoundaryRule, kappa: float,
+def _heat_flux(v: np.ndarray, th: np.ndarray, dm: float, kind: SetupKind, kappa: float,
                out: np.ndarray) -> np.ndarray:
     """Heat flux (2*kappa/dm)*(theta_i - theta_{i-1})/(v_{i-1} + v_i) into ``out``."""
     inner = np.subtract(th[1:], th[:-1], out=out[1:-1])
     inner /= v[:-1] + v[1:]
     inner *= 2.0 * kappa / dm
-    out[0], out[-1] = _boundary_heat_fluxes(v, th, dm, left, kappa)
+    out[0], out[-1] = _boundary_heat_fluxes(v, th, dm, kind, kappa)
     return out
 
 
 def heat_flux_faces(
-    state: FluidState, grid: MassGrid, rule: BoundaryRule, kappa: float
+    state: FluidState, grid: MassGrid, params: GasParams, setup: ProblemSetup
 ) -> np.ndarray:
     """Heat flux kappa*theta_x/v at every node (face): the face difference of theta over
-    the arithmetic-mean specific volume, the left face closed by ``rule``, the right one
-    by the far field.  ``rhs`` and ``boundary_power`` use the same fluxes."""
+    the arithmetic-mean specific volume, the left face closed as ``setup`` says, the
+    right one by the far field.  ``rhs`` and ``boundary_power`` use the same fluxes."""
     out = np.empty(grid.n_cells + 1)
-    return _heat_flux(state.v, state.theta, grid.dm, rule, kappa, out)
+    return _heat_flux(state.v, state.theta, grid.dm, setup.kind, params.kappa, out)
 
 
 def _far_field_stress(u_out: float, params: GasParams, dm: float) -> float:
@@ -141,9 +118,8 @@ def rhs(
     y = state if isinstance(state, np.ndarray) else state.packed()
     n = grid.n_cells
     require_positive("rhs", y[: 2 * n])
-    left = ghost_closure(setup)
     v, th, u = y[:n], y[n : 2 * n], y[2 * n :]
-    dm = grid.dm
+    dm, kind = grid.dm, setup.kind
 
     rates = np.empty_like(y)
     dv, dth, du = rates[:n], rates[n : 2 * n], rates[2 * n :]
@@ -151,7 +127,7 @@ def rhs(
     # difference of it is the flux divergence followed by every du, with the
     # seam (stress[0] - flux[n]) on du[0], which the left closure then sets
     faces = np.empty(2 * n + 2)
-    _heat_flux(v, th, dm, left, params.kappa, faces[: n + 1])
+    _heat_flux(v, th, dm, kind, params.kappa, faces[: n + 1])
     s = np.subtract(u[1:], u[:-1], out=dv)  # u_x; dv until sources are added
     s /= dm
     stress = np.multiply(s, params.mu, out=faces[n + 1 : -1])
@@ -161,10 +137,8 @@ def rhs(
     faces[-1] = _far_field_stress(u.item(-1), params, dm)
     np.subtract(faces[1:], faces[:-1], out=rates[n:])
     rates[n:] /= dm
-    if left is BoundaryRule.FAR_FIELD:
+    if kind is SetupKind.CAUCHY:
         du[0] = (stress.item(0) - _far_field_stress(-u.item(0), params, dm)) / dm
-    else:
-        du[0] = 0.0
     dth += np.multiply(s, stress, out=rt)  # c_v*dtheta = diff(flux)/dm + s*stress
     dth /= params.c_v
 
@@ -173,9 +147,8 @@ def rhs(
         dv += sv
         du += su
         dth += sth
-        if left is not BoundaryRule.FAR_FIELD:
-            du[0] = 0.0  # the wall rate stays pinned even under forcing
-
+    if setup.has_wall:
+        du[0] = 0.0  # the wall rate stays pinned, even under forcing
     return StateDerivative(rates, dv, dth, du)
 
 
@@ -190,11 +163,10 @@ def boundary_power(
     """
     y = state if isinstance(state, np.ndarray) else state.packed()
     n, dm = grid.n_cells, grid.dm
-    left = ghost_closure(setup)
-    f_left, f_right = _boundary_heat_fluxes(y[:n], y[n : 2 * n], dm, left, params.kappa)
+    f_left, f_right = _boundary_heat_fluxes(y[:n], y[n : 2 * n], dm, setup.kind, params.kappa)
     u0, un = y.item(2 * n), y.item(-1)
     work = un * _far_field_stress(un, params, dm)
-    if left is BoundaryRule.FAR_FIELD:
+    if setup.kind is SetupKind.CAUCHY:
         work -= u0 * _far_field_stress(-u0, params, dm)
     return f_right - f_left + work
 

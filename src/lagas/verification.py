@@ -376,8 +376,8 @@ def check_refinement(n_list, t_end: float) -> tuple[int, ...]:
         raise ConfigurationError(f"n_list: every resolution must be >= 4 cells, got {n_list!r}")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ConfigurationError(f"n_list must be strictly increasing, got {n_list!r}")
-    if not t_end > 0.0:
-        raise ConfigurationError(f"t_end must be positive, got {t_end!r}")
+    if not 0.0 < t_end < math.inf:
+        raise ConfigurationError(f"t_end must be finite and positive, got {t_end!r}")
     return n_list
 
 

@@ -41,7 +41,7 @@ from lagas.diagnostics import (
     truncated_excess,
     z4_rate,
 )
-from lagas.scheme import ghost_closure, heat_flux_faces, rhs
+from lagas.scheme import heat_flux_faces, rhs
 
 GAS = GasParams(mu=1.0, kappa=1.0, R=1.0, c_v=1.5)
 CTRL = StepControl()
@@ -311,11 +311,10 @@ def test_criterion_9_boundary_condition_fidelity():
         amplitude_theta=0.5, width=1.0, center=2.0,
     )
     state = build_initial_data(spec, setup2, grid)
-    closure = ghost_closure(setup2)
     insulated_ok = True
     for _ in range(300):
         state = step(state, stable_dt(state, grid, GAS, CTRL), grid, GAS, setup2, CTRL)
-        flux = heat_flux_faces(state, grid, closure, GAS.kappa)
+        flux = heat_flux_faces(state, grid, GAS, setup2)
         insulated_ok = insulated_ok and flux[0] == 0.0 and state.u[0] == 0.0
 
     # isothermal wall: first-cell theta within O(dm) of 1, halving as n doubles

@@ -385,6 +385,21 @@ def test_sweep_rejects_fewer_than_one_job(tmp_path, capsys, jobs):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("base, message", [
+    ({"sweep": {"variants": [{}], "extra": 1}}, "unknown config key 'sweep.extra'"),
+    ({"out_dir": 5, "sweep": {"variants": [{"out_dir": "a"}, {"out_dir": "b"}]}},
+     "config key 'out_dir' must be a string"),
+], ids=["unknown-key", "base-out_dir-type"])
+def test_main_sweep_checks_its_own_keys(tmp_path, monkeypatch, capsys, base, message):
+    # neither key reaches a variant parse; both fail before any output
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(MINIMAL, n=64, t_end=0.2, **base)))
+    assert main(["sweep", str(path)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 def test_sweep_requires_variants(tmp_path):
     with pytest.raises(ConfigurationError, match="variants"):
         sweep(dict(MINIMAL, sweep={}))
@@ -415,14 +430,18 @@ def test_main_reports_config_errors(tmp_path, capsys):
     ("initial_data", '{"center": -1e400}'),
     ("initial_data", '{"amplitude_u": NaN}'),
     ("truncation_threshold", "1e400"),
+    ("mms", '{"t_end": 1e400}'),
+    ("excess_thresholds", "[1.5, 1e400]"),
 ], ids=["random-seed", "gaussian-seed", "floor", "width-inf", "center-inf", "amplitude-nan",
-        "truncation-inf"])
+        "truncation-inf", "mms-t_end-inf", "excess-inf"])
 def test_main_rejects_bad_numbers_before_any_output(tmp_path, capsys, section, body):
     # numpy's generator raises a bare ValueError on a negative seed, an
     # infinite floor would fail only mid-run, an infinite width turns the
     # bump into a uniform offset that never decays to the rest state, and an
-    # infinite truncation threshold passes every truncation audit: all are
-    # config errors, caught before any file is written
+    # infinite truncation threshold passes every truncation audit, an
+    # infinite mms t_end fails only inside the study, and an infinite excess
+    # level gives audit columns that are always 0: all are config errors,
+    # caught before any file is written
     out = tmp_path / "out"
     raw = json.dumps(dict(MINIMAL, n=64, t_end=0.2, out_dir=str(out)))
     path = tmp_path / "config.json"

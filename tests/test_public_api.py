@@ -30,6 +30,30 @@ def test_top_level_exports_exactly_what_it_imports():
     assert set(lagas.__all__) == imported
 
 
+def test_src_has_no_unused_imports():
+    # a deletion must not leave its imports behind: every module-level import
+    # is read somewhere in its module or re-exported through __all__
+    unused = []
+    for path in sorted(Path(lagas.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        exported = set(importlib.import_module(f"lagas.{path.stem}").__all__)
+        unused += [f"{path.name}: {name}" for name in sorted(bound - read - exported)]
+    assert unused == []
+
+
 def test_perfbench_trace_targets_exist(monkeypatch):
     # perfbench's tracer replaces these module attributes by name; a rename
     # would break traced benchmark runs while every other test still passes

@@ -14,14 +14,7 @@ from lagas import (
     make_grid,
     steady_state,
 )
-from lagas.scheme import (
-    BoundaryRule,
-    boundary_power,
-    ghost_closure,
-    heat_flux_faces,
-    rhs,
-    total_energy,
-)
+from lagas.scheme import boundary_power, heat_flux_faces, rhs, total_energy
 
 ALL_SETUPS = [ProblemSetup(kind) for kind in SetupKind]
 
@@ -68,19 +61,11 @@ def test_strain_rate_matches_bruteforce(cauchy, params):
     assert np.allclose(s, bruteforce.strain_rate(state, grid), rtol=1e-14)
 
 
-def test_ghost_closures_match_setups():
-    assert ghost_closure(ProblemSetup(SetupKind.CAUCHY)) is BoundaryRule.FAR_FIELD
-    assert ghost_closure(ProblemSetup(SetupKind.HALFLINE_INSULATED)) is BoundaryRule.WALL_INSULATED
-    assert (
-        ghost_closure(ProblemSetup(SetupKind.HALFLINE_ISOTHERMAL)) is BoundaryRule.WALL_ISOTHERMAL
-    )
-
-
 @pytest.mark.parametrize("setup", ALL_SETUPS, ids=lambda s: s.kind.value)
 def test_heat_flux_zero_for_unit_temperature(setup, params):
     grid = make_grid(setup, 2.0, 8)
     state = steady_state(grid)
-    flux = heat_flux_faces(state, grid, ghost_closure(setup), params.kappa)
+    flux = heat_flux_faces(state, grid, params, setup)
     assert np.all(flux == 0.0)
 
 
@@ -90,14 +75,14 @@ def test_heat_flux_interior_jump(cauchy, params):
     theta = np.ones(8)
     theta[4:] += delta
     state = FluidState(0.0, np.ones(8), theta, np.zeros(9))
-    flux = heat_flux_faces(state, grid, ghost_closure(cauchy), params.kappa)
+    flux = heat_flux_faces(state, grid, params, cauchy)
     assert flux[4] == pytest.approx(params.kappa * delta / grid.dm)
 
 
 def test_heat_flux_insulated_wall_is_exactly_zero(insulated, params):
     grid = make_grid(insulated, 2.0, 8)
     state = random_state(grid, seed=3)
-    flux = heat_flux_faces(state, grid, ghost_closure(insulated), params.kappa)
+    flux = heat_flux_faces(state, grid, params, insulated)
     assert flux[0] == 0.0
 
 
@@ -194,7 +179,7 @@ def test_rhs_matches_loop_oracle_with_and_without_sources(n, kind, params, seed)
         for actual, oracle in zip((d.dv, d.du, d.dtheta), expected):
             assert_close_to_oracle(actual, oracle)
 
-    flux = heat_flux_faces(state, grid, ghost_closure(setup), params.kappa)
+    flux = heat_flux_faces(state, grid, params, setup)
     oracle = [bruteforce.heat_flux(state, grid, params, setup, i) for i in range(n + 1)]
     assert_close_to_oracle(flux, oracle)
 
@@ -271,13 +256,19 @@ def test_rhs_propagates_domain_error(cauchy, params, field, value):
         rhs(state, grid, params, cauchy)
 
 
-def test_rhs_wall_rate_is_zero_even_with_sources(insulated, params):
-    grid = make_grid(insulated, 2.0, 8)
-    state = steady_state(grid)
+@pytest.mark.parametrize("setup", [s for s in ALL_SETUPS if s.has_wall],
+                         ids=lambda s: s.kind.value)
+def test_rhs_wall_rate_is_zero_even_with_sources(setup, params):
+    grid = make_grid(setup, 2.0, 8)
+    state = random_state(grid, seed=17)
+    state.u[0] = 0.0
     sources = (np.ones(8), np.ones(9), np.ones(8))
-    d = rhs(state, grid, params, insulated, sources)
-    assert d.du[0] == 0.0
-    assert np.all(d.dv == 1.0)
+    bare = rhs(state, grid, params, setup)
+    forced = rhs(state, grid, params, setup, sources)
+    assert bare.du[0] == 0.0
+    assert forced.du[0] == 0.0
+    assert np.array_equal(forced.dv, bare.dv + 1.0)
+    assert np.array_equal(forced.du[1:], bare.du[1:] + 1.0)
 
 
 @pytest.mark.parametrize("setup", ALL_SETUPS, ids=lambda s: s.kind.value)
