@@ -4,6 +4,7 @@
 Runs several seeds of rough (random Fourier) large initial data and reports
 the growth of the cumulative (1 + theta + u^2) u_x^2 + theta_x^2 budget over
 the last fifth of each run; a small value means the budget has saturated.
+Each line also gives the truncation audit's largest outer-cell deviation.
 """
 
 import argparse
@@ -40,12 +41,14 @@ def main() -> int:
         )
         state = build_initial_data(spec, setup, grid)
         _, records = advance(state, args.t_end, 0.1, grid, params, setup, ctrl)
-        growth = summarize(records)["df8_tail_growth"]
+        summary = summarize(records)
+        growth = summary["df8_tail_growth"]
         ok = growth < 0.01
         all_ok = all_ok and ok
         print(
             f"seed {seed:4d}: E0={records[0].E:7.3f}  cum_df8={records[-1].cum_df8:8.3f}  "
-            f"final-20% growth={growth:.4%}  {'ok' if ok else 'NOT plateaued'}"
+            f"final-20% growth={growth:.4%}  outer dev={summary['max_outer_deviation']:.1e}  "
+            f"{'ok' if ok else 'NOT plateaued'}"
         )
     return 0 if all_ok else 1
 

@@ -7,11 +7,12 @@ from a file path or stdin; ``--set key=value`` overrides nested keys.
 Output contract of ``run``:
   audit.csv     one row per diagnostic tick, fixed column order (header row)
   snap_<t>.csv  field snapshots (x_center, v, theta | x_node, u)
-  summary.json  bounds brackets, decay/truncation verdicts, energy residual
+  summary.json  the verdicts of ``summarize``, its max_outer_deviation held
+                against ``truncation_threshold`` as the truncation verdict
   failure.json  written instead of summary on integration failure
 
-Exit codes: 0 clean, 1 config error, 2 truncation-audit breach,
-3 integration failure, 4 convergence threshold missed (mms).
+Exit codes: 0 clean, 1 config error or unwritable output, 2 truncation-audit
+breach, 3 integration failure, 4 convergence threshold missed (mms).
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from .core import (
     ConfigurationError,
     DomainError,
@@ -39,6 +38,7 @@ from .core import (
     SetupKind,
     StiffnessError,
     make_grid,
+    validate_state,
 )
 from .diagnostics import (
     DEFAULT_EXCESS_THRESHOLDS,
@@ -296,36 +296,20 @@ def _snapshot_path(out: Path, t: float, taken: set[str]) -> Path:
     return out / f"{name}.csv"
 
 
-class _TruncationAudit:
-    """Running max deviation from (1, 0, 1) in the outermost 5% of cells."""
-
-    def __init__(self, grid: MassGrid, setup: ProblemSetup) -> None:
-        self.n_outer = max(1, math.ceil(0.05 * grid.n_cells))
-        self.both_sides = setup.kind is SetupKind.CAUCHY
-        self.max_deviation = 0.0
-
-    def update(self, state: FluidState) -> None:
-        k = self.n_outer
-        ends = [(slice(-k, None), slice(-(k + 1), None))]  # (cells, nodes)
-        if self.both_sides:
-            ends.append((slice(None, k), slice(None, k + 1)))
-        for cells, nodes in ends:
-            self.max_deviation = max(
-                self.max_deviation,
-                float(np.abs(state.v[cells] - 1.0).max()),
-                float(np.abs(state.theta[cells] - 1.0).max()),
-                float(np.abs(state.u[nodes]).max()),
-            )
-
-
 def _write_json(path: Path, data: dict) -> None:
     path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
 
 
 def _initial_state(config: RunConfig) -> tuple[MassGrid, FluidState]:
-    """The grid and the checked initial data of a run."""
+    """The grid and the initial data of a run, checked against its positivity floor."""
     grid = make_grid(config.setup, config.half_length, config.n_cells)
-    return grid, build_initial_data(config.initial, config.setup, grid)
+    state = build_initial_data(config.initial, config.setup, grid)
+    report = validate_state(state, config.control.positivity_floor)
+    if not report.ok:
+        raise ConfigurationError(
+            f"config key 'step.positivity_floor': initial data {report.message()}"
+        )
+    return grid, state
 
 
 def run(config: RunConfig) -> int:
@@ -337,7 +321,6 @@ def run(config: RunConfig) -> int:
     for stale in [out / "summary.json", out / "failure.json", *out.glob("snap_*.csv")]:
         stale.unlink(missing_ok=True)
 
-    truncation = _TruncationAudit(grid, config.setup)
     snap_times: list[float] = []
     snap_names: set[str] = set()
 
@@ -347,7 +330,6 @@ def run(config: RunConfig) -> int:
         def on_record(record: AuditRecord, snapshot: FluidState) -> None:
             audit_file.write(audit_row(record) + "\n")
             audit_file.flush()
-            truncation.update(snapshot)
             due = not snap_times or (
                 config.snapshot_every is not None
                 and snapshot.t - snap_times[-1] >= config.snapshot_every * (1.0 - 1e-9)
@@ -377,16 +359,18 @@ def run(config: RunConfig) -> int:
             })
             return EXIT_INTEGRATION
 
-    truncation_ok = truncation.max_deviation <= config.truncation_threshold
+    summary = summarize(records)
+    outer = summary.pop("max_outer_deviation")
+    truncation_ok = outer <= config.truncation_threshold
     _write_json(out / "summary.json", {
         "setup": config.setup.kind.value,
         "n_cells": config.n_cells,
         "half_length": config.half_length,
         "t_end": config.t_end,
-        **summarize(records),
+        **summary,
         "truncation": {
             "threshold": config.truncation_threshold,
-            "max_outer_deviation": truncation.max_deviation,
+            "max_outer_deviation": outer,
             "ok": truncation_ok,
         },
         "snapshots": snap_times,
@@ -472,7 +456,7 @@ def sweep(raw: dict, jobs: int = 1) -> int:
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only --jobs pays its import
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(configs))) as pool:
             codes = list(pool.map(run, configs))
     else:
         codes = [run(config) for config in configs]
@@ -554,6 +538,9 @@ def main(argv: list[str] | None = None) -> int:
         return sweep(raw, jobs=args.jobs)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -115,6 +115,12 @@ class _Tick:
         total = (dv ** p + du ** p + dth ** p).sum() * self.dm
         return float(total ** (1.0 / p))
 
+    def outer_deviation(self, left: bool) -> float:
+        k = max(1, math.ceil(0.05 * len(self.state.v)))
+        (dv, _, dth), u = self.abs_dev, self.state.u
+        ends = [(dv[-k:], dth[-k:], u[-k - 1:])] + ([(dv[:k], dth[:k], u[:k + 1])] if left else [])
+        return max(float(max(v.max(), th.max(), np.abs(w).max())) for v, th, w in ends)
+
     def h1_seminorms(self) -> H1Seminorms:
         return H1Seminorms(*(math.sqrt(total * self.dm) for total in self.sq_sums))
 
@@ -229,7 +235,9 @@ def z4_rate(state: FluidState, grid: MassGrid) -> float:
 
 @dataclass(frozen=True)
 class AuditRecord:
-    """One time-stamped row of every audited functional."""
+    """One time-stamped row of every audited functional.  ``outer_dev`` audits the
+    truncation: the max of |v - 1|, |theta - 1| and |u| over the outermost 5 % of
+    cells (at least one) and their nodes, at x = L and on the whole line at -L too."""
 
     t: float
     E: float
@@ -242,6 +250,7 @@ class AuditRecord:
     theta_max: float
     lp2_dev: float
     lpinf_dev: float
+    outer_dev: float
     vx_l2: float
     ux_l2: float
     thetax_l2: float
@@ -265,9 +274,9 @@ _TAGGED = ("E", "D_visc", "D_heat", "cum_D")
 
 
 def audit_columns(excess_thresholds=DEFAULT_EXCESS_THRESHOLDS) -> list[str]:
-    """Column names in audit.csv order."""
+    """Column names in audit.csv order, the excess levels sorted as AuditTrail records them."""
     names = [f"{name}_eq2.12" if name in _TAGGED else name for name in _SCALAR_FIELDS]
-    for a in excess_thresholds:
+    for a in check_excess_thresholds(excess_thresholds):
         names.append(f"excess_a{a:g}")
         names.append(f"omega_a{a:g}")
     names.append("energy_balance_residual")
@@ -355,6 +364,7 @@ class AuditTrail:
             theta_max=th_max,
             lp2_dev=tick.lp_deviation(2.0),
             lpinf_dev=tick.lp_deviation(math.inf),
+            outer_dev=tick.outer_deviation(not self.setup.has_wall),
             **vars(tick.h1_seminorms()),
             df8_rate=df8,
             cum_df8=self._cum_df8,
@@ -376,7 +386,8 @@ def summarize(records: list[AuditRecord]) -> dict:
 
     A ratio is 0.0 where its denominator is 0; the entropy budget E + cum_D - E0
     is ok while its maximum stays within a thousandth of E0 plus 1e-6;
-    df8_tail_growth is the share of the final cum_df8 accrued over the tail."""
+    df8_tail_growth is the share of the final cum_df8 accrued over the tail;
+    max_outer_deviation is the truncation audit's largest outer_dev."""
     e0, last = records[0].E, records[-1]
     start = math.floor(len(records) * (1.0 - _TAIL_FRACTION))
     linf = [r.lpinf_dev for r in records]
@@ -414,4 +425,5 @@ def summarize(records: list[AuditRecord]) -> dict:
         "energy_balance_residual": last.energy_balance_residual,
         "int_u4_max": max(r.int_u4 for r in records),
         "df8_tail_growth": ratio(last.cum_df8 - records[start].cum_df8, last.cum_df8),
+        "max_outer_deviation": max(r.outer_dev for r in records),
     }

@@ -58,6 +58,24 @@ def lp_deviation(state, grid, p):
     return total ** (1.0 / p)
 
 
+def outer_deviation(state, setup):
+    """Max of |v - 1|, |theta - 1| over the outermost ceil(n/20) cells (at least
+    one) and of |u| over their nodes, at x = L and, without a wall, at the left end."""
+    n = state.n_cells
+    k = max(1, (n + 19) // 20)
+    cells = list(range(n - k, n))
+    nodes = list(range(n - k, n + 1))
+    if not setup.has_wall:
+        cells += list(range(k))
+        nodes += list(range(k + 1))
+    best = 0.0
+    for j in cells:
+        best = max(best, abs(state.v[j] - 1.0), abs(state.theta[j] - 1.0))
+    for i in nodes:
+        best = max(best, abs(state.u[i]))
+    return best
+
+
 def h1_seminorms(state, grid):
     dm = grid.dm
     n = state.n_cells
@@ -316,6 +334,7 @@ def summarize(records):
         "energy_balance_residual": last.energy_balance_residual,
         "int_u4_max": extreme("int_u4", True),
         "df8_tail_growth": df8_tail_growth,
+        "max_outer_deviation": extreme("outer_dev", True),
     }
 
 

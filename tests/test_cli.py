@@ -171,6 +171,43 @@ def test_run_truncation_breach_exit_code(tmp_path):
     assert summary["truncation"]["max_outer_deviation"] > 1e-6
 
 
+def test_run_truncation_verdict_is_the_largest_audit_outer_dev(tmp_path):
+    config = cfg(tmp_path, L=3.0, n=64, t_end=0.2, cadence=0.05,
+                 initial_data={"amplitude_v": 1.0, "width": 1.5})
+    assert run(config) == EXIT_TRUNCATION
+    lines = (tmp_path / "out" / "audit.csv").read_text().splitlines()
+    column = lines[0].split(",").index("outer_dev")
+    outer = [float(line.split(",")[column]) for line in lines[1:]]
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["truncation"]["max_outer_deviation"] == max(outer) > 0.0
+    assert "max_outer_deviation" not in summary
+
+
+def test_main_run_checks_initial_data_against_the_configured_floor(tmp_path, capsys):
+    # the data clear the default floor 1e-10 but not the run's 0.5: a config
+    # error before any output, not a failure of the first step
+    out = tmp_path / "out"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "setup": "cauchy", "L": 10, "n": 16, "t_end": 0.01, "out_dir": str(out),
+        "step": {"positivity_floor": 0.5}, "initial_data": {"amplitude_v": -0.9},
+    }))
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config key 'step.positivity_floor'" in err and "v[7]" in err
+    assert not out.exists()
+
+
+def test_main_reports_an_out_dir_it_cannot_create(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(MINIMAL, n=64, t_end=0.2)))
+    assert main(["run", str(path), "--out", str(blocker)]) == EXIT_CONFIG
+    assert "cannot write output" in capsys.readouterr().err
+    assert blocker.read_text() == "kept"
+
+
 def test_run_integration_failure_writes_failure_json(tmp_path):
     # dt_min far above the stable step: stiffness failure on the first step
     config = cfg(
@@ -359,7 +396,9 @@ def test_sweep_runs_variants(tmp_path, jobs):
     ({"n": 2}, "'n'"),
     ({"initial_data": {"amplitude_theta": -2.0}}, "initial data invalid: theta"),
     ({"L": -1.0}, "half_length must be positive"),
-], ids=["n", "initial_data", "L"])
+    ({"step": {"positivity_floor": 0.5}, "initial_data": {"amplitude_v": -0.9}},
+     "step.positivity_floor"),
+], ids=["n", "initial_data", "L", "floor"])
 def test_sweep_checks_every_variant_before_running_any(tmp_path, bad, message):
     raw = dict(
         MINIMAL,
@@ -371,6 +410,32 @@ def test_sweep_checks_every_variant_before_running_any(tmp_path, bad, message):
     with pytest.raises(ConfigurationError, match=r"sweep\.variants\[2\].*" + message):
         sweep(raw)
     assert not list(tmp_path.glob("sweep/variant_*"))
+
+
+def test_sweep_pool_has_no_more_workers_than_variants(tmp_path, monkeypatch):
+    # a stand-in pool that maps serially: the test starts no process
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    raw = dict(MINIMAL, n=32, t_end=0.1, cadence=0.1, out_dir=str(tmp_path / "sweep"),
+               sweep={"variants": [{}, {"t_end": 0.05}]})
+    assert sweep(raw, jobs=8) == EXIT_OK
+    assert sizes == [2]
 
 
 @pytest.mark.parametrize("jobs", [0, -1])

@@ -1,5 +1,6 @@
 import importlib
 import math
+import re
 import sys
 import warnings
 from dataclasses import replace
@@ -27,6 +28,7 @@ from lagas import (
     steady_state,
 )
 from lagas.diagnostics import (
+    DEFAULT_EXCESS_THRESHOLDS,
     AuditTrail,
     audit_columns,
     audit_header,
@@ -369,6 +371,31 @@ def test_audit_csv_shape_and_determinism():
     assert audit_row(records[-1]) == row
 
 
+def test_audit_header_sorts_levels_as_the_record_does(params, cauchy):
+    # AuditTrail keeps its levels sorted; a header in the given order would put
+    # the a = 1.5 values under excess_a3
+    grid = make_grid(cauchy, 4.0, 32)
+    state = hot_state(grid, 0, theta_top=2.0)
+    assert audit_header((3.0, 1.5)) == audit_header((1.5, 3.0))
+    record = AuditTrail(state, grid, params, cauchy, (3.0, 1.5)).record(state)
+    row = dict(zip(audit_columns((3.0, 1.5)), map(float, audit_row(record).split(","))))
+    assert (row["excess_a1.5"], row["omega_a1.5"]) == truncated_excess(state, grid, 1.5)
+    assert row["excess_a1.5"] > 0.0
+    assert (row["excess_a3"], row["omega_a3"]) == (0.0, 0.0)
+
+
+def test_readme_audit_table_lists_exactly_the_audit_columns():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("`audit.csv` — one row per diagnostic tick")[1].split("\n\n")[1]
+    names = [name for line in table.splitlines()[2:]
+             for name in re.findall(r"`([^`]+)`", line.split("|")[1])]
+    i = names.index("excess_a<a>")
+    assert names[i + 1] == "omega_a<a>"
+    names[i:i + 2] = [f"{column}_a{a:g}" for a in DEFAULT_EXCESS_THRESHOLDS
+                      for column in ("excess", "omega")]
+    assert names == audit_columns()
+
+
 def test_audit_trail_rejects_bad_thresholds(params, cauchy, grid16):
     with pytest.raises(DomainError):
         AuditTrail(steady_state(grid16), grid16, params, cauchy, excess_thresholds=(0.5,))
@@ -445,6 +472,36 @@ def test_audit_record_matches_functionals_and_bruteforce(params, cauchy, theta_t
     ubar = [0.5 * (state.u[j] + state.u[j + 1]) for j in range(grid.n_cells)]
     assert record.int_u4 == close(sum(w**4 for w in ubar) * grid.dm)
     assert record.sup_theta_excess == close(max(theta_top - 1.5, 0.0) ** 2)
+
+
+# n = 20 has one outer cell per end and n = 21 two
+@pytest.mark.parametrize("n", [4, 20, 21, 40])
+@pytest.mark.parametrize("kind", list(SetupKind), ids=lambda k: k.value)
+def test_audit_record_outer_dev_matches_loop_oracle(params, kind, n):
+    setup = ProblemSetup(kind)
+    grid = make_grid(setup, 4.0, n)
+    rng = np.random.default_rng(n)
+    for _ in range(6):
+        # the three fields deviate alike, so each in turn holds the maximum
+        state = FluidState(0.0, 1.0 + rng.uniform(-0.5, 0.5, n),
+                           1.0 + rng.uniform(-0.5, 0.5, n), rng.uniform(-0.5, 0.5, n + 1))
+        record = AuditTrail(state, grid, params, setup).record(state)
+        assert record.outer_dev == bruteforce.outer_deviation(state, setup)
+
+
+@pytest.mark.parametrize("n, k", [(20, 1), (21, 2)])
+@pytest.mark.parametrize("kind", list(SetupKind), ids=lambda k: k.value)
+def test_outer_dev_sees_exactly_the_outer_cells_and_their_nodes(params, kind, n, k):
+    setup = ProblemSetup(kind)
+    grid = make_grid(setup, 4.0, n)
+    rest = steady_state(grid)
+    trail = AuditTrail(rest, grid, params, setup)
+    for name, size, left in (("v", n, k), ("theta", n, k), ("u", n + 1, k + 1)):
+        for index in range(size):
+            state = rest.copy()
+            getattr(state, name)[index] += 0.5
+            outer = index >= n - k or (index < left and not setup.has_wall)
+            assert trail.record(state).outer_dev == (0.5 if outer else 0.0), (name, index)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.5])
@@ -533,6 +590,15 @@ def test_summarize_reports_the_signed_budget_and_df8_tail_growth():
     assert summary["entropy_audit"]["max_defect"] == 0.0
     assert summary["entropy_audit"]["min_defect"] == pytest.approx(-1.0, rel=1e-12)
     assert summary["df8_tail_growth"] == 0.2
+    assert summary == bruteforce.summarize(edited)
+
+
+def test_summarize_reports_the_largest_outer_deviation():
+    records = short_run()
+    edited = [replace(r, outer_dev=0.1 * k) for k, r in enumerate(records)]
+    edited[4] = replace(edited[4], outer_dev=7.0)
+    summary = summarize(edited)
+    assert summary["max_outer_deviation"] == 7.0
     assert summary == bruteforce.summarize(edited)
 
 
