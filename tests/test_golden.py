@@ -18,7 +18,14 @@ import pytest
 
 from lagas import GasParams, ProblemSetup, SetupKind, StepControl, advance, make_grid
 from lagas.cli import EXIT_OK, parse_config, run
-from lagas.verification import default_pulse_solution, make_source_rates, sample_state
+from lagas.verification import (
+    FAMILIES,
+    InitialDataSpec,
+    build_initial_data,
+    default_pulse_solution,
+    make_source_rates,
+    sample_state,
+)
 
 # recorded last when the truncation audit's outer_dev column joined audit.csv;
 # with that column removed, the file hashes to the stress-power rhs digests
@@ -48,6 +55,26 @@ FORCED_SHA256 = {
     "cauchy": "5a3bd61f0d584eee077643944ee21479e17b48b2756951dccd8ea4a3b3ea4bda",
     "halfline_insulated": "ddf33090e88aeb47772a936950492079e4ec5c29ed09f68aeca48ca81109080f",
     "halfline_isothermal": "6c9f03b0b7389788f22989d89ff331adca8a3126883d2ccf98a1822de49d19e2",
+}
+
+# v | theta | u of build_initial_data for one spec per family and setup, the bump
+# off the centre so that the wall reflections do not cancel by symmetry
+INITIAL_SHA256 = {
+    ("gaussian_bump", "cauchy"): "17794fba653a19c25a6b4bb6464fb7029df90196e3df4c6a1293b657e5bf8db0",
+    ("gaussian_bump", "halfline_insulated"):
+        "bb3f60b7ca76532ef7ed32b8e7c1f7a6d21655b50e1e8046f1dbbbed0855e374",
+    ("gaussian_bump", "halfline_isothermal"):
+        "ff535fba8a97dad74a46d07b3217c5f56d33c8ad6caffd27312e406405575b3a",
+    ("tanh_front", "cauchy"): "aeb9176a287dde6ea2399393852ca9cdb9fefe758ec860da4e5bdcdc7359968e",
+    ("tanh_front", "halfline_insulated"):
+        "6d6fd52501c85d8aa81764d6f7efc41b68ee41688ff3747d0813f2590bd669b5",
+    ("tanh_front", "halfline_isothermal"):
+        "3db8062a292cbc9d0ec161357c5614cc275add91b5907a77b3f7431ee758774f",
+    ("random_smooth", "cauchy"): "e171cead3e1a1511ce1df00a5548bc0db361ed647941790af119dbbdc9b9949a",
+    ("random_smooth", "halfline_insulated"):
+        "9572f477e48ed86a1ec16d3ddf6baeba2690784437655ed377da669bf92d9366",
+    ("random_smooth", "halfline_isothermal"):
+        "01b298fee693b0ccf9adb0e04d5ddfd83192009246050749ff888192ebe20022",
 }
 
 
@@ -97,3 +124,16 @@ def test_forced_advance_final_state_is_pinned(kind):
     )
     data = np.float64(final.t).tobytes() + final.v.tobytes() + final.theta.tobytes()
     assert sha256(data + final.u.tobytes()) == FORCED_SHA256[kind.value]
+
+
+@pytest.mark.parametrize("kind", list(SetupKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_initial_data_bytes_are_pinned(family, kind):
+    setup = ProblemSetup(kind)
+    spec = InitialDataSpec(
+        family=family, amplitude_v=0.4, amplitude_u=0.7, amplitude_theta=-0.4,
+        width=2.0, center=1.3, seed=5, modes=6,
+    )
+    state = build_initial_data(spec, setup, make_grid(setup, 10.0, 33))
+    data = state.v.tobytes() + state.theta.tobytes() + state.u.tobytes()
+    assert sha256(data) == INITIAL_SHA256[family, kind.value]
