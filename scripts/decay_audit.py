@@ -10,7 +10,7 @@ import argparse
 from pathlib import Path
 
 from lagas.cli import EXIT_INTEGRATION, RunConfig, run
-from lagas.core import ProblemSetup, SetupKind
+from lagas.core import SetupKind
 from lagas.verification import InitialDataSpec
 
 
@@ -24,7 +24,7 @@ def main() -> int:
     args = parser.parse_args()
 
     config = RunConfig(
-        setup=ProblemSetup(SetupKind.CAUCHY),
+        setup=SetupKind.CAUCHY,
         half_length=args.half_length,
         n_cells=args.n,
         t_end=args.t_end,

@@ -3,26 +3,27 @@
 
 import argparse
 
-from lagas.core import GasParams, ProblemSetup, SetupKind
+from lagas.cli import MmsSettings
+from lagas.core import GasParams, SetupKind
 from lagas.verification import convergence_study, default_pulse_solution
 
 
 def main() -> int:
+    defaults = MmsSettings()
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n-list", type=int, nargs="+", default=[64, 128, 256, 512])
-    parser.add_argument("--t-end", type=float, default=0.3)
+    parser.add_argument("--n-list", type=int, nargs="+", default=defaults.n_list)
+    parser.add_argument("--t-end", type=float, default=defaults.t_end)
     parser.add_argument("--half-length", type=float, default=10.0)
     args = parser.parse_args()
 
     params = GasParams(mu=1.0, kappa=1.0, R=1.0, c_v=1.5)
     worst = 10.0
-    for kind in SetupKind:
-        setup = ProblemSetup(kind)
+    for setup in SetupKind:
         solution = default_pulse_solution(setup, args.half_length)
         result = convergence_study(
             solution, setup, params, args.n_list, args.t_end, args.half_length
         )
-        print(f"== {kind.value}")
+        print(f"== {setup.value}")
         header = "  ".join(f"n={n:>5d}" for n in result.n_list)
         print(f"   {'field':>6s}  {header}  order")
         for field in ("v", "u", "theta"):
@@ -31,7 +32,7 @@ def main() -> int:
             worst = min(worst, order)
             print(f"   {field:>6s}  {errs}  {order:5.2f}")
     print(f"worst fitted order: {worst:.2f}")
-    return 0 if worst >= 1.9 else 1
+    return 0 if worst >= defaults.threshold else 1
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ Each line also gives the truncation audit's largest outer-cell deviation.
 
 import argparse
 
-from lagas.core import GasParams, ProblemSetup, SetupKind, make_grid
+from lagas.core import GasParams, SetupKind, make_grid
 from lagas.diagnostics import summarize
 from lagas.integrate import StepControl, advance
 from lagas.verification import InitialDataSpec, build_initial_data
@@ -22,7 +22,7 @@ def main() -> int:
     parser.add_argument("--t-end", type=float, default=100.0)
     args = parser.parse_args()
 
-    setup = ProblemSetup(SetupKind.CAUCHY)
+    setup = SetupKind.CAUCHY
     params = GasParams(mu=1.0, kappa=1.0, R=1.0, c_v=1.5)
     grid = make_grid(setup, 25.0, args.n)
     ctrl = StepControl()

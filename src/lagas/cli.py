@@ -11,6 +11,9 @@ Output contract of ``run``:
                 against ``truncation_threshold`` as the truncation verdict
   failure.json  written instead of summary on integration failure
 
+``mms`` writes mms_report.json, or failure.json if a forced run fails; both
+commands first delete the verdicts an earlier run left in out_dir.
+
 Exit codes: 0 clean, 1 config error or unwritable output, 2 truncation-audit
 breach, 3 integration failure, 4 convergence threshold missed (mms).
 """
@@ -34,7 +37,6 @@ from .core import (
     GasParams,
     IntegrationError,
     MassGrid,
-    ProblemSetup,
     SetupKind,
     StiffnessError,
     make_grid,
@@ -104,7 +106,7 @@ class RunConfig:
     """One run, checked on construction; errors name the config key of the field
     (``n`` for ``n_cells``).  ``excess_thresholds`` is kept sorted, in audit column order."""
 
-    setup: ProblemSetup
+    setup: SetupKind
     half_length: float
     n_cells: int
     t_end: float
@@ -208,9 +210,9 @@ class _Section:
             raise ConfigurationError(f"unknown config key '{self._join(key)}'")
 
 
-def _parse_setup(name: str) -> ProblemSetup:
+def _parse_setup(name: str) -> SetupKind:
     try:
-        return ProblemSetup(SetupKind(name))
+        return SetupKind(name)
     except ValueError:
         options = ", ".join(kind.value for kind in SetupKind)
         raise ConfigurationError(
@@ -257,7 +259,7 @@ def config_from_dict(raw: Any) -> RunConfig:
     half_length = root.take_typed("L", "float")
     n_cells = root.take_typed("n", "int")
     t_end = root.take_typed("t_end", "float")
-    center = 0.0 if setup.kind is SetupKind.CAUCHY else 0.5 * half_length
+    center = 0.0 if setup is SetupKind.CAUCHY else 0.5 * half_length
     values = {
         "cadence": t_end / 100.0 if t_end > 0.0 else 1.0,
         "gas": _section_dataclass(root, "gas", RunConfig.gas),
@@ -298,6 +300,16 @@ def _snapshot_path(out: Path, t: float, taken: set[str]) -> Path:
 
 def _write_json(path: Path, data: dict) -> None:
     path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+
+
+def _write_failure(out: Path, exc: IntegrationError | StiffnessError) -> None:
+    """failure.json: when, why and, for a positivity failure, where a run failed."""
+    _write_json(out / "failure.json", {
+        "time": exc.time,
+        "cause": str(exc),
+        "kind": type(exc).__name__,
+        **{key: getattr(exc, key, None) for key in ("stage", "cell", "field_name")},
+    })
 
 
 def _initial_state(config: RunConfig) -> tuple[MassGrid, FluidState]:
@@ -351,19 +363,14 @@ def run(config: RunConfig) -> int:
                 on_record=on_record,
             )
         except (IntegrationError, StiffnessError) as exc:
-            _write_json(out / "failure.json", {
-                "time": exc.time,
-                "cause": str(exc),
-                "kind": type(exc).__name__,
-                **{key: getattr(exc, key, None) for key in ("stage", "cell", "field_name")},
-            })
+            _write_failure(out, exc)
             return EXIT_INTEGRATION
 
     summary = summarize(records)
     outer = summary.pop("max_outer_deviation")
     truncation_ok = outer <= config.truncation_threshold
     _write_json(out / "summary.json", {
-        "setup": config.setup.kind.value,
+        "setup": config.setup.value,
         "n_cells": config.n_cells,
         "half_length": config.half_length,
         "t_end": config.t_end,
@@ -379,27 +386,31 @@ def run(config: RunConfig) -> int:
 
 
 def mms(config: RunConfig) -> int:
-    """Convergence study against a manufactured solution; writes mms_report.json."""
+    """Convergence study against a manufactured solution; writes mms_report.json,
+    or failure.json when a forced run fails."""
     settings = config.mms
     if settings.family == "steady":
         solution = steady_solution()
     else:
         solution = default_pulse_solution(config.setup, config.half_length)
-    result = convergence_study(
-        solution,
-        config.setup,
-        config.gas,
-        settings.n_list,
-        settings.t_end,
-        config.half_length,
-        ctrl=config.control,
-    )
+    for n in settings.n_list:  # a bad L fails here, before out_dir exists
+        make_grid(config.setup, config.half_length, n)
+    out = config.out_dir
+    out.mkdir(parents=True, exist_ok=True)
+    for stale in (out / "mms_report.json", out / "failure.json"):
+        stale.unlink(missing_ok=True)
+    try:
+        result = convergence_study(solution, config.setup, config.gas, settings.n_list,
+                                   settings.t_end, config.half_length, ctrl=config.control)
+    except (IntegrationError, StiffnessError) as exc:
+        _write_failure(out, exc)
+        return EXIT_INTEGRATION
     if result.orders is None:
         passed = True  # all errors at round-off; nothing to fit
     else:
         passed = all(order >= settings.threshold for order in result.orders.values())
-    report = {
-        "setup": config.setup.kind.value,
+    _write_json(out / "mms_report.json", {
+        "setup": config.setup.value,
         "family": settings.family,
         "n_list": list(result.n_list),
         "dm": list(result.dm),
@@ -407,10 +418,7 @@ def mms(config: RunConfig) -> int:
         "orders": result.orders,
         "threshold": settings.threshold,
         "pass": passed,
-    }
-    out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "mms_report.json", report)
+    })
     return EXIT_OK if passed else EXIT_MMS_FAIL
 
 

@@ -1,7 +1,8 @@
-"""Discrete gas state, mass grid, physical parameters, and validity checks.
+"""Setups, discrete gas state, mass grid, physical parameters, and validity checks.
 
-Everything here is value-like: grids and parameter sets are frozen, and a
-``FluidState`` can be copied and mutated without touching the original.
+A setup is a :class:`SetupKind` member.  Everything here is value-like: grids
+and parameter sets are frozen, and a ``FluidState`` can be copied and mutated
+without touching the original.
 """
 
 from __future__ import annotations
@@ -79,27 +80,25 @@ class IntegrationError(_TimedError):
 
 
 class SetupKind(enum.Enum):
-    """The three boundary/far-field configurations."""
-
-    CAUCHY = "cauchy"
-    HALFLINE_INSULATED = "halfline_insulated"
-    HALFLINE_ISOTHERMAL = "halfline_isothermal"
-
-
-@dataclass(frozen=True)
-class ProblemSetup:
     """Which boundary/far-field configuration a run uses.
 
     The far-field (and wall, where present) reference state is the fixed
     triple ``(v, u, theta) = (1, 0, 1)``; it is not configurable.
     """
 
-    kind: SetupKind
+    CAUCHY = "cauchy"
+    HALFLINE_INSULATED = "halfline_insulated"
+    HALFLINE_ISOTHERMAL = "halfline_isothermal"
 
     @property
     def has_wall(self) -> bool:
         """True when x = 0 is a solid wall (half-line setups)."""
-        return self.kind is not SetupKind.CAUCHY
+        return self is not SetupKind.CAUCHY
+
+
+#: another name for SetupKind: perfbench/worker.py still builds its setups as
+#: ``lagas.ProblemSetup(kind)``, which returns ``kind`` itself
+ProblemSetup = SetupKind
 
 
 @dataclass(frozen=True)
@@ -155,6 +154,11 @@ class MassGrid:
             raise ConfigurationError(
                 f"n_cells must be an integer >= 4, got {self.n_cells!r}"
             )
+        if not 0.0 < self.dm < np.inf:
+            raise ConfigurationError(
+                f"grid [{self.x_left}, {self.x_right}] with {self.n_cells} cells has "
+                f"spacing {self.dm}; it must be finite and positive"
+            )
 
     @property
     def dm(self) -> float:
@@ -167,11 +171,11 @@ class MassGrid:
         return self.x_left + np.arange(self.n_cells + 1) * self.dm
 
 
-def make_grid(setup: ProblemSetup, half_length: float, n_cells: int) -> MassGrid:
+def make_grid(setup: SetupKind, half_length: float, n_cells: int) -> MassGrid:
     """Truncate the unbounded domain to [-L, L] (Cauchy) or [0, L] (half-line)."""
     if not (np.isfinite(half_length) and half_length > 0.0):
         raise ConfigurationError(f"half_length must be positive, got {half_length!r}")
-    if setup.kind is SetupKind.CAUCHY:
+    if setup is SetupKind.CAUCHY:
         return MassGrid(-half_length, half_length, n_cells)
     return MassGrid(0.0, half_length, n_cells)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import DomainError, FluidState, GasParams, MassGrid, ProblemSetup
+from .core import DomainError, FluidState, GasParams, MassGrid, SetupKind
 from .scheme import total_energy
 
 __all__ = [
@@ -321,7 +321,7 @@ class AuditTrail:
         initial: FluidState,
         grid: MassGrid,
         params: GasParams,
-        setup: ProblemSetup,
+        setup: SetupKind,
         excess_thresholds=DEFAULT_EXCESS_THRESHOLDS,
     ) -> None:
         self.excess_thresholds = check_excess_thresholds(excess_thresholds)

@@ -30,7 +30,7 @@ from .core import (
     GasParams,
     IntegrationError,
     MassGrid,
-    ProblemSetup,
+    SetupKind,
     StiffnessError,
     require_positive,
     validate_state,
@@ -127,7 +127,7 @@ def step(
     dt: float,
     grid: MassGrid,
     params: GasParams,
-    setup: ProblemSetup,
+    setup: SetupKind,
     ctrl: StepControl,
     sources: SourceFn | None = None,
     ledger: EnergyLedger | None = None,
@@ -176,7 +176,7 @@ def advance(
     every: float,
     grid: MassGrid,
     params: GasParams,
-    setup: ProblemSetup,
+    setup: SetupKind,
     ctrl: StepControl,
     sources: SourceFn | None = None,
     excess_thresholds=DEFAULT_EXCESS_THRESHOLDS,

@@ -8,7 +8,7 @@ The governing rates are
 
 with u_x the cell-centered divided difference of the node velocities and
 theta_x the face-centered difference of the cell temperatures.  The right end
-is always far field; the setup's kind says how the left end closes:
+is always far field; the setup says how the left end closes:
 
 - ``CAUCHY``: far field, a ghost cell (v, theta) = (1, 1) at full spacing and
   a ghost node u = 0;
@@ -33,7 +33,6 @@ from .core import (
     FluidState,
     GasParams,
     MassGrid,
-    ProblemSetup,
     SetupKind,
     require_positive,
 )
@@ -58,39 +57,39 @@ class StateDerivative:
 
 
 def _boundary_heat_fluxes(
-    v: np.ndarray, th: np.ndarray, dm: float, kind: SetupKind, kappa: float
+    v: np.ndarray, th: np.ndarray, dm: float, setup: SetupKind, kappa: float
 ) -> tuple[float, float]:
     """Heat flux through the left and right closures, as Python floats: the interior
     formula against a ghost cell (1, 1), or against the isothermal wall at dm/2."""
     c = 2.0 * kappa / dm
     th0 = th.item(0) - 1.0
-    if kind is SetupKind.CAUCHY:
+    if setup is SetupKind.CAUCHY:
         flux_left = c * (th0 / (v.item(0) + 1.0))
-    elif kind is SetupKind.HALFLINE_INSULATED:
+    elif setup is SetupKind.HALFLINE_INSULATED:
         flux_left = 0.0
     else:
         flux_left = c * (th0 / v.item(0))
     return flux_left, c * ((1.0 - th.item(-1)) / (1.0 + v.item(-1)))
 
 
-def _heat_flux(v: np.ndarray, th: np.ndarray, dm: float, kind: SetupKind, kappa: float,
+def _heat_flux(v: np.ndarray, th: np.ndarray, dm: float, setup: SetupKind, kappa: float,
                out: np.ndarray) -> np.ndarray:
     """Heat flux (2*kappa/dm)*(theta_i - theta_{i-1})/(v_{i-1} + v_i) into ``out``."""
     inner = np.subtract(th[1:], th[:-1], out=out[1:-1])
     inner /= v[:-1] + v[1:]
     inner *= 2.0 * kappa / dm
-    out[0], out[-1] = _boundary_heat_fluxes(v, th, dm, kind, kappa)
+    out[0], out[-1] = _boundary_heat_fluxes(v, th, dm, setup, kappa)
     return out
 
 
 def heat_flux_faces(
-    state: FluidState, grid: MassGrid, params: GasParams, setup: ProblemSetup
+    state: FluidState, grid: MassGrid, params: GasParams, setup: SetupKind
 ) -> np.ndarray:
     """Heat flux kappa*theta_x/v at every node (face): the face difference of theta over
     the arithmetic-mean specific volume, the left face closed as ``setup`` says, the
     right one by the far field.  ``rhs`` and ``boundary_power`` use the same fluxes."""
     out = np.empty(grid.n_cells + 1)
-    return _heat_flux(state.v, state.theta, grid.dm, setup.kind, params.kappa, out)
+    return _heat_flux(state.v, state.theta, grid.dm, setup, params.kappa, out)
 
 
 def _far_field_stress(u_out: float, params: GasParams, dm: float) -> float:
@@ -102,7 +101,7 @@ def rhs(
     state: FluidState | np.ndarray,
     grid: MassGrid,
     params: GasParams,
-    setup: ProblemSetup,
+    setup: SetupKind,
     sources: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> StateDerivative:
     """Semi-discrete rates for (v, u, theta).
@@ -119,7 +118,7 @@ def rhs(
     n = grid.n_cells
     require_positive("rhs", y[: 2 * n])
     v, th, u = y[:n], y[n : 2 * n], y[2 * n :]
-    dm, kind = grid.dm, setup.kind
+    dm = grid.dm
 
     rates = np.empty_like(y)
     dv, dth, du = rates[:n], rates[n : 2 * n], rates[2 * n :]
@@ -127,7 +126,7 @@ def rhs(
     # difference of it is the flux divergence followed by every du, with the
     # seam (stress[0] - flux[n]) on du[0], which the left closure then sets
     faces = np.empty(2 * n + 2)
-    _heat_flux(v, th, dm, kind, params.kappa, faces[: n + 1])
+    _heat_flux(v, th, dm, setup, params.kappa, faces[: n + 1])
     s = np.subtract(u[1:], u[:-1], out=dv)  # u_x; dv until sources are added
     s /= dm
     stress = np.multiply(s, params.mu, out=faces[n + 1 : -1])
@@ -137,7 +136,7 @@ def rhs(
     faces[-1] = _far_field_stress(u.item(-1), params, dm)
     np.subtract(faces[1:], faces[:-1], out=rates[n:])
     rates[n:] /= dm
-    if kind is SetupKind.CAUCHY:
+    if setup is SetupKind.CAUCHY:
         du[0] = (stress.item(0) - _far_field_stress(-u.item(0), params, dm)) / dm
     dth += np.multiply(s, stress, out=rt)  # c_v*dtheta = diff(flux)/dm + s*stress
     dth /= params.c_v
@@ -153,7 +152,7 @@ def rhs(
 
 
 def boundary_power(
-    state: FluidState | np.ndarray, grid: MassGrid, params: GasParams, setup: ProblemSetup
+    state: FluidState | np.ndarray, grid: MassGrid, params: GasParams, setup: SetupKind
 ) -> float:
     """Rate of total-energy inflow through the two closures.
 
@@ -163,10 +162,10 @@ def boundary_power(
     """
     y = state if isinstance(state, np.ndarray) else state.packed()
     n, dm = grid.n_cells, grid.dm
-    f_left, f_right = _boundary_heat_fluxes(y[:n], y[n : 2 * n], dm, setup.kind, params.kappa)
+    f_left, f_right = _boundary_heat_fluxes(y[:n], y[n : 2 * n], dm, setup, params.kappa)
     u0, un = y.item(2 * n), y.item(-1)
     work = un * _far_field_stress(un, params, dm)
-    if setup.kind is SetupKind.CAUCHY:
+    if setup is SetupKind.CAUCHY:
         work -= u0 * _far_field_stress(-u0, params, dm)
     return f_right - f_left + work
 

@@ -1,10 +1,10 @@
 """Initial-data families, manufactured solutions, and convergence studies.
 
-Initial data decay to the rest state at far-field ends and are made
-compatible with the wall by construction: for half-line setups the velocity
-perturbation is odd-reflected across x = 0 (so u(0) = 0 exactly), the
-temperature perturbation is even-reflected for the insulated wall (zero
-slope) and odd-reflected for the isothermal wall (value 1 at the wall).
+Initial data come from one sampler of every family and field, decay to the
+rest state at far-field ends, and meet the wall by reflection across x = 0:
+on the half line the velocity perturbation is odd (so u(0) = 0 exactly), the
+volume's is even, and the temperature's is even at the insulated wall (zero
+slope) and odd at the isothermal wall (value 1 at the wall).
 
 Manufactured solutions are separable: each is the rest state (1, 0, 1)
 plus exp(-decay*t) times a fixed profile per field, with one decay rate
@@ -29,7 +29,6 @@ from .core import (
     FluidState,
     GasParams,
     MassGrid,
-    ProblemSetup,
     SetupKind,
     make_grid,
     validate_state,
@@ -89,33 +88,20 @@ class InitialDataSpec:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed!r}")
 
 
-def _gaussian_profile(spec: InitialDataSpec, tag: int) -> Callable[[np.ndarray], np.ndarray]:
+def _profile(spec: InitialDataSpec, tag: int, x: np.ndarray) -> np.ndarray:
+    """Field ``tag`` (1 = v, 2 = u, 3 = theta) of the spec's family at the points x:
+    a unit-sup perturbation of the rest state."""
     c, w = spec.center, spec.width
-
-    def profile(x: np.ndarray) -> np.ndarray:
-        z = (np.asarray(x, dtype=np.float64) - c) / w
+    if spec.family == "gaussian_bump":
+        z = (x - c) / w
         return np.exp(-z * z)
-
-    return profile
-
-
-def _tanh_front_profile(spec: InitialDataSpec, tag: int) -> Callable[[np.ndarray], np.ndarray]:
-    # smoothed top-hat: unit plateau of half-width `width`, edges width/4
-    c, w = spec.center, spec.width
-    edge = 0.25 * w
-
-    def profile(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+    if spec.family == "tanh_front":
+        # smoothed top-hat: unit plateau of half-width `width`, edges width/4
+        edge = 0.25 * w
         return 0.5 * (np.tanh((x - (c - w)) / edge) - np.tanh((x - (c + w)) / edge))
-
-    return profile
-
-
-def _random_smooth_profile(spec: InitialDataSpec, tag: int) -> Callable[[np.ndarray], np.ndarray]:
-    # truncated Fourier series with k^-3 spectral decay under a Gaussian
-    # envelope; sup-normalized on a fixed fine sampling so the shape is
+    # random_smooth: truncated Fourier series with k^-3 spectral decay under a
+    # Gaussian envelope; sup-normalized on a fixed fine sampling so the shape is
     # grid-independent and bit-identical for a given seed
-    c, w = spec.center, spec.width
     rng = np.random.default_rng([spec.seed, tag])
     k = np.arange(1, spec.modes + 1)
     cos_coeff = rng.standard_normal(spec.modes) / k**3
@@ -127,48 +113,26 @@ def _random_smooth_profile(spec: InitialDataSpec, tag: int) -> Callable[[np.ndar
             acc += cos_coeff[i] * np.cos(kk * xi) + sin_coeff[i] * np.sin(kk * xi)
         return acc * np.exp(-0.5 * xi * xi)
 
-    xi_ref = np.linspace(-8.0, 8.0, 4097)
-    norm = float(np.abs(shape(xi_ref)).max())
-    if norm == 0.0:
-        norm = 1.0
-
-    def profile(x: np.ndarray) -> np.ndarray:
-        xi = (np.asarray(x, dtype=np.float64) - c) / w
-        return shape(xi) / norm
-
-    return profile
+    norm = float(np.abs(shape(np.linspace(-8.0, 8.0, 4097))).max())
+    return shape((x - c) / w) / (norm or 1.0)
 
 
-_PROFILE_BUILDERS = {
-    "gaussian_bump": _gaussian_profile,
-    "tanh_front": _tanh_front_profile,
-    "random_smooth": _random_smooth_profile,
-}
-
-
-def build_initial_data(
-    spec: InitialDataSpec, setup: ProblemSetup, grid: MassGrid
-) -> FluidState:
+def build_initial_data(spec: InitialDataSpec, setup: SetupKind, grid: MassGrid) -> FluidState:
     """Sample an initial state; wall compatibility is enforced by construction."""
-    builder = _PROFILE_BUILDERS[spec.family]
-    p_v, p_u, p_th = (builder(spec, tag) for tag in (1, 2, 3))
-
+    centers, nodes = grid.cell_centers(), grid.nodes()
+    p_v, p_u, p_th = (_profile(spec, 1, centers), _profile(spec, 2, nodes),
+                      _profile(spec, 3, centers))
     if setup.has_wall:
-        def even(p):
-            return lambda x: p(x) + p(-np.asarray(x, dtype=np.float64))
+        # reflect across x = 0: v even, u odd, theta even at the insulated
+        # wall and odd at the isothermal one
+        th_sign = 1.0 if setup is SetupKind.HALFLINE_INSULATED else -1.0
+        p_v = p_v + _profile(spec, 1, -centers)
+        p_u = p_u - _profile(spec, 2, -nodes)
+        p_th = p_th + th_sign * _profile(spec, 3, -centers)
 
-        def odd(p):
-            return lambda x: p(x) - p(-np.asarray(x, dtype=np.float64))
-
-        p_v = even(p_v)
-        p_u = odd(p_u)
-        p_th = even(p_th) if setup.kind is SetupKind.HALFLINE_INSULATED else odd(p_th)
-
-    centers = grid.cell_centers()
-    nodes = grid.nodes()
-    v = 1.0 + spec.amplitude_v * p_v(centers)
-    u = spec.amplitude_u * p_u(nodes)
-    theta = 1.0 + spec.amplitude_theta * p_th(centers)
+    v = 1.0 + spec.amplitude_v * p_v
+    u = spec.amplitude_u * p_u
+    theta = 1.0 + spec.amplitude_theta * p_th
 
     if setup.has_wall:
         u[0] = 0.0  # odd reflection gives 0 already; keep it exact
@@ -255,7 +219,7 @@ def sine_temperature_solution(amplitude: float = 0.1, decay: float = 1.0) -> Man
     return ManufacturedSolution(decay, _zero_profile, _zero_profile, theta)
 
 
-def default_pulse_solution(setup: ProblemSetup, half_length: float) -> ManufacturedSolution:
+def default_pulse_solution(setup: SetupKind, half_length: float) -> ManufacturedSolution:
     """Setup-aware pulses whose tails vanish to round-off at every boundary.
 
     The pulses sit mid-domain with widths small enough that values and all
@@ -263,7 +227,7 @@ def default_pulse_solution(setup: ProblemSetup, half_length: float) -> Manufactu
     closed forms satisfy every boundary closure.
     """
     L = half_length
-    if setup.kind is SetupKind.CAUCHY:
+    if setup is SetupKind.CAUCHY:
         centers = (-0.10 * L, 0.05 * L, 0.0)
         widths = (0.18 * L, 0.18 * L, 0.18 * L)
     else:
@@ -383,7 +347,7 @@ def check_refinement(n_list, t_end: float) -> tuple[int, ...]:
 
 def convergence_study(
     ms: ManufacturedSolution,
-    setup: ProblemSetup,
+    setup: SetupKind,
     params: GasParams,
     n_list,
     t_end: float,

@@ -161,9 +161,9 @@ def heat_flux(state, grid, params, setup, i):
     dm, n = grid.dm, state.n_cells
     v, th = state.v, state.theta
     if i == 0:
-        if setup.kind is SetupKind.CAUCHY:
+        if setup is SetupKind.CAUCHY:
             return params.kappa * (th[0] - 1.0) / (dm * 0.5 * (v[0] + 1.0))
-        if setup.kind is SetupKind.HALFLINE_INSULATED:
+        if setup is SetupKind.HALFLINE_INSULATED:
             return 0.0
         return params.kappa * (th[0] - 1.0) / (0.5 * dm * v[0])
     if i == n:
@@ -207,7 +207,7 @@ def rhs(state, grid, params, setup, sources=None):
     for i in range(1, n):
         du[i] = (stress(i) - stress(i - 1)) / dm
     du[n] = (stress(n) - stress(n - 1)) / dm
-    if setup.kind is SetupKind.CAUCHY:
+    if setup is SetupKind.CAUCHY:
         du[0] = (stress(0) - stress(-1)) / dm
     else:
         du[0] = 0.0
@@ -228,7 +228,7 @@ def rhs(state, grid, params, setup, sources=None):
         dv = [dv[j] + sv[j] for j in range(n)]
         du = [du[i] + su[i] for i in range(n + 1)]
         dth = [dth[j] + sth[j] for j in range(n)]
-        if setup.kind is not SetupKind.CAUCHY:
+        if setup is not SetupKind.CAUCHY:
             du[0] = 0.0
     return dv, du, dth
 
@@ -260,7 +260,7 @@ def explicit_rk_step(state, dt, grid, params, setup, a, b, c, sources=None):
         if sources is not None:
             sv, su, sth = sources(state.t + c[i] * dt)
             extra = [*sv, *sth, *su]
-            if setup.kind is not SetupKind.CAUCHY:
+            if setup is not SetupKind.CAUCHY:
                 extra[2 * n] = 0.0  # the wall rate stays pinned under forcing
             k = [k[m] + extra[m] for m in range(len(k))]
         rates.append(k)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lagas import GasParams, ProblemSetup, SetupKind, StepControl
+from lagas import GasParams, SetupKind, StepControl
 
 
 @pytest.fixture
@@ -18,17 +18,17 @@ def unit_params():
 
 @pytest.fixture
 def cauchy():
-    return ProblemSetup(SetupKind.CAUCHY)
+    return SetupKind.CAUCHY
 
 
 @pytest.fixture
 def insulated():
-    return ProblemSetup(SetupKind.HALFLINE_INSULATED)
+    return SetupKind.HALFLINE_INSULATED
 
 
 @pytest.fixture
 def isothermal():
-    return ProblemSetup(SetupKind.HALFLINE_ISOTHERMAL)
+    return SetupKind.HALFLINE_ISOTHERMAL
 
 
 @pytest.fixture

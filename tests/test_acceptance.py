@@ -17,7 +17,6 @@ from lagas import (
     FluidState,
     GasParams,
     InitialDataSpec,
-    ProblemSetup,
     SetupKind,
     StepControl,
     advance,
@@ -45,7 +44,7 @@ from lagas.scheme import heat_flux_faces, rhs
 
 GAS = GasParams(mu=1.0, kappa=1.0, R=1.0, c_v=1.5)
 CTRL = StepControl()
-ALL_SETUPS = [ProblemSetup(kind) for kind in SetupKind]
+ALL_SETUPS = list(SetupKind)
 
 LARGE_DATA = InitialDataSpec(
     family="gaussian_bump",
@@ -67,7 +66,7 @@ def _criterion(number, name, ok, detail=""):
 @pytest.fixture(scope="module")
 def audit_run():
     """Large-data Gaussian trajectory to t = 100 at n = 1024 (criteria 3-5, 7)."""
-    setup = ProblemSetup(SetupKind.CAUCHY)
+    setup = SetupKind.CAUCHY
     grid = make_grid(setup, 25.0, 1024)
     state = build_initial_data(LARGE_DATA, setup, grid)
 
@@ -91,7 +90,7 @@ def audit_run():
 @pytest.fixture(scope="module")
 def halved_dt_run():
     """The criterion-3 window rerun with both CFL factors halved."""
-    setup = ProblemSetup(SetupKind.CAUCHY)
+    setup = SetupKind.CAUCHY
     grid = make_grid(setup, 25.0, 1024)
     state = build_initial_data(LARGE_DATA, setup, grid)
     ctrl = StepControl(cfl_hyperbolic=0.2, cfl_parabolic=0.2)
@@ -102,7 +101,7 @@ def halved_dt_run():
 @pytest.fixture(scope="module")
 def seeded_runs():
     """Three large random-data trajectories to t = 100 (criterion 6)."""
-    setup = ProblemSetup(SetupKind.CAUCHY)
+    setup = SetupKind.CAUCHY
     grid = make_grid(setup, 25.0, 512)
     out = {}
     for seed in (2, 7, 11):
@@ -153,7 +152,7 @@ def test_criterion_2_mms_spatial_order():
         study = convergence_study(
             solution, setup, GAS, (64, 128, 256, 512), 0.3, 10.0
         )
-        results[setup.kind.value] = study.orders
+        results[setup.value] = study.orders
     elapsed = time.perf_counter() - started
     ok = elapsed < 120.0 and all(
         order >= 1.9 for orders in results.values() for order in orders.values()
@@ -246,7 +245,7 @@ def test_criterion_7_sup_embedding_inequality(audit_run):
 
 
 def test_criterion_8_oracle_equivalence():
-    setup = ProblemSetup(SetupKind.CAUCHY)
+    setup = SetupKind.CAUCHY
     grid = make_grid(setup, 4.0, 16)
     ok = True
     for seed in range(16):
@@ -304,7 +303,7 @@ def test_criterion_8_oracle_equivalence():
 
 def test_criterion_9_boundary_condition_fidelity():
     # insulated wall: zero wall flux and zero wall velocity at every step
-    setup2 = ProblemSetup(SetupKind.HALFLINE_INSULATED)
+    setup2 = SetupKind.HALFLINE_INSULATED
     grid = make_grid(setup2, 8.0, 64)
     spec = InitialDataSpec(
         family="gaussian_bump", amplitude_v=0.8, amplitude_u=0.6,
@@ -318,7 +317,7 @@ def test_criterion_9_boundary_condition_fidelity():
         insulated_ok = insulated_ok and flux[0] == 0.0 and state.u[0] == 0.0
 
     # isothermal wall: first-cell theta within O(dm) of 1, halving as n doubles
-    setup3 = ProblemSetup(SetupKind.HALFLINE_ISOTHERMAL)
+    setup3 = SetupKind.HALFLINE_ISOTHERMAL
     deviations = []
     wall_ok = True
     for n in (64, 128, 256):

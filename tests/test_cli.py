@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lagas import ConfigurationError, ProblemSetup, SetupKind, advance, build_initial_data, make_grid
+from lagas import ConfigurationError, SetupKind, advance, build_initial_data, make_grid
 import lagas.integrate
 from lagas.cli import (
     EXIT_CONFIG,
@@ -38,7 +38,7 @@ def cfg(tmp_path, **overrides):
 
 def test_parse_minimal_config_fills_defaults(tmp_path):
     config = cfg(tmp_path)
-    assert config.setup.kind is SetupKind.CAUCHY
+    assert config.setup is SetupKind.CAUCHY
     assert config.half_length == 10.0
     assert config.n_cells == 256
     assert config.t_end == 5.0
@@ -85,7 +85,7 @@ def test_parse_wraps_gas_errors_with_path():
 
 
 def hand_built(tmp_path, **overrides):
-    args = dict(setup=ProblemSetup(SetupKind.CAUCHY), half_length=10.0, n_cells=64,
+    args = dict(setup=SetupKind.CAUCHY, half_length=10.0, n_cells=64,
                 t_end=1.0, cadence=0.1, initial=InitialDataSpec(), out_dir=tmp_path)
     return RunConfig(**dict(args, **overrides))
 
@@ -332,10 +332,13 @@ def test_mms_steady_family_passes_at_roundoff(tmp_path):
         tmp_path, n=16, t_end=0.0,
         mms={"family": "steady", "n_list": [8, 16, 32], "t_end": 0.05},
     )
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "failure.json").write_text("{}")  # an earlier study's verdict
     assert mms(config) == EXIT_OK
     report = json.loads((tmp_path / "out" / "mms_report.json").read_text())
     assert report["pass"] is True
     assert report["orders"] is None
+    assert not (tmp_path / "out" / "failure.json").exists()
 
 
 def test_mms_gaussian_family_orders(tmp_path):
@@ -354,6 +357,36 @@ def test_mms_single_resolution_is_config_error(tmp_path):
     raw = dict(MINIMAL, mms={"n_list": [64]})
     with pytest.raises(ConfigurationError, match="n_list"):
         parse_config(json.dumps(raw))
+
+
+@pytest.mark.parametrize("step, kind", [
+    ({"dt_min": 0.5}, "StiffnessError"),
+    ({"positivity_floor": 0.9}, "IntegrationError"),
+], ids=["stiffness", "positivity"])
+def test_main_mms_integration_failure_writes_failure_json(tmp_path, step, kind):
+    # the pulse's theta dips to 0.88, under a 0.9 floor, and its stable step
+    # is below a dt_min of 0.5; a stale report from an earlier study goes
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "mms_report.json").write_text("{}")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(
+        MINIMAL, n=64, t_end=1.0, step=step, mms={"n_list": [16, 32, 64], "t_end": 0.01},
+    )))
+    assert main(["mms", str(path), "--out", str(out)]) == EXIT_INTEGRATION
+    failure = json.loads((out / "failure.json").read_text())
+    assert failure["kind"] == kind and failure["time"] == 0.0
+    assert not (out / "mms_report.json").exists()
+
+
+def test_main_mms_rejects_a_zero_grid_spacing_before_any_output(tmp_path, capsys):
+    # the steady family builds no pulse, so only the grid check sees L = 5e-324
+    out = tmp_path / "out"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(MINIMAL, L=5e-324, mms={"family": "steady"})))
+    assert main(["mms", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert "spacing 0.0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_mms_threshold_failure_exit_code(tmp_path):
@@ -497,16 +530,17 @@ def test_main_reports_config_errors(tmp_path, capsys):
     ("truncation_threshold", "1e400"),
     ("mms", '{"t_end": 1e400}'),
     ("excess_thresholds", "[1.5, 1e400]"),
+    ("L", "5e-324"),
 ], ids=["random-seed", "gaussian-seed", "floor", "width-inf", "center-inf", "amplitude-nan",
-        "truncation-inf", "mms-t_end-inf", "excess-inf"])
+        "truncation-inf", "mms-t_end-inf", "excess-inf", "L-spacing-underflow"])
 def test_main_rejects_bad_numbers_before_any_output(tmp_path, capsys, section, body):
     # numpy's generator raises a bare ValueError on a negative seed, an
     # infinite floor would fail only mid-run, an infinite width turns the
     # bump into a uniform offset that never decays to the rest state, and an
     # infinite truncation threshold passes every truncation audit, an
     # infinite mms t_end fails only inside the study, and an infinite excess
-    # level gives audit columns that are always 0: all are config errors,
-    # caught before any file is written
+    # level gives audit columns that are always 0, and an L of 5e-324 gives
+    # a zero grid spacing: all are config errors, caught before any file is written
     out = tmp_path / "out"
     raw = json.dumps(dict(MINIMAL, n=64, t_end=0.2, out_dir=str(out)))
     path = tmp_path / "config.json"

@@ -12,7 +12,6 @@ from lagas import (
     GasParams,
     IntegrationError,
     MassGrid,
-    ProblemSetup,
     SetupKind,
     StiffnessError,
     make_grid,
@@ -34,9 +33,10 @@ def test_make_grid_halfline(insulated):
     assert grid.dm == pytest.approx(0.05)
 
 
-# a float or infinite n must fail here, not later as a TypeError or OverflowError
+# a float or infinite n must fail here, not later as a TypeError or OverflowError,
+# and so must an L whose spacing overflows to inf or underflows to 0
 @pytest.mark.parametrize("bad", [(10.0, 3), (-1.0, 100), (0.0, 100), (10.0, 4.0),
-                                 (10.0, math.inf)])
+                                 (10.0, math.inf), (1e308, 16), (5e-324, 16)])
 def test_make_grid_rejects_bad_config(cauchy, bad):
     half_length, n = bad
     with pytest.raises(ConfigurationError):
@@ -60,7 +60,7 @@ def test_grid_layout():
 )
 def test_grid_spacing_exact_on_dyadic_grids(scale, exponent, n_pow):
     half_length = scale * 2.0**exponent
-    grid = make_grid(ProblemSetup(SetupKind.CAUCHY), half_length, 2**n_pow)
+    grid = make_grid(SetupKind.CAUCHY, half_length, 2**n_pow)
     assert np.all(np.diff(grid.nodes()) == grid.dm)
 
 
@@ -70,7 +70,7 @@ def test_grid_spacing_exact_on_dyadic_grids(scale, exponent, n_pow):
 )
 @settings(max_examples=50)
 def test_grid_spacing_uniform_generally(half_length, n):
-    grid = make_grid(ProblemSetup(SetupKind.CAUCHY), half_length, n)
+    grid = make_grid(SetupKind.CAUCHY, half_length, n)
     spacing = np.diff(grid.nodes())
     assert np.allclose(spacing, grid.dm, rtol=1e-12, atol=0.0)
 
@@ -100,7 +100,7 @@ def test_steady_state_values(cauchy):
 @given(floor=st.floats(min_value=1e-300, max_value=0.999, allow_nan=False))
 @settings(max_examples=30)
 def test_steady_state_validates_for_any_subunit_floor(floor):
-    grid = make_grid(ProblemSetup(SetupKind.CAUCHY), 2.0, 8)
+    grid = make_grid(SetupKind.CAUCHY, 2.0, 8)
     assert validate_state(steady_state(grid), floor).ok
 
 
@@ -172,9 +172,9 @@ def test_cell_velocity_averages_nodes(cauchy):
 
 
 def test_only_half_line_setups_have_a_wall():
-    assert not ProblemSetup(SetupKind.CAUCHY).has_wall
-    assert ProblemSetup(SetupKind.HALFLINE_INSULATED).has_wall
-    assert ProblemSetup(SetupKind.HALFLINE_ISOTHERMAL).has_wall
+    assert not SetupKind.CAUCHY.has_wall
+    assert SetupKind.HALFLINE_INSULATED.has_wall
+    assert SetupKind.HALFLINE_ISOTHERMAL.has_wall
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,6 @@ from lagas import (
     FluidState,
     GasParams,
     MassGrid,
-    ProblemSetup,
     SetupKind,
     advance,
     build_initial_data,
@@ -119,7 +118,7 @@ def test_entropy_energy_single_cell_value(unit_params, insulated):
 @settings(max_examples=25, deadline=None)
 def test_entropy_energy_nonnegative(seed):
     params = GasParams(1.0, 1.0, 1.0, 1.5)
-    grid = make_grid(ProblemSetup(SetupKind.CAUCHY), 4.0, 16)
+    grid = make_grid(SetupKind.CAUCHY, 4.0, 16)
     assert entropy_energy(positive_state(grid, seed), params, grid) >= 0.0
 
 
@@ -150,7 +149,7 @@ def test_dissipation_single_face_jump(params, grid16):
 @settings(max_examples=25, deadline=None)
 def test_dissipation_rates_nonnegative(seed):
     params = GasParams(1.0, 1.0, 1.0, 1.5)
-    grid = make_grid(ProblemSetup(SetupKind.CAUCHY), 4.0, 16)
+    grid = make_grid(SetupKind.CAUCHY, 4.0, 16)
     dv, dh = dissipation_rates(positive_state(grid, seed), params, grid)
     assert dv >= 0.0 and dh >= 0.0
 
@@ -239,7 +238,7 @@ def test_truncated_excess_single_hot_cell(insulated):
 @given(seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=25, deadline=None)
 def test_truncated_excess_monotone_in_threshold(seed):
-    grid = make_grid(ProblemSetup(SetupKind.CAUCHY), 4.0, 16)
+    grid = make_grid(SetupKind.CAUCHY, 4.0, 16)
     state = positive_state(grid, seed)
     e2, om2 = truncated_excess(state, grid, 2.0)
     e3, om3 = truncated_excess(state, grid, 3.0)
@@ -293,8 +292,7 @@ def test_z4_rate_steady(grid16):
 # ---------------------------------------------------------------- audit trail
 
 
-def run_short_bump(setup_kind=SetupKind.CAUCHY, n=64, t_end=0.5, every=0.1):
-    setup = ProblemSetup(setup_kind)
+def run_short_bump(setup=SetupKind.CAUCHY, n=64, t_end=0.5, every=0.1):
     grid = make_grid(setup, 8.0, n)
     params = GasParams(1.0, 1.0, 1.0, 1.5)
     spec = InitialDataSpec(
@@ -303,7 +301,7 @@ def run_short_bump(setup_kind=SetupKind.CAUCHY, n=64, t_end=0.5, every=0.1):
         amplitude_u=0.5,
         amplitude_theta=-0.4,
         width=1.0,
-        center=0.0 if setup_kind is SetupKind.CAUCHY else 4.0,
+        center=0.0 if setup is SetupKind.CAUCHY else 4.0,
     )
     state = build_initial_data(spec, setup, grid)
     final, records = advance(
@@ -328,7 +326,7 @@ def test_energy_balance_residual_small_for_bump_run():
 
 def test_energy_balance_residual_shrinks_with_dt():
     # forced constant dt halving: third-order ledger => ~8x smaller drift
-    setup = ProblemSetup(SetupKind.HALFLINE_INSULATED)
+    setup = SetupKind.HALFLINE_INSULATED
     grid = make_grid(setup, 8.0, 64)
     params = GasParams(1.0, 1.0, 1.0, 1.5)
     spec = InitialDataSpec(
@@ -476,9 +474,8 @@ def test_audit_record_matches_functionals_and_bruteforce(params, cauchy, theta_t
 
 # n = 20 has one outer cell per end and n = 21 two
 @pytest.mark.parametrize("n", [4, 20, 21, 40])
-@pytest.mark.parametrize("kind", list(SetupKind), ids=lambda k: k.value)
-def test_audit_record_outer_dev_matches_loop_oracle(params, kind, n):
-    setup = ProblemSetup(kind)
+@pytest.mark.parametrize("setup", list(SetupKind), ids=lambda k: k.value)
+def test_audit_record_outer_dev_matches_loop_oracle(params, setup, n):
     grid = make_grid(setup, 4.0, n)
     rng = np.random.default_rng(n)
     for _ in range(6):
@@ -490,9 +487,8 @@ def test_audit_record_outer_dev_matches_loop_oracle(params, kind, n):
 
 
 @pytest.mark.parametrize("n, k", [(20, 1), (21, 2)])
-@pytest.mark.parametrize("kind", list(SetupKind), ids=lambda k: k.value)
-def test_outer_dev_sees_exactly_the_outer_cells_and_their_nodes(params, kind, n, k):
-    setup = ProblemSetup(kind)
+@pytest.mark.parametrize("setup", list(SetupKind), ids=lambda k: k.value)
+def test_outer_dev_sees_exactly_the_outer_cells_and_their_nodes(params, setup, n, k):
     grid = make_grid(setup, 4.0, n)
     rest = steady_state(grid)
     trail = AuditTrail(rest, grid, params, setup)
@@ -524,7 +520,7 @@ def test_audit_record_rejects_nonfinite_or_nonpositive_fields(params, cauchy, gr
 
 def short_run(t_end=0.5, rest=False):
     """Records every 0.05 of seeded random data on the whole line, or of the rest state."""
-    setup = ProblemSetup(SetupKind.CAUCHY)
+    setup = SetupKind.CAUCHY
     grid = make_grid(setup, 8.0, 32)
     spec = InitialDataSpec(family="random_smooth", amplitude_v=0.5, amplitude_u=0.4,
                            amplitude_theta=-0.3, width=2.0, seed=3, modes=4)

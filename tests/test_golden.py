@@ -16,7 +16,7 @@ import json
 import numpy as np
 import pytest
 
-from lagas import GasParams, ProblemSetup, SetupKind, StepControl, advance, make_grid
+from lagas import GasParams, SetupKind, StepControl, advance, make_grid
 from lagas.cli import EXIT_OK, parse_config, run
 from lagas.verification import (
     FAMILIES,
@@ -112,9 +112,8 @@ def test_cli_audit_bytes_are_pinned(tmp_path, kind):
     assert sha256(data) == SNAPSHOT_SHA256[kind.value]
 
 
-@pytest.mark.parametrize("kind", list(SetupKind), ids=lambda k: k.value)
-def test_forced_advance_final_state_is_pinned(kind):
-    setup = ProblemSetup(kind)
+@pytest.mark.parametrize("setup", list(SetupKind), ids=lambda k: k.value)
+def test_forced_advance_final_state_is_pinned(setup):
     params = GasParams(mu=1.0, kappa=1.0, R=1.0, c_v=1.5)
     grid = make_grid(setup, 10.0, 64)
     solution = default_pulse_solution(setup, 10.0)
@@ -123,17 +122,16 @@ def test_forced_advance_final_state_is_pinned(kind):
         sources=make_source_rates(solution, params, grid),
     )
     data = np.float64(final.t).tobytes() + final.v.tobytes() + final.theta.tobytes()
-    assert sha256(data + final.u.tobytes()) == FORCED_SHA256[kind.value]
+    assert sha256(data + final.u.tobytes()) == FORCED_SHA256[setup.value]
 
 
-@pytest.mark.parametrize("kind", list(SetupKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("setup", list(SetupKind), ids=lambda k: k.value)
 @pytest.mark.parametrize("family", FAMILIES)
-def test_initial_data_bytes_are_pinned(family, kind):
-    setup = ProblemSetup(kind)
+def test_initial_data_bytes_are_pinned(family, setup):
     spec = InitialDataSpec(
         family=family, amplitude_v=0.4, amplitude_u=0.7, amplitude_theta=-0.4,
         width=2.0, center=1.3, seed=5, modes=6,
     )
     state = build_initial_data(spec, setup, make_grid(setup, 10.0, 33))
     data = state.v.tobytes() + state.theta.tobytes() + state.u.tobytes()
-    assert sha256(data) == INITIAL_SHA256[family, kind.value]
+    assert sha256(data) == INITIAL_SHA256[family, setup.value]

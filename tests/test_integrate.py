@@ -14,7 +14,6 @@ from lagas import (
     GasParams,
     IntegrationError,
     InitialDataSpec,
-    ProblemSetup,
     SetupKind,
     StepControl,
     StiffnessError,
@@ -34,7 +33,7 @@ from lagas.verification import default_pulse_solution, make_source_rates
 
 def bump_state(setup, half_length=8.0, n=64, center=None):
     if center is None:
-        center = 0.0 if setup.kind is SetupKind.CAUCHY else half_length / 2.0
+        center = 0.0 if setup is SetupKind.CAUCHY else half_length / 2.0
     grid = make_grid(setup, half_length, n)
     spec = InitialDataSpec(
         family="gaussian_bump",
@@ -127,7 +126,7 @@ def test_stable_dt_diffusive_bound_matches_cellwise_maximum(seed, mu, kappa, c_v
     # oracle: the bound taken at min v equals the per-cell maximum bit for bit;
     # SSPRK(4,3)'s SSP coefficient 2 doubles the forward-Euler limit exactly
     params = GasParams(mu=mu, kappa=kappa, R=1.0, c_v=c_v)
-    grid = make_grid(ProblemSetup(SetupKind.CAUCHY), 2.0, 64)
+    grid = make_grid(SetupKind.CAUCHY, 2.0, 64)
     state = random_state(grid, seed)
     ctrl = StepControl(cfl_hyperbolic=1.0, cfl_parabolic=0.01, dt_min=1e-300)
     v = state.v
@@ -138,9 +137,8 @@ def test_stable_dt_diffusive_bound_matches_cellwise_maximum(seed, mu, kappa, c_v
     assert stable_dt(state, grid, params, ctrl) == dt_par
 
 
-@pytest.mark.parametrize("kind", list(SetupKind), ids=lambda k: k.value)
-def test_step_preserves_steady_state_exactly(kind, params, ctrl):
-    setup = ProblemSetup(kind)
+@pytest.mark.parametrize("setup", list(SetupKind), ids=lambda k: k.value)
+def test_step_preserves_steady_state_exactly(setup, params, ctrl):
     grid = make_grid(setup, 5.0, 32)
     state = steady_state(grid)
     for _ in range(20):
@@ -188,7 +186,7 @@ def test_step_failure_names_stage_and_cell(cauchy, params, ctrl):
 def test_stage_fast_check_agrees_with_validate_state(seed, index, bad):
     # oracle: the fast stage check raises exactly when validate_state fails,
     # and then names the same field and cell
-    grid = make_grid(ProblemSetup(SetupKind.CAUCHY), 2.0, 8)
+    grid = make_grid(SetupKind.CAUCHY, 2.0, 8)
     y = random_state(grid, seed).packed()
     y[index] = bad
     report = validate_state(FluidState.from_packed(0.0, y), 1e-10)
@@ -208,12 +206,11 @@ SSPRK43_C = [0.0, 0.5, 1.0, 0.5]
 
 
 @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
-@pytest.mark.parametrize("kind", list(SetupKind), ids=lambda k: k.value)
-def test_step_matches_butcher_tableau_oracle(kind, forced, params, ctrl):
+@pytest.mark.parametrize("setup", list(SetupKind), ids=lambda k: k.value)
+def test_step_matches_butcher_tableau_oracle(setup, forced, params, ctrl):
     # oracle: the loop rhs stepped by the generic explicit Runge-Kutta form,
     # and the ledger as dt * sum_i b_i boundary_power(Y_i); a random state
     # keeps the boundary power of order one, and forcing starts at t = 0.3
-    setup = ProblemSetup(kind)
     grid = make_grid(setup, 4.0, 16)
     state = random_state(grid, seed=11)
     sources = None

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import lagas
+from lagas import SetupKind
 
 SUBMODULES = ["cli", "core", "diagnostics", "integrate", "scheme", "verification"]
 
@@ -66,3 +67,10 @@ def test_perfbench_trace_targets_exist(monkeypatch):
         if attr not in owner.__dict__
     ]
     assert missing == []
+
+
+@pytest.mark.parametrize("kind", list(SetupKind), ids=lambda k: k.value)
+def test_problem_setup_is_another_name_for_setup_kind(kind):
+    # perfbench builds its setups as lagas.ProblemSetup(kind)
+    assert lagas.ProblemSetup(kind) is kind
+    assert kind.has_wall == (kind is not SetupKind.CAUCHY)

@@ -9,14 +9,13 @@ from lagas import (
     DomainError,
     FluidState,
     GasParams,
-    ProblemSetup,
     SetupKind,
     make_grid,
     steady_state,
 )
 from lagas.scheme import boundary_power, heat_flux_faces, rhs, total_energy
 
-ALL_SETUPS = [ProblemSetup(kind) for kind in SetupKind]
+ALL_SETUPS = list(SetupKind)
 
 
 def test_pressure_formula(cauchy):
@@ -61,7 +60,7 @@ def test_strain_rate_matches_bruteforce(cauchy, params):
     assert np.allclose(s, bruteforce.strain_rate(state, grid), rtol=1e-14)
 
 
-@pytest.mark.parametrize("setup", ALL_SETUPS, ids=lambda s: s.kind.value)
+@pytest.mark.parametrize("setup", ALL_SETUPS, ids=lambda s: s.value)
 def test_heat_flux_zero_for_unit_temperature(setup, params):
     grid = make_grid(setup, 2.0, 8)
     state = steady_state(grid)
@@ -86,7 +85,7 @@ def test_heat_flux_insulated_wall_is_exactly_zero(insulated, params):
     assert flux[0] == 0.0
 
 
-@pytest.mark.parametrize("setup", ALL_SETUPS, ids=lambda s: s.kind.value)
+@pytest.mark.parametrize("setup", ALL_SETUPS, ids=lambda s: s.value)
 def test_rhs_steady_state_is_exactly_zero(setup, params):
     grid = make_grid(setup, 5.0, 32)
     d = rhs(steady_state(grid), grid, params, setup)
@@ -127,7 +126,7 @@ def test_rhs_single_hat_stencil(cauchy):
     )
 
 
-@pytest.mark.parametrize("setup", ALL_SETUPS, ids=lambda s: s.kind.value)
+@pytest.mark.parametrize("setup", ALL_SETUPS, ids=lambda s: s.value)
 def test_rhs_matches_bruteforce_stencils(setup, params):
     grid = make_grid(setup, 3.0, 12)
     state = random_state(grid, seed=11)
@@ -152,20 +151,19 @@ ORACLE_PARAMS = [GasParams(mu=1.0, kappa=1.0, R=1.0, c_v=1.5),
 
 @given(
     n=st.integers(min_value=4, max_value=40),
-    kind=st.sampled_from(list(SetupKind)),
+    setup=st.sampled_from(list(SetupKind)),
     params=st.sampled_from(ORACLE_PARAMS),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-@example(n=4, kind=SetupKind.CAUCHY, params=ORACLE_PARAMS[1], seed=0)
-@example(n=4, kind=SetupKind.HALFLINE_INSULATED, params=ORACLE_PARAMS[1], seed=1)
-@example(n=4, kind=SetupKind.HALFLINE_ISOTHERMAL, params=ORACLE_PARAMS[1], seed=2)
+@example(n=4, setup=SetupKind.CAUCHY, params=ORACLE_PARAMS[1], seed=0)
+@example(n=4, setup=SetupKind.HALFLINE_INSULATED, params=ORACLE_PARAMS[1], seed=1)
+@example(n=4, setup=SetupKind.HALFLINE_ISOTHERMAL, params=ORACLE_PARAMS[1], seed=2)
 @settings(max_examples=60, deadline=None)
-def test_rhs_matches_loop_oracle_with_and_without_sources(n, kind, params, seed):
+def test_rhs_matches_loop_oracle_with_and_without_sources(n, setup, params, seed):
     # rhs takes the thermal rate as flux divergence plus stress power s*stress
     # and one difference pass over [flux | stress | ghost stress]; the oracle
     # sums -p*s + (flux)_x + mu*s*s/v stencil by stencil.  At n = 4 the
     # seam of that pass lands on du[0] next to only three interior nodes.
-    setup = ProblemSetup(kind)
     grid = make_grid(setup, 3.0, n)
     state = random_state(grid, seed=seed)
     if setup.has_wall:
@@ -190,7 +188,7 @@ def test_rhs_matches_loop_oracle_with_and_without_sources(n, kind, params, seed)
     assert abs(float(terms.sum()) - power) <= 1e-12 * float(np.abs(terms).sum())
 
 
-@pytest.mark.parametrize("setup", ALL_SETUPS, ids=lambda s: s.kind.value)
+@pytest.mark.parametrize("setup", ALL_SETUPS, ids=lambda s: s.value)
 def test_rhs_discrete_mass_identity(setup, params):
     grid = make_grid(setup, 3.0, 24)
     state = random_state(grid, seed=5)
@@ -215,7 +213,7 @@ def test_rhs_discrete_momentum_identity(cauchy, params):
 @settings(max_examples=25, deadline=None)
 def test_viscous_heating_is_pointwise_nonnegative(seed):
     params = GasParams(1.0, 1.0, 1.0, 1.5)
-    setup = ProblemSetup(SetupKind.CAUCHY)
+    setup = SetupKind.CAUCHY
     grid = make_grid(setup, 3.0, 16)
     state = random_state(grid, seed=seed)
     s = np.array(bruteforce.strain_rate(state, grid))
@@ -257,7 +255,7 @@ def test_rhs_propagates_domain_error(cauchy, params, field, value):
 
 
 @pytest.mark.parametrize("setup", [s for s in ALL_SETUPS if s.has_wall],
-                         ids=lambda s: s.kind.value)
+                         ids=lambda s: s.value)
 def test_rhs_wall_rate_is_zero_even_with_sources(setup, params):
     grid = make_grid(setup, 2.0, 8)
     state = random_state(grid, seed=17)
@@ -271,13 +269,13 @@ def test_rhs_wall_rate_is_zero_even_with_sources(setup, params):
     assert np.array_equal(forced.du[1:], bare.du[1:] + 1.0)
 
 
-@pytest.mark.parametrize("setup", ALL_SETUPS, ids=lambda s: s.kind.value)
+@pytest.mark.parametrize("setup", ALL_SETUPS, ids=lambda s: s.value)
 def test_boundary_power_vanishes_at_steady_state(setup, params):
     grid = make_grid(setup, 2.0, 8)
     assert boundary_power(steady_state(grid), grid, params, setup) == 0.0
 
 
-@pytest.mark.parametrize("setup", ALL_SETUPS, ids=lambda s: s.kind.value)
+@pytest.mark.parametrize("setup", ALL_SETUPS, ids=lambda s: s.value)
 def test_total_energy_budget_closes_semi_discretely(setup, params):
     # d/dt total_energy equals boundary_power when evaluated with the rates
     grid = make_grid(setup, 3.0, 24)

@@ -8,7 +8,6 @@ from lagas import (
     ConfigurationError,
     GasParams,
     InitialDataSpec,
-    ProblemSetup,
     SetupKind,
     StepControl,
     build_initial_data,
@@ -65,10 +64,9 @@ def test_unknown_family_rejected():
         InitialDataSpec(family="squiggle")
 
 
-@pytest.mark.parametrize("kind", [SetupKind.HALFLINE_INSULATED, SetupKind.HALFLINE_ISOTHERMAL])
+@pytest.mark.parametrize("setup", [SetupKind.HALFLINE_INSULATED, SetupKind.HALFLINE_ISOTHERMAL])
 @pytest.mark.parametrize("family", ["gaussian_bump", "tanh_front", "random_smooth"])
-def test_wall_velocity_is_exactly_zero(kind, family):
-    setup = ProblemSetup(kind)
+def test_wall_velocity_is_exactly_zero(setup, family):
     grid = make_grid(setup, 10.0, 128)
     spec = InitialDataSpec(
         family=family, amplitude_v=0.5, amplitude_u=0.7, amplitude_theta=0.3,
@@ -80,7 +78,7 @@ def test_wall_velocity_is_exactly_zero(kind, family):
 
 
 def test_isothermal_wall_temperature_approaches_one():
-    setup = ProblemSetup(SetupKind.HALFLINE_ISOTHERMAL)
+    setup = SetupKind.HALFLINE_ISOTHERMAL
     spec = InitialDataSpec(
         family="gaussian_bump", amplitude_theta=0.5, width=1.0, center=2.0
     )
@@ -94,7 +92,7 @@ def test_isothermal_wall_temperature_approaches_one():
 
 
 def test_insulated_wall_temperature_slope_flattens():
-    setup = ProblemSetup(SetupKind.HALFLINE_INSULATED)
+    setup = SetupKind.HALFLINE_INSULATED
     spec = InitialDataSpec(
         family="gaussian_bump", amplitude_theta=0.5, width=1.0, center=2.0
     )
@@ -284,7 +282,7 @@ def test_source_rates_equal_pointwise_sources_bit_for_bit(solution, kind, params
     # make_source_rates builds the coefficient profiles once per grid and
     # reuses them at every t; that must give the bits of a fresh evaluation,
     # and sample_state the bits of rest + exp(-decay*t) * profile
-    grid = make_grid(ProblemSetup(kind), 10.0, 48)
+    grid = make_grid(kind, 10.0, 48)
     centers, nodes = grid.cell_centers(), grid.nodes()
     rates = make_source_rates(solution, params, grid)
     for t in np.random.default_rng(11).uniform(0.0, 3.0, 6):
@@ -320,11 +318,10 @@ def test_manufactured_solution_rejects_bad_parameters(build):
         build()
 
 
-@pytest.mark.parametrize("kind", list(SetupKind), ids=lambda k: k.value)
-def test_forced_rhs_consistent_with_analytic_rates(kind, params):
+@pytest.mark.parametrize("setup", list(SetupKind), ids=lambda k: k.value)
+def test_forced_rhs_consistent_with_analytic_rates(setup, params):
     # rhs(sampled solution) + sources should reproduce the analytic time
     # derivatives to second order in dm
-    setup = ProblemSetup(kind)
     ms = default_pulse_solution(setup, 10.0)
     errs = []
     for n in (128, 256):
