@@ -40,7 +40,6 @@ from .core import (
     SetupKind,
     StiffnessError,
     make_grid,
-    validate_state,
 )
 from .diagnostics import (
     DEFAULT_EXCESS_THRESHOLDS,
@@ -315,13 +314,11 @@ def _write_failure(out: Path, exc: IntegrationError | StiffnessError) -> None:
 def _initial_state(config: RunConfig) -> tuple[MassGrid, FluidState]:
     """The grid and the initial data of a run, checked against its positivity floor."""
     grid = make_grid(config.setup, config.half_length, config.n_cells)
-    state = build_initial_data(config.initial, config.setup, grid)
-    report = validate_state(state, config.control.positivity_floor)
-    if not report.ok:
-        raise ConfigurationError(
-            f"config key 'step.positivity_floor': initial data {report.message()}"
-        )
-    return grid, state
+    floor = config.control.positivity_floor
+    try:
+        return grid, build_initial_data(config.initial, config.setup, grid, floor)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"config key 'step.positivity_floor': {exc}") from None
 
 
 def run(config: RunConfig) -> int:

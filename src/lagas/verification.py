@@ -25,6 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (
+    POSITIVITY_FLOOR,
     ConfigurationError,
     FluidState,
     GasParams,
@@ -117,8 +118,11 @@ def _profile(spec: InitialDataSpec, tag: int, x: np.ndarray) -> np.ndarray:
     return shape((x - c) / w) / (norm or 1.0)
 
 
-def build_initial_data(spec: InitialDataSpec, setup: SetupKind, grid: MassGrid) -> FluidState:
-    """Sample an initial state; wall compatibility is enforced by construction."""
+def build_initial_data(
+    spec: InitialDataSpec, setup: SetupKind, grid: MassGrid, floor: float = POSITIVITY_FLOOR
+) -> FluidState:
+    """Sample an initial state, checked against the positivity ``floor``; wall
+    compatibility is enforced by construction."""
     centers, nodes = grid.cell_centers(), grid.nodes()
     p_v, p_u, p_th = (_profile(spec, 1, centers), _profile(spec, 2, nodes),
                       _profile(spec, 3, centers))
@@ -137,7 +141,7 @@ def build_initial_data(spec: InitialDataSpec, setup: SetupKind, grid: MassGrid) 
     if setup.has_wall:
         u[0] = 0.0  # odd reflection gives 0 already; keep it exact
     state = FluidState(0.0, v, theta, u)
-    report = validate_state(state)
+    report = validate_state(state, floor)
     if not report.ok:
         raise ConfigurationError(f"initial data invalid: {report.message()}")
     return state

@@ -198,6 +198,18 @@ def test_main_run_checks_initial_data_against_the_configured_floor(tmp_path, cap
     assert not out.exists()
 
 
+def test_main_run_accepts_initial_data_above_a_configured_floor_below_the_default(tmp_path):
+    # min v is 5e-11: under the default floor 1e-10, above the run's 1e-12
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "setup": "cauchy", "L": 10, "n": 16, "t_end": 0.01, "out_dir": str(tmp_path / "out"),
+        "step": {"positivity_floor": 1e-12},
+        "initial_data": {"amplitude_v": -0.99999999995, "center": 0.625},
+    }))
+    assert main(["run", str(path)]) == EXIT_OK
+    assert (tmp_path / "out" / "summary.json").exists()
+
+
 def test_main_reports_an_out_dir_it_cannot_create(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("kept")
@@ -269,10 +281,11 @@ def test_positivity_failure_json_names_stage_cell_and_field(tmp_path, monkeypatc
 def test_stiffness_failure_json_has_no_stage(tmp_path, monkeypatch):
     stable_dt = lagas.integrate.stable_dt
 
-    def stiff_after(state, grid, params, ctrl):
+    def stiff_after(state, grid, params, ctrl, *table):
+        # advance also asks for SSPRK(10,4)'s step, passing its table
         if state.t > 0.05:
             ctrl = replace(ctrl, dt_min=1.0)
-        return stable_dt(state, grid, params, ctrl)
+        return stable_dt(state, grid, params, ctrl, *table)
 
     monkeypatch.setattr(lagas.integrate, "stable_dt", stiff_after)
     config = cfg(tmp_path, n=64, t_end=1.0, cadence=0.1)

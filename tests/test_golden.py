@@ -16,6 +16,7 @@ import json
 import numpy as np
 import pytest
 
+import lagas.integrate
 from lagas import GasParams, SetupKind, StepControl, advance, make_grid
 from lagas.cli import EXIT_OK, parse_config, run
 from lagas.verification import (
@@ -82,11 +83,13 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("kind", list(SetupKind), ids=lambda k: k.value)
-def test_cli_audit_bytes_are_pinned(tmp_path, kind):
-    # cadence 0.013 is no multiple of the stable step, so every tick truncates
-    # a step to land on it; snapshots every 0.1 exercise the on_record path
-    raw = {
+def pinned_run(kind, out_dir):
+    """The run whose output bytes are pinned.
+
+    Cadence 0.013 is no multiple of the stable step, so every tick truncates
+    a step to land on it; snapshots every 0.1 exercise the on_record path.
+    """
+    return parse_config(json.dumps({
         "setup": kind.value,
         "L": 10.0,
         "n": 64,
@@ -99,9 +102,13 @@ def test_cli_audit_bytes_are_pinned(tmp_path, kind):
             "width": 1.0,
         },
         "snapshot_every": 0.1,
-        "out_dir": str(tmp_path / "out"),
-    }
-    assert run(parse_config(json.dumps(raw))) == EXIT_OK
+        "out_dir": str(out_dir),
+    }))
+
+
+@pytest.mark.parametrize("kind", list(SetupKind), ids=lambda k: k.value)
+def test_cli_audit_bytes_are_pinned(tmp_path, kind):
+    assert run(pinned_run(kind, tmp_path / "out")) == EXIT_OK
     audit = (tmp_path / "out" / "audit.csv").read_bytes()
     assert sha256(audit) == AUDIT_SHA256[kind.value]
     summary = (tmp_path / "out" / "summary.json").read_bytes()
@@ -110,6 +117,21 @@ def test_cli_audit_bytes_are_pinned(tmp_path, kind):
     assert len(snapshots) == 6  # the first ticks at or past 0, 0.1, ..., 0.4, and 0.5
     data = b"".join(path.name.encode() + path.read_bytes() for path in snapshots)
     assert sha256(data) == SNAPSHOT_SHA256[kind.value]
+
+
+@pytest.mark.parametrize("kind", list(SetupKind), ids=lambda k: k.value)
+def test_pinned_run_steps_only_with_ssprk43(tmp_path, monkeypatch, kind):
+    # each tick is at most one SSPRK(4,3) step away, so the run's bytes are
+    # those of the SSPRK(4,3)-only stepping they were recorded with
+    tables, original = [], lagas.integrate.step
+
+    def spy(*args, **kwargs):
+        tables.append(kwargs["table"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lagas.integrate, "step", spy)
+    assert run(pinned_run(kind, tmp_path / "out")) == EXIT_OK
+    assert len(tables) > 38 and set(tables) == {lagas.integrate.SSPRK43}
 
 
 @pytest.mark.parametrize("setup", list(SetupKind), ids=lambda k: k.value)

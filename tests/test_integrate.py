@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce
+import lagas.integrate
 from conftest import random_state
 from lagas import (
     ConfigurationError,
@@ -25,8 +26,8 @@ from lagas import (
     step,
 )
 from lagas.core import validate_state
-from lagas.diagnostics import EnergyLedger, entropy_energy
-from lagas.integrate import _checked
+from lagas.diagnostics import AuditTrail, EnergyLedger, entropy_energy
+from lagas.integrate import SSPRK43, SSPRK104, _checked
 from lagas.scheme import boundary_power
 from lagas.verification import default_pulse_solution, make_source_rates
 
@@ -203,36 +204,115 @@ def test_stage_fast_check_agrees_with_validate_state(seed, index, bad):
 SSPRK43_A = [[], [0.5], [0.5, 0.5], [1.0 / 6.0, 1.0 / 6.0, 1.0 / 6.0]]
 SSPRK43_B = [1.0 / 6.0, 1.0 / 6.0, 1.0 / 6.0, 0.5]
 SSPRK43_C = [0.0, 0.5, 1.0, 0.5]
+# SSPRK(10,4) (Ketcheson 2008) written out from its Shu-Osher form: five
+# substeps of dt/6, the sixth stage input 3/5 y0 + 2/5 y5, so the first five
+# rates enter later stages at 2/5 * 1/6 = 1/15, and every b is 1/10
+SSPRK104_A = [[1.0 / 6.0] * i if i < 5 else [1.0 / 15.0] * 5 + [1.0 / 6.0] * (i - 5)
+              for i in range(10)]
+SSPRK104_B = [0.1] * 10
+SSPRK104_C = [0.0, 1 / 6, 1 / 3, 1 / 2, 2 / 3, 1 / 3, 1 / 2, 2 / 3, 5 / 6, 1.0]
+TABLEAUS = {
+    "ssprk43": (SSPRK43, SSPRK43_A, SSPRK43_B, SSPRK43_C),
+    "ssprk104": (SSPRK104, SSPRK104_A, SSPRK104_B, SSPRK104_C),
+}
 
 
-@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
-@pytest.mark.parametrize("setup", list(SetupKind), ids=lambda k: k.value)
-def test_step_matches_butcher_tableau_oracle(setup, forced, params, ctrl):
+def test_butcher_tableaus_are_consistent():
+    # row sums are the stage times, and SSPRK(10,4)'s matches step's table
+    for _, a, b, c in TABLEAUS.values():
+        assert [sum(row) for row in a] == pytest.approx(c, abs=1e-15)
+        assert sum(b) == pytest.approx(1.0, abs=1e-15)
+    assert SSPRK104_C == pytest.approx(SSPRK104.c, abs=0.0)
+
+
+# SSPRK(4,3)'s cases keep the ids they had before SSPRK(10,4) joined
+ORACLE_CASES = [
+    pytest.param(setup, forced, name, id=f"{setup.value}-{'forced' if forced else 'unforced'}"
+                 + ("" if name == "ssprk43" else f"-{name}"))
+    for name in TABLEAUS for setup in SetupKind for forced in (False, True)
+]
+
+
+@pytest.mark.parametrize("setup,forced,name", ORACLE_CASES)
+def test_step_matches_butcher_tableau_oracle(setup, forced, name, params, ctrl):
     # oracle: the loop rhs stepped by the generic explicit Runge-Kutta form,
     # and the ledger as dt * sum_i b_i boundary_power(Y_i); a random state
     # keeps the boundary power of order one, and forcing starts at t = 0.3
+    table, a, b, c = TABLEAUS[name]
     grid = make_grid(setup, 4.0, 16)
     state = random_state(grid, seed=11)
     sources = None
     if forced:
         sources = make_source_rates(default_pulse_solution(setup, 4.0), params, grid)
         state = FluidState(0.3, state.v, state.theta, state.u)
-    dt = stable_dt(state, grid, params, ctrl)
+    dt = stable_dt(state, grid, params, ctrl, table)
     ledger = EnergyLedger()
-    new = step(state, dt, grid, params, setup, ctrl, sources=sources, ledger=ledger)
+    new = step(state, dt, grid, params, setup, ctrl, sources=sources, ledger=ledger, table=table)
     expected, stages = bruteforce.explicit_rk_step(
-        state, dt, grid, params, setup, SSPRK43_A, SSPRK43_B, SSPRK43_C, sources
+        state, dt, grid, params, setup, a, b, c, sources
     )
     assert new.t == state.t + dt
     for got, want in zip((new.v, new.theta, new.u), expected):
         want = np.array(want)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     inflow = dt * sum(
-        b * boundary_power(FluidState(state.t, *map(np.array, y)), grid, params, setup)
-        for b, y in zip(SSPRK43_B, stages)
+        bi * boundary_power(FluidState(state.t, *map(np.array, y)), grid, params, setup)
+        for bi, y in zip(b, stages)
     )
     assert type(ledger.inflow) is float
     assert ledger.inflow == pytest.approx(inflow, rel=1e-12, abs=0.0)
+
+
+def test_ssprk104_evaluates_sources_once_per_distinct_time(params, ctrl):
+    setup = SetupKind.HALFLINE_ISOTHERMAL
+    grid = make_grid(setup, 4.0, 16)
+    rates = make_source_rates(default_pulse_solution(setup, 4.0), params, grid)
+    times = []
+
+    def sources(t):
+        times.append(t)
+        return rates(t)
+
+    rest = steady_state(grid)
+    state = FluidState(0.3, rest.v, rest.theta, rest.u)
+    step(state, 0.06, grid, params, setup, ctrl, sources=sources, table=SSPRK104)
+    # c = 0, 1/6, 1/3, 1/2, 2/3, 1/3, 1/2, 2/3, 5/6, 1: seven distinct times
+    assert times == pytest.approx([0.3 + 0.01 * k for k in range(7)], abs=1e-15)
+
+
+@pytest.mark.parametrize("setup", list(SetupKind), ids=lambda k: k.value)
+def test_ssprk104_preserves_steady_state_exactly(setup, params, ctrl):
+    # criterion 1 steps without a table, so it covers SSPRK(4,3) only
+    grid = make_grid(setup, 5.0, 32)
+    state = steady_state(grid)
+    for _ in range(100):
+        state = step(state, 0.01, grid, params, setup, ctrl, table=SSPRK104)
+    assert np.all(state.v == 1.0)
+    assert np.all(state.theta == 1.0)
+    assert np.all(state.u == 0.0)
+
+
+def test_ssprk104_failure_names_a_stage_up_to_ten(cauchy, params, ctrl):
+    grid, state = bump_state(cauchy)
+    dt = 500.0 * stable_dt(state, grid, params, ctrl, SSPRK104)
+    with pytest.raises(IntegrationError) as excinfo:
+        step(state, dt, grid, params, cauchy, ctrl, table=SSPRK104)
+    assert 1 <= excinfo.value.stage <= 10
+    assert f"stage {excinfo.value.stage}" in str(excinfo.value)
+
+
+def test_stable_dt_of_ssprk104_reaches_ten_ssprk43_steps_up_to_its_limit(cauchy, unit_params):
+    # steady state, unit coefficients, dm = 0.1, so dt_FE = 0.005 and the
+    # acoustic bound 0.1/sqrt(2) stays out of the way
+    grid = make_grid(cauchy, 0.5, 10)
+    state = steady_state(grid)
+    for cfl, expected in [(0.3, 0.03), (0.2, 0.02), (0.4, 0.03), (0.01, 0.001)]:
+        ctrl = StepControl(cfl_hyperbolic=1.0, cfl_parabolic=cfl)
+        dt43 = stable_dt(state, grid, unit_params, ctrl)
+        dt104 = stable_dt(state, grid, unit_params, ctrl, SSPRK104)
+        assert dt43 == pytest.approx(2.0 * cfl * 0.005, rel=1e-12)
+        assert dt104 == pytest.approx(expected, rel=1e-12)
+    assert stable_dt(state, grid, unit_params, StepControl(dt_max=1e-3), SSPRK104) == 1e-3
 
 
 def test_step_halving_shows_third_order(cauchy, params):
@@ -256,6 +336,101 @@ def test_step_halving_shows_third_order(cauchy, params):
         np.abs(finals[1].u - finals[2].u).max(),
     )
     assert 5.0 < d1 / d2 < 12.0
+
+
+def final_difference(a, b):
+    return max(np.abs(a.v - b.v).max(), np.abs(a.theta - b.theta).max(),
+               np.abs(a.u - b.u).max())
+
+
+@pytest.mark.parametrize("setup", list(SetupKind), ids=lambda k: k.value)
+def test_ssprk104_step_halving_shows_fourth_order(setup, params):
+    # the bump of the third-order test, whole line and both walls; the finest
+    # difference, about 1e-9, sits far above rounding
+    grid, state = bump_state(setup)
+    t_end = 0.32
+    finals = []
+    for dt in (0.04, 0.02, 0.01):
+        ctrl = StepControl(dt_max=dt)
+        st = state
+        while st.t < t_end - 1e-12:
+            st = step(st, min(dt, t_end - st.t), grid, params, setup, ctrl, table=SSPRK104)
+        finals.append(st)
+    d1 = final_difference(finals[0], finals[1])
+    d2 = final_difference(finals[1], finals[2])
+    assert 12.0 < d1 / d2 < 24.0
+
+
+def test_ssprk104_energy_residual_shrinks_at_fourth_order(insulated, params, ctrl):
+    # the half-line run of test_energy_balance_residual_shrinks_with_dt, where
+    # advance picks SSPRK(4,3) (dt_max clamps both tables): fourth order gives
+    # ~16x smaller drift per dt halving, SSPRK(4,3) ~8x, a first-order slip 2x
+    grid, state = bump_state(insulated, center=4.0)
+    residuals = []
+    for dt in (8e-3, 4e-3):
+        st, trail = state, AuditTrail(state, grid, params, insulated)
+        while st.t < 0.5 - 1e-12:
+            st = step(st, min(dt, 0.5 - st.t), grid, params, insulated, ctrl,
+                      ledger=trail.ledger, table=SSPRK104)
+        residuals.append(abs(trail.record(st).energy_balance_residual))
+    assert residuals[0] / residuals[1] > 12.0
+
+
+def spy_tables(monkeypatch):
+    """The table of every step advance takes, in order."""
+    tables, original = [], lagas.integrate.step
+
+    def spy(*args, **kwargs):
+        tables.append(kwargs["table"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lagas.integrate, "step", spy)
+    return tables
+
+
+@pytest.mark.parametrize("gap,expected", [(0.5, SSPRK43), (4.5, SSPRK43), (5.5, SSPRK104)],
+                         ids=["within_one_step", "tie", "fewer_calls"])
+def test_advance_takes_the_table_with_fewer_rhs_calls(monkeypatch, cauchy, params, gap, expected):
+    # dt_max clamps SSPRK(10,4) to 3 SSPRK(4,3) steps. A tick 4.5 steps away
+    # costs 4*5 = 10*2 = 20 rhs calls either way, and the tie goes to
+    # SSPRK(4,3); 5.5 steps away costs 24 against 20. Half a step away,
+    # SSPRK(10,4)'s step size is not asked for.
+    grid = make_grid(cauchy, 5.0, 64)
+    state = steady_state(grid)
+    dt43 = stable_dt(state, grid, params, StepControl())
+    ctrl = StepControl(dt_max=3.0 * dt43)
+    assert stable_dt(state, grid, params, ctrl, SSPRK104) == 3.0 * dt43
+    asked, original = [], lagas.integrate.stable_dt
+
+    def spy(*args):
+        asked.append(args[4:])
+        return original(*args)
+
+    monkeypatch.setattr(lagas.integrate, "stable_dt", spy)
+    tables = spy_tables(monkeypatch)
+    advance(state, gap * dt43, gap * dt43, grid, params, cauchy, ctrl)
+    assert tables[0] is expected
+    assert asked[0:2] == ([()] if gap < 1.0 else [(), (SSPRK104,)])
+
+
+def large_data(n):
+    """Criterion-6-like random data on the whole line, L = 25."""
+    grid = make_grid(SetupKind.CAUCHY, 25.0, n)
+    spec = InitialDataSpec(
+        family="random_smooth", amplitude_v=0.9, amplitude_u=1.1, amplitude_theta=-0.72,
+        width=3.0, center=0.3, seed=7, modes=10,
+    )
+    return grid, build_initial_data(spec, SetupKind.CAUCHY, grid)
+
+
+def test_large_data_runs_step_mostly_at_fourth_order(monkeypatch, params, ctrl):
+    # the parabolic bound sets dt and the 0.1 cadence leaves ~10 SSPRK(4,3)
+    # steps per tick; only the last step before a tick may fall back
+    grid, state = large_data(256)
+    tables = spy_tables(monkeypatch)
+    _, records = advance(state, 1.0, 0.1, grid, params, SetupKind.CAUCHY, ctrl)
+    assert tables.count(SSPRK104) > 0.75 * len(tables)
+    assert abs(records[-1].energy_balance_residual) < 1e-9
 
 
 def test_advance_steady_records_are_all_zero(cauchy, params, ctrl):

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -67,6 +68,36 @@ def test_perfbench_trace_targets_exist(monkeypatch):
         if attr not in owner.__dict__
     ]
     assert missing == []
+
+
+def test_perfbench_trace_sees_every_step_and_stage(monkeypatch):
+    # the tracer reads step's first six arguments and counts its spans and
+    # rhs's; both tables must step through lagas.integrate.step and evaluate
+    # every stage through lagas.integrate.rhs
+    from lagas.integrate import SSPRK43, SSPRK104
+
+    names = list(inspect.signature(lagas.integrate.step).parameters)[:6]
+    assert names == ["state", "dt", "grid", "params", "setup", "ctrl"]
+    calls = {"rhs": 0, SSPRK43: 0, SSPRK104: 0}
+    step, rhs = lagas.integrate.step, lagas.integrate.rhs
+
+    def count_step(*args, **kwargs):
+        calls[kwargs["table"]] += 1
+        return step(*args, **kwargs)
+
+    def count_rhs(*args, **kwargs):
+        calls["rhs"] += 1
+        return rhs(*args, **kwargs)
+
+    monkeypatch.setattr(lagas.integrate, "step", count_step)
+    monkeypatch.setattr(lagas.integrate, "rhs", count_rhs)
+    setup = SetupKind.HALFLINE_INSULATED
+    grid = lagas.make_grid(setup, 10.0, 64)
+    state = lagas.build_initial_data(lagas.InitialDataSpec(amplitude_v=0.5), setup, grid)
+    params = lagas.GasParams(1.0, 1.0, 1.0, 1.5)
+    lagas.advance(state, 0.1, 0.03, grid, params, setup, lagas.StepControl())
+    assert calls[SSPRK43] > 0 and calls[SSPRK104] > 0
+    assert calls["rhs"] == 4 * calls[SSPRK43] + 10 * calls[SSPRK104]
 
 
 @pytest.mark.parametrize("kind", list(SetupKind), ids=lambda k: k.value)
