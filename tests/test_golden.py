@@ -2,7 +2,8 @@
 
 The sha256 digests below were recorded with numpy 2.4.6 on x86-64, last when
 rhs took the thermal rate in stress-power form and the heat flux and stress
-from one face-difference pass (all four sets moved).  A change that keeps
+from one face-difference pass (all four sets moved), except the two forced
+half-line runs, which moved when SSPRK(10,4) joined.  A change that keeps
 every formula and its evaluation order keeps them; a change to the numerics
 on purpose records new digests and says in CHANGES.md what moved.  The
 initial data and the audit use numpy's exp and log, whose last bit may differ
@@ -50,12 +51,14 @@ SNAPSHOT_SHA256 = {
     "halfline_insulated": "267ef990241f2d3efaa34df22b2f11ba64dc9bc9381b213994781466132742e7",
     "halfline_isothermal": "d3a82b8118ee136d30ee364c2544a3d41866300f482c281c59388314a7dc566f",
 }
-# the final state of a forced run of each setup's default pulse solution, recorded
-# last with the stress-power rhs
+# the final state of a forced run of each setup's default pulse solution; the
+# half-line runs take SSPRK(10,4) steps and were recorded last when that table
+# joined, the Cauchy run steps with SSPRK(4,3) only and keeps its stress-power
+# rhs digest
 FORCED_SHA256 = {
     "cauchy": "5a3bd61f0d584eee077643944ee21479e17b48b2756951dccd8ea4a3b3ea4bda",
-    "halfline_insulated": "ddf33090e88aeb47772a936950492079e4ec5c29ed09f68aeca48ca81109080f",
-    "halfline_isothermal": "6c9f03b0b7389788f22989d89ff331adca8a3126883d2ccf98a1822de49d19e2",
+    "halfline_insulated": "e81ecf749615d1d5c9ed7b7f84c3290b40891adfce3d54c7a1742437518bef06",
+    "halfline_isothermal": "cfc07df68040d71821b0502bdf20da2889b6bef152009908b7143a37be6aca21",
 }
 
 # v | theta | u of build_initial_data for one spec per family and setup, the bump
