@@ -183,9 +183,9 @@ def step(
 
     y0 = state.packed()
     y, mixed, inflow = y0, {0: y0}, 0.0
-    for i, c in enumerate(table.c, 1):
+    for i, (c, weight) in enumerate(zip(table.c, table.weights), 1):
         if ledger is not None:
-            inflow += table.weights[i - 1] * boundary_power(y, grid, params, setup)
+            inflow += weight * boundary_power(y, grid, params, setup)
         w = rhs(y, grid, params, setup, forcing.get(c)).rates
         w *= h
         w += y

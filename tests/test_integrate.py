@@ -241,6 +241,8 @@ def test_step_matches_butcher_tableau_oracle(setup, forced, name, params, ctrl):
     table, a, b, c = TABLEAUS[name]
     grid = make_grid(setup, 4.0, 16)
     state = random_state(grid, seed=11)
+    if setup.has_wall:
+        state.u[0] = 0.0
     sources = None
     if forced:
         sources = make_source_rates(default_pulse_solution(setup, 4.0), params, grid)
@@ -252,6 +254,7 @@ def test_step_matches_butcher_tableau_oracle(setup, forced, name, params, ctrl):
         state, dt, grid, params, setup, a, b, c, sources
     )
     assert new.t == state.t + dt
+    assert new.u[0] == 0.0 or not setup.has_wall  # du[0] = 0 keeps the wall at rest
     for got, want in zip((new.v, new.theta, new.u), expected):
         want = np.array(want)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
