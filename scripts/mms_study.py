@@ -3,8 +3,8 @@
 
 import argparse
 
-from lagas.cli import MmsSettings
-from lagas.core import GasParams, SetupKind
+from lagas.cli import MmsSettings, RunConfig
+from lagas.core import SetupKind
 from lagas.verification import convergence_study, default_pulse_solution
 
 
@@ -16,7 +16,7 @@ def main() -> int:
     parser.add_argument("--half-length", type=float, default=10.0)
     args = parser.parse_args()
 
-    params = GasParams(mu=1.0, kappa=1.0, R=1.0, c_v=1.5)
+    params = RunConfig.gas
     worst = 10.0
     for setup in SetupKind:
         solution = default_pulse_solution(setup, args.half_length)

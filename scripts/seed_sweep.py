@@ -9,7 +9,8 @@ Each line also gives the truncation audit's largest outer-cell deviation.
 
 import argparse
 
-from lagas.core import GasParams, SetupKind, make_grid
+from lagas.cli import RunConfig
+from lagas.core import SetupKind, make_grid
 from lagas.diagnostics import summarize
 from lagas.integrate import StepControl, advance
 from lagas.verification import InitialDataSpec, build_initial_data
@@ -23,7 +24,7 @@ def main() -> int:
     args = parser.parse_args()
 
     setup = SetupKind.CAUCHY
-    params = GasParams(mu=1.0, kappa=1.0, R=1.0, c_v=1.5)
+    params = RunConfig.gas
     grid = make_grid(setup, 25.0, args.n)
     ctrl = StepControl()
 

@@ -40,6 +40,7 @@ from .core import (
     SetupKind,
     StiffnessError,
     make_grid,
+    validate_state,
 )
 from .diagnostics import (
     DEFAULT_EXCESS_THRESHOLDS,
@@ -56,6 +57,7 @@ from .verification import (
     check_refinement,
     convergence_study,
     default_pulse_solution,
+    sample_state,
     steady_solution,
 )
 
@@ -390,8 +392,15 @@ def mms(config: RunConfig) -> int:
         solution = steady_solution()
     else:
         solution = default_pulse_solution(config.setup, config.half_length)
-    for n in settings.n_list:  # a bad L fails here, before out_dir exists
-        make_grid(config.setup, config.half_length, n)
+    floor = config.control.positivity_floor
+    for n in settings.n_list:  # a bad L or floor fails here, before out_dir exists
+        grid = make_grid(config.setup, config.half_length, n)
+        report = validate_state(sample_state(solution, grid, 0.0), floor)
+        if not report.ok:
+            raise ConfigurationError(
+                f"config key 'step.positivity_floor': manufactured initial state at "
+                f"n = {n} invalid: {report.message()}"
+            )
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
     for stale in (out / "mms_report.json", out / "failure.json"):

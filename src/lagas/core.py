@@ -258,9 +258,12 @@ class ValidationReport:
 def require_positive(what: str, *fields: np.ndarray) -> float:
     """Raise DomainError unless every entry is finite and > 0 (NaN fails the min);
     return the first field's min, which callers may need next."""
-    lows = [values.min() for values in fields]
-    if not all(low > 0.0 for low in lows) or not all(x.max() < np.inf for x in fields):
-        raise DomainError(f"{what} needs finite positive v and theta")
+    lows = []
+    for values in fields:
+        low = np.minimum.reduce(values)
+        if not (low > 0.0 and np.maximum.reduce(values) < np.inf):
+            raise DomainError(f"{what} needs finite positive v and theta")
+        lows.append(low)
     return lows[0]
 
 

@@ -12,9 +12,12 @@ Inside a step every stage is one contiguous float64 buffer ``[v | theta | u]``
 (n cells, n cells, n + 1 nodes).  ``rhs`` returns rates in the same layout,
 each stage is one whole-buffer combination computed in place in its rate
 buffer, and only the step's result becomes a FluidState, with views of its
-buffer as fields.  A stage passes on one min over ``[v | theta]`` against the
-floor and one finiteness test; only a failing stage goes through
-``validate_state``, to name the stage, field and cell.
+buffer as fields.  Each state is checked once: ``step`` checks its input
+(finite, positive v and theta) before the first stage, and every stage result
+after it is formed; ``rhs`` does not check the packed stages again.  A stage
+passes on one min over ``[v | theta]`` against the floor and one finite sum
+of the whole buffer; only a failing stage goes through ``validate_state``, to
+name the stage, field and cell.
 """
 
 from __future__ import annotations
@@ -121,7 +124,7 @@ def stable_dt(
     v_min = require_positive("stable_dt", v, th)
     dm = grid.dm
     sound = np.sqrt(params.R * th * params.gamma) / v
-    dt_hyp = ctrl.cfl_hyperbolic * dm / float(sound.max())
+    dt_hyp = ctrl.cfl_hyperbolic * dm / float(np.maximum.reduce(sound))
     # rounded division and multiplication are monotone, so the largest
     # diffusivity over the cells is the one at min v, bit for bit
     diffusivity = max(params.mu / v_min, params.kappa / (params.c_v * v_min))
@@ -139,10 +142,14 @@ def stable_dt(
 def _checked(y: np.ndarray, floor: float, stage: int, t_start: float) -> None:
     """Raise IntegrationError unless the packed stage is finite with v, theta above floor.
 
-    One min over ``[v | theta]`` (NaN fails it) and one finiteness test; only
-    a failing stage goes through validate_state to name the field and cell.
+    One min over ``[v | theta]`` (NaN fails it) and one sum of the buffer,
+    finite unless an entry is NaN or infinite or finite entries overflow it
+    (numpy then warns).  Only a stage failing either goes through
+    validate_state, which passes an overflow and names the field and cell of
+    any other failure.
     """
-    if y[: 2 * (y.shape[0] // 3)].min() > floor and np.isfinite(y).all():
+    if (np.minimum.reduce(y[: 2 * (y.shape[0] // 3)]) > floor
+            and math.isfinite(np.add.reduce(y))):
         return
     report = validate_state(FluidState.from_packed(t_start, y), floor)
     if not report.ok:
@@ -168,20 +175,22 @@ def step(
 ) -> FluidState:
     """One step of ``table``: positivity-checked Euler substeps of h = dt/ssp.
 
-    Sources are evaluated once per distinct stage time.  A ledger gets the
-    boundary-energy inflow with the scheme's weights, so the total-energy
-    residual measures time-integration error only.  A stage whose result
-    fails the floor raises IntegrationError naming it (1, 2, ...).
+    A state whose v or theta is not finite and positive raises DomainError
+    before any stage.  Sources are evaluated once per distinct stage time.  A
+    ledger gets the boundary-energy inflow with the scheme's weights, so the
+    total-energy residual measures time-integration error only.  A stage
+    whose result fails the floor raises IntegrationError naming it (1, 2, ...).
     """
     if not dt > 0.0:
         raise ConfigurationError(f"dt must be positive, got {dt!r}")
+    y0 = state.packed()
+    require_positive("step", y0[: 2 * grid.n_cells])
     t0, h = state.t, dt / table.ssp
     floor = ctrl.positivity_floor
     forcing = {} if sources is None else {
         c: sources(t0 + c * dt) for c in dict.fromkeys(table.c)
     }
 
-    y0 = state.packed()
     y, mixed, inflow = y0, {0: y0}, 0.0
     for i, (c, weight) in enumerate(zip(table.c, table.weights), 1):
         if ledger is not None:

@@ -111,12 +111,17 @@ def rhs(
     at the rest state whose strain uses a ghost node with u = 0; a wall node
     has du = 0, imposing u(0, t) = 0 strongly.  ``sources`` are optional
     extra rates (dv, du, dtheta), e.g. manufactured forcings.  ``state`` may
-    be a FluidState or a packed ``[v | theta | u]`` stage; the rates come
-    back packed the same way.
+    be a FluidState, whose v and theta must be finite and positive (else
+    DomainError), or a packed ``[v | theta | u]`` stage, which is taken as
+    checked: ``integrate.step`` checks every stage it passes.  The rates come
+    back packed like a stage.
     """
-    y = state if isinstance(state, np.ndarray) else state.packed()
     n = grid.n_cells
-    require_positive("rhs", y[: 2 * n])
+    if isinstance(state, np.ndarray):
+        y = state
+    else:
+        y = state.packed()
+        require_positive("rhs", y[: 2 * n])
     v, th, u = y[:n], y[n : 2 * n], y[2 * n :]
     dm = grid.dm
 

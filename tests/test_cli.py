@@ -374,17 +374,23 @@ def test_mms_single_resolution_is_config_error(tmp_path):
 
 @pytest.mark.parametrize("step, kind", [
     ({"dt_min": 0.5}, "StiffnessError"),
-    ({"positivity_floor": 0.9}, "IntegrationError"),
+    ({}, "IntegrationError"),
 ], ids=["stiffness", "positivity"])
-def test_main_mms_integration_failure_writes_failure_json(tmp_path, step, kind):
-    # the pulse's theta dips to 0.88, under a 0.9 floor, and its stable step
-    # is below a dt_min of 0.5; a stale report from an earlier study goes
+def test_main_mms_integration_failure_writes_failure_json(tmp_path, monkeypatch, step, kind):
+    # the pulse's stable step is below a dt_min of 0.5, and 500 times that
+    # step, up to a far tick, drives v below the floor; a stale report from an
+    # earlier study goes
+    mms_t_end = 0.01
+    if kind == "IntegrationError":
+        stable_dt = lagas.integrate.stable_dt
+        monkeypatch.setattr(lagas.integrate, "stable_dt", lambda *args: 500.0 * stable_dt(*args))
+        mms_t_end = 50.0
     out = tmp_path / "out"
     out.mkdir()
     (out / "mms_report.json").write_text("{}")
     path = tmp_path / "config.json"
     path.write_text(json.dumps(dict(
-        MINIMAL, n=64, t_end=1.0, step=step, mms={"n_list": [16, 32, 64], "t_end": 0.01},
+        MINIMAL, n=64, t_end=1.0, step=step, mms={"n_list": [16, 32, 64], "t_end": mms_t_end},
     )))
     assert main(["mms", str(path), "--out", str(out)]) == EXIT_INTEGRATION
     failure = json.loads((out / "failure.json").read_text())
@@ -399,6 +405,22 @@ def test_main_mms_rejects_a_zero_grid_spacing_before_any_output(tmp_path, capsys
     path.write_text(json.dumps(dict(MINIMAL, L=5e-324, mms={"family": "steady"})))
     assert main(["mms", str(path), "--out", str(out)]) == EXIT_CONFIG
     assert "spacing 0.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_mms_checks_the_manufactured_state_against_the_floor_before_any_output(
+        tmp_path, capsys):
+    # the pulse's min theta is about 0.88, under the configured floor 0.9
+    out = tmp_path / "out"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "setup": "halfline_insulated", "L": 10, "n": 64, "t_end": 0.1,
+        "step": {"positivity_floor": 0.9},
+        "mms": {"n_list": [32, 64, 128], "t_end": 0.02},
+    }))
+    assert main(["mms", str(path), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "step.positivity_floor" in err and "theta[" in err
     assert not out.exists()
 
 

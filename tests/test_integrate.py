@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bruteforce
@@ -182,14 +182,20 @@ def test_step_failure_names_stage_and_cell(cauchy, params, ctrl):
     seed=st.integers(0, 10_000),
     index=st.integers(0, 3 * 8),
     bad=st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -1.0, 1e-10, 2e-10, 1e308]),
+    second=st.none() | st.integers(0, 3 * 8),
 )
+@example(seed=0, index=0, bad=1e308, second=1)
+@example(seed=0, index=20, bad=1e308, second=24)
 @settings(max_examples=60, deadline=None)
-def test_stage_fast_check_agrees_with_validate_state(seed, index, bad):
+def test_stage_fast_check_agrees_with_validate_state(seed, index, bad, second):
     # oracle: the fast stage check raises exactly when validate_state fails,
-    # and then names the same field and cell
+    # and then names the same field and cell; a second bad entry lets finite
+    # entries (two of 1e308) overflow the check's sum, and that stage passes
     grid = make_grid(SetupKind.CAUCHY, 2.0, 8)
     y = random_state(grid, seed).packed()
     y[index] = bad
+    if second is not None:
+        y[second] = bad
     report = validate_state(FluidState.from_packed(0.0, y), 1e-10)
     if report.ok:
         _checked(y, 1e-10, 2, 0.0)
@@ -198,6 +204,22 @@ def test_stage_fast_check_agrees_with_validate_state(seed, index, bad):
         _checked(y, 1e-10, 2, 0.0)
     err = excinfo.value
     assert (err.stage, err.field_name, err.cell) == (2, report.field_name, report.index)
+
+
+@pytest.mark.parametrize("table", [SSPRK43, SSPRK104], ids=["ssprk43", "ssprk104"])
+@pytest.mark.parametrize("field", ["v", "theta"])
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, -np.inf])
+def test_step_rejects_a_bad_state_before_any_rhs_call(monkeypatch, unit_params, table, field,
+                                                      value):
+    # rhs takes packed stages unchecked, so step checks its input state first
+    calls = []
+    monkeypatch.setattr(lagas.integrate, "rhs", lambda *args, **kwargs: calls.append(args))
+    grid = make_grid(SetupKind.CAUCHY, 2.0, 8)
+    state = steady_state(grid)
+    getattr(state, field)[3] = value
+    with pytest.raises(DomainError):
+        step(state, 1e-3, grid, unit_params, SetupKind.CAUCHY, StepControl(), table=table)
+    assert calls == []
 
 
 # SSPRK(4,3) (Spiteri & Ruuth 2002) as a Butcher tableau

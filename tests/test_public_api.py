@@ -72,14 +72,16 @@ def test_perfbench_trace_targets_exist(monkeypatch):
 
 def test_perfbench_trace_sees_every_step_and_stage(monkeypatch):
     # the tracer reads step's first six arguments and counts its spans and
-    # rhs's; both tables must step through lagas.integrate.step and evaluate
-    # every stage through lagas.integrate.rhs
+    # rhs's, reading args[1].n_cells of each rhs call; both tables must step
+    # through lagas.integrate.step and evaluate every stage through
+    # lagas.integrate.rhs, and rhs must not re-check a stage step has checked
     from lagas.integrate import SSPRK43, SSPRK104
 
     names = list(inspect.signature(lagas.integrate.step).parameters)[:6]
     assert names == ["state", "dt", "grid", "params", "setup", "ctrl"]
-    calls = {"rhs": 0, SSPRK43: 0, SSPRK104: 0}
+    calls = {"rhs": 0, SSPRK43: 0, SSPRK104: 0, "require_positive": 0}
     step, rhs = lagas.integrate.step, lagas.integrate.rhs
+    require_positive = lagas.scheme.require_positive
 
     def count_step(*args, **kwargs):
         calls[kwargs["table"]] += 1
@@ -87,10 +89,16 @@ def test_perfbench_trace_sees_every_step_and_stage(monkeypatch):
 
     def count_rhs(*args, **kwargs):
         calls["rhs"] += 1
+        assert isinstance(args[1], lagas.MassGrid)
         return rhs(*args, **kwargs)
+
+    def count_require_positive(*args):
+        calls["require_positive"] += 1
+        return require_positive(*args)
 
     monkeypatch.setattr(lagas.integrate, "step", count_step)
     monkeypatch.setattr(lagas.integrate, "rhs", count_rhs)
+    monkeypatch.setattr(lagas.scheme, "require_positive", count_require_positive)
     setup = SetupKind.HALFLINE_INSULATED
     grid = lagas.make_grid(setup, 10.0, 64)
     state = lagas.build_initial_data(lagas.InitialDataSpec(amplitude_v=0.5), setup, grid)
@@ -98,6 +106,7 @@ def test_perfbench_trace_sees_every_step_and_stage(monkeypatch):
     lagas.advance(state, 0.1, 0.03, grid, params, setup, lagas.StepControl())
     assert calls[SSPRK43] > 0 and calls[SSPRK104] > 0
     assert calls["rhs"] == 4 * calls[SSPRK43] + 10 * calls[SSPRK104]
+    assert calls["require_positive"] == 0
 
 
 @pytest.mark.parametrize("kind", list(SetupKind), ids=lambda k: k.value)
