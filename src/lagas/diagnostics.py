@@ -313,7 +313,8 @@ class AuditTrail:
 
     ``record`` must be called with snapshots of a single trajectory in time
     order; the cumulative integrals are trapezoids on that cadence, and the
-    energy ledger is filled by the integrator at every step.
+    energy ledger is filled by the integrator at every step.  A snapshot read
+    between steps comes with its own ``inflow``, the ledger's at that time.
     """
 
     def __init__(
@@ -335,7 +336,7 @@ class AuditTrail:
         self._cum_df8 = 0.0
         self._cum_z4 = 0.0
 
-    def record(self, state: FluidState) -> AuditRecord:
+    def record(self, state: FluidState, inflow: float | None = None) -> AuditRecord:
         grid, params = self.grid, self.params
         tick = _Tick(state, grid.dm, check="audit record")
         d_visc, d_heat = tick.dissipation_rates(params)
@@ -373,7 +374,8 @@ class AuditTrail:
             int_u4=float(np.square(tick.ubar * tick.ubar).sum() * grid.dm),
             sup_theta_excess=max(th_max - 1.5, 0.0) ** 2,
             excess={a: tick.truncated_excess(a) for a in self.excess_thresholds},
-            energy_balance_residual=energy_balance_residual(te, self._te0, self.ledger.inflow),
+            energy_balance_residual=energy_balance_residual(
+                te, self._te0, self.ledger.inflow if inflow is None else inflow),
         )
 
 

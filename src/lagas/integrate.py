@@ -1,12 +1,11 @@
 """Explicit time advancement: low-storage SSP Runge-Kutta steps under a stable dt.
 
-``advance`` marches a trajectory to a target time, truncating steps so that
-every diagnostic tick (and the final time) is hit exactly, and emits one
-:class:`~lagas.diagnostics.AuditRecord` per tick.  Trajectories are
-deterministic: identical inputs give bit-identical outputs.  One driver,
-``step``, runs two coefficient tables: the third-order SSPRK(4,3) of Spiteri
-& Ruuth (2002) and the fourth-order SSPRK(10,4) of Ketcheson (2008).  Each
-step takes the one with the fewer rhs calls to the next tick.
+``advance`` marches a trajectory to a target time, the only time a step lands
+on, and emits one :class:`~lagas.diagnostics.AuditRecord` per diagnostic tick,
+read from the dense output of the step that spans it.  Trajectories are
+deterministic: identical inputs give bit-identical outputs at any cadence.  One
+driver, ``step``, runs two coefficient tables: the third-order SSPRK(4,3) of
+Spiteri & Ruuth (2002) and the fourth-order SSPRK(10,4) of Ketcheson (2008).
 
 Inside a step every stage is one contiguous float64 buffer ``[v | theta | u]``
 (n cells, n cells, n + 1 nodes).  ``rhs`` returns rates in the same layout,
@@ -58,6 +57,13 @@ class SSPTable:
     stage input a w_i + sum b w_k, with w_0 = y0 and k > 0 a mixed stage.  The
     ledger weighs stage inputs by weights/denominator.  The diffusive step is
     at most ``reach`` SSPRK(4,3) steps and ``ssp`` forward-Euler steps.
+
+    ``dense[j] = (p1, p2, p3)`` makes b_j(theta) = p1 theta + p2 theta^2 +
+    p3 theta^3 in the dense output y_n + dt sum_j b_j(theta) k_j: the
+    minimum-norm cubic meeting the four third-order conditions, with b(1) =
+    weights/denominator.  Its least b_j is -1/24 (SSPRK(4,3)), -0.028
+    (SSPRK(10,4)); none is >= 0 throughout, as sum_j b_j c_j = theta^2/2
+    then fails: the c and c^2 conditions zero the low terms where c_j > 0.
     """
 
     ssp: float
@@ -66,15 +72,25 @@ class SSPTable:
     weights: tuple[float, ...]
     denominator: float
     mix: dict[int, tuple[float, tuple[tuple[int, float], ...]]]
+    dense: tuple[tuple[float, float, float], ...]
+
+    def dense_weights(self, theta: float) -> tuple[float, ...]:
+        """b_j(theta) for each stage, theta in [0, 1] the fraction of the step."""
+        return tuple(theta * (p1 + theta * (p2 + theta * p3)) for p1, p2, p3 in self.dense)
 
 
 #: Spiteri & Ruuth 2002, SSP coefficient 2: y3 = 1/3 w3 + 2/3 y0
 SSPRK43 = SSPTable(2.0, 1.0, (0.0, 0.5, 1.0, 0.5), (1.0, 1.0, 1.0, 3.0), 6.0,
-                   {3: (1.0 / 3.0, ((0, 2.0 / 3.0),))})
+                   {3: (1.0 / 3.0, ((0, 2.0 / 3.0),))},
+                   ((1.0, -1.5, 2 / 3), (0.0, 1.5, -4 / 3), (0.0, -0.5, 2 / 3), (0.0, 0.5, 0.0)))
 #: Ketcheson 2008, SSP coefficient 6: y5 = 2/5 w5 + 3/5 y0 and
 #: y_{n+1} = 3/5 w10 + 1/25 y0 + 9/25 w5, every weight b 1/10
 SSPRK104 = SSPTable(6.0, 10.0, (0, 1 / 6, 1 / 3, 1 / 2, 2 / 3, 1 / 3, 1 / 2, 2 / 3, 5 / 6, 1),
-                    (1.0,) * 10, 10.0, {5: (0.4, ((0, 0.6),)), 10: (0.6, ((0, 0.04), (5, 0.36)))})
+                    (1.0,) * 10, 10.0, {5: (0.4, ((0, 0.6),)), 10: (0.6, ((0, 0.04), (5, 0.36)))},
+                    ((11 / 15, -13 / 10, 2 / 3), (16 / 45, -11 / 30, 1 / 9),
+                     (4 / 45, 7 / 30, -2 / 9), (-1 / 15, 1 / 2, -1 / 3), (-1 / 9, 13 / 30, -2 / 9),
+                     (4 / 45, 7 / 30, -2 / 9), (-1 / 15, 1 / 2, -1 / 3), (-1 / 9, 13 / 30, -2 / 9),
+                     (-2 / 45, 1 / 30, 1 / 9), (2 / 15, -7 / 10, 2 / 3)))
 
 
 @dataclass(frozen=True)
@@ -139,22 +155,23 @@ def stable_dt(
     return min(dt, ctrl.dt_max)
 
 
-def _checked(y: np.ndarray, floor: float, stage: int, t_start: float) -> None:
+def _checked(y: np.ndarray, floor: float, stage: int | None, t_start: float) -> None:
     """Raise IntegrationError unless the packed stage is finite with v, theta above floor.
 
     One min over ``[v | theta]`` (NaN fails it) and one sum of the buffer,
     finite unless an entry is NaN or infinite or finite entries overflow it
     (numpy then warns).  Only a stage failing either goes through
     validate_state, which passes an overflow and names the field and cell of
-    any other failure.
+    any other failure.  A ``stage`` of None is a dense-output state at t_start.
     """
     if (np.minimum.reduce(y[: 2 * (y.shape[0] // 3)]) > floor
             and math.isfinite(np.add.reduce(y))):
         return
     report = validate_state(FluidState.from_packed(t_start, y), floor)
     if not report.ok:
+        where = "dense output" if stage is None else f"stage {stage}"
         raise IntegrationError(
-            f"stage {stage} at t = {t_start:.6g}: {report.message()}",
+            f"{where} at t = {t_start:.6g}: {report.message()}",
             time=t_start,
             stage=stage,
             cell=report.index,
@@ -172,6 +189,7 @@ def step(
     sources: SourceFn | None = None,
     ledger: EnergyLedger | None = None,
     table: SSPTable = SSPRK43,
+    kept: list[tuple[np.ndarray, float]] | None = None,
 ) -> FluidState:
     """One step of ``table``: positivity-checked Euler substeps of h = dt/ssp.
 
@@ -180,6 +198,8 @@ def step(
     ledger gets the boundary-energy inflow with the scheme's weights, so the
     total-energy residual measures time-integration error only.  A stage
     whose result fails the floor raises IntegrationError naming it (1, 2, ...).
+    A ``kept`` list gets each stage's rates k_j and boundary power (NaN without
+    a ledger) for :func:`_dense_output`; the result's bits stay the same.
     """
     if not dt > 0.0:
         raise ConfigurationError(f"dt must be positive, got {dt!r}")
@@ -191,12 +211,15 @@ def step(
         c: sources(t0 + c * dt) for c in dict.fromkeys(table.c)
     }
 
-    y, mixed, inflow = y0, {0: y0}, 0.0
+    y, mixed, inflow, power = y0, {0: y0}, 0.0, math.nan
     for i, (c, weight) in enumerate(zip(table.c, table.weights), 1):
         if ledger is not None:
-            inflow += weight * boundary_power(y, grid, params, setup)
+            power = boundary_power(y, grid, params, setup)
+            inflow += weight * power
         w = rhs(y, grid, params, setup, forcing.get(c)).rates
-        w *= h
+        if kept is not None:
+            kept.append((w, power))
+        w = np.multiply(w, h, out=w if kept is None else None)
         w += y
         y = w
         if i in table.mix:
@@ -210,6 +233,18 @@ def step(
     if ledger is not None:
         ledger.add(dt * inflow / table.denominator)
     return FluidState.from_packed(t0 + dt, y)
+
+
+def _dense_output(start: FluidState, dt: float, weights: tuple[float, ...],
+                  kept: list[tuple[np.ndarray, float]]) -> np.ndarray:
+    """The packed state y_n + dt sum_j b_j k_j of a step from ``start`` whose stage
+    rates were kept, summed elementwise in stage order so that its bits are fixed."""
+    acc = weights[0] * kept[0][0]
+    for b, (k, _) in zip(weights[1:], kept[1:]):
+        acc += b * k
+    acc *= dt
+    acc += start.packed()
+    return acc
 
 
 def advance(
@@ -226,11 +261,13 @@ def advance(
 ) -> tuple[FluidState, list[AuditRecord]]:
     """March to ``t_end``, emitting an AuditRecord every ``every`` time units.
 
-    A record is always written at the start time and at ``t_end``; steps are
-    truncated to land exactly on each tick, and each step's table is the one
-    that reaches the next tick with the fewer rhs calls.  Calling with
-    ``t_end`` equal to the state time is a no-op that emits the single
-    record.  Step failures propagate with the time of failure attached.
+    A record is always written at the start time and at ``t_end``, the only
+    time a step lands on; each step's table is the one that reaches it with
+    the fewer rhs calls.  A tick inside a step reads the state and the ledger
+    inflow from its dense output (within rounding of its end, the landed
+    state), which fails as a stage does.  Calling with ``t_end`` equal to the
+    state time is a no-op that emits the single record.  Step failures
+    propagate with the time of failure attached.
     """
     if not np.isfinite(t_end) or t_end < state.t:
         raise ConfigurationError(
@@ -246,25 +283,36 @@ def advance(
 
     t0 = state.t
     eps = 1e-12 * max(1.0, abs(t_end))
-    tick = 1
+    landed, tick = state, 1
     while state.t < t_end - eps:
         target = t0 + tick * every
         if target > t_end - eps:
             target = t_end
-        while state.t < target - eps:
-            # fewer rhs calls to the tick, stages * ceil(gap / dt); ties, and
+        while landed.t < target - eps:
+            # fewer rhs calls to t_end, stages * ceil(gap / dt); ties, and
             # gaps within one SSPRK(4,3) step, go to SSPRK(4,3)
-            table, dt, gap = SSPRK43, stable_dt(state, grid, params, ctrl), target - state.t
+            start, inflow = landed, trail.ledger.inflow
+            table, dt, gap = SSPRK43, stable_dt(start, grid, params, ctrl), t_end - start.t
             if gap > dt:
-                dt104 = stable_dt(state, grid, params, ctrl, SSPRK104)
+                dt104 = stable_dt(start, grid, params, ctrl, SSPRK104)
                 if 4 * math.ceil(gap / dt) > 10 * math.ceil(gap / dt104):
                     table, dt = SSPRK104, dt104
-            state = step(
-                state, min(dt, gap), grid, params, setup, ctrl,
-                sources=sources, ledger=trail.ledger, table=table,
+            dt = min(dt, gap)
+            kept = [] if target < start.t + dt - eps else None
+            landed = step(
+                start, dt, grid, params, setup, ctrl,
+                sources=sources, ledger=trail.ledger, table=table, kept=kept,
             )
-        state = replace(state, t=target)
-        record = trail.record(state)
+        if target < landed.t - eps:
+            weights = table.dense_weights((target - start.t) / dt)
+            y = _dense_output(start, dt, weights, kept)
+            _checked(y, ctrl.positivity_floor, None, target)
+            state = FluidState.from_packed(target, y)
+            record = trail.record(
+                state, inflow + dt * sum(b * power for b, (_, power) in zip(weights, kept)))
+        else:
+            state = replace(landed, t=target)
+            record = trail.record(state)
         records.append(record)
         if on_record is not None:
             on_record(record, state)

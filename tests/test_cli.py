@@ -262,8 +262,8 @@ def test_positivity_failure_json_names_stage_cell_and_field(tmp_path, monkeypatc
     monkeypatch.setattr(
         lagas.integrate, "stable_dt", lambda *args: 500.0 * stable_dt(*args)
     )
-    # the bump of test_step_failure_names_stage_and_cell; one tick, so the
-    # oversized step is not cut short to land on it
+    # the bump of test_step_failure_names_stage_and_cell, with the oversized
+    # step taken in full
     config = cfg(
         tmp_path, L=8.0, n=64, t_end=100.0, cadence=100.0,
         initial_data={"amplitude_v": 0.8, "amplitude_u": 0.5, "amplitude_theta": -0.4},
@@ -276,6 +276,26 @@ def test_positivity_failure_json_names_stage_cell_and_field(tmp_path, monkeypatc
     assert failure["field_name"] in ("v", "theta", "u")
     assert f"stage {failure['stage']}" in failure["cause"]
     assert f"{failure['field_name']}[{failure['cell']}]" in failure["cause"]
+
+
+def test_main_run_dense_output_failure_writes_failure_json(tmp_path, monkeypatch):
+    # a record read between steps whose theta fails the floor is a run failure
+    original = lagas.integrate._dense_output
+
+    def negative_theta(*args):
+        y = original(*args)
+        y[64 + 7] = -1.0
+        return y
+
+    monkeypatch.setattr(lagas.integrate, "_dense_output", negative_theta)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(MINIMAL, n=64, t_end=1.0, cadence=0.25)))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == EXIT_INTEGRATION
+    failure = json.loads((out / "failure.json").read_text())
+    assert failure["kind"] == "IntegrationError" and failure["time"] == 0.25
+    assert (failure["stage"], failure["field_name"], failure["cell"]) == (None, "theta", 7)
+    assert "dense output" in failure["cause"] and not (out / "summary.json").exists()
 
 
 def test_stiffness_failure_json_has_no_stage(tmp_path, monkeypatch):
@@ -378,7 +398,7 @@ def test_mms_single_resolution_is_config_error(tmp_path):
 ], ids=["stiffness", "positivity"])
 def test_main_mms_integration_failure_writes_failure_json(tmp_path, monkeypatch, step, kind):
     # the pulse's stable step is below a dt_min of 0.5, and 500 times that
-    # step, up to a far tick, drives v below the floor; a stale report from an
+    # step, toward a far t_end, drives v below the floor; a stale report from an
     # earlier study goes
     mms_t_end = 0.01
     if kind == "IntegrationError":

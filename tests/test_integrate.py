@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -27,7 +28,8 @@ from lagas import (
 )
 from lagas.core import validate_state
 from lagas.diagnostics import AuditTrail, EnergyLedger, entropy_energy
-from lagas.integrate import SSPRK43, SSPRK104, _checked
+from lagas.cli import config_from_dict
+from lagas.integrate import SSPRK43, SSPRK104, _checked, _dense_output
 from lagas.scheme import boundary_power
 from lagas.verification import default_pulse_solution, make_source_rates
 
@@ -190,7 +192,8 @@ def test_step_failure_names_stage_and_cell(cauchy, params, ctrl):
 def test_stage_fast_check_agrees_with_validate_state(seed, index, bad, second):
     # oracle: the fast stage check raises exactly when validate_state fails,
     # and then names the same field and cell; a second bad entry lets finite
-    # entries (two of 1e308) overflow the check's sum, and that stage passes
+    # entries (two of 1e308) overflow the check's sum, numpy warns of the
+    # overflow, and that stage passes
     grid = make_grid(SetupKind.CAUCHY, 2.0, 8)
     y = random_state(grid, seed).packed()
     y[index] = bad
@@ -198,7 +201,10 @@ def test_stage_fast_check_agrees_with_validate_state(seed, index, bad, second):
         y[second] = bad
     report = validate_state(FluidState.from_packed(0.0, y), 1e-10)
     if report.ok:
-        _checked(y, 1e-10, 2, 0.0)
+        overflow = bad == 1e308 and second not in (None, index)
+        with (pytest.warns(RuntimeWarning, match="overflow") if overflow
+              else contextlib.nullcontext()):
+            _checked(y, 1e-10, 2, 0.0)
         return
     with pytest.raises(IntegrationError) as excinfo:
         _checked(y, 1e-10, 2, 0.0)
@@ -286,6 +292,155 @@ def test_step_matches_butcher_tableau_oracle(setup, forced, name, params, ctrl):
     )
     assert type(ledger.inflow) is float
     assert ledger.inflow == pytest.approx(inflow, rel=1e-12, abs=0.0)
+
+    # the dense output at theta is the same loop form with b(theta) for b,
+    # and keeping the stage rates leaves the step's bits as they were
+    kept = []
+    again = step(state, dt, grid, params, setup, ctrl, sources=sources, ledger=EnergyLedger(),
+                 table=table, kept=kept)
+    assert again.packed().tobytes() == new.packed().tobytes()
+    for theta in (0.25, 0.6):
+        weights = table.dense_weights(theta)
+        dense = _dense_output(state, dt, weights, kept)
+        expected, _ = bruteforce.explicit_rk_step(
+            state, dt, grid, params, setup, a, weights, c, sources
+        )
+        want = np.concatenate([np.array(field) for field in expected])
+        assert np.abs(dense - want).max() <= 1e-12 * np.abs(want).max()
+        powers = [power for _, power in kept]
+        assert powers == pytest.approx(
+            [boundary_power(FluidState(state.t, *map(np.array, y)), grid, params, setup)
+             for y in stages], rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize("name", TABLEAUS)
+def test_dense_weights_meet_the_third_order_conditions(name):
+    # oracle: sum b = theta, sum b c = theta^2/2, sum b c^2 = theta^3/3 and
+    # sum_i b_i sum_j a_ij c_j = theta^3/6 at every theta; b(0) = 0 and b(1)
+    # is the table's own weights
+    table, a, _, c = TABLEAUS[name]
+    ac = [sum(aij * cj for aij, cj in zip(row, c)) for row in a]
+    for theta in (0.1, 0.3, 0.5, 0.77, 1.0):
+        b = table.dense_weights(theta)
+        assert len(b) == len(c)
+        assert sum(b) == pytest.approx(theta, abs=1e-15)
+        assert sum(bi * ci for bi, ci in zip(b, c)) == pytest.approx(theta**2 / 2, abs=1e-15)
+        assert sum(bi * ci * ci for bi, ci in zip(b, c)) == pytest.approx(theta**3 / 3,
+                                                                            abs=1e-15)
+        assert sum(bi * x for bi, x in zip(b, ac)) == pytest.approx(theta**3 / 6, abs=1e-15)
+    assert table.dense_weights(0.0) == (0.0,) * len(c)
+    assert table.dense_weights(1.0) == pytest.approx(
+        [w / table.denominator for w in table.weights], abs=1e-15)
+
+
+@pytest.mark.parametrize("table", [SSPRK43, SSPRK104], ids=["ssprk43", "ssprk104"])
+@pytest.mark.parametrize("setup", list(SetupKind), ids=lambda k: k.value)
+def test_dense_output_spans_the_step(setup, table, params, ctrl):
+    # at theta = 0 and 1 the dense output is the step's start and end, to rounding
+    grid, state = bump_state(setup)
+    kept = []
+    dt = stable_dt(state, grid, params, ctrl, table)
+    new = step(state, dt, grid, params, setup, ctrl, table=table, kept=kept)
+    assert len(kept) == len(table.c)
+    start = _dense_output(state, dt, table.dense_weights(0.0), kept)
+    assert start.tobytes() == state.packed().tobytes()
+    end = _dense_output(state, dt, table.dense_weights(1.0), kept)
+    assert np.abs(end - new.packed()).max() <= 1e-14 * np.abs(new.packed()).max()
+
+
+def dense_error(state, grid, params, setup, ctrl, table, dt, theta):
+    """Max error of a step's dense output at theta, against many small SSPRK(10,4) steps."""
+    kept = []
+    step(state, dt, grid, params, setup, ctrl, table=table, kept=kept)
+    dense = _dense_output(state, dt, table.dense_weights(theta), kept)
+    reference, target = state, state.t + theta * dt
+    while reference.t < target - 1e-14:
+        reference = step(reference, min(dt / 200.0, target - reference.t), grid, params, setup,
+                         ctrl, table=SSPRK104)
+    return np.abs(dense - reference.packed()).max()
+
+
+@pytest.mark.parametrize("table", [SSPRK43, SSPRK104], ids=["ssprk43", "ssprk104"])
+@pytest.mark.parametrize("setup", list(SetupKind), ids=lambda k: k.value)
+def test_dense_output_error_shrinks_sixteenfold_per_dt_halving(setup, table, params, ctrl):
+    # a third-order extension errs by O(dt^4) within its step
+    grid, state = bump_state(setup)
+    coarse, fine = (dense_error(state, grid, params, setup, ctrl, table, dt, 0.3)
+                    for dt in (0.02, 0.01))
+    assert 12.0 < coarse / fine < 20.0
+
+
+@pytest.mark.parametrize("setup", list(SetupKind), ids=lambda k: k.value)
+def test_record_read_from_dense_output_agrees_with_a_landed_record(monkeypatch, setup, params,
+                                                                   ctrl):
+    # one run lands on T; the other passes T inside its first step, an
+    # SSPRK(10,4) step, and reads the record there from the dense output
+    grid, state = bump_state(setup)
+    dt = stable_dt(state, grid, params, ctrl, SSPRK104)
+    tick = 0.4 * dt
+    _, landed = advance(state, tick, tick, grid, params, setup, ctrl)
+    tables = spy_tables(monkeypatch)
+    _, dense = advance(state, 5.0 * dt, tick, grid, params, setup, ctrl)
+    assert tables[0] is SSPRK104 and dense[1].t == landed[-1].t == tick
+    error = dense_error(state, grid, params, setup, ctrl, SSPRK104, dt, 0.4)
+    for name in ("E", "v_min", "theta_max", "lpinf_dev", "vx_l2", "energy_balance_residual"):
+        assert getattr(dense[1], name) == pytest.approx(getattr(landed[-1], name), abs=error)
+
+
+def test_a_failed_dense_output_state_raises_at_its_tick(monkeypatch, insulated, params, ctrl):
+    # the interpolant carries no SSP guarantee, so its state is checked and a
+    # failure names the tick, the field and the cell
+    original = lagas.integrate._dense_output
+
+    def negative_theta(*args):
+        y = original(*args)
+        y[64 + 5] = -1e-3
+        return y
+
+    monkeypatch.setattr(lagas.integrate, "_dense_output", negative_theta)
+    grid, state = bump_state(insulated)
+    assert 0.013 < stable_dt(state, grid, params, ctrl, SSPRK104)
+    with pytest.raises(IntegrationError) as excinfo:
+        advance(state, 0.5, 0.013, grid, params, insulated, ctrl)
+    err = excinfo.value
+    assert (err.time, err.stage, err.field_name, err.cell) == (0.013, None, "theta", 5)
+    assert "dense output at t = 0.013" in str(err)
+
+
+def pinned_run_data(setup):
+    """The run tests/test_golden.py pins, as library arguments."""
+    grid = make_grid(setup, 10.0, 64)
+    spec = InitialDataSpec(amplitude_v=0.6, amplitude_u=0.4, amplitude_theta=-0.3, width=1.0)
+    return grid, build_initial_data(spec, setup, grid)
+
+
+@pytest.mark.parametrize("setup", list(SetupKind), ids=lambda k: k.value)
+def test_steps_do_not_depend_on_the_cadence(setup, params, ctrl):
+    # ticks read the dense output and never cut a step, so the final state and
+    # the final ledger are the same bits at any cadence
+    grid, state = pinned_run_data(setup)
+    finals = []
+    for every in (0.013, 0.1, 0.5):
+        final, records = advance(state, 0.5, every, grid, params, setup, ctrl)
+        finals.append((final.t, final.packed().tobytes(), records[-1].energy_balance_residual))
+    assert finals[0] == finals[1] == finals[2]
+
+
+def test_dense_audit_config_keeps_every_record_balanced():
+    # the README half-line config at cadence 0.002: a thousand records, nine
+    # of every ten read from an SSPRK(10,4) step's dense output
+    config = config_from_dict({
+        "setup": "halfline_insulated", "L": 20.0, "n": 256, "t_end": 2.0, "cadence": 0.002,
+        "step": {"cfl_parabolic": 0.4},
+        "initial_data": {"amplitude_v": 1.9, "amplitude_u": 0.475, "amplitude_theta": -0.775,
+                         "width": 1.0, "center": 10.0},
+    })
+    grid = make_grid(config.setup, config.half_length, config.n_cells)
+    state = build_initial_data(config.initial, config.setup, grid)
+    _, records = advance(state, config.t_end, config.cadence, grid, config.gas, config.setup,
+                         config.control)
+    assert len(records) == 1001
+    assert max(abs(r.energy_balance_residual) for r in records) <= 1e-9
 
 
 def test_ssprk104_evaluates_sources_once_per_distinct_time(params, ctrl):
@@ -416,8 +571,8 @@ def spy_tables(monkeypatch):
 @pytest.mark.parametrize("gap,expected", [(0.5, SSPRK43), (4.5, SSPRK43), (5.5, SSPRK104)],
                          ids=["within_one_step", "tie", "fewer_calls"])
 def test_advance_takes_the_table_with_fewer_rhs_calls(monkeypatch, cauchy, params, gap, expected):
-    # dt_max clamps SSPRK(10,4) to 3 SSPRK(4,3) steps. A tick 4.5 steps away
-    # costs 4*5 = 10*2 = 20 rhs calls either way, and the tie goes to
+    # dt_max clamps SSPRK(10,4) to 3 SSPRK(4,3) steps. A t_end 4.5 steps
+    # away costs 4*5 = 10*2 = 20 rhs calls either way, and the tie goes to
     # SSPRK(4,3); 5.5 steps away costs 24 against 20. Half a step away,
     # SSPRK(10,4)'s step size is not asked for.
     grid = make_grid(cauchy, 5.0, 64)
@@ -449,8 +604,8 @@ def large_data(n):
 
 
 def test_large_data_runs_step_mostly_at_fourth_order(monkeypatch, params, ctrl):
-    # the parabolic bound sets dt and the 0.1 cadence leaves ~10 SSPRK(4,3)
-    # steps per tick; only the last step before a tick may fall back
+    # the parabolic bound sets dt, and the 0.1 cadence does not cut steps;
+    # only the last step before t_end may fall back
     grid, state = large_data(256)
     tables = spy_tables(monkeypatch)
     _, records = advance(state, 1.0, 0.1, grid, params, SetupKind.CAUCHY, ctrl)
