@@ -1,9 +1,11 @@
 """Byte-level regression pins for the stepping core.
 
-The sha256 digests below were recorded with numpy 2.4.6 on x86-64, last when
-rhs took the thermal rate in stress-power form and the heat flux and stress
-from one face-difference pass (all four sets moved), except the two forced
-half-line runs, which moved when SSPRK(10,4) joined.  A change that keeps
+The sha256 digests below were recorded with numpy 2.4.6 on x86-64.  The
+forced runs' were recorded last when rhs took the thermal rate in stress-power
+form and the heat flux and stress from one face-difference pass, except the
+two half-line ones, which moved when SSPRK(10,4) joined.  The CLI run's
+audit, summary and snapshot digests moved last when audit ticks stopped
+cutting steps and were read from the dense output instead.  A change that keeps
 every formula and its evaluation order keeps them; a change to the numerics
 on purpose records new digests and says in CHANGES.md what moved.  The
 initial data and the audit use numpy's exp and log, whose last bit may differ
@@ -29,32 +31,31 @@ from lagas.verification import (
     sample_state,
 )
 
-# recorded last when the truncation audit's outer_dev column joined audit.csv;
-# with that column removed, the file hashes to the stress-power rhs digests
+# recorded last when ticks were first read from the dense output
 AUDIT_SHA256 = {
-    "cauchy": "4727d27e7643c25276e45c4ee5fa2da39538584ccbb652f47e4bda181d52c58f",
-    "halfline_insulated": "c850ad6608a48b71a410d372bcdc9657b2f27e5d3b59a2821d870ee3d067eafb",
-    "halfline_isothermal": "2f20b1283f8de7f6622aaa4ebf40066079dd2f4cc4484d8fe652746bc6f2218f",
+    "cauchy": "3b4e8befe8ddbe89be4bf8e5013767373a4325ef2feb31c44b4d74228d9b3e10",
+    "halfline_insulated": "15418608744529aa6b8d6d4efb55ac4bfece081bfeb60bf56287879f099d3224",
+    "halfline_isothermal": "e917a7804b242e338ec622c328a729970564b7ec11080fe722ae6b6648974068",
 }
 # summary.json echoes config values (setup, n_cells, half_length, t_end, the
 # truncation threshold), so these also pin how the run config is typed;
-# recorded last with the stress-power rhs
+# recorded last when ticks were first read from the dense output
 SUMMARY_SHA256 = {
-    "cauchy": "e49b9f71d6049deb334ab7c0879d4545c03714b2f33b721b514fa93230a4d538",
-    "halfline_insulated": "d837a136a24697645dc5929657b1f33277b369e78cc3bf74428bd1fd3f658c40",
-    "halfline_isothermal": "2f3d648db2f20a797691e950b06d921b75a8a5f53e66bc3bfea70a038eea1a3c",
+    "cauchy": "a96591ce7af052f534984ad6122c4724687d305b9290d15b77891f5f131ec644",
+    "halfline_insulated": "2056290db7b7825709b831f526e55b52931a0efe9778846bd538d34179a0f6b4",
+    "halfline_isothermal": "3b8406b4f85feb29d14cd46ab533bf75545e336aead934dc6ec5d491eb9918db",
 }
 # the run's snapshot files, sorted names and bytes (shortest round-trip
-# decimals), recorded last with the stress-power rhs
+# decimals), recorded last when ticks were first read from the dense output
 SNAPSHOT_SHA256 = {
-    "cauchy": "36978eff36ec92fde911827836e57b4ec2516f6a448586c20e0fd3519f463552",
-    "halfline_insulated": "267ef990241f2d3efaa34df22b2f11ba64dc9bc9381b213994781466132742e7",
-    "halfline_isothermal": "d3a82b8118ee136d30ee364c2544a3d41866300f482c281c59388314a7dc566f",
+    "cauchy": "e9d2a3584c7bf859366091f65a8de49de97a61a06e6846f4fb05c0ca42e03635",
+    "halfline_insulated": "972865cba9c7678bad863efb1110a6e9fefc00d2935b6a66da2500da5cda8edd",
+    "halfline_isothermal": "56bdca505acc3e9ed8ee26e83db32d5e40027c0fdf08207a60f0e3653c6d557c",
 }
-# the final state of a forced run of each setup's default pulse solution; the
-# half-line runs take SSPRK(10,4) steps and were recorded last when that table
-# joined, the Cauchy run steps with SSPRK(4,3) only and keeps its stress-power
-# rhs digest
+# the final state of a forced run of each setup's default pulse solution, one
+# tick to t_end, so dense output leaves it as it was; the half-line runs take
+# SSPRK(10,4) steps and were recorded last when that table joined, the Cauchy
+# run steps with SSPRK(4,3) only and keeps its stress-power rhs digest
 FORCED_SHA256 = {
     "cauchy": "5a3bd61f0d584eee077643944ee21479e17b48b2756951dccd8ea4a3b3ea4bda",
     "halfline_insulated": "e81ecf749615d1d5c9ed7b7f84c3290b40891adfce3d54c7a1742437518bef06",
@@ -89,8 +90,9 @@ def sha256(data: bytes) -> str:
 def pinned_run(kind, out_dir):
     """The run whose output bytes are pinned.
 
-    Cadence 0.013 is no multiple of the stable step, so every tick truncates
-    a step to land on it; snapshots every 0.1 exercise the on_record path.
+    Cadence 0.013 is no multiple of the stable step, so every tick but t_end
+    falls inside a step and reads its dense output; snapshots every 0.1
+    exercise the on_record path with those states.
     """
     return parse_config(json.dumps({
         "setup": kind.value,
@@ -123,18 +125,26 @@ def test_cli_audit_bytes_are_pinned(tmp_path, kind):
 
 
 @pytest.mark.parametrize("kind", list(SetupKind), ids=lambda k: k.value)
-def test_pinned_run_steps_only_with_ssprk43(tmp_path, monkeypatch, kind):
-    # each tick is at most one SSPRK(4,3) step away, so the run's bytes are
-    # those of the SSPRK(4,3)-only stepping they were recorded with
-    tables, original = [], lagas.integrate.step
+def test_pinned_run_reads_ticks_inside_ssprk104_steps(tmp_path, monkeypatch, kind):
+    # the pinned bytes cover the dense output: all 38 ticks between 0 and
+    # t_end fall inside steps, far fewer steps than ticks, and the steps run
+    # at fourth order; only the two nearest t_end may take SSPRK(4,3)
+    tables, dense = [], []
+    step, dense_output = lagas.integrate.step, lagas.integrate._dense_output
 
-    def spy(*args, **kwargs):
+    def spy_step(*args, **kwargs):
         tables.append(kwargs["table"])
-        return original(*args, **kwargs)
+        return step(*args, **kwargs)
 
-    monkeypatch.setattr(lagas.integrate, "step", spy)
+    def spy_dense(*args):
+        dense.append(args[0].t)
+        return dense_output(*args)
+
+    monkeypatch.setattr(lagas.integrate, "step", spy_step)
+    monkeypatch.setattr(lagas.integrate, "_dense_output", spy_dense)
     assert run(pinned_run(kind, tmp_path / "out")) == EXIT_OK
-    assert len(tables) > 38 and set(tables) == {lagas.integrate.SSPRK43}
+    assert len(dense) == 38 and len(tables) < 12
+    assert set(tables[:-2]) == {lagas.integrate.SSPRK104}
 
 
 @pytest.mark.parametrize("setup", list(SetupKind), ids=lambda k: k.value)
