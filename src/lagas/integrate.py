@@ -219,7 +219,7 @@ def step(
         w = rhs(y, grid, params, setup, forcing.get(c)).rates
         if kept is not None:
             kept.append((w, power))
-        w = np.multiply(w, h, out=w if kept is None else None)
+        w = np.multiply(w, h, out=w if kept is None else None)  # a kept rate stays
         w += y
         y = w
         if i in table.mix:

@@ -299,6 +299,9 @@ def test_step_matches_butcher_tableau_oracle(setup, forced, name, params, ctrl):
     again = step(state, dt, grid, params, setup, ctrl, sources=sources, ledger=EnergyLedger(),
                  table=table, kept=kept)
     assert again.packed().tobytes() == new.packed().tobytes()
+    assert [power for _, power in kept] == pytest.approx(
+        [boundary_power(FluidState(state.t, *map(np.array, y)), grid, params, setup)
+         for y in stages], rel=1e-12, abs=1e-14)
     for theta in (0.25, 0.6):
         weights = table.dense_weights(theta)
         dense = _dense_output(state, dt, weights, kept)
@@ -307,10 +310,6 @@ def test_step_matches_butcher_tableau_oracle(setup, forced, name, params, ctrl):
         )
         want = np.concatenate([np.array(field) for field in expected])
         assert np.abs(dense - want).max() <= 1e-12 * np.abs(want).max()
-        powers = [power for _, power in kept]
-        assert powers == pytest.approx(
-            [boundary_power(FluidState(state.t, *map(np.array, y)), grid, params, setup)
-             for y in stages], rel=1e-12, abs=1e-14)
 
 
 @pytest.mark.parametrize("name", TABLEAUS)
@@ -427,8 +426,9 @@ def test_steps_do_not_depend_on_the_cadence(setup, params, ctrl):
 
 
 def test_dense_audit_config_keeps_every_record_balanced():
-    # the README half-line config at cadence 0.002: a thousand records, nine
-    # of every ten read from an SSPRK(10,4) step's dense output
+    # the dense_audit_n256 benchmark config (L = 20, n = 256, cadence 0.002),
+    # its seeded amplitudes at mid-range: 999 of the 1 001 records are read
+    # from the dense output of about 110 SSPRK(10,4) steps
     config = config_from_dict({
         "setup": "halfline_insulated", "L": 20.0, "n": 256, "t_end": 2.0, "cadence": 0.002,
         "step": {"cfl_parabolic": 0.4},
