@@ -239,9 +239,9 @@ def _dense_output(start: FluidState, dt: float, weights: tuple[float, ...],
                   kept: list[tuple[np.ndarray, float]]) -> np.ndarray:
     """The packed state y_n + dt sum_j b_j k_j of a step from ``start`` whose stage
     rates were kept, summed elementwise in stage order so that its bits are fixed."""
-    acc = weights[0] * kept[0][0]
+    acc, term = weights[0] * kept[0][0], np.empty_like(kept[0][0])
     for b, (k, _) in zip(weights[1:], kept[1:]):
-        acc += b * k
+        acc += np.multiply(k, b, out=term)
     acc *= dt
     acc += start.packed()
     return acc

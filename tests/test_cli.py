@@ -1,9 +1,11 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from lagas.cli import (
     EXIT_OK,
     EXIT_TRUNCATION,
     RunConfig,
+    _deep_merge,
     _snapshot_path,
     main,
     mms,
@@ -617,6 +620,52 @@ def test_main_nested_set_override(tmp_path):
     assert code == EXIT_OK
     audit = (tmp_path / "o" / "audit.csv").read_text().splitlines()
     assert len(audit) > 2
+
+
+REPO = Path(__file__).resolve().parent.parent
+README = (REPO / "README.md").read_text(encoding="utf-8")
+#: the command README gives each shipped config, ``lagas <command> configs/<name>``
+README_COMMANDS = {name: command for command, name in
+                   re.findall(r"lagas (run|sweep|mms) configs/(\S+\.json)", README)}
+SHIPPED = [
+    *(pytest.param(path.name, path.read_text(encoding="utf-8"), id=path.name)
+      for path in sorted((REPO / "configs").glob("*.json"))),
+    *(pytest.param(None, text, id=f"README-json-{i}")
+      for i, text in enumerate(re.findall(r"```json\n(.*?)```", README, re.S))),
+]
+TINY = {"run": ["n=32", "t_end=0.2"], "sweep": ["n=32", "t_end=0.2"],
+        "mms": ["mms.n_list=[16,32,64]", "mms.t_end=0.01"]}
+
+
+@pytest.mark.parametrize("name, text", SHIPPED)
+def test_shipped_configs_parse_and_run_at_a_tiny_size(tmp_path, name, text):
+    # each config in configs/ runs by the command README gives it, README's
+    # JSON examples by `run`; a shipped config takes the gas and step control
+    # of RunConfig, the one home of those defaults
+    command = "run" if name is None else README_COMMANDS[name]
+    base = json.loads(text)
+    section = base.pop("sweep", None)
+    assert (section is not None) == (command == "sweep")
+    variants = [{}] if section is None else section["variants"]
+    for raw in (_deep_merge(base, variant) for variant in variants):
+        parse_config(json.dumps(raw))
+        assert name is None or not {"gas", "step"} & raw.keys()
+
+    path = REPO / "configs" / name if name else tmp_path / "config.json"
+    if name is None:
+        path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    overrides = [arg for value in TINY[command] for arg in ("--set", value)]
+    code = main([command, str(path), "--out", str(out), *overrides])
+    if command == "mms":
+        passed = json.loads((out / "mms_report.json").read_text())["pass"]
+        assert code == (EXIT_OK if passed else EXIT_MMS_FAIL)
+    else:
+        dirs = [out] if section is None else json.loads(
+            (out / "sweep_summary.json").read_text())["out_dirs"]
+        ok = all(json.loads((Path(d) / "summary.json").read_text())["truncation"]["ok"]
+                 for d in dirs)
+        assert code == (EXIT_OK if ok else EXIT_TRUNCATION)
 
 
 def test_importing_cli_leaves_the_process_pool_unloaded():
