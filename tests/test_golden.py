@@ -62,6 +62,20 @@ FORCED_SHA256 = {
     "halfline_isothermal": "cfc07df68040d71821b0502bdf20da2889b6bef152009908b7143a37be6aca21",
 }
 
+# audit.csv and summary.json of a run at n = 256, where every cell and face sum
+# is longer than numpy's 128-element pairwise-summation block, so a change to
+# how the audit's sums are blocked shows here though it cannot at n = 64
+AUDIT_N256_SHA256 = {
+    "cauchy": "44d974926ede13d9b77ccdc6d9eb6d8cee3ad609f793457ca0eb32aace56806f",
+    "halfline_insulated": "2262246adc971d31d14181c762d802fab36fdcc5a016c693305b944bbfb24da5",
+    "halfline_isothermal": "74146f2f51cbefb1cf266a1867309cd14dd5713ce5979bb303c9ae978d15d0ee",
+}
+SUMMARY_N256_SHA256 = {
+    "cauchy": "4491aa153d39f50c6040dfad00ab4b86ce197659b8aac657c394e427728eed69",
+    "halfline_insulated": "92dbdbce9abb041ea69ea4d34b5ab6ee794ae5439f6d0b28913a3f8c28d05204",
+    "halfline_isothermal": "cbcde7e9f49db3640ec8685f26e4bace31b3ed6546ac41a0fd96c7769a5dbe63",
+}
+
 # v | theta | u of build_initial_data for one spec per family and setup, the bump
 # off the centre so that the wall reflections do not cancel by symmetry
 INITIAL_SHA256 = {
@@ -123,6 +137,37 @@ def test_cli_audit_bytes_are_pinned(tmp_path, kind):
     data = b"".join(path.name.encode() + path.read_bytes() for path in snapshots)
     assert sha256(data) == SNAPSHOT_SHA256[kind.value]
 
+
+@pytest.mark.parametrize("kind", list(SetupKind), ids=lambda k: k.value)
+def test_cli_audit_bytes_are_pinned_past_the_pairwise_block(tmp_path, monkeypatch, kind):
+    # 30 records from at most five steps: most records read the dense output
+    steps, step = [], lagas.integrate.step
+
+    def spy_step(*args, **kwargs):
+        steps.append(kwargs["table"])
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(lagas.integrate, "step", spy_step)
+    config = parse_config(json.dumps({
+        "setup": kind.value,
+        "L": 10.0,
+        "n": 256,
+        "t_end": 0.02,
+        "cadence": 0.0007,
+        "initial_data": {
+            "amplitude_v": 0.6,
+            "amplitude_u": 0.4,
+            "amplitude_theta": -0.3,
+            "width": 1.0,
+        },
+        "out_dir": str(tmp_path / "out"),
+    }))
+    assert run(config) == EXIT_OK
+    audit = (tmp_path / "out" / "audit.csv").read_bytes()
+    assert audit.count(b"\n") == 31 and len(steps) <= 5
+    assert sha256(audit) == AUDIT_N256_SHA256[kind.value]
+    summary = (tmp_path / "out" / "summary.json").read_bytes()
+    assert sha256(summary) == SUMMARY_N256_SHA256[kind.value]
 
 @pytest.mark.parametrize("kind", list(SetupKind), ids=lambda k: k.value)
 def test_pinned_run_reads_ticks_inside_ssprk104_steps(tmp_path, monkeypatch, kind):
