@@ -1,9 +1,14 @@
 """Audit functionals: energy, dissipation, norms, running integrals.
 
-Instantaneous quantities are pure functions of a state snapshot.  The
-running time integrals (cum_D, cum_df8, cum_z4) are accumulated by
-trapezoid on the record cadence inside :class:`AuditTrail`, which also
-tracks the total-energy ledger the integrator feeds.
+Instantaneous quantities are pure functions of a state snapshot, all taken by
+``_Tick`` in a fixed handful of whole-buffer numpy passes and bit for bit what
+one pass per functional gives: each summand keeps its operand order, each
+buffer of summand rows is reduced along its contiguous rows (numpy sums each
+exactly as that row's own ``.sum()``), and max |x - 1| over a field comes from
+its bounds, since fl(x - 1) is monotone in x.  The running time integrals
+(cum_D, cum_df8, cum_z4) are accumulated by trapezoid on the record cadence
+inside :class:`AuditTrail`, which also tracks the total-energy ledger the
+integrator feeds.
 """
 
 from __future__ import annotations
@@ -17,25 +22,10 @@ from .core import DomainError, FluidState, GasParams, MassGrid, SetupKind
 from .scheme import total_energy
 
 __all__ = [
-    "AuditRecord",
-    "AuditTrail",
-    "EnergyLedger",
-    "H1Seminorms",
-    "entropy_energy",
-    "dissipation_rates",
-    "energy_balance_residual",
-    "field_bounds",
-    "lp_deviation",
-    "h1_seminorms",
-    "truncated_excess",
-    "check_excess_thresholds",
-    "sup_embedding_check",
-    "df8_rate",
-    "z4_rate",
-    "audit_columns",
-    "audit_header",
-    "audit_row",
-    "summarize",
+    "AuditRecord", "AuditTrail", "EnergyLedger", "H1Seminorms", "entropy_energy",
+    "dissipation_rates", "energy_balance_residual", "field_bounds", "lp_deviation",
+    "h1_seminorms", "truncated_excess", "check_excess_thresholds", "sup_embedding_check",
+    "df8_rate", "z4_rate", "audit_columns", "audit_header", "audit_row", "summarize",
 ]
 
 DEFAULT_EXCESS_THRESHOLDS = (1.5, 2.0, 3.0)
@@ -54,72 +44,108 @@ def check_excess_thresholds(thresholds) -> tuple[float, ...]:
     return levels
 
 
-def _dx(w: np.ndarray, dm: float) -> np.ndarray:
-    """Divided first difference; the same subtraction as ``np.diff``, without its overhead."""
-    return (w[1:] - w[:-1]) / dm
-
-
 class _Tick:
-    """The intermediates of one state that several functionals share, computed once:
-    differences at the stagger locations :func:`h1_seminorms` names, face means,
-    squares and sums of squares.
+    """The intermediates of one state that the audit functionals share, in a fixed
+    handful of whole-buffer numpy passes whatever n is.
+
+    ``y = [v | theta | u]`` packs the fields; its first 2n entries are the block
+    ``[v; theta]``, whose row minima and maxima are the bounds.  A subtract and
+    divide over y gives ``[v_x | . | theta_x | . | u_x]``, one over that the second
+    differences (theta_xx from n, u_xx from 2n); a ``.`` straddles a field seam
+    and is never read.  The work buffer holds ``[v_face | . | theta_face | . |
+    ubar | v - 1 | theta - 1 | u]``, one abs pass over its last 4n + 1 entries
+    giving the deviations (ubar enters only squared, so |ubar| serves).  The
+    summands fill one buffer: a run of face rows (their first n - 1 columns), then
+    of cell rows, ``[v_x^2 | .], [theta_x^2 | .], [u_x^2]`` squared in one pass
+    where the runs meet.  One ``np.add.reduce`` per run sums each row, contiguous,
+    bit for bit as its own ``.sum()`` (a Fortran-ordered buffer's would not), so
+    no row is padded.  Operand order is part of the audit.csv bytes that
+    tests/test_golden.py pins: df8's ``((1 + theta + ubar^2)*s)*s`` is not
+    ``(1 + theta + ubar^2)*(s*s)``.
 
     Each functional is one method here: an audit record applies them all to one
-    instance, and each public functional applies its own to a fresh one.  With
-    ``check`` set, v and theta must be finite and positive (NaN fails the minima),
-    tested on the bounds before any other array work; DomainError names ``check``.
-    Operand order is part of the audit.csv bytes that tests/test_golden.py pins:
-    df8's ``((1 + theta + ubar^2)*s)*s`` is not ``(1 + theta + ubar^2)*(s*s)``.
+    instance, and each public functional its own to a fresh one.  With ``check``
+    set, v and theta must be finite and positive (NaN fails the minima), tested
+    on the bounds before any other array work; DomainError names ``check``.  Only
+    then are the rows that divide by v and theta written; only entropy_energy,
+    which is checked, takes a log.
     """
 
     def __init__(self, state: FluidState, dm: float, check: str | None = None) -> None:
-        self.state, self.dm = state, dm
-        self.bounds = v_min, v_max, th_min, th_max = field_bounds(state)
+        n = len(state.v)
+        y = np.concatenate((state.v, state.theta, state.u))
+        self.vt = vt = y[: 2 * n].reshape(2, n)
+        self.bounds = v_min, v_max, th_min, th_max = _bounds(vt)
         if check and not (v_min > 0.0 and th_min > 0.0 and max(v_max, th_max) < math.inf):
             raise DomainError(f"{check} needs finite positive v and theta")
-        v, th = state.v, state.theta
-        self.ubar = state.cell_velocity()
-        self.vx, self.ux, self.thx = _dx(v, dm), _dx(state.u, dm), _dx(th, dm)
-        self.ux_sq, self.thx_sq = self.ux * self.ux, self.thx * self.thx
-        self.th_face = 0.5 * (th[:-1] + th[1:])
-        uxx, thxx = _dx(self.ux, dm), _dx(self.thx, dm)
-        #: sums of squares of (v_x, u_x, theta_x, u_xx, theta_xx)
-        self.sq_sums = tuple(float(w.sum()) for w in (
-            self.vx * self.vx, self.ux_sq, self.thx_sq, uxx * uxx, thxx * thxx))
-        #: |v - 1|, |u| averaged to cells, |theta - 1|
-        self.abs_dev = np.abs(v - 1.0), np.abs(self.ubar), np.abs(th - 1.0)
+        self.dm = dm
+        work = np.empty(6 * n + 1)
+        mean = np.add(y[:-1], y[1:], work[: 3 * n])
+        mean *= 0.5
+        np.subtract(y[: 2 * n], 1.0, work[3 * n : 5 * n])
+        work[5 * n :] = state.u
+        np.abs(work[2 * n :], work[2 * n :])
+        #: |ubar|, |v - 1|, |theta - 1| on cells; and |v - 1|, |theta - 1|, |u|
+        self.abs_dev, self.abs_ends = work[2 * n : 5 * n].reshape(3, n), work[3 * n :]
+        d1 = (y[1:] - y[:-1]) / dm
+        d2 = (d1[1:] - d1[:-1]) / dm
+        vx, s, uxx, thxx = d1[: n - 1], d1[2 * n :], d2[2 * n :], d2[n:-n - 1]
+        # abs_dev ** 2.0, which numpy evaluates as this square
+        th_face, powers = mean[n:-n - 1], self.abs_dev * self.abs_dev
+        # faces: u_xx^2 (on interior nodes), z4's and, checked, D_heat's summands,
+        # v_x^2 and theta_x^2; cells: u_x^2, df8's, lp_deviation(2)'s, u^4 and D_visc's
+        f = 3 if check else 2
+        flat = np.empty((10 if check else 8) * n)
+        rows = flat.reshape(-1, n)
+        faces, cells = rows[: f + 2, : n - 1], rows[f + 2 :]
+        np.multiply(d1, d1, flat[f * n : (f + 3) * n])
+        np.multiply(uxx, uxx, faces[0])
+        np.multiply(np.multiply(th_face, vx, faces[1]), vx, faces[1])
+        df8 = np.add(np.add(1.0, vt[1], cells[1]), powers[0], cells[1])
+        np.multiply(np.multiply(df8, s, df8), s, df8)
+        self._lp_summand(powers, cells[2])
+        np.multiply(powers[0], powers[0], cells[3])
+        if check:
+            heat = np.multiply(np.multiply(mean[: n - 1], th_face, faces[2]), th_face, faces[2])
+            np.divide(faces[4], heat, heat)
+            np.divide(cells[0], np.multiply(vt[0], vt[1], cells[4]), cells[4])
+        uxx_ss, self.z4_faces, *heat, vx_ss, thx_ss = np.add.reduce(faces, 1).tolist()
+        ux_ss, self.df8_cells, self.lp2_sum, self.u4_sum, *visc = np.add.reduce(cells, 1).tolist()
+        #: sums of squares of (v_x, u_x, theta_x, u_xx, theta_xx), and the dissipation sums
+        self.sq_sums = vx_ss, ux_ss, thx_ss, uxx_ss, float(np.add.reduce(thxx * thxx))
+        self.dissipation_sums = visc + heat
+
+    @staticmethod
+    def _lp_summand(powers: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """|v - 1|^p + |ubar|^p + |theta - 1|^p from the rows of ``abs_dev ** p``."""
+        return np.add(np.add(powers[1], powers[0], out), powers[2], out)
 
     def entropy_energy(self, params: GasParams) -> float:
-        v, th, ubar = self.state.v, self.state.theta, self.ubar
-        density = (
-            0.5 * ubar * ubar
-            + params.R * (v - np.log(v) - 1.0)
-            + params.c_v * (th - np.log(th) - 1.0)
-        )
-        return float(density.sum() * self.dm)
+        excess, ubar = self.vt - np.log(self.vt) - 1.0, self.abs_dev[0]
+        density = 0.5 * ubar * ubar + params.R * excess[0] + params.c_v * excess[1]
+        return float(np.add.reduce(density) * self.dm)
 
     def dissipation_rates(self, params: GasParams) -> tuple[float, float]:
-        v, th, dm = self.state.v, self.state.theta, self.dm
-        d_visc = params.mu * float((self.ux_sq / (v * th)).sum()) * dm
-        v_face = 0.5 * (v[:-1] + v[1:])
-        th_face = self.th_face
-        d_heat = params.kappa * float((self.thx_sq / (v_face * th_face * th_face)).sum()) * dm
-        return d_visc, d_heat
+        visc, heat = self.dissipation_sums
+        return params.mu * visc * self.dm, params.kappa * heat * self.dm
 
     def lp_deviation(self, p: float) -> float:
         if not p > 1.0:
             raise DomainError(f"lp_deviation needs p in (1, inf], got {p!r}")
-        dv, du, dth = self.abs_dev
         if math.isinf(p):
-            return float(max(dv.max(), du.max(), dth.max()))
-        total = (dv ** p + du ** p + dth ** p).sum() * self.dm
-        return float(total ** (1.0 / p))
+            v_min, v_max, th_min, th_max = self.bounds
+            du = float(np.maximum.reduce(self.abs_dev[0]))
+            return max(abs(v_min - 1.0), abs(v_max - 1.0), du, abs(th_min - 1.0), abs(th_max - 1.0))
+        total = self.lp2_sum if p == 2.0 else np.add.reduce(self._lp_summand(self.abs_dev ** p))
+        return float((total * self.dm) ** (1.0 / p))
 
     def outer_deviation(self, left: bool) -> float:
-        k = max(1, math.ceil(0.05 * len(self.state.v)))
-        (dv, _, dth), u = self.abs_dev, self.state.u
-        ends = [(dv[-k:], dth[-k:], u[-k - 1:])] + ([(dv[:k], dth[:k], u[:k + 1])] if left else [])
-        return max(float(max(v.max(), th.max(), np.abs(w).max())) for v, th, w in ends)
+        n, ends = len(self.vt[0]), self.abs_ends
+        k, dev = max(1, math.ceil(0.05 * n)), ends[: 3 * n].reshape(3, n)
+        # the cells' rows hold each end's nodes but the outermost, read alone
+        right = max(np.maximum.reduce(dev[:, -k:], None), ends[-1])
+        return float(max(right, np.maximum.reduce(dev[:, :k], None), ends[2 * n + k]) if left
+                     else right)
 
     def h1_seminorms(self) -> H1Seminorms:
         return H1Seminorms(*(math.sqrt(total * self.dm) for total in self.sq_sums))
@@ -127,18 +153,15 @@ class _Tick:
     def truncated_excess(self, a: float) -> tuple[float, float]:
         if a >= self.bounds[3]:  # the bits the array path gives for theta <= a
             return 0.0, 0.0
-        th = self.state.theta
+        th = self.vt[1]
         over = np.maximum(th - a, 0.0)
         return float((over * over).sum() * self.dm), float(np.count_nonzero(th > a) * self.dm)
 
     def df8_rate(self) -> float:
-        s, ubar, (_, _, thx_ss, _, _) = self.ux, self.ubar, self.sq_sums
-        cells = ((1.0 + self.state.theta + ubar * ubar) * s * s).sum()
-        return float((cells + thx_ss) * self.dm)
+        return (self.df8_cells + self.sq_sums[2]) * self.dm
 
     def z4_rate(self) -> float:
-        vx, (_, _, _, uxx_ss, thxx_ss) = self.vx, self.sq_sums
-        return float(((self.th_face * vx * vx).sum() + uxx_ss + thxx_ss) * self.dm)
+        return (self.z4_faces + self.sq_sums[3] + self.sq_sums[4]) * self.dm
 
 
 def entropy_energy(state: FluidState, params: GasParams, grid: MassGrid) -> float:
@@ -150,9 +173,7 @@ def entropy_energy(state: FluidState, params: GasParams, grid: MassGrid) -> floa
     return _Tick(state, grid.dm, check="entropy energy").entropy_energy(params)
 
 
-def dissipation_rates(
-    state: FluidState, params: GasParams, grid: MassGrid
-) -> tuple[float, float]:
+def dissipation_rates(state: FluidState, params: GasParams, grid: MassGrid) -> tuple[float, float]:
     """Viscous and heat-conduction dissipation rates, both >= 0.
 
     D_visc = mu * sum_cells u_x^2/(v*theta) * dm;
@@ -162,17 +183,20 @@ def dissipation_rates(
     return _Tick(state, grid.dm, check="dissipation rates").dissipation_rates(params)
 
 
-def energy_balance_residual(
-    te_now: float, te_initial: float, boundary_inflow: float
-) -> float:
+def energy_balance_residual(te_now: float, te_initial: float, boundary_inflow: float) -> float:
     """Relative drift of total energy against the time-integrated boundary power."""
     return (te_now - te_initial - boundary_inflow) / abs(te_initial)
 
 
 def field_bounds(state: FluidState) -> tuple[float, float, float, float]:
     """(v_min, v_max, theta_min, theta_max), exact over cells."""
-    v, th = state.v, state.theta
-    return float(v.min()), float(v.max()), float(th.min()), float(th.max())
+    return _bounds(np.stack((state.v, state.theta)))
+
+
+def _bounds(vt: np.ndarray) -> tuple[float, float, float, float]:
+    """field_bounds of the 2 x n block [v; theta], by one min and one max pass."""
+    low, high = np.minimum.reduce(vt, 1).tolist(), np.maximum.reduce(vt, 1).tolist()
+    return low[0], high[0], low[1], high[1]
 
 
 def lp_deviation(state: FluidState, grid: MassGrid, p: float) -> float:
@@ -200,9 +224,7 @@ def h1_seminorms(state: FluidState, grid: MassGrid) -> H1Seminorms:
     return _Tick(state, grid.dm).h1_seminorms()
 
 
-def truncated_excess(
-    state: FluidState, grid: MassGrid, a: float
-) -> tuple[float, float]:
+def truncated_excess(state: FluidState, grid: MassGrid, a: float) -> tuple[float, float]:
     """(integral of (theta - a)_+^2, measure of {theta > a}) for a > 1.
 
     The super-level set is measured by cell counting.
@@ -217,9 +239,7 @@ def sup_embedding_check(values: np.ndarray, grid: MassGrid) -> tuple[float, floa
     dm = grid.dm
     lhs = float((w * w).max()) if w.size else 0.0
     wx = np.diff(w) / dm
-    rhs = 2.0 * math.sqrt(float((w * w).sum() * dm)) * math.sqrt(
-        float((wx * wx).sum() * dm)
-    )
+    rhs = 2.0 * math.sqrt(float((w * w).sum() * dm)) * math.sqrt(float((wx * wx).sum() * dm))
     return lhs, rhs
 
 
@@ -277,8 +297,7 @@ def audit_columns(excess_thresholds=DEFAULT_EXCESS_THRESHOLDS) -> list[str]:
     """Column names in audit.csv order, the excess levels sorted as AuditTrail records them."""
     names = [f"{name}_eq2.12" if name in _TAGGED else name for name in _SCALAR_FIELDS]
     for a in check_excess_thresholds(excess_thresholds):
-        names.append(f"excess_a{a:g}")
-        names.append(f"omega_a{a:g}")
+        names += [f"excess_a{a:g}", f"omega_a{a:g}"]
     names.append("energy_balance_residual")
     return names
 
@@ -291,9 +310,7 @@ def audit_row(record: AuditRecord) -> str:
     """Serialize one record in audit_columns order (shortest round-trip floats)."""
     parts = [repr(getattr(record, name)) for name in _SCALAR_FIELDS]
     for a in sorted(record.excess):
-        excess, omega = record.excess[a]
-        parts.append(repr(excess))
-        parts.append(repr(omega))
+        parts += map(repr, record.excess[a])
     parts.append(repr(record.energy_balance_residual))
     return ",".join(parts)
 
@@ -311,38 +328,30 @@ class EnergyLedger:
 class AuditTrail:
     """Running audit along one trajectory.
 
-    ``record`` must be called with snapshots of a single trajectory in time
-    order; the cumulative integrals are trapezoids on that cadence, and the
-    energy ledger is filled by the integrator at every step.  A snapshot read
+    ``record`` takes snapshots of a single trajectory in time order, and fails
+    with DomainError on one earlier than the last; the cumulative integrals are
+    trapezoids on that cadence, and the energy ledger is filled by the
+    integrator at every step.  A snapshot read
     between steps comes with its own ``inflow``, the ledger's at that time.
     """
 
-    def __init__(
-        self,
-        initial: FluidState,
-        grid: MassGrid,
-        params: GasParams,
-        setup: SetupKind,
-        excess_thresholds=DEFAULT_EXCESS_THRESHOLDS,
-    ) -> None:
+    def __init__(self, initial: FluidState, grid: MassGrid, params: GasParams, setup: SetupKind,
+                 excess_thresholds=DEFAULT_EXCESS_THRESHOLDS) -> None:
         self.excess_thresholds = check_excess_thresholds(excess_thresholds)
-        self.grid = grid
-        self.params = params
-        self.setup = setup
+        self.grid, self.params, self.setup = grid, params, setup
         self.ledger = EnergyLedger()
         self._te0 = total_energy(initial, grid, params)
         self._prev: tuple[float, float, float, float] | None = None
-        self._cum_d = 0.0
-        self._cum_df8 = 0.0
-        self._cum_z4 = 0.0
+        self._cum_d = self._cum_df8 = self._cum_z4 = 0.0
 
     def record(self, state: FluidState, inflow: float | None = None) -> AuditRecord:
         grid, params = self.grid, self.params
+        if self._prev is not None and state.t < self._prev[0]:
+            raise DomainError(
+                f"audit record at t={state.t!r} is earlier than the last, at t={self._prev[0]!r}")
         tick = _Tick(state, grid.dm, check="audit record")
         d_visc, d_heat = tick.dissipation_rates(params)
-        d_total = d_visc + d_heat
-        df8 = tick.df8_rate()
-        z4 = tick.z4_rate()
+        d_total, df8, z4 = d_visc + d_heat, tick.df8_rate(), tick.z4_rate()
         if self._prev is not None:
             t_prev, d_prev, df8_prev, z4_prev = self._prev
             h = state.t - t_prev
@@ -350,29 +359,17 @@ class AuditTrail:
             self._cum_df8 += 0.5 * (df8 + df8_prev) * h
             self._cum_z4 += 0.5 * (z4 + z4_prev) * h
         self._prev = (state.t, d_total, df8, z4)
-
         v_min, v_max, th_min, th_max = tick.bounds
         te = total_energy(state, grid, params)
         return AuditRecord(
-            t=state.t,
-            E=tick.entropy_energy(params),
-            D_visc=d_visc,
-            D_heat=d_heat,
-            cum_D=self._cum_d,
-            v_min=v_min,
-            v_max=v_max,
-            theta_min=th_min,
-            theta_max=th_max,
-            lp2_dev=tick.lp_deviation(2.0),
-            lpinf_dev=tick.lp_deviation(math.inf),
+            t=state.t, E=tick.entropy_energy(params),
+            D_visc=d_visc, D_heat=d_heat, cum_D=self._cum_d,
+            v_min=v_min, v_max=v_max, theta_min=th_min, theta_max=th_max,
+            lp2_dev=tick.lp_deviation(2.0), lpinf_dev=tick.lp_deviation(math.inf),
             outer_dev=tick.outer_deviation(not self.setup.has_wall),
             **vars(tick.h1_seminorms()),
-            df8_rate=df8,
-            cum_df8=self._cum_df8,
-            z4_rate=z4,
-            cum_z4=self._cum_z4,
-            int_u4=float(np.square(tick.ubar * tick.ubar).sum() * grid.dm),
-            sup_theta_excess=max(th_max - 1.5, 0.0) ** 2,
+            df8_rate=df8, cum_df8=self._cum_df8, z4_rate=z4, cum_z4=self._cum_z4,
+            int_u4=tick.u4_sum * grid.dm, sup_theta_excess=max(th_max - 1.5, 0.0) ** 2,
             excess={a: tick.truncated_excess(a) for a in self.excess_thresholds},
             energy_balance_residual=energy_balance_residual(
                 te, self._te0, self.ledger.inflow if inflow is None else inflow),
@@ -390,6 +387,8 @@ def summarize(records: list[AuditRecord]) -> dict:
     is ok while its maximum stays within a thousandth of E0 plus 1e-6;
     df8_tail_growth is the share of the final cum_df8 accrued over the tail;
     max_outer_deviation is the truncation audit's largest outer_dev."""
+    if not records:
+        raise ValueError("summarize needs at least one audit record")
     e0, last = records[0].E, records[-1]
     start = math.floor(len(records) * (1.0 - _TAIL_FRACTION))
     linf = [r.lpinf_dev for r in records]

@@ -182,6 +182,6 @@ def total_energy(state: FluidState, grid: MassGrid, params: GasParams) -> float:
     convention the spatial exchange terms telescope and only boundary
     fluxes remain in the budget.
     """
-    thermal = params.c_v * float(state.theta.sum())
-    kinetic = 0.5 * float((state.u * state.u).sum())
+    thermal = params.c_v * float(np.add.reduce(state.theta))
+    kinetic = 0.5 * float(np.add.reduce(state.u * state.u))
     return (thermal + kinetic) * grid.dm

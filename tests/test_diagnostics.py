@@ -421,15 +421,11 @@ def hot_state(grid, seed, theta_top):
     return FluidState(0.0, v, theta, u)
 
 
-# theta peaks below every excess level, just above one, between levels, on
-# one, and above all of them
-@pytest.mark.parametrize("theta_top", [1.4, 1.5 + 1e-9, 1.8, 2.0, 2.5, 3.0 + 1e-9, 3.5])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_audit_record_matches_functionals_and_bruteforce(params, cauchy, theta_top, seed):
-    grid = make_grid(cauchy, 4.0, 32)
-    state = hot_state(grid, seed, theta_top)
+def assert_record_matches_functionals_and_bruteforce(state, grid, params, setup, theta_top):
+    """Every field of one record equals its public functional bit for bit and the
+    loop oracle to rel 1e-12; ``theta_top`` is max theta."""
     levels = (1.5, 2.0, 3.0)
-    record = AuditTrail(state, grid, params, cauchy, levels).record(state)
+    record = AuditTrail(state, grid, params, setup, levels).record(state)
 
     h1 = h1_seminorms(state, grid)
     assert record.E == entropy_energy(state, params, grid)
@@ -461,6 +457,7 @@ def test_audit_record_matches_functionals_and_bruteforce(params, cauchy, theta_t
         bruteforce.field_bounds(state))
     assert record.lp2_dev == close(bruteforce.lp_deviation(state, grid, 2.0))
     assert record.lpinf_dev == close(bruteforce.lp_deviation(state, grid, math.inf))
+    assert record.outer_dev == bruteforce.outer_deviation(state, setup)
     assert (record.vx_l2, record.ux_l2, record.thetax_l2, record.uxx_l2,
             record.thetaxx_l2) == close(bruteforce.h1_seminorms(state, grid))
     assert record.df8_rate == close(bruteforce.df8_rate(state, grid))
@@ -470,6 +467,75 @@ def test_audit_record_matches_functionals_and_bruteforce(params, cauchy, theta_t
     ubar = [0.5 * (state.u[j] + state.u[j + 1]) for j in range(grid.n_cells)]
     assert record.int_u4 == close(sum(w**4 for w in ubar) * grid.dm)
     assert record.sup_theta_excess == close(max(theta_top - 1.5, 0.0) ** 2)
+
+
+# theta peaks below every excess level, just above one, between levels, on
+# one, and above all of them
+@pytest.mark.parametrize("theta_top", [1.4, 1.5 + 1e-9, 1.8, 2.0, 2.5, 3.0 + 1e-9, 3.5])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_audit_record_matches_functionals_and_bruteforce(params, cauchy, theta_top, seed):
+    grid = make_grid(cauchy, 4.0, 32)
+    state = hot_state(grid, seed, theta_top)
+    assert_record_matches_functionals_and_bruteforce(state, grid, params, cauchy, theta_top)
+
+
+# the record sums its rows in whole-buffer reductions: grids from the fewest
+# cells to either side of numpy's 128-element pairwise-summation block, with
+# no excess level active, some, all, and the rest state
+@pytest.mark.parametrize("theta_top", [None, 1.4, 2.5, 3.5], ids=["rest", "1.4", "2.5", "3.5"])
+@pytest.mark.parametrize("n", [4, 5, 127, 128, 129, 256, 257])
+@pytest.mark.parametrize("setup", list(SetupKind), ids=lambda k: k.value)
+def test_audit_record_matches_functionals_and_bruteforce_across_grids(params, setup, n, theta_top):
+    grid = make_grid(setup, 4.0, n)
+    if theta_top is None:
+        state, theta_top = steady_state(grid), 1.0
+    else:
+        state = hot_state(grid, n, theta_top)
+    assert_record_matches_functionals_and_bruteforce(state, grid, params, setup, theta_top)
+
+
+def test_unchecked_functionals_stay_quiet_on_a_zero_volume(cauchy):
+    # the functionals that check nothing take no log and divide by no field, and
+    # read nothing at the seams between the packed fields; the values are the
+    # ones the per-functional passes gave before the record was batched
+    grid = make_grid(cauchy, 4.0, 129)
+    rng = np.random.default_rng(11)
+    v = rng.uniform(0.5, 2.0, 129)
+    v[40] = 0.0
+    state = FluidState(0.0, v, rng.uniform(0.5, 2.5, 129), rng.uniform(-1.0, 1.0, 130))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h1 = tuple(vars(h1_seminorms(state, grid)).values())
+        lp2, lpinf = lp_deviation(state, grid, 2.0), lp_deviation(state, grid, math.inf)
+        df8, z4 = df8_rate(state, grid), z4_rate(state, grid)
+        excess = truncated_excess(state, grid, 1.5)
+    assert h1 == (29.574383536171986, 34.88848800689442, 36.788657356603494,
+                  958.6998696901557, 1011.4469877250839)
+    assert (lp2, lpinf, df8, z4) == (2.806503772200929, 1.4818590268122902,
+                                     4480.993316233282, 1943419.1006526998)
+    assert excess == (1.2315694297925348, 4.0310077519379846)
+    assert h1 == pytest.approx(bruteforce.h1_seminorms(state, grid), rel=1e-12)
+    assert (lp2, lpinf) == pytest.approx(
+        (bruteforce.lp_deviation(state, grid, 2.0), bruteforce.lp_deviation(state, grid, math.inf)),
+        rel=1e-12)
+    assert (df8, z4) == pytest.approx(
+        (bruteforce.df8_rate(state, grid), bruteforce.z4_rate(state, grid)), rel=1e-12)
+    assert excess == pytest.approx(bruteforce.truncated_excess(state, grid, 1.5), rel=1e-12)
+
+
+def test_audit_record_rejects_a_snapshot_earlier_than_the_last(params, cauchy, grid16):
+    state = positive_state(grid16, seed=2)
+    trail = AuditTrail(state, grid16, params, cauchy)
+    first = trail.record(replace(state, t=0.5))
+    # a backward step would make the trapezoid's h negative and shrink cum_D
+    with pytest.raises(DomainError, match=r"t=0\.25 .* t=0\.5"):
+        trail.record(replace(state, t=0.25))
+    # the failed call changed nothing, and a repeated time is no step at all
+    again = trail.record(replace(state, t=0.5))
+    assert (again.cum_D, again.cum_df8, again.cum_z4) == (first.cum_D, first.cum_df8, first.cum_z4)
+    later = trail.record(replace(state, t=1.0))
+    d_total = first.D_visc + first.D_heat
+    assert later.cum_D == 0.5 * (d_total + d_total) * 0.5
 
 
 # n = 20 has one outer cell per end and n = 21 two
@@ -533,6 +599,11 @@ def test_summarize_matches_loop_oracle_on_a_run():
     records = short_run()
     assert len(records) == 11
     assert summarize(records) == bruteforce.summarize(records)
+
+
+def test_summarize_needs_a_record():
+    with pytest.raises(ValueError, match="at least one audit record"):
+        summarize([])
 
 
 def test_summarize_single_record():
