@@ -79,17 +79,17 @@ class _Tick:
         if check and not (v_min > 0.0 and th_min > 0.0 and max(v_max, th_max) < math.inf):
             raise DomainError(f"{check} needs finite positive v and theta")
         self.dm = dm
-        work = np.empty(6 * n + 1)
-        mean = np.add(y[:-1], y[1:], work[: 3 * n])
-        mean *= 0.5
+        self.work = np.empty((7, n))
+        work = self.work.reshape(7 * n)
+        mean = np.multiply(np.add(y[:-1], y[1:], work[: 3 * n]), 0.5, work[: 3 * n])
         np.subtract(y[: 2 * n], 1.0, work[3 * n : 5 * n])
-        work[5 * n :] = state.u
-        np.abs(work[2 * n :], work[2 * n :])
-        #: |ubar|, |v - 1|, |theta - 1| on cells; and |v - 1|, |theta - 1|, |u|
-        self.abs_dev, self.abs_ends = work[2 * n : 5 * n].reshape(3, n), work[3 * n :]
+        work[5 * n : 6 * n + 1] = state.u
+        np.abs(work[2 * n : 6 * n + 1], work[2 * n : 6 * n + 1])
+        #: |ubar|, |v - 1|, |theta - 1| on cells, and |u| on nodes
+        self.abs_dev, self.abs_u = self.work[2:5], work[5 * n : 6 * n + 1]
         d1 = (y[1:] - y[:-1]) / dm
-        d2 = (d1[1:] - d1[:-1]) / dm
-        vx, s, uxx, thxx = d1[: n - 1], d1[2 * n :], d2[2 * n :], d2[n:-n - 1]
+        d2 = (d1[n + 1 :] - d1[n:-1]) / dm
+        vx, s, uxx, thxx = d1[: n - 1], d1[2 * n :], d2[n:], d2[: n - 2]
         # abs_dev ** 2.0, which numpy evaluates as this square
         th_face, powers = mean[n:-n - 1], self.abs_dev * self.abs_dev
         # faces: u_xx^2 (on interior nodes), z4's and, checked, D_heat's summands,
@@ -140,12 +140,10 @@ class _Tick:
         return float((total * self.dm) ** (1.0 / p))
 
     def outer_deviation(self, left: bool) -> float:
-        n, ends = len(self.vt[0]), self.abs_ends
-        k, dev = max(1, math.ceil(0.05 * n)), ends[: 3 * n].reshape(3, n)
-        # the cells' rows hold each end's nodes but the outermost, read alone
-        right = max(np.maximum.reduce(dev[:, -k:], None), ends[-1])
-        return float(max(right, np.maximum.reduce(dev[:, :k], None), ends[2 * n + k]) if left
-                     else right)
+        k, dev, nodes = max(1, math.ceil(0.05 * len(self.vt[0]))), self.work[3:6], self.abs_u
+        # rows |v - 1|, |theta - 1|, |u|: the u row holds every node of an end but its last
+        right = max(np.maximum.reduce(dev[:, -k:], None), nodes[-1])
+        return float(max(right, np.maximum.reduce(dev[:, :k], None), nodes[k]) if left else right)
 
     def h1_seminorms(self) -> H1Seminorms:
         return H1Seminorms(*(math.sqrt(total * self.dm) for total in self.sq_sums))
