@@ -78,28 +78,27 @@ class _Tick:
         self.bounds = v_min, v_max, th_min, th_max = _bounds(vt)
         if check and not (v_min > 0.0 and th_min > 0.0 and max(v_max, th_max) < math.inf):
             raise DomainError(f"{check} needs finite positive v and theta")
-        self.dm = dm
-        self.work = np.empty((7, n))
-        work = self.work.reshape(7 * n)
-        mean = np.multiply(np.add(y[:-1], y[1:], work[: 3 * n]), 0.5, work[: 3 * n])
-        np.subtract(y[: 2 * n], 1.0, work[3 * n : 5 * n])
-        work[5 * n : 6 * n + 1] = state.u
-        np.abs(work[2 * n : 6 * n + 1], work[2 * n : 6 * n + 1])
+        # rows 0-6: [v_face | .], [theta_face | .], ubar, v - 1, theta - 1, u and its
+        # last node; 7: [theta_xx^2 | . .]; then faces: u_xx^2 (on interior nodes),
+        # z4's, D_heat's (checked), v_x^2, theta_x^2; then cells: u_x^2, df8's,
+        # lp_deviation(2)'s, u^4 and D_visc's (checked)
+        g = 11 if check else 10
+        self.dm, self.work = dm, np.empty((g + 7 if check else g + 6, n))
+        flat = self.work.reshape(-1)
+        mean = np.multiply(np.add(y[:-1], y[1:], flat[: 3 * n]), 0.5, flat[: 3 * n])
+        np.subtract(y[: 2 * n], 1.0, flat[3 * n : 5 * n])
+        flat[5 * n : 6 * n + 1] = state.u
+        np.abs(flat[2 * n : 6 * n + 1], flat[2 * n : 6 * n + 1])
         #: |ubar|, |v - 1|, |theta - 1| on cells, and |u| on nodes
-        self.abs_dev, self.abs_u = self.work[2:5], work[5 * n : 6 * n + 1]
+        self.abs_dev, self.abs_u = self.work[2:5], flat[5 * n : 6 * n + 1]
         d1 = (y[1:] - y[:-1]) / dm
         d2 = (d1[n + 1 :] - d1[n:-1]) / dm
-        vx, s, uxx, thxx = d1[: n - 1], d1[2 * n :], d2[n:], d2[: n - 2]
+        np.multiply(d1, d1, flat[g * n : (g + 3) * n])
+        np.multiply(d2, d2, flat[7 * n : 9 * n - 1])
+        faces, cells = self.work[8 : g + 2, : n - 1], self.work[g + 2 :]
+        vx, s = d1[: n - 1], d1[2 * n :]
         # abs_dev ** 2.0, which numpy evaluates as this square
         th_face, powers = mean[n:-n - 1], self.abs_dev * self.abs_dev
-        # faces: u_xx^2 (on interior nodes), z4's and, checked, D_heat's summands,
-        # v_x^2 and theta_x^2; cells: u_x^2, df8's, lp_deviation(2)'s, u^4 and D_visc's
-        f = 3 if check else 2
-        flat = np.empty((10 if check else 8) * n)
-        rows = flat.reshape(-1, n)
-        faces, cells = rows[: f + 2, : n - 1], rows[f + 2 :]
-        np.multiply(d1, d1, flat[f * n : (f + 3) * n])
-        np.multiply(uxx, uxx, faces[0])
         np.multiply(np.multiply(th_face, vx, faces[1]), vx, faces[1])
         df8 = np.add(np.add(1.0, vt[1], cells[1]), powers[0], cells[1])
         np.multiply(np.multiply(df8, s, df8), s, df8)
@@ -112,7 +111,7 @@ class _Tick:
         uxx_ss, self.z4_faces, *heat, vx_ss, thx_ss = np.add.reduce(faces, 1).tolist()
         ux_ss, self.df8_cells, self.lp2_sum, self.u4_sum, *visc = np.add.reduce(cells, 1).tolist()
         #: sums of squares of (v_x, u_x, theta_x, u_xx, theta_xx), and the dissipation sums
-        self.sq_sums = vx_ss, ux_ss, thx_ss, uxx_ss, float(np.add.reduce(thxx * thxx))
+        self.sq_sums = vx_ss, ux_ss, thx_ss, uxx_ss, float(np.add.reduce(flat[7 * n : 8 * n - 2]))
         self.dissipation_sums = visc + heat
 
     @staticmethod
