@@ -45,23 +45,25 @@ def check_excess_thresholds(thresholds) -> tuple[float, ...]:
 
 
 class _Tick:
-    """The intermediates of one state that the audit functionals share, in a fixed
-    handful of whole-buffer numpy passes whatever n is.
+    """The intermediates of one state that the audit functionals share, taken in a
+    fixed handful of whole-buffer numpy passes whatever n is.
 
-    ``y = [v | theta | u]`` packs the fields; its first 2n entries are the block
-    ``[v; theta]``, whose row minima and maxima are the bounds.  A subtract and
-    divide over y gives ``[v_x | . | theta_x | . | u_x]``, one over that the second
-    differences (theta_xx from n, u_xx from 2n); a ``.`` straddles a field seam
-    and is never read.  The work buffer holds ``[v_face | . | theta_face | . |
-    ubar | v - 1 | theta - 1 | u]``, one abs pass over its last 4n + 1 entries
-    giving the deviations (ubar enters only squared, so |ubar| serves).  The
-    summands fill one buffer: a run of face rows (their first n - 1 columns), then
-    of cell rows, ``[v_x^2 | .], [theta_x^2 | .], [u_x^2]`` squared in one pass
-    where the runs meet.  One ``np.add.reduce`` per run sums each row, contiguous,
-    bit for bit as its own ``.sum()`` (a Fortran-ordered buffer's would not), so
-    no row is padded.  Operand order is part of the audit.csv bytes that
-    tests/test_golden.py pins: df8's ``((1 + theta + ubar^2)*s)*s`` is not
-    ``(1 + theta + ubar^2)*(s*s)``.
+    ``y = [v | theta | u]`` packs the fields, its first 2n entries the block
+    ``[v; theta]`` whose row minima and maxima are the bounds.  One subtract and
+    divide over y gives ``[v_x | . | theta_x | . | u_x]``, one over its theta_x
+    and u_x part the second differences, and one add and halve over y the means
+    ``[v_face | . | theta_face | . | ubar]``; a ``.`` straddles a field seam and
+    is never read.  The rest lives in one buffer of n-long rows: the means;
+    v - 1, theta - 1 and u, made absolute with ubar in one pass (ubar enters
+    only squared); the squared second differences; then the summands, a run of
+    face rows (their first n - 1 columns) and a run of cell rows, the squared
+    first differences landing in one pass where the runs meet.  ``np.add.reduce``
+    along the rows of a run gives each row's own ``.sum()`` bit for bit, each
+    row being contiguous (along a Fortran-ordered buffer's rows it would not),
+    so no row is padded to another's length; max |v - 1| and max |theta - 1|
+    come from the bounds, fl(x - 1) being monotone in x.  Operand order is part
+    of the audit.csv bytes that tests/test_golden.py pins: df8's
+    ``((1 + theta + ubar^2)*s)*s`` is not ``(1 + theta + ubar^2)*(s*s)``.
 
     Each functional is one method here: an audit record applies them all to one
     instance, and each public functional its own to a fresh one.  With ``check``
@@ -78,10 +80,9 @@ class _Tick:
         self.bounds = v_min, v_max, th_min, th_max = _bounds(vt)
         if check and not (v_min > 0.0 and th_min > 0.0 and max(v_max, th_max) < math.inf):
             raise DomainError(f"{check} needs finite positive v and theta")
-        # rows 0-6: [v_face | .], [theta_face | .], ubar, v - 1, theta - 1, u and its
-        # last node; 7: [theta_xx^2 | . .]; then faces: u_xx^2 (on interior nodes),
-        # z4's, D_heat's (checked), v_x^2, theta_x^2; then cells: u_x^2, df8's,
-        # lp_deviation(2)'s, u^4 and D_visc's (checked)
+        # rows 0-6: [v_face | .], [theta_face | .], ubar, v - 1, theta - 1, u, its last
+        # node; 7: [theta_xx^2 | . .]; faces: u_xx^2 (on interior nodes), z4's, D_heat's
+        # (checked), v_x^2, theta_x^2; cells: u_x^2, df8's, lp_deviation(2)'s, u^4, D_visc's
         g = 11 if check else 10
         self.dm, self.work = dm, np.empty((g + 7 if check else g + 6, n))
         flat = self.work.reshape(-1)
@@ -328,8 +329,8 @@ class AuditTrail:
     ``record`` takes snapshots of a single trajectory in time order, and fails
     with DomainError on one earlier than the last; the cumulative integrals are
     trapezoids on that cadence, and the energy ledger is filled by the
-    integrator at every step.  A snapshot read
-    between steps comes with its own ``inflow``, the ledger's at that time.
+    integrator at every step.  A snapshot read between steps comes with its own
+    ``inflow``, the ledger's at that time.
     """
 
     def __init__(self, initial: FluidState, grid: MassGrid, params: GasParams, setup: SetupKind,

@@ -494,6 +494,17 @@ def test_audit_record_matches_functionals_and_bruteforce_across_grids(params, se
     assert_record_matches_functionals_and_bruteforce(state, grid, params, setup, theta_top)
 
 
+def test_row_reduction_sums_each_row_as_its_own_sum():
+    # the record's sums rest on this: np.add.reduce along the contiguous rows of
+    # a buffer, or of its leading columns, gives each row's own .sum() bit for
+    # bit, across numpy's pairwise-summation block boundaries
+    rng = np.random.default_rng(5)
+    for m in [*range(1, 300), 511, 512, 513, 1023, 1024, 1025, 4095, 4096, 4097]:
+        buffer = rng.standard_normal((4, m + 2)) * 10.0 ** rng.uniform(-3, 3, (4, 1))
+        for rows in (buffer[:, :m], np.ascontiguousarray(buffer[:, :m])):
+            assert np.add.reduce(rows, 1).tolist() == [float(row.copy().sum()) for row in rows]
+
+
 def test_unchecked_functionals_stay_quiet_on_a_zero_volume(cauchy):
     # the functionals that check nothing take no log and divide by no field, and
     # read nothing at the seams between the packed fields; the values are the
