@@ -121,8 +121,10 @@ class _Tick:
         return np.add(np.add(powers[1], powers[0], out), powers[2], out)
 
     def entropy_energy(self, params: GasParams) -> float:
-        excess, ubar = self.vt - np.log(self.vt) - 1.0, self.abs_dev[0]
-        density = 0.5 * ubar * ubar + params.R * excess[0] + params.c_v * excess[1]
+        excess, ubar = np.log(self.vt), self.abs_dev[0]
+        np.subtract(np.subtract(self.vt, excess, excess), 1.0, excess)
+        density = 0.5 * ubar * ubar + params.R * excess[0]
+        density += params.c_v * excess[1]
         return float(np.add.reduce(density) * self.dm)
 
     def dissipation_rates(self, params: GasParams) -> tuple[float, float]:
