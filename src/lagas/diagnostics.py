@@ -83,8 +83,8 @@ class _Tick:
         # rows 0-6: [v_face | .], [theta_face | .], ubar, v - 1, theta - 1, u, its last
         # node; 7: [theta_xx^2 | . .]; faces: u_xx^2 (on interior nodes), z4's, D_heat's
         # (checked), v_x^2, theta_x^2; cells: u_x^2, df8's, lp_deviation(2)'s, u^4, D_visc's
-        g = 11 if check else 10
-        self.dm, self.work = dm, np.empty((g + 7 if check else g + 6, n))
+        vx_row = 11 if check else 10
+        self.dm, self.work = dm, np.empty((vx_row + 7 if check else vx_row + 6, n))
         flat = self.work.reshape(-1)
         mean = np.multiply(np.add(y[:-1], y[1:], flat[: 3 * n]), 0.5, flat[: 3 * n])
         np.subtract(y[: 2 * n], 1.0, flat[3 * n : 5 * n])
@@ -94,9 +94,9 @@ class _Tick:
         self.abs_dev, self.abs_u = self.work[2:5], flat[5 * n : 6 * n + 1]
         d1 = (y[1:] - y[:-1]) / dm
         d2 = (d1[n + 1 :] - d1[n:-1]) / dm
-        np.multiply(d1, d1, flat[g * n : (g + 3) * n])
+        np.multiply(d1, d1, flat[vx_row * n : (vx_row + 3) * n])
         np.multiply(d2, d2, flat[7 * n : 9 * n - 1])
-        faces, cells = self.work[8 : g + 2, : n - 1], self.work[g + 2 :]
+        faces, cells = self.work[8 : vx_row + 2, : n - 1], self.work[vx_row + 2 :]
         vx, s = d1[: n - 1], d1[2 * n :]
         # abs_dev ** 2.0, which numpy evaluates as this square
         th_face, powers = mean[n:-n - 1], self.abs_dev * self.abs_dev
