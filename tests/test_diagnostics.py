@@ -507,8 +507,8 @@ def test_row_reduction_sums_each_row_as_its_own_sum():
 
 def test_unchecked_functionals_stay_quiet_on_a_zero_volume(cauchy):
     # the functionals that check nothing take no log and divide by no field, and
-    # read nothing at the seams between the packed fields; the values are the
-    # ones the per-functional passes gave before the record was batched
+    # read nothing at the seams between the packed fields; their values are
+    # pinned bit for bit and checked against the loop oracle
     grid = make_grid(cauchy, 4.0, 129)
     rng = np.random.default_rng(11)
     v = rng.uniform(0.5, 2.0, 129)
