@@ -2,7 +2,7 @@
 
 Subcommands: ``run`` (simulate + audit), ``mms`` (manufactured-solution
 convergence study), ``sweep`` (variants of a base config).  Configs come
-from a file path or stdin; ``--set key=value`` overrides nested keys.
+from a file path or stdin; each ``--set a.b=v`` merges in ``{a: {b: v}}``.
 
 Output contract of ``run``:
   audit.csv     one row per diagnostic tick, fixed column order (header row)
@@ -485,7 +485,6 @@ def sweep(raw: dict, jobs: int = 1) -> int:
 
 
 def _apply_overrides(raw: dict, assignments: list[str], out_dir: str | None) -> dict:
-    data = dict(raw)
     for assignment in assignments:
         if "=" not in assignment:
             raise ConfigurationError(f"--set needs KEY=VALUE, got {assignment!r}")
@@ -494,18 +493,10 @@ def _apply_overrides(raw: dict, assignments: list[str], out_dir: str | None) -> 
             value = json.loads(text)
         except json.JSONDecodeError:
             value = text
-        node = data
-        parts = dotted.split(".")
-        for part in parts[:-1]:
-            child = node.get(part)
-            if not isinstance(child, dict):
-                child = {}
-            node[part] = dict(child)
-            node = node[part]
-        node[parts[-1]] = value
-    if out_dir is not None:
-        data["out_dir"] = out_dir
-    return data
+        for part in reversed(dotted.split(".")):
+            value = {part: value}
+        raw = _deep_merge(raw, value)
+    return raw if out_dir is None else dict(raw, out_dir=out_dir)
 
 
 def main(argv: list[str] | None = None) -> int:

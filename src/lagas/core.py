@@ -26,6 +26,7 @@ __all__ = [
     "ValidationReport",
     "POSITIVITY_FLOOR",
     "make_grid",
+    "require_cells_match",
     "require_positive",
     "steady_state",
     "validate_state",
@@ -253,6 +254,12 @@ class ValidationReport:
         if self.ok:
             return "state ok"
         return f"{self.field_name}[{self.index}] {self.reason}"
+
+
+def require_cells_match(what: str, state: FluidState, grid: MassGrid) -> None:
+    """Raise ConfigurationError unless ``state`` has as many cells as ``grid``."""
+    if state.n_cells != grid.n_cells:
+        raise ConfigurationError(f"{what}: state has {state.n_cells} cells, grid {grid.n_cells}")
 
 
 def require_positive(what: str, *fields: np.ndarray) -> float:

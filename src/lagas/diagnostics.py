@@ -75,7 +75,7 @@ class _Tick:
 
     def __init__(self, state: FluidState, dm: float, check: str | None = None) -> None:
         n = len(state.v)
-        y = np.concatenate((state.v, state.theta, state.u))
+        y = state.packed()
         self.vt = vt = y[: 2 * n].reshape(2, n)
         self.bounds = v_min, v_max, th_min, th_max = _bounds(vt)
         if check and not (v_min > 0.0 and th_min > 0.0 and max(v_max, th_max) < math.inf):

@@ -36,6 +36,7 @@ from .core import (
     MassGrid,
     SetupKind,
     StiffnessError,
+    require_cells_match,
     require_positive,
     validate_state,
 )
@@ -136,6 +137,7 @@ def stable_dt(
     Raises StiffnessError when the unclamped step falls below dt_min
     (blow-up or floor-level v/theta).
     """
+    require_cells_match("stable_dt", state, grid)
     v, th = state.v, state.theta
     v_min = require_positive("stable_dt", v, th)
     dm = grid.dm
@@ -193,16 +195,17 @@ def step(
 ) -> FluidState:
     """One step of ``table``: positivity-checked Euler substeps of h = dt/ssp.
 
-    A state whose v or theta is not finite and positive raises DomainError
-    before any stage.  Sources are evaluated once per distinct stage time.  A
-    ledger gets the boundary-energy inflow with the scheme's weights, so the
-    total-energy residual measures time-integration error only.  A stage
-    whose result fails the floor raises IntegrationError naming it (1, 2, ...).
-    A ``kept`` list gets each stage's rates k_j and boundary power (NaN without
-    a ledger) for :func:`_dense_output`; the result's bits stay the same.
+    A state off the grid's cell count (ConfigurationError) or with v or theta not finite
+    and positive (DomainError) fails before any stage.  Sources are evaluated once per
+    distinct stage time.  A ledger gets the boundary-energy inflow with the scheme's
+    weights, so the total-energy residual measures time-integration error only.  A
+    stage whose result fails the floor raises IntegrationError naming it (1, 2, ...).
+    A ``kept`` list gets each stage's rates k_j and boundary power (NaN without a
+    ledger) for :func:`_dense_output`; the result's bits stay the same.
     """
     if not dt > 0.0:
         raise ConfigurationError(f"dt must be positive, got {dt!r}")
+    require_cells_match("step", state, grid)
     y0 = state.packed()
     require_positive("step", y0[: 2 * grid.n_cells])
     t0, h = state.t, dt / table.ssp
@@ -216,7 +219,7 @@ def step(
         if ledger is not None:
             power = boundary_power(y, grid, params, setup)
             inflow += weight * power
-        w = rhs(y, grid, params, setup, forcing.get(c)).rates
+        w = rhs(y, grid, params, setup, forcing.get(c))
         if kept is not None:
             kept.append((w, power))
         w = np.multiply(w, h, out=w if kept is None else None)  # a kept rate stays
@@ -265,9 +268,9 @@ def advance(
     time a step lands on; each step's table is the one that reaches it with
     the fewer rhs calls.  A tick inside a step reads the state and the ledger
     inflow from its dense output (within rounding of its end, the landed
-    state), which fails as a stage does.  Calling with ``t_end`` equal to the
-    state time is a no-op that emits the single record.  Step failures
-    propagate with the time of failure attached.
+    state), which fails as a stage does.  A state off the grid's cell count fails
+    before any record; calling with ``t_end`` equal to the state time is a no-op
+    that emits the single record.  Step failures carry the time of failure.
     """
     if not np.isfinite(t_end) or t_end < state.t:
         raise ConfigurationError(
@@ -275,6 +278,7 @@ def advance(
         )
     if not every > 0.0:
         raise ConfigurationError(f"cadence must be positive, got {every!r}")
+    require_cells_match("advance", state, grid)
 
     trail = AuditTrail(state, grid, params, setup, excess_thresholds)
     records = [trail.record(state)]

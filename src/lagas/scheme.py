@@ -25,8 +25,6 @@ All operators are pure functions of their inputs and deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (
@@ -34,26 +32,16 @@ from .core import (
     GasParams,
     MassGrid,
     SetupKind,
+    require_cells_match,
     require_positive,
 )
 
 __all__ = [
-    "StateDerivative",
     "heat_flux_faces",
     "rhs",
     "boundary_power",
     "total_energy",
 ]
-
-
-@dataclass(frozen=True)
-class StateDerivative:
-    """Rates packed like a stage, ``[dv | dtheta | du]``; the fields are views of it."""
-
-    rates: np.ndarray
-    dv: np.ndarray
-    dtheta: np.ndarray
-    du: np.ndarray
 
 
 def _boundary_heat_fluxes(
@@ -103,23 +91,24 @@ def rhs(
     params: GasParams,
     setup: SetupKind,
     sources: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> StateDerivative:
-    """Semi-discrete rates for (v, u, theta).
+) -> np.ndarray:
+    """Semi-discrete rates for (v, u, theta), packed like a stage: ``[dv | dtheta | du]``.
 
     Interior node i feels the stress difference of its two neighbor cells,
     stress = (mu*u_x - R*theta)/v.  Far-field boundary nodes see a ghost cell
     at the rest state whose strain uses a ghost node with u = 0; a wall node
     has du = 0, imposing u(0, t) = 0 strongly.  ``sources`` are optional
     extra rates (dv, du, dtheta), e.g. manufactured forcings.  ``state`` may
-    be a FluidState, whose v and theta must be finite and positive (else
-    DomainError), or a packed ``[v | theta | u]`` stage, which is taken as
-    checked: ``integrate.step`` checks every stage it passes.  The rates come
-    back packed like a stage.
+    be a FluidState, which must have the grid's cell count (else
+    ConfigurationError) and finite positive v and theta (else DomainError),
+    or a packed ``[v | theta | u]`` stage, which is taken as checked:
+    ``integrate.step`` checks every stage it passes.
     """
     n = grid.n_cells
     if isinstance(state, np.ndarray):
         y = state
     else:
+        require_cells_match("rhs", state, grid)
         y = state.packed()
         require_positive("rhs", y[: 2 * n])
     v, th, u = y[:n], y[n : 2 * n], y[2 * n :]
@@ -153,7 +142,7 @@ def rhs(
         dth += sth
     if setup.has_wall:
         du[0] = 0.0  # the wall rate stays pinned, even under forcing
-    return StateDerivative(rates, dv, dth, du)
+    return rates
 
 
 def boundary_power(

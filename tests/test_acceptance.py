@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import bruteforce
-from conftest import random_state
+from conftest import random_state, split_rates
 from lagas import (
     FluidState,
     GasParams,
@@ -282,17 +282,17 @@ def test_criterion_8_oracle_equivalence():
     u = np.zeros(17)
     u[8] = 1.0
     hat = FluidState(0.0, np.ones(16), np.ones(16), u)
-    d = rhs(hat, hat_grid, params, setup)
+    dv, dtheta, du = split_rates(rhs(hat, hat_grid, params, setup))
     lap = params.mu / dm**2
     stencil_ok = (
-        np.allclose(d.du[7:10], [lap, -2.0 * lap, lap], rtol=1e-13)
-        and np.allclose(d.dv[7:9], [1.0 / dm, -1.0 / dm], rtol=1e-13)
+        np.allclose(du[7:10], [lap, -2.0 * lap, lap], rtol=1e-13)
+        and np.allclose(dv[7:9], [1.0 / dm, -1.0 / dm], rtol=1e-13)
         and np.allclose(
-            d.dtheta[7:9],
+            dtheta[7:9],
             [(-params.R / dm + lap) / params.c_v, (params.R / dm + lap) / params.c_v],
             rtol=1e-13,
         )
-        and np.all(d.du[:7] == 0.0) and np.all(d.du[10:] == 0.0)
+        and np.all(du[:7] == 0.0) and np.all(du[10:] == 0.0)
     )
     ok = ok and stencil_ok
     assert _criterion(

@@ -19,6 +19,7 @@ from lagas.cli import (
     EXIT_OK,
     EXIT_TRUNCATION,
     RunConfig,
+    _apply_overrides,
     _deep_merge,
     _snapshot_path,
     main,
@@ -620,6 +621,15 @@ def test_main_nested_set_override(tmp_path):
     assert code == EXIT_OK
     audit = (tmp_path / "o" / "audit.csv").read_text().splitlines()
     assert len(audit) > 2
+
+
+def test_set_merges_an_object_value_into_its_section():
+    # --set merges as sweep variants do: an object keeps the section's other keys
+    raw = dict(MINIMAL, gas={"mu": 1.0, "kappa": 2.0})
+    merged = _apply_overrides(raw, ['gas={"mu": 0.5}', "initial_data.amplitude_v=0.3"], None)
+    assert merged["gas"] == {"mu": 0.5, "kappa": 2.0}
+    assert merged["initial_data"] == {"amplitude_v": 0.3}
+    assert raw["gas"] == {"mu": 1.0, "kappa": 2.0}
 
 
 REPO = Path(__file__).resolve().parent.parent

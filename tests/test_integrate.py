@@ -30,7 +30,7 @@ from lagas.core import validate_state
 from lagas.diagnostics import AuditTrail, EnergyLedger, entropy_energy
 from lagas.cli import config_from_dict
 from lagas.integrate import SSPRK43, SSPRK104, _checked, _dense_output
-from lagas.scheme import boundary_power
+from lagas.scheme import boundary_power, rhs
 from lagas.verification import default_pulse_solution, make_source_rates
 
 
@@ -641,6 +641,29 @@ def test_advance_rejects_backward_target(cauchy, params, ctrl):
     mid, _ = advance(state, 0.5, 0.1, grid, params, cauchy, ctrl)
     with pytest.raises(ConfigurationError):
         advance(mid, 0.1, 0.1, grid, params, cauchy, ctrl)
+
+
+@pytest.mark.parametrize("state_cells,grid_cells", [(64, 32), (32, 64)])
+@pytest.mark.parametrize("entry", ["advance", "step", "stable_dt", "rhs"])
+def test_a_state_off_the_grid_is_rejected_before_any_work(monkeypatch, cauchy, params, ctrl,
+                                                          entry, state_cells, grid_cells):
+    # unchecked, a longer state failed inside rhs on a numpy broadcast after the
+    # first record, and a shorter one as a positivity DomainError read off u
+    calls, records = [], []
+    monkeypatch.setattr(lagas.integrate, "rhs", lambda *args, **kwargs: calls.append(args))
+    grid = make_grid(cauchy, 8.0, grid_cells)
+    state = bump_state(cauchy, n=state_cells)[1]
+    run = {
+        "advance": lambda: advance(state, 0.1, 0.05, grid, params, cauchy, ctrl,
+                                   on_record=lambda record, _: records.append(record)),
+        "step": lambda: step(state, 1e-3, grid, params, cauchy, ctrl),
+        "stable_dt": lambda: stable_dt(state, grid, params, ctrl),
+        "rhs": lambda: rhs(state, grid, params, cauchy),
+    }[entry]
+    message = f"{entry}: state has {state_cells} cells, grid {grid_cells}$"
+    with pytest.raises(ConfigurationError, match=message):
+        run()
+    assert calls == [] and records == []
 
 
 def test_advance_lands_exactly_on_t_end(cauchy, params, ctrl):

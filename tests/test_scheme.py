@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bruteforce
-from conftest import random_state
+from conftest import random_state, split_rates
 from lagas import (
     DomainError,
     FluidState,
@@ -24,10 +24,10 @@ def test_pressure_formula(cauchy):
     params = GasParams(mu=0.7, kappa=1.3, R=2.0, c_v=1.1)
     grid = make_grid(cauchy, 2.0, 8)
     state = FluidState(0.0, np.full(8, 2.0), np.full(8, 3.0), np.zeros(9))
-    d = rhs(state, grid, params, cauchy)
-    assert d.du[-1] * grid.dm == pytest.approx(2.0 * 3.0 / 2.0 - 2.0, rel=1e-14)
-    assert d.du[0] * grid.dm == pytest.approx(2.0 - 2.0 * 3.0 / 2.0, rel=1e-14)
-    assert np.all(d.du[1:-1] == 0.0)
+    du = split_rates(rhs(state, grid, params, cauchy))[2]
+    assert du[-1] * grid.dm == pytest.approx(2.0 * 3.0 / 2.0 - 2.0, rel=1e-14)
+    assert du[0] * grid.dm == pytest.approx(2.0 - 2.0 * 3.0 / 2.0, rel=1e-14)
+    assert np.all(du[1:-1] == 0.0)
 
 
 @pytest.mark.parametrize("v,theta", [(0.0, 1.0), (1.0, 0.0), (-2.0, 1.0), (1.0, -0.5)])
@@ -42,7 +42,7 @@ def test_pressure_rejects_nonpositive(cauchy, params, v, theta):
 # without sources the mass rate dv is the cell strain u_x
 def test_strain_rate_zero_velocity(cauchy, params):
     grid = make_grid(cauchy, 2.0, 8)
-    assert np.all(rhs(steady_state(grid), grid, params, cauchy).dv == 0.0)
+    assert np.all(split_rates(rhs(steady_state(grid), grid, params, cauchy))[0] == 0.0)
 
 
 def test_strain_rate_linear_velocity(cauchy, params):
@@ -50,13 +50,13 @@ def test_strain_rate_linear_velocity(cauchy, params):
     slope = 0.75
     u = slope * grid.dm * np.arange(9)
     state = FluidState(0.0, np.ones(8), np.ones(8), u)
-    assert np.allclose(rhs(state, grid, params, cauchy).dv, slope, rtol=1e-13)
+    assert np.allclose(split_rates(rhs(state, grid, params, cauchy))[0], slope, rtol=1e-13)
 
 
 def test_strain_rate_matches_bruteforce(cauchy, params):
     grid = make_grid(cauchy, 2.0, 8)
     state = random_state(grid, seed=7)
-    s = rhs(state, grid, params, cauchy).dv
+    s = split_rates(rhs(state, grid, params, cauchy))[0]
     assert np.allclose(s, bruteforce.strain_rate(state, grid), rtol=1e-14)
 
 
@@ -88,10 +88,10 @@ def test_heat_flux_insulated_wall_is_exactly_zero(insulated, params):
 @pytest.mark.parametrize("setup", ALL_SETUPS, ids=lambda s: s.value)
 def test_rhs_steady_state_is_exactly_zero(setup, params):
     grid = make_grid(setup, 5.0, 32)
-    d = rhs(steady_state(grid), grid, params, setup)
-    assert np.all(d.dv == 0.0)
-    assert np.all(d.du == 0.0)
-    assert np.all(d.dtheta == 0.0)
+    dv, dtheta, du = split_rates(rhs(steady_state(grid), grid, params, setup))
+    assert np.all(dv == 0.0)
+    assert np.all(du == 0.0)
+    assert np.all(dtheta == 0.0)
 
 
 def test_rhs_single_hat_stencil(cauchy):
@@ -104,24 +104,24 @@ def test_rhs_single_hat_stencil(cauchy):
     u = np.zeros(17)
     u[k] = 1.0
     state = FluidState(0.0, np.ones(16), np.ones(16), u)
-    d = rhs(state, grid, params, cauchy)
+    dv, dtheta, du = split_rates(rhs(state, grid, params, cauchy))
 
-    assert d.dv[k - 1] == pytest.approx(1.0 / dm, rel=1e-14)
-    assert d.dv[k] == pytest.approx(-1.0 / dm, rel=1e-14)
-    assert np.all(d.dv[: k - 1] == 0.0) and np.all(d.dv[k + 1 :] == 0.0)
+    assert dv[k - 1] == pytest.approx(1.0 / dm, rel=1e-14)
+    assert dv[k] == pytest.approx(-1.0 / dm, rel=1e-14)
+    assert np.all(dv[: k - 1] == 0.0) and np.all(dv[k + 1 :] == 0.0)
 
     lap = params.mu / dm**2
-    assert d.du[k - 1] == pytest.approx(lap, rel=1e-13)
-    assert d.du[k] == pytest.approx(-2.0 * lap, rel=1e-13)
-    assert d.du[k + 1] == pytest.approx(lap, rel=1e-13)
+    assert du[k - 1] == pytest.approx(lap, rel=1e-13)
+    assert du[k] == pytest.approx(-2.0 * lap, rel=1e-13)
+    assert du[k + 1] == pytest.approx(lap, rel=1e-13)
     mask = np.ones(17, bool)
     mask[[k - 1, k, k + 1]] = False
-    assert np.all(d.du[mask] == 0.0)
+    assert np.all(du[mask] == 0.0)
 
-    assert d.dtheta[k - 1] == pytest.approx(
+    assert dtheta[k - 1] == pytest.approx(
         (-params.R / dm + params.mu / dm**2) / params.c_v, rel=1e-13
     )
-    assert d.dtheta[k] == pytest.approx(
+    assert dtheta[k] == pytest.approx(
         (params.R / dm + params.mu / dm**2) / params.c_v, rel=1e-13
     )
 
@@ -132,11 +132,11 @@ def test_rhs_matches_bruteforce_stencils(setup, params):
     state = random_state(grid, seed=11)
     if setup.has_wall:
         state.u[0] = 0.0
-    d = rhs(state, grid, params, setup)
+    d_v, d_theta, d_u = split_rates(rhs(state, grid, params, setup))
     dv, du, dth = bruteforce.rhs(state, grid, params, setup)
-    assert np.allclose(d.dv, dv, rtol=1e-12, atol=1e-12)
-    assert np.allclose(d.du, du, rtol=1e-12, atol=1e-12)
-    assert np.allclose(d.dtheta, dth, rtol=1e-12, atol=1e-12)
+    assert np.allclose(d_v, dv, rtol=1e-12, atol=1e-12)
+    assert np.allclose(d_u, du, rtol=1e-12, atol=1e-12)
+    assert np.allclose(d_theta, dth, rtol=1e-12, atol=1e-12)
 
 
 def assert_close_to_oracle(actual, expected, rel=1e-12):
@@ -172,9 +172,9 @@ def test_rhs_matches_loop_oracle_with_and_without_sources(n, setup, params, seed
     sources = (rng.uniform(-2.0, 2.0, n), rng.uniform(-2.0, 2.0, n + 1),
                rng.uniform(-2.0, 2.0, n))
     for extra in (None, sources):
-        d = rhs(state, grid, params, setup, extra)
+        dv, dtheta, du = split_rates(rhs(state, grid, params, setup, extra))
         expected = bruteforce.rhs(state, grid, params, setup, extra)
-        for actual, oracle in zip((d.dv, d.du, d.dtheta), expected):
+        for actual, oracle in zip((dv, du, dtheta), expected):
             assert_close_to_oracle(actual, oracle)
 
     flux = heat_flux_faces(state, grid, params, setup)
@@ -182,18 +182,40 @@ def test_rhs_matches_loop_oracle_with_and_without_sources(n, setup, params, seed
     assert_close_to_oracle(flux, oracle)
 
     # d/dt total_energy == boundary_power, to 1e-12 of the summed magnitudes
-    d = rhs(state, grid, params, setup)
-    terms = np.concatenate([params.c_v * d.dtheta, state.u * d.du]) * grid.dm
+    _, dtheta, du = split_rates(rhs(state, grid, params, setup))
+    terms = np.concatenate([params.c_v * dtheta, state.u * du]) * grid.dm
     power = boundary_power(state, grid, params, setup)
     assert abs(float(terms.sum()) - power) <= 1e-12 * float(np.abs(terms).sum())
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["bare", "forced"])
+@pytest.mark.parametrize("setup", ALL_SETUPS, ids=lambda s: s.value)
+def test_rhs_returns_one_buffer_laid_out_like_a_stage(setup, params, forced):
+    # a FluidState and its packed stage give the same bytes, [dv | dtheta | du]
+    n = 12
+    grid = make_grid(setup, 3.0, n)
+    state = random_state(grid, seed=23)
+    if setup.has_wall:
+        state.u[0] = 0.0
+    rng = np.random.default_rng(23)
+    sources = (rng.uniform(-2.0, 2.0, n), rng.uniform(-2.0, 2.0, n + 1),
+               rng.uniform(-2.0, 2.0, n)) if forced else None
+    rates = rhs(state, grid, params, setup, sources)
+    assert rates.tobytes() == rhs(state.packed(), grid, params, setup, sources).tobytes()
+    assert isinstance(rates, np.ndarray) and rates.dtype == np.float64
+    assert rates.shape == (3 * n + 1,) and rates.flags.c_contiguous
+    dv, du, dtheta = bruteforce.rhs(state, grid, params, setup, sources)
+    assert_close_to_oracle(rates[:n], dv)
+    assert_close_to_oracle(rates[n : 2 * n], dtheta)
+    assert_close_to_oracle(rates[2 * n :], du)
 
 
 @pytest.mark.parametrize("setup", ALL_SETUPS, ids=lambda s: s.value)
 def test_rhs_discrete_mass_identity(setup, params):
     grid = make_grid(setup, 3.0, 24)
     state = random_state(grid, seed=5)
-    d = rhs(state, grid, params, setup)
-    total = float(d.dv.sum() * grid.dm)
+    dv = split_rates(rhs(state, grid, params, setup))[0]
+    total = float(dv.sum() * grid.dm)
     expected = float(state.u[-1] - state.u[0])
     assert total == pytest.approx(expected, abs=64 * 24 * np.finfo(float).eps)
 
@@ -202,10 +224,10 @@ def test_rhs_discrete_momentum_identity(cauchy, params):
     # interior node sum telescopes to the stress difference of the outer cells
     grid = make_grid(cauchy, 3.0, 24)
     state = random_state(grid, seed=9)
-    d = rhs(state, grid, params, cauchy)
+    du = split_rates(rhs(state, grid, params, cauchy))[2]
     s = np.array(bruteforce.strain_rate(state, grid))
     stress = params.mu * s / state.v - params.R * state.theta / state.v
-    interior_sum = float(d.du[1:-1].sum() * grid.dm)
+    interior_sum = float(du[1:-1].sum() * grid.dm)
     assert interior_sum == pytest.approx(float(stress[-1] - stress[0]), rel=1e-12, abs=1e-12)
 
 
@@ -233,12 +255,11 @@ def test_rhs_translation_equivariance(cauchy, params):
     shifted = FluidState(0.0, np.roll(v, 1), np.roll(theta, 1), np.roll(u, 1))
     state = FluidState(0.0, v, theta, u)
 
-    d = rhs(state, grid, params, cauchy)
-    d_shifted = rhs(shifted, grid, params, cauchy)
+    d = split_rates(rhs(state, grid, params, cauchy))
+    d_shifted = split_rates(rhs(shifted, grid, params, cauchy))
     window = slice(5, 55)  # away from both boundaries
-    assert np.array_equal(d_shifted.dv[6:56], d.dv[window])
-    assert np.array_equal(d_shifted.du[6:56], d.du[window])
-    assert np.array_equal(d_shifted.dtheta[6:56], d.dtheta[window])
+    for rate_shifted, rate in zip(d_shifted, d):  # dv, dtheta, du
+        assert np.array_equal(rate_shifted[6:56], rate[window])
 
 
 @pytest.mark.parametrize(
@@ -261,12 +282,12 @@ def test_rhs_wall_rate_is_zero_even_with_sources(setup, params):
     state = random_state(grid, seed=17)
     state.u[0] = 0.0
     sources = (np.ones(8), np.ones(9), np.ones(8))
-    bare = rhs(state, grid, params, setup)
-    forced = rhs(state, grid, params, setup, sources)
-    assert bare.du[0] == 0.0
-    assert forced.du[0] == 0.0
-    assert np.array_equal(forced.dv, bare.dv + 1.0)
-    assert np.array_equal(forced.du[1:], bare.du[1:] + 1.0)
+    bare_dv, _, bare_du = split_rates(rhs(state, grid, params, setup))
+    forced_dv, _, forced_du = split_rates(rhs(state, grid, params, setup, sources))
+    assert bare_du[0] == 0.0
+    assert forced_du[0] == 0.0
+    assert np.array_equal(forced_dv, bare_dv + 1.0)
+    assert np.array_equal(forced_du[1:], bare_du[1:] + 1.0)
 
 
 @pytest.mark.parametrize("setup", ALL_SETUPS, ids=lambda s: s.value)
@@ -282,8 +303,8 @@ def test_total_energy_budget_closes_semi_discretely(setup, params):
     state = random_state(grid, seed=13)
     if setup.has_wall:
         state.u[0] = 0.0
-    d = rhs(state, grid, params, setup)
-    de = (params.c_v * d.dtheta.sum() + (state.u * d.du).sum()) * grid.dm
+    _, dtheta, du = split_rates(rhs(state, grid, params, setup))
+    de = (params.c_v * dtheta.sum() + (state.u * du).sum()) * grid.dm
     assert float(de) == pytest.approx(
         boundary_power(state, grid, params, setup), rel=1e-10, abs=1e-10
     )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bruteforce
+from conftest import split_rates
 from lagas import (
     ConfigurationError,
     GasParams,
@@ -328,12 +329,12 @@ def test_forced_rhs_consistent_with_analytic_rates(setup, params):
         grid = make_grid(setup, 10.0, n)
         state = sample_state(ms, grid, 0.0)
         rates = make_source_rates(ms, params, grid)(0.0)
-        d = rhs(state, grid, params, setup, rates)
+        dv, dtheta, du = split_rates(rhs(state, grid, params, setup, rates))
         centers, nodes = grid.cell_centers(), grid.nodes()
         err = max(
-            np.abs(d.dv - _time_rate(ms, "v", centers, 0.0)).max(),
-            np.abs(d.du[1:-1] - _time_rate(ms, "u", nodes, 0.0)[1:-1]).max(),
-            np.abs(d.dtheta - _time_rate(ms, "theta", centers, 0.0)).max(),
+            np.abs(dv - _time_rate(ms, "v", centers, 0.0)).max(),
+            np.abs(du[1:-1] - _time_rate(ms, "u", nodes, 0.0)[1:-1]).max(),
+            np.abs(dtheta - _time_rate(ms, "theta", centers, 0.0)).max(),
         )
         errs.append(err)
     assert errs[0] / errs[1] > 3.0  # ~4x under dm halving
