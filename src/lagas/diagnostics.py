@@ -14,12 +14,13 @@ integrator feeds.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .core import DomainError, FluidState, GasParams, MassGrid, SetupKind
-from .scheme import total_energy
+from .scheme import total_energies, total_energy
 
 __all__ = [
     "AuditRecord", "AuditTrail", "EnergyLedger", "H1Seminorms", "entropy_energy",
@@ -45,123 +46,141 @@ def check_excess_thresholds(thresholds) -> tuple[float, ...]:
 
 
 class _Tick:
-    """The intermediates of one state that the audit functionals share, taken in a
-    fixed handful of whole-buffer numpy passes whatever n is.
+    """The intermediates that the audit functionals share, for a block of m packed
+    states ``[v | theta | u]`` (rows of width N = 3n + 1), taken in a fixed handful of
+    numpy passes whatever m is; each method gives one value per state.
 
-    ``y = [v | theta | u]`` packs the fields, its first 2n entries the block
-    ``[v; theta]`` whose row minima and maxima are the bounds.  One subtract and
-    divide over y gives ``[v_x | . | theta_x | . | u_x]``, one over its theta_x
-    and u_x part the second differences, and one add and halve over y the means
-    ``[v_face | . | theta_face | . | ubar]``; a ``.`` straddles a field seam and
-    is never read.  The rest lives in one buffer of n-long rows: the means;
-    v - 1, theta - 1 and u, made absolute with ubar in one pass (ubar enters
-    only squared); the squared second differences; then the summands, a run of
-    face rows (their first n - 1 columns) and a run of cell rows, the squared
-    first differences landing in one pass where the runs meet.  ``np.add.reduce``
-    along the rows of a run gives each row's own ``.sum()`` bit for bit, each
-    row being contiguous (along a Fortran-ordered buffer's rows it would not),
-    so no row is padded to another's length; max |v - 1| and max |theta - 1|
-    come from the bounds, fl(x - 1) being monotone in x.  Operand order is part
+    Most passes run once over the flattened block, read at shifts of 0, n and 2n so that
+    the fields of a state line up; what they write across a seam, between fields or
+    states, is never read.  A work row, seen as (m, N), has three n-long slots per state
+    and each summand lands in one: face sums in the theta_x slots (first n - 1 columns)
+    of a run of rows, cell sums in the u_x slots of the next.  ``np.add.reduce`` along
+    contiguous slots gives each its own ``.sum()`` bit for bit.  Operand order is part
     of the audit.csv bytes that tests/test_golden.py pins: df8's
     ``((1 + theta + ubar^2)*s)*s`` is not ``(1 + theta + ubar^2)*(s*s)``.
 
-    Each functional is one method here: an audit record applies them all to one
-    instance, and each public functional its own to a fresh one.  With ``check``
-    set, v and theta must be finite and positive (NaN fails the minima), tested
-    on the bounds before any other array work; DomainError names ``check``.  Only
-    then are the rows that divide by v and theta written; only entropy_energy,
-    which is checked, takes a log.
+    With ``check`` set, v and theta must be finite and positive (NaN fails the
+    minima), tested on the bounds before any other array work; DomainError names
+    ``check``.  Only then are the rows that divide by v and theta written, dividing
+    within their slots only; only entropy_energy, which is checked, takes a log.
     """
 
-    def __init__(self, state: FluidState, dm: float, check: str | None = None) -> None:
-        n = len(state.v)
-        y = state.packed()
-        self.vt = vt = y[: 2 * n].reshape(2, n)
-        self.bounds = v_min, v_max, th_min, th_max = _bounds(vt)
-        if check and not (v_min > 0.0 and th_min > 0.0 and max(v_max, th_max) < math.inf):
+    def __init__(self, block: np.ndarray, dm: float, check: str | None = None) -> None:
+        m, width = block.shape
+        self.n = n = (width - 1) // 3
+        self.dm, self.block = dm, block
+        self.bounds = _bounds(block[:, : 2 * n].reshape(m, 2, n))
+        if check and not all(b[0] > 0.0 and b[2] > 0.0 and max(b[1], b[3]) < math.inf
+                             for b in self.bounds):
             raise DomainError(f"{check} needs finite positive v and theta")
-        # rows 0-6: [v_face | .], [theta_face | .], ubar, v - 1, theta - 1, u, its last
-        # node; 7: [theta_xx^2 | . .]; faces: u_xx^2 (on interior nodes), z4's, D_heat's
-        # (checked), v_x^2, theta_x^2; cells: u_x^2, df8's, lp_deviation(2)'s, u^4, D_visc's
-        vx_row = 11 if check else 10
-        self.dm, self.work = dm, np.empty((vx_row + 7 if check else vx_row + 6, n))
-        flat = self.work.reshape(-1)
-        mean = np.multiply(np.add(y[:-1], y[1:], flat[: 3 * n]), 0.5, flat[: 3 * n])
-        np.subtract(y[: 2 * n], 1.0, flat[3 * n : 5 * n])
-        flat[5 * n : 6 * n + 1] = state.u
-        np.abs(flat[2 * n : 6 * n + 1], flat[2 * n : 6 * n + 1])
-        #: |ubar|, |v - 1|, |theta - 1| on cells, and |u| on nodes
-        self.abs_dev, self.abs_u = self.work[2:5], flat[5 * n : 6 * n + 1]
-        d1 = (y[1:] - y[:-1]) / dm
-        d2 = (d1[n + 1 :] - d1[n:-1]) / dm
-        np.multiply(d1, d1, flat[vx_row * n : (vx_row + 3) * n])
-        np.multiply(d2, d2, flat[7 * n : 9 * n - 1])
-        faces, cells = self.work[8 : vx_row + 2, : n - 1], self.work[vx_row + 2 :]
-        vx, s = d1[: n - 1], d1[2 * n :]
-        # abs_dev ** 2.0, which numpy evaluates as this square
-        th_face, powers = mean[n:-n - 1], self.abs_dev * self.abs_dev
-        np.multiply(np.multiply(th_face, vx, faces[1]), vx, faces[1])
-        df8 = np.add(np.add(1.0, vt[1], cells[1]), powers[0], cells[1])
+        # rows 0-3 faces at theta_x: D_heat's (checked), z4's, [theta_xx^2 | u_xx^2 | .] and
+        # [v_x^2 | theta_x^2 | u_x^2]; 4-7 cells at u_x: df8's, lp_deviation(2)'s, u^4 (ubar^2
+        # first) and D_visc's (checked); 8 [v_face | . | theta_face | . | ubar], 9 [v_x | . |
+        # theta_x | . | u_x], 10 [|v - 1| | |theta - 1| | |u|], 11 its squares
+        y, self.work = block.reshape(-1), np.empty((12, block.size))
+        self.rows = rows = self.work.reshape(12, m, width)
+        span = y.size - 2 * n - 1  # a slot of the first state to that of the last
+        faces, cells, at_u = slice(n, 2 * n - 1), slice(2 * n, 3 * n), slice(2 * n, 2 * n + span)
+        mean, d1, dev = self.work[8, :-1], self.work[9, :-1], self.work[10]
+        np.multiply(np.add(y[:-1], y[1:], mean), 0.5, mean)
+        np.divide(np.subtract(y[1:], y[:-1], d1), dm, d1)
+        d2 = self.work[2, : span + n - 1]
+        np.divide(np.subtract(d1[n + 1 :], d1[n:-1], d2), dm, d2)
+        np.multiply(d1, d1, self.work[3, :-1])
+        np.multiply(d2, d2, d2)
+        np.subtract(y[: span + n], 1.0, dev[: span + n])
+        rows[10, :, 2 * n :] = block[:, 2 * n :]
+        np.abs(dev, dev)
+        powers, squares = self.work[11, : span + n], self.work[6, at_u]
+        np.multiply(dev[: span + n], dev[: span + n], powers)
+        ubar, s, thf = mean[at_u], d1[at_u], mean[n : n + span]
+        np.multiply(ubar, ubar, squares)
+        z4, df8 = self.work[1, n : n + span], self.work[4, at_u]
+        np.multiply(np.multiply(thf, d1[:span], z4), d1[:span], z4)
+        np.add(np.add(1.0, y[n : n + span], df8), squares, df8)
         np.multiply(np.multiply(df8, s, df8), s, df8)
-        self._lp_summand(powers, cells[2])
-        np.multiply(powers[0], powers[0], cells[3])
+        self._lp_summand(powers[:span], powers[n : n + span], squares, self.work[5, at_u])
+        np.multiply(squares, squares, squares)
         if check:
-            heat = np.multiply(np.multiply(mean[: n - 1], th_face, faces[2]), th_face, faces[2])
-            np.divide(faces[4], heat, heat)
-            np.divide(cells[0], np.multiply(vt[0], vt[1], cells[4]), cells[4])
-        uxx_ss, self.z4_faces, *heat, vx_ss, thx_ss = np.add.reduce(faces, 1).tolist()
-        ux_ss, self.df8_cells, self.lp2_sum, self.u4_sum, *visc = np.add.reduce(cells, 1).tolist()
-        #: sums of squares of (v_x, u_x, theta_x, u_xx, theta_xx), and the dissipation sums
-        self.sq_sums = vx_ss, ux_ss, thx_ss, uxx_ss, float(np.add.reduce(flat[7 * n : 8 * n - 2]))
-        self.dissipation_sums = visc + heat
+            heat = self.work[0, n : n + span]
+            np.multiply(np.multiply(mean[:span], thf, heat), thf, heat)
+            np.divide(rows[3, :, faces], rows[0, :, faces], rows[0, :, faces])
+            np.multiply(y[:span], y[n : n + span], self.work[7, at_u])
+            np.divide(rows[3, :, cells], rows[7, :, cells], rows[7, :, cells])
+        first, last = (0, 8) if check else (1, 7)
+        *heat, self.z4_faces, uxx_ss, thx_ss = np.add.reduce(rows[first:4, :, faces], 2).tolist()
+        ux_ss, self.df8_cells, self.lp2_sums, self.u4_sums, *visc = np.add.reduce(
+            rows[3:last, :, cells], 2).tolist()
+        vx_ss = np.add.reduce(rows[3, :, : n - 1], 1).tolist()
+        thxx_ss = np.add.reduce(rows[2, :, : n - 2], 1).tolist()
+        #: per state, sums of squares of (v_x, u_x, theta_x, u_xx, theta_xx)
+        self.sq_sums = list(zip(vx_ss, ux_ss, thx_ss, uxx_ss, thxx_ss))
+        self.dissipation_sums, self.theta_top = visc + heat, max(b[3] for b in self.bounds)
 
     @staticmethod
-    def _lp_summand(powers: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """|v - 1|^p + |ubar|^p + |theta - 1|^p from the rows of ``abs_dev ** p``."""
-        return np.add(np.add(powers[1], powers[0], out), powers[2], out)
+    def _lp_summand(v_powers: np.ndarray, theta_powers: np.ndarray, ubar_powers: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+        """|v - 1|^p + |ubar|^p + |theta - 1|^p from those powers, lined up cell by cell."""
+        return np.add(np.add(v_powers, ubar_powers, out), theta_powers, out)
 
-    def entropy_energy(self, params: GasParams) -> float:
-        excess, ubar = np.log(self.vt), self.abs_dev[0]
-        np.subtract(np.subtract(self.vt, excess, excess), 1.0, excess)
-        density = 0.5 * ubar * ubar + params.R * excess[0]
-        density += params.c_v * excess[1]
-        return float(np.add.reduce(density) * self.dm)
+    def entropy_energy(self, params: GasParams) -> list[float]:
+        n, vt = self.n, self.block[:, : 2 * self.n]
+        excess, ubar = np.log(vt), self.rows[8, :, 2 * n : 3 * n]
+        np.subtract(np.subtract(vt, excess, excess), 1.0, excess)
+        density = 0.5 * ubar * ubar + params.R * excess[:, :n]
+        density += params.c_v * excess[:, n:]
+        return [total * self.dm for total in np.add.reduce(density, 1).tolist()]
 
-    def dissipation_rates(self, params: GasParams) -> tuple[float, float]:
-        visc, heat = self.dissipation_sums
-        return params.mu * visc * self.dm, params.kappa * heat * self.dm
+    def dissipation_rates(self, params: GasParams) -> list[tuple[float, float]]:
+        return [(params.mu * visc * self.dm, params.kappa * heat * self.dm)
+                for visc, heat in zip(*self.dissipation_sums)]
 
-    def lp_deviation(self, p: float) -> float:
+    def lp_deviation(self, p: float) -> list[float]:
         if not p > 1.0:
             raise DomainError(f"lp_deviation needs p in (1, inf], got {p!r}")
+        n, rows = self.n, self.rows
         if math.isinf(p):
-            v_min, v_max, th_min, th_max = self.bounds
-            du = float(np.maximum.reduce(self.abs_dev[0]))
-            return max(abs(v_min - 1.0), abs(v_max - 1.0), du, abs(th_min - 1.0), abs(th_max - 1.0))
-        total = self.lp2_sum if p == 2.0 else np.add.reduce(self._lp_summand(self.abs_dev ** p))
-        return float((total * self.dm) ** (1.0 / p))
+            du = np.maximum.reduce(np.abs(rows[8, :, 2 * n : 3 * n]), 1).tolist()
+            return [max(abs(v_min - 1.0), abs(v_max - 1.0), d, abs(th_min - 1.0), abs(th_max - 1.0))
+                    for (v_min, v_max, th_min, th_max), d in zip(self.bounds, du)]
+        totals = self.lp2_sums
+        if p != 2.0:
+            powers, ubar = rows[10, :, : 2 * n] ** p, np.abs(rows[8, :, 2 * n : 3 * n]) ** p
+            totals = np.add.reduce(self._lp_summand(powers[:, :n], powers[:, n:], ubar), 1).tolist()
+        return [(total * self.dm) ** (1.0 / p) for total in totals]
 
-    def outer_deviation(self, left: bool) -> float:
-        k, dev, nodes = max(1, math.ceil(0.05 * len(self.vt[0]))), self.work[3:6], self.abs_u
+    def outer_deviation(self, left: bool) -> list[float]:
+        n, dev = self.n, self.rows[10]
+        k, ends = max(1, math.ceil(0.05 * n)), dev[:, : 3 * n].reshape(-1, 3, n)
         # rows |v - 1|, |theta - 1|, |u|: the u row holds every node of an end but its last
-        right = max(np.maximum.reduce(dev[:, -k:], None), nodes[-1])
-        return float(max(right, np.maximum.reduce(dev[:, :k], None), nodes[k]) if left else right)
+        right = np.maximum(np.maximum.reduce(ends[:, :, -k:], (1, 2)), dev[:, 3 * n])
+        if left:
+            right = np.maximum(right, np.maximum(np.maximum.reduce(ends[:, :, :k], (1, 2)),
+                                                 dev[:, 2 * n + k]))
+        return right.tolist()
 
-    def h1_seminorms(self) -> H1Seminorms:
-        return H1Seminorms(*(math.sqrt(total * self.dm) for total in self.sq_sums))
+    def h1_seminorms(self) -> list[tuple[float, float, float, float, float]]:
+        dm = self.dm
+        return [(math.sqrt(vx * dm), math.sqrt(ux * dm), math.sqrt(thx * dm), math.sqrt(uxx * dm),
+                 math.sqrt(thxx * dm)) for vx, ux, thx, uxx, thxx in self.sq_sums]
 
-    def truncated_excess(self, a: float) -> tuple[float, float]:
-        if a >= self.bounds[3]:  # the bits the array path gives for theta <= a
-            return 0.0, 0.0
-        th = self.vt[1]
-        over = np.maximum(th - a, 0.0)
-        return float((over * over).sum() * self.dm), float(np.count_nonzero(th > a) * self.dm)
+    def truncated_excess(self, a: float) -> list[tuple[float, float]]:
+        if a >= self.theta_top:  # the bits the array path gives
+            return [(0.0, 0.0)] * len(self.bounds)
+        th = self.block[:, self.n : 2 * self.n]
+        over, counts = np.maximum(th - a, 0.0), np.count_nonzero(th > a, 1).tolist()
+        totals = np.add.reduce(over * over, 1).tolist()
+        return [(total * self.dm, float(count * self.dm)) for total, count in zip(totals, counts)]
 
-    def df8_rate(self) -> float:
-        return (self.df8_cells + self.sq_sums[2]) * self.dm
+    def df8_rate(self) -> list[float]:
+        return [(cells + sq[2]) * self.dm for cells, sq in zip(self.df8_cells, self.sq_sums)]
 
-    def z4_rate(self) -> float:
-        return (self.z4_faces + self.sq_sums[3] + self.sq_sums[4]) * self.dm
+    def z4_rate(self) -> list[float]:
+        return [(faces + sq[3] + sq[4]) * self.dm for faces, sq in zip(self.z4_faces, self.sq_sums)]
+
+
+def _one(state: FluidState, dm: float, check: str | None = None) -> _Tick:
+    return _Tick(state.packed()[None], dm, check)  # the tick of a single state
 
 
 def entropy_energy(state: FluidState, params: GasParams, grid: MassGrid) -> float:
@@ -170,7 +189,7 @@ def entropy_energy(state: FluidState, params: GasParams, grid: MassGrid) -> floa
     Midpoint quadrature over cells, with u averaged to cell centers.  Zero
     exactly at the rest state and strictly positive elsewhere.
     """
-    return _Tick(state, grid.dm, check="entropy energy").entropy_energy(params)
+    return _one(state, grid.dm, check="entropy energy").entropy_energy(params)[0]
 
 
 def dissipation_rates(state: FluidState, params: GasParams, grid: MassGrid) -> tuple[float, float]:
@@ -180,7 +199,7 @@ def dissipation_rates(state: FluidState, params: GasParams, grid: MassGrid) -> t
     D_heat = kappa * sum over interior faces of theta_x^2/(v*theta^2) * dm
     with face values by arithmetic mean.
     """
-    return _Tick(state, grid.dm, check="dissipation rates").dissipation_rates(params)
+    return _one(state, grid.dm, check="dissipation rates").dissipation_rates(params)[0]
 
 
 def energy_balance_residual(te_now: float, te_initial: float, boundary_inflow: float) -> float:
@@ -190,18 +209,18 @@ def energy_balance_residual(te_now: float, te_initial: float, boundary_inflow: f
 
 def field_bounds(state: FluidState) -> tuple[float, float, float, float]:
     """(v_min, v_max, theta_min, theta_max), exact over cells."""
-    return _bounds(np.stack((state.v, state.theta)))
+    return _bounds(np.stack((state.v, state.theta))[None])[0]
 
 
-def _bounds(vt: np.ndarray) -> tuple[float, float, float, float]:
-    """field_bounds of the 2 x n block [v; theta], by one min and one max pass."""
-    low, high = np.minimum.reduce(vt, 1).tolist(), np.maximum.reduce(vt, 1).tolist()
-    return low[0], high[0], low[1], high[1]
+def _bounds(vt: np.ndarray) -> list[tuple[float, float, float, float]]:
+    """field_bounds of each 2 x n block [v; theta] of ``vt``, by one min and one max pass."""
+    low, high = np.minimum.reduce(vt, 2).tolist(), np.maximum.reduce(vt, 2).tolist()
+    return [(v_min, v_max, th_min, th_max) for (v_min, th_min), (v_max, th_max) in zip(low, high)]
 
 
 def lp_deviation(state: FluidState, grid: MassGrid, p: float) -> float:
     """L^p norm of (v-1, u, theta-1) with node u averaged to cells; p in (1, inf]."""
-    return _Tick(state, grid.dm).lp_deviation(p)
+    return _one(state, grid.dm).lp_deviation(p)[0]
 
 
 @dataclass(frozen=True)
@@ -221,7 +240,7 @@ def h1_seminorms(state: FluidState, grid: MassGrid) -> H1Seminorms:
     v_x and theta_x live on interior faces, u_x on cells; second differences
     compose the first ones (u_xx on interior nodes, theta_xx on interior cells).
     """
-    return _Tick(state, grid.dm).h1_seminorms()
+    return H1Seminorms(*_one(state, grid.dm).h1_seminorms()[0])
 
 
 def truncated_excess(state: FluidState, grid: MassGrid, a: float) -> tuple[float, float]:
@@ -230,7 +249,7 @@ def truncated_excess(state: FluidState, grid: MassGrid, a: float) -> tuple[float
     The super-level set is measured by cell counting.
     """
     check_excess_thresholds((a,))
-    return _Tick(state, grid.dm).truncated_excess(a)
+    return _one(state, grid.dm).truncated_excess(a)[0]
 
 
 def sup_embedding_check(values: np.ndarray, grid: MassGrid) -> tuple[float, float]:
@@ -245,12 +264,12 @@ def sup_embedding_check(values: np.ndarray, grid: MassGrid) -> tuple[float, floa
 
 def df8_rate(state: FluidState, grid: MassGrid) -> float:
     """Instantaneous value of the integral of (1 + theta + u^2)*u_x^2 + theta_x^2."""
-    return _Tick(state, grid.dm).df8_rate()
+    return _one(state, grid.dm).df8_rate()[0]
 
 
 def z4_rate(state: FluidState, grid: MassGrid) -> float:
     """Instantaneous value of the integral of theta*v_x^2 + u_xx^2 + theta_xx^2."""
-    return _Tick(state, grid.dm).z4_rate()
+    return _one(state, grid.dm).z4_rate()[0]
 
 
 @dataclass(frozen=True)
@@ -290,6 +309,7 @@ class AuditRecord:
 #: the energy-identity ones carry the equation tag of the audit file format
 _SCALAR_FIELDS = tuple(f.name for f in fields(AuditRecord))
 _SCALAR_FIELDS = _SCALAR_FIELDS[: _SCALAR_FIELDS.index("excess")]
+_scalars = operator.attrgetter(*_SCALAR_FIELDS)
 _TAGGED = ("E", "D_visc", "D_heat", "cum_D")
 
 
@@ -308,7 +328,7 @@ def audit_header(excess_thresholds=DEFAULT_EXCESS_THRESHOLDS) -> str:
 
 def audit_row(record: AuditRecord) -> str:
     """Serialize one record in audit_columns order (shortest round-trip floats)."""
-    parts = [repr(getattr(record, name)) for name in _SCALAR_FIELDS]
+    parts = list(map(repr, _scalars(record)))
     for a in sorted(record.excess):
         parts += map(repr, record.excess[a])
     parts.append(repr(record.energy_balance_residual))
@@ -328,11 +348,11 @@ class EnergyLedger:
 class AuditTrail:
     """Running audit along one trajectory.
 
-    ``record`` takes snapshots of a single trajectory in time order, and fails
-    with DomainError on one earlier than the last; the cumulative integrals are
-    trapezoids on that cadence, and the energy ledger is filled by the
-    integrator at every step.  A snapshot read between steps comes with its own
-    ``inflow``, the ledger's at that time.
+    ``record`` and ``record_block`` (several packed snapshots at once) take snapshots
+    of a single trajectory in time order, and fail with DomainError on one earlier
+    than the last; the cumulative integrals are trapezoids on that cadence, and the
+    energy ledger is filled by the integrator at every step.  A snapshot read between
+    steps comes with its own ``inflow``, the ledger's at that time.
     """
 
     def __init__(self, initial: FluidState, grid: MassGrid, params: GasParams, setup: SetupKind,
@@ -345,35 +365,41 @@ class AuditTrail:
         self._cum_d = self._cum_df8 = self._cum_z4 = 0.0
 
     def record(self, state: FluidState, inflow: float | None = None) -> AuditRecord:
-        grid, params = self.grid, self.params
-        if self._prev is not None and state.t < self._prev[0]:
-            raise DomainError(
-                f"audit record at t={state.t!r} is earlier than the last, at t={self._prev[0]!r}")
-        tick = _Tick(state, grid.dm, check="audit record")
-        d_visc, d_heat = tick.dissipation_rates(params)
-        d_total, df8, z4 = d_visc + d_heat, tick.df8_rate(), tick.z4_rate()
-        if self._prev is not None:
-            t_prev, d_prev, df8_prev, z4_prev = self._prev
-            h = state.t - t_prev
-            self._cum_d += 0.5 * (d_total + d_prev) * h
-            self._cum_df8 += 0.5 * (df8 + df8_prev) * h
-            self._cum_z4 += 0.5 * (z4 + z4_prev) * h
-        self._prev = (state.t, d_total, df8, z4)
-        v_min, v_max, th_min, th_max = tick.bounds
-        te = total_energy(state, grid, params)
-        return AuditRecord(
-            t=state.t, E=tick.entropy_energy(params),
-            D_visc=d_visc, D_heat=d_heat, cum_D=self._cum_d,
-            v_min=v_min, v_max=v_max, theta_min=th_min, theta_max=th_max,
-            lp2_dev=tick.lp_deviation(2.0), lpinf_dev=tick.lp_deviation(math.inf),
-            outer_dev=tick.outer_deviation(not self.setup.has_wall),
-            **vars(tick.h1_seminorms()),
-            df8_rate=df8, cum_df8=self._cum_df8, z4_rate=z4, cum_z4=self._cum_z4,
-            int_u4=tick.u4_sum * grid.dm, sup_theta_excess=max(th_max - 1.5, 0.0) ** 2,
-            excess={a: tick.truncated_excess(a) for a in self.excess_thresholds},
-            energy_balance_residual=energy_balance_residual(
-                te, self._te0, self.ledger.inflow if inflow is None else inflow),
-        )
+        """The record of one snapshot, the one-state case of :meth:`record_block`."""
+        inflow = self.ledger.inflow if inflow is None else inflow
+        return self.record_block((state.t,), state.packed()[None], (inflow,))[0]
+
+    def record_block(self, times, block: np.ndarray, inflows) -> list[AuditRecord]:
+        """One _Tick's records of the C-ordered packed states block[i] at times[i], inflows[i]."""
+        for last, t in zip([-math.inf if self._prev is None else self._prev[0], *times], times):
+            if t < last:
+                raise DomainError(
+                    f"audit record at t={t!r} is earlier than the last, at t={last!r}")
+        grid, params, levels, n = self.grid, self.params, self.excess_thresholds, self.grid.n_cells
+        tick = _Tick(block, grid.dm, check="audit record")
+        columns = zip(
+            times, tick.entropy_energy(params), tick.dissipation_rates(params), tick.bounds,
+            tick.lp_deviation(2.0), tick.lp_deviation(math.inf),
+            tick.outer_deviation(not self.setup.has_wall), tick.h1_seminorms(), tick.df8_rate(),
+            tick.z4_rate(), tick.u4_sums, zip(*[tick.truncated_excess(a) for a in levels]),
+            total_energies(block[:, n : 2 * n], block[:, 2 * n :], grid.dm, params), inflows)
+        records = []
+        for t, e, (d_visc, d_heat), bounds, lp2, lpinf, outer, h1, df8, z4, u4, excess, te, inflow \
+                in columns:
+            d_total = d_visc + d_heat
+            if self._prev is not None:
+                t_prev, d_prev, df8_prev, z4_prev = self._prev
+                h = t - t_prev
+                self._cum_d += 0.5 * (d_total + d_prev) * h
+                self._cum_df8 += 0.5 * (df8 + df8_prev) * h
+                self._cum_z4 += 0.5 * (z4 + z4_prev) * h
+            self._prev = (t, d_total, df8, z4)
+            records.append(AuditRecord(  # in field order, the seminorms as the tick gives them
+                t, e, d_visc, d_heat, self._cum_d, *bounds, lp2, lpinf, outer, *h1,
+                df8, self._cum_df8, z4, self._cum_z4, u4 * grid.dm,
+                max(bounds[3] - 1.5, 0.0) ** 2, dict(zip(levels, excess)),
+                energy_balance_residual(te, self._te0, inflow)))
+        return records
 
 
 #: a run's tail is its last fifth; there the sup norm may rise 1 % from record to record

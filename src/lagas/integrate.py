@@ -1,28 +1,26 @@
 """Explicit time advancement: low-storage SSP Runge-Kutta steps under a stable dt.
 
 ``advance`` marches a trajectory to a target time, the only time a step lands
-on, and emits one :class:`~lagas.diagnostics.AuditRecord` per diagnostic tick,
-read from the dense output of the step that spans it.  Trajectories are
-deterministic: identical inputs give bit-identical outputs at any cadence.  One
-driver, ``step``, runs two coefficient tables: the third-order SSPRK(4,3) of
-Spiteri & Ruuth (2002) and the fourth-order SSPRK(10,4) of Ketcheson (2008).
+on, and emits one :class:`~lagas.diagnostics.AuditRecord` per diagnostic tick.
+The ticks inside a step are read from its dense output as one block of packed
+states, checked and audited together.  Trajectories are deterministic: identical
+inputs give bit-identical outputs at any cadence.  One driver, ``step``, runs two
+coefficient tables: the third-order SSPRK(4,3) of Spiteri & Ruuth (2002) and the
+fourth-order SSPRK(10,4) of Ketcheson (2008).
 
 Inside a step every stage is one contiguous float64 buffer ``[v | theta | u]``
 (n cells, n cells, n + 1 nodes).  ``rhs`` returns rates in the same layout,
 each stage is one whole-buffer combination computed in place in its rate
 buffer, and only the step's result becomes a FluidState, with views of its
-buffer as fields.  Each state is checked once: ``step`` checks its input
-(finite, positive v and theta) before the first stage, and every stage result
-after it is formed; ``rhs`` does not check the packed stages again.  A stage
-passes on one min over ``[v | theta]`` against the floor and one finite sum
-of the whole buffer; only a failing stage goes through ``validate_state``, to
-name the stage, field and cell.
+buffer as fields.  ``step`` checks its input (finite, positive v and theta), then
+each stage result with ``_passes``; ``rhs`` checks no packed stage again.  Only a
+failing stage goes through ``validate_state``, to name the stage, field and cell.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -45,6 +43,8 @@ from .scheme import boundary_power, rhs
 
 __all__ = ["SSPRK43", "SSPRK104", "SSPTable", "StepControl", "stable_dt", "step", "advance"]
 
+#: the ticks inside a step are read and audited as blocks of at most this many cells
+_BLOCK_CELLS = 4096
 #: sources(t) -> (dv, du, dtheta) extra rates, or None
 SourceFn = Callable[[float], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
@@ -157,17 +157,20 @@ def stable_dt(
     return min(dt, ctrl.dt_max)
 
 
+def _passes(y: np.ndarray, floor: float) -> bool:
+    """The stage test of a packed state or block: its min over [v | theta] is above floor
+    (NaN fails it) and its sum finite (finite entries may overflow it; numpy then warns)."""
+    return (np.minimum.reduce(y[..., : 2 * (y.shape[-1] // 3)], None) > floor
+            and math.isfinite(np.add.reduce(y, None)))
+
+
 def _checked(y: np.ndarray, floor: float, stage: int | None, t_start: float) -> None:
     """Raise IntegrationError unless the packed stage is finite with v, theta above floor.
 
-    One min over ``[v | theta]`` (NaN fails it) and one sum of the buffer,
-    finite unless an entry is NaN or infinite or finite entries overflow it
-    (numpy then warns).  Only a stage failing either goes through
-    validate_state, which passes an overflow and names the field and cell of
-    any other failure.  A ``stage`` of None is a dense-output state at t_start.
+    A stage failing :func:`_passes` goes through validate_state, which passes an overflow
+    and names the field and cell of another failure; a None ``stage`` is a dense-output tick.
     """
-    if (np.minimum.reduce(y[: 2 * (y.shape[0] // 3)]) > floor
-            and math.isfinite(np.add.reduce(y))):
+    if _passes(y, floor):
         return
     report = validate_state(FluidState.from_packed(t_start, y), floor)
     if not report.ok:
@@ -231,20 +234,22 @@ def step(
             y = a * w
             for k, coef in terms:
                 y += coef * mixed[k]
-        _checked(y, floor, i, t0)
+        if not _passes(y, floor):
+            _checked(y, floor, i, t0)
 
     if ledger is not None:
         ledger.add(dt * inflow / table.denominator)
     return FluidState.from_packed(t0 + dt, y)
 
 
-def _dense_output(start: FluidState, dt: float, weights: tuple[float, ...],
+def _dense_output(start: FluidState, dt: float, weights: list[tuple[float, ...]],
                   kept: list[tuple[np.ndarray, float]]) -> np.ndarray:
-    """The packed state y_n + dt sum_j b_j k_j of a step from ``start`` whose stage
-    rates were kept, summed elementwise in stage order so that its bits are fixed."""
-    acc, term = weights[0] * kept[0][0], np.empty_like(kept[0][0])
-    for b, (k, _) in zip(weights[1:], kept[1:]):
-        acc += np.multiply(k, b, out=term)
+    """The block of packed states y_n + dt sum_j b_j k_j, a row per row of weights, of a step
+    whose rates were kept: a pass per stage over all rows, in stage order, fixes its bits."""
+    b = np.array(weights)[:, :, None]
+    acc, term = b[:, 0] * kept[0][0], np.empty((len(b), kept[0][0].shape[0]))
+    for j, (k, _) in enumerate(kept[1:], 1):
+        acc += np.multiply(b[:, j], k, out=term)
     acc *= dt
     acc += start.packed()
     return acc
@@ -266,16 +271,17 @@ def advance(
 
     A record is always written at the start time and at ``t_end``, the only
     time a step lands on; each step's table is the one that reaches it with
-    the fewer rhs calls.  A tick inside a step reads the state and the ledger
-    inflow from its dense output (within rounding of its end, the landed
-    state), which fails as a stage does.  A state off the grid's cell count fails
-    before any record; calling with ``t_end`` equal to the state time is a no-op
-    that emits the single record.  Step failures carry the time of failure.
+    the fewer rhs calls.  The ticks inside a step, at most ``_BLOCK_CELLS // n``
+    (one or more) at a time, read their states and ledger inflows from its dense
+    output as one block, checked as a stage is and recorded in one
+    ``record_block``; on_record then sees each in order.  In a block that fails
+    the check the ticks before the failing one are still recorded.  A state off
+    the grid's cell count fails before any record; calling with ``t_end`` equal
+    to the state time is a no-op that emits the single record.  Step failures
+    carry the time of failure.
     """
     if not np.isfinite(t_end) or t_end < state.t:
-        raise ConfigurationError(
-            f"t_end must be >= the state time {state.t!r}, got {t_end!r}"
-        )
+        raise ConfigurationError(f"t_end must be >= the state time {state.t!r}, got {t_end!r}")
     if not every > 0.0:
         raise ConfigurationError(f"cadence must be positive, got {every!r}")
     require_cells_match("advance", state, grid)
@@ -285,9 +291,8 @@ def advance(
     if on_record is not None:
         on_record(records[0], state)
 
-    t0 = state.t
-    eps = 1e-12 * max(1.0, abs(t_end))
-    landed, tick = state, 1
+    t0, eps = state.t, 1e-12 * max(1.0, abs(t_end))
+    landed, tick, cap = state, 1, max(1, _BLOCK_CELLS // grid.n_cells)
     while state.t < t_end - eps:
         target = t0 + tick * every
         if target > t_end - eps:
@@ -303,22 +308,27 @@ def advance(
                     table, dt = SSPRK104, dt104
             dt = min(dt, gap)
             kept = [] if target < start.t + dt - eps else None
-            landed = step(
-                start, dt, grid, params, setup, ctrl,
-                sources=sources, ledger=trail.ledger, table=table, kept=kept,
-            )
-        if target < landed.t - eps:
-            weights = table.dense_weights((target - start.t) / dt)
-            y = _dense_output(start, dt, weights, kept)
-            _checked(y, ctrl.positivity_floor, None, target)
-            state = FluidState.from_packed(target, y)
-            record = trail.record(
-                state, inflow + dt * sum(b * power for b, (_, power) in zip(weights, kept)))
+            landed = step(start, dt, grid, params, setup, ctrl, sources=sources,
+                          ledger=trail.ledger, table=table, kept=kept)
+        if target < landed.t - eps:  # later ticks need no clamp, as t_end >= landed.t
+            times = [target]
+            while len(times) < cap and (later := t0 + (tick + len(times)) * every) < landed.t - eps:
+                times.append(later)
+            weights = [table.dense_weights((t - start.t) / dt) for t in times]
+            block = _dense_output(start, dt, weights, kept)
+            inflows = [inflow + dt * sum(b * p for b, (_, p) in zip(row, kept)) for row in weights]
         else:
-            state = replace(landed, t=target)
-            record = trail.record(state)
-        records.append(record)
-        if on_record is not None:
-            on_record(record, state)
-        tick += 1
+            times, block, inflows = [target], landed.packed()[None], [trail.ledger.inflow]
+        tick += len(times)
+        # a block failing the stage test goes a tick at a time, up to the tick that fails
+        whole = _passes(block, ctrl.positivity_floor)
+        for part in [slice(None)] if whole else [slice(i, i + 1) for i in range(len(times))]:
+            if not whole:
+                _checked(block[part.start], ctrl.positivity_floor, None, times[part.start])
+            batch = trail.record_block(times[part], block[part], inflows[part])
+            for record, t, y in zip(batch, times[part], block[part]):
+                state = FluidState.from_packed(t, y)
+                records.append(record)
+                if on_record is not None:
+                    on_record(record, state)
     return state, records

@@ -171,6 +171,10 @@ def total_energy(state: FluidState, grid: MassGrid, params: GasParams) -> float:
     convention the spatial exchange terms telescope and only boundary
     fluxes remain in the budget.
     """
-    thermal = params.c_v * float(np.add.reduce(state.theta))
-    kinetic = 0.5 * float(np.add.reduce(state.u * state.u))
-    return (thermal + kinetic) * grid.dm
+    return total_energies(state.theta[None], state.u[None], grid.dm, params)[0]
+
+
+def total_energies(theta: np.ndarray, u: np.ndarray, dm: float, params: GasParams) -> list[float]:
+    """total_energy of each state whose fields are the rows of ``theta`` and ``u``."""
+    thermal, kinetic = np.add.reduce(theta, 1).tolist(), np.add.reduce(u * u, 1).tolist()
+    return [(params.c_v * th + 0.5 * ke) * dm for th, ke in zip(thermal, kinetic)]

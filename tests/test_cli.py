@@ -288,7 +288,7 @@ def test_main_run_dense_output_failure_writes_failure_json(tmp_path, monkeypatch
 
     def negative_theta(*args):
         y = original(*args)
-        y[64 + 7] = -1.0
+        y[:, 64 + 7] = -1.0
         return y
 
     monkeypatch.setattr(lagas.integrate, "_dense_output", negative_theta)

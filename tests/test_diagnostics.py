@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce
+import lagas.integrate
 from conftest import random_state
 from lagas import (
     DomainError,
@@ -503,6 +504,56 @@ def test_row_reduction_sums_each_row_as_its_own_sum():
         buffer = rng.standard_normal((4, m + 2)) * 10.0 ** rng.uniform(-3, 3, (4, 1))
         for rows in (buffer[:, :m], np.ascontiguousarray(buffer[:, :m])):
             assert np.add.reduce(rows, 1).tolist() == [float(row.copy().sum()) for row in rows]
+    # a block's sums take slots of its work rows, (rows, m, length) views whose
+    # last axis is contiguous and whose states lie a packed state's width apart;
+    # reduced along that axis, in either order of the other two, each slot gives
+    # its own .sum()
+    for m, count, n in ((9, 6, 255), (2, 5, 128), (16, 4, 257), (1, 5, 4095), (3, 2, 4)):
+        work = rng.standard_normal((count, m, 3 * n + 1)) * 10.0 ** rng.uniform(-3, 3, (count, m, 1))
+        for slots in (work[:, :, n : 2 * n - 1], work[:, :, 2 * n : 3 * n].transpose(1, 0, 2)):
+            assert np.add.reduce(slots, 2).tolist() == [
+                [float(slot.copy().sum()) for slot in rows] for rows in slots]
+
+
+def block_of_states(grid, m, seed):
+    """m packed positive states: the rest state first, then states whose theta tops
+    cycle below every excess level and above each of them."""
+    states = [steady_state(grid)] + [hot_state(grid, seed + i, (1.4, 1.6, 2.5, 3.5)[i % 4])
+                                     for i in range(1, m)]
+    return np.array([state.packed() for state in states])
+
+
+@pytest.mark.parametrize("n", [4, 5, 127, 128, 129, 256, 257])
+@pytest.mark.parametrize("setup", list(SetupKind), ids=lambda k: k.value)
+def test_record_block_gives_the_records_of_one_state_at_a_time(params, setup, n):
+    # one _Tick serves a whole block; each record, trapezoids and inflows included,
+    # must be bit for bit the one its state gets alone, for one state, a few, and
+    # more than advance puts in one block
+    grid, levels = make_grid(setup, 4.0, n), (1.5, 2.0, 3.0)
+    rng = np.random.default_rng(n)
+    for m in (1, 2, 9, max(1, lagas.integrate._BLOCK_CELLS // n) + 1):
+        block = block_of_states(grid, m, n + m)
+        times, inflows = (0.1 * np.arange(1, m + 1)).tolist(), rng.uniform(-1.0, 1.0, m).tolist()
+        initial = hot_state(grid, m, 2.0)
+        together, alone = (AuditTrail(initial, grid, params, setup, levels) for _ in range(2))
+        assert together.record(initial) == alone.record(initial)
+        got = together.record_block(times, block, inflows)
+        want = [alone.record(FluidState.from_packed(t, y), inflow)
+                for t, y, inflow in zip(times, block, inflows)]
+        assert [audit_row(record) for record in got] == [audit_row(record) for record in want]
+        assert got == want
+        if m >= 4:  # the rest state, and rows above every level take the array path
+            assert got[0].lpinf_dev == 0.0
+            assert all(any(record.excess[a][0] > 0.0 for record in got) for a in levels)
+
+
+def test_record_block_rejects_times_out_of_order(params, cauchy, grid16):
+    state = steady_state(grid16)
+    trail = AuditTrail(state, grid16, params, cauchy)
+    block = np.array([state.packed()] * 2)
+    with pytest.raises(DomainError, match="t=0.25 is earlier than the last, at t=0.5"):
+        trail.record_block([0.5, 0.25], block, [0.0, 0.0])
+    assert [record.t for record in trail.record_block([0.25, 0.5], block, [0.0, 0.0])] == [0.25, 0.5]
 
 
 def test_unchecked_functionals_stay_quiet_on_a_zero_volume(cauchy):

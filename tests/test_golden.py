@@ -172,9 +172,10 @@ def test_cli_audit_bytes_are_pinned_past_the_pairwise_block(tmp_path, monkeypatc
 @pytest.mark.parametrize("kind", list(SetupKind), ids=lambda k: k.value)
 def test_pinned_run_reads_ticks_inside_ssprk104_steps(tmp_path, monkeypatch, kind):
     # the pinned bytes cover the dense output: all 38 ticks between 0 and
-    # t_end fall inside steps, far fewer steps than ticks, and the steps run
-    # at fourth order; only the two nearest t_end may take SSPRK(4,3)
-    tables, dense = [], []
+    # t_end fall inside steps, read as blocks of several rows, far fewer steps
+    # than ticks, and the steps run at fourth order; only the two nearest
+    # t_end may take SSPRK(4,3)
+    tables, rows = [], []
     step, dense_output = lagas.integrate.step, lagas.integrate._dense_output
 
     def spy_step(*args, **kwargs):
@@ -182,13 +183,14 @@ def test_pinned_run_reads_ticks_inside_ssprk104_steps(tmp_path, monkeypatch, kin
         return step(*args, **kwargs)
 
     def spy_dense(*args):
-        dense.append(args[0].t)
-        return dense_output(*args)
+        block = dense_output(*args)
+        rows.append(len(block))
+        return block
 
     monkeypatch.setattr(lagas.integrate, "step", spy_step)
     monkeypatch.setattr(lagas.integrate, "_dense_output", spy_dense)
     assert run(pinned_run(kind, tmp_path / "out")) == EXIT_OK
-    assert len(dense) == 38 and len(tables) < 12
+    assert sum(rows) == 38 and max(rows) > 1 and len(tables) < 12
     assert set(tables[:-2]) == {lagas.integrate.SSPRK104}
 
 

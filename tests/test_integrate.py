@@ -27,7 +27,7 @@ from lagas import (
     step,
 )
 from lagas.core import validate_state
-from lagas.diagnostics import AuditTrail, EnergyLedger, entropy_energy
+from lagas.diagnostics import AuditTrail, EnergyLedger, audit_row, entropy_energy
 from lagas.cli import config_from_dict
 from lagas.integrate import SSPRK43, SSPRK104, _checked, _dense_output
 from lagas.scheme import boundary_power, rhs
@@ -304,7 +304,7 @@ def test_step_matches_butcher_tableau_oracle(setup, forced, name, params, ctrl):
          for y in stages], rel=1e-12, abs=1e-14)
     for theta in (0.25, 0.6):
         weights = table.dense_weights(theta)
-        dense = _dense_output(state, dt, weights, kept)
+        dense = _dense_output(state, dt, [weights], kept)[0]
         expected, _ = bruteforce.explicit_rk_step(
             state, dt, grid, params, setup, a, weights, c, sources
         )
@@ -341,9 +341,8 @@ def test_dense_output_spans_the_step(setup, table, params, ctrl):
     dt = stable_dt(state, grid, params, ctrl, table)
     new = step(state, dt, grid, params, setup, ctrl, table=table, kept=kept)
     assert len(kept) == len(table.c)
-    start = _dense_output(state, dt, table.dense_weights(0.0), kept)
+    start, end = _dense_output(state, dt, [table.dense_weights(0.0), table.dense_weights(1.0)], kept)
     assert start.tobytes() == state.packed().tobytes()
-    end = _dense_output(state, dt, table.dense_weights(1.0), kept)
     assert np.abs(end - new.packed()).max() <= 1e-14 * np.abs(new.packed()).max()
 
 
@@ -351,7 +350,7 @@ def dense_error(state, grid, params, setup, ctrl, table, dt, theta):
     """Max error of a step's dense output at theta, against many small SSPRK(10,4) steps."""
     kept = []
     step(state, dt, grid, params, setup, ctrl, table=table, kept=kept)
-    dense = _dense_output(state, dt, table.dense_weights(theta), kept)
+    dense = _dense_output(state, dt, [table.dense_weights(theta)], kept)[0]
     reference, target = state, state.t + theta * dt
     while reference.t < target - 1e-14:
         reference = step(reference, min(dt / 200.0, target - reference.t), grid, params, setup,
@@ -386,6 +385,56 @@ def test_record_read_from_dense_output_agrees_with_a_landed_record(monkeypatch, 
         assert getattr(dense[1], name) == pytest.approx(getattr(landed[-1], name), abs=error)
 
 
+@pytest.mark.parametrize("table", [SSPRK43, SSPRK104], ids=["ssprk43", "ssprk104"])
+@pytest.mark.parametrize("n", [4, 5, 127, 128, 129, 256, 257])
+def test_dense_output_block_matches_the_per_tick_loop(insulated, params, ctrl, table, n):
+    # each row of a block is bit for bit the state the loop form gives its tick
+    # alone: b_1 k_1, then + b_j k_j in stage order, times dt, plus y_n
+    grid, state = bump_state(insulated, n=n)
+    kept = []
+    dt = stable_dt(state, grid, params, ctrl, table)
+    step(state, dt, grid, params, insulated, ctrl, ledger=EnergyLedger(), table=table, kept=kept)
+    for m in (1, 2, 9, max(1, lagas.integrate._BLOCK_CELLS // n) + 1):
+        weights = [table.dense_weights(theta) for theta in np.linspace(0.0, 1.0, m + 2)[1:-1]]
+        block = _dense_output(state, dt, weights, kept)
+        assert block.shape == (m, 3 * n + 1) and block.flags.c_contiguous
+        for row, b in zip(block, weights):
+            alone = b[0] * kept[0][0]
+            for b_j, (k, _) in zip(b[1:], kept[1:]):
+                alone += b_j * k
+            alone *= dt
+            alone += state.packed()
+            assert row.tobytes() == alone.tobytes()
+
+
+def test_a_failure_inside_a_block_keeps_the_ticks_before_it(monkeypatch, insulated, params, ctrl):
+    # the ticks of a step are read as one block; when its fourth fails, the three
+    # before it are recorded and reach on_record in order, with the bytes an
+    # unbroken run gives them, and the error names the fourth tick
+    grid, state = bump_state(insulated)
+    every = 0.002
+    _, unbroken = advance(state, 0.5, every, grid, params, insulated, ctrl)
+    original, rows = lagas.integrate._dense_output, []
+
+    def fourth_tick_fails(*args):
+        block = original(*args)
+        if not rows:
+            block[3, 64 + 5] = -1e-3
+        rows.append(len(block))
+        return block
+
+    monkeypatch.setattr(lagas.integrate, "_dense_output", fourth_tick_fails)
+    seen = []
+    with pytest.raises(IntegrationError) as excinfo:
+        advance(state, 0.5, every, grid, params, insulated, ctrl,
+                on_record=lambda record, snapshot: seen.append((record, snapshot.t)))
+    err = excinfo.value
+    assert rows[0] > 4
+    assert (err.time, err.stage, err.field_name, err.cell) == (4 * every, None, "theta", 5)
+    assert [t for _, t in seen] == [record.t for record, _ in seen] == [k * every for k in range(4)]
+    assert [audit_row(record) for record, _ in seen] == list(map(audit_row, unbroken[:4]))
+
+
 def test_a_failed_dense_output_state_raises_at_its_tick(monkeypatch, insulated, params, ctrl):
     # the interpolant carries no SSP guarantee, so its state is checked and a
     # failure names the tick, the field and the cell
@@ -393,7 +442,7 @@ def test_a_failed_dense_output_state_raises_at_its_tick(monkeypatch, insulated, 
 
     def negative_theta(*args):
         y = original(*args)
-        y[64 + 5] = -1e-3
+        y[:, 64 + 5] = -1e-3
         return y
 
     monkeypatch.setattr(lagas.integrate, "_dense_output", negative_theta)
