@@ -1,7 +1,9 @@
 import ast
 import importlib
 import inspect
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -54,6 +56,31 @@ def test_src_has_no_unused_imports():
         exported = set(importlib.import_module(f"lagas.{path.stem}").__all__)
         unused += [f"{path.name}: {name}" for name in sorted(bound - read - exported)]
     assert unused == []
+
+
+def test_a_failing_hypothesis_test_leaves_the_rest_of_the_run(tmp_path):
+    # warnings are errors, but hypothesis explains a failing example through
+    # libcst, which warns of a deprecated mypy_extensions name; unfiltered,
+    # that warning stops pytest with INTERNALERROR before the next test runs
+    (tmp_path / "test_pair.py").write_text(textwrap.dedent("""
+        from hypothesis import given, settings, strategies as st
+
+        @given(st.integers(0, 10))
+        @settings(database=None, deadline=None, derandomize=True)
+        def test_fails(x):
+            assert x < 5
+
+        def test_passes():
+            pass
+    """))
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(pyproject), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "-q", "test_pair.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert "INTERNALERROR" not in out.stdout + out.stderr
+    assert "1 failed, 1 passed" in out.stdout
 
 
 def test_perfbench_trace_targets_exist(monkeypatch):
