@@ -1,12 +1,11 @@
-"""Explicit time advancement: low-storage SSP Runge-Kutta steps under a stable dt.
+"""Explicit time advancement: low-storage SSPRK(10,4) steps under a stable dt.
 
 ``advance`` marches a trajectory to a target time, the only time a step lands
 on, and emits one :class:`~lagas.diagnostics.AuditRecord` per diagnostic tick.
 The ticks inside a step are read from its dense output as one block of packed
 states, checked and audited together.  Trajectories are deterministic: identical
-inputs give bit-identical outputs at any cadence.  One driver, ``step``, runs two
-coefficient tables: the third-order SSPRK(4,3) of Spiteri & Ruuth (2002) and the
-fourth-order SSPRK(10,4) of Ketcheson (2008).
+inputs give bit-identical outputs at any cadence.  Every step is the
+fourth-order, ten-stage SSPRK(10,4) of Ketcheson (2008).
 
 Inside a step every stage is one contiguous float64 buffer ``[v | theta | u]``
 (n cells, n cells, n + 1 nodes).  ``rhs`` returns rates in the same layout,
@@ -41,7 +40,7 @@ from .core import (
 from .diagnostics import DEFAULT_EXCESS_THRESHOLDS, AuditRecord, AuditTrail, EnergyLedger
 from .scheme import boundary_power, rhs
 
-__all__ = ["SSPRK43", "SSPRK104", "SSPTable", "StepControl", "stable_dt", "step", "advance"]
+__all__ = ["SSPRK104", "SSPTable", "StepControl", "stable_dt", "step", "advance"]
 
 #: the ticks inside a step are read and audited as blocks of at most this many cells
 _BLOCK_CELLS = 4096
@@ -56,19 +55,18 @@ class SSPTable:
     Stage i = 1, 2, ... is an Euler substep w_i = y + h F(y), h = dt/ssp, with
     sources at t0 + c[i-1] dt.  ``mix[i] = (a, ((k, b), ...))`` makes the next
     stage input a w_i + sum b w_k, with w_0 = y0 and k > 0 a mixed stage.  The
-    ledger weighs stage inputs by weights/denominator.  The diffusive step is
-    at most ``reach`` SSPRK(4,3) steps and ``ssp`` forward-Euler steps.
+    ledger weighs stage inputs by weights/denominator.  The step is at most
+    ``ssp`` forward-Euler steps.
 
     ``dense[j] = (p1, p2, p3)`` makes b_j(theta) = p1 theta + p2 theta^2 +
     p3 theta^3 in the dense output y_n + dt sum_j b_j(theta) k_j: the
     minimum-norm cubic meeting the four third-order conditions, with b(1) =
-    weights/denominator.  Its least b_j is -1/24 (SSPRK(4,3)), -0.028
-    (SSPRK(10,4)); none is >= 0 throughout, as sum_j b_j c_j = theta^2/2
-    then fails: the c and c^2 conditions zero the low terms where c_j > 0.
+    weights/denominator.  SSPRK(10,4)'s least b_j is -0.028; none is >= 0
+    throughout, as sum_j b_j c_j = theta^2/2 then fails: the c and c^2
+    conditions zero the low terms where c_j > 0.
     """
 
     ssp: float
-    reach: float
     c: tuple[float, ...]
     weights: tuple[float, ...]
     denominator: float
@@ -80,13 +78,9 @@ class SSPTable:
         return tuple(theta * (p1 + theta * (p2 + theta * p3)) for p1, p2, p3 in self.dense)
 
 
-#: Spiteri & Ruuth 2002, SSP coefficient 2: y3 = 1/3 w3 + 2/3 y0
-SSPRK43 = SSPTable(2.0, 1.0, (0.0, 0.5, 1.0, 0.5), (1.0, 1.0, 1.0, 3.0), 6.0,
-                   {3: (1.0 / 3.0, ((0, 2.0 / 3.0),))},
-                   ((1.0, -1.5, 2 / 3), (0.0, 1.5, -4 / 3), (0.0, -0.5, 2 / 3), (0.0, 0.5, 0.0)))
 #: Ketcheson 2008, SSP coefficient 6: y5 = 2/5 w5 + 3/5 y0 and
 #: y_{n+1} = 3/5 w10 + 1/25 y0 + 9/25 w5, every weight b 1/10
-SSPRK104 = SSPTable(6.0, 10.0, (0, 1 / 6, 1 / 3, 1 / 2, 2 / 3, 1 / 3, 1 / 2, 2 / 3, 5 / 6, 1),
+SSPRK104 = SSPTable(6.0, (0, 1 / 6, 1 / 3, 1 / 2, 2 / 3, 1 / 3, 1 / 2, 2 / 3, 5 / 6, 1),
                     (1.0,) * 10, 10.0, {5: (0.4, ((0, 0.6),)), 10: (0.6, ((0, 0.04), (5, 0.36)))},
                     ((11 / 15, -13 / 10, 2 / 3), (16 / 45, -11 / 30, 1 / 9),
                      (4 / 45, 7 / 30, -2 / 9), (-1 / 15, 1 / 2, -1 / 3), (-1 / 9, 13 / 30, -2 / 9),
@@ -96,12 +90,11 @@ SSPRK104 = SSPTable(6.0, 10.0, (0, 1 / 6, 1 / 3, 1 / 2, 2 / 3, 1 / 3, 1 / 2, 2 /
 
 @dataclass(frozen=True)
 class StepControl:
-    """Safety factors and guards for the explicit step size; ``cfl_parabolic``
-    is a fraction of SSPRK(4,3)'s diffusive limit, 2x the forward-Euler one.
-    SSPRK(10,4) takes up to 10 such steps, capped at its own limit 6x forward
-    Euler, which the default reaches.  The default 0.3, not 0.4, keeps the
-    relative energy-balance residual of a 128-cell random-data run (L = 25,
-    to t = 0.05, all SSPRK(4,3) steps) under 1e-9."""
+    """Safety factors and guards for the explicit step size.
+
+    The diffusive step is 10 times ``cfl_parabolic`` of twice the forward-Euler
+    limit dt_FE, capped at SSPRK(10,4)'s SSP limit 6 dt_FE: every value in
+    [0.3, 1] gives the same 6 dt_FE step, and only smaller values shorten it."""
 
     cfl_hyperbolic: float = 0.4
     cfl_parabolic: float = 0.3
@@ -125,15 +118,12 @@ class StepControl:
             )
 
 
-def stable_dt(
-    state: FluidState, grid: MassGrid, params: GasParams, ctrl: StepControl,
-    table: SSPTable = SSPRK43,
-) -> float:
-    """Largest safe step of ``table``: min of acoustic and diffusive limits.
+def stable_dt(state: FluidState, grid: MassGrid, params: GasParams, ctrl: StepControl) -> float:
+    """Largest safe SSPRK(10,4) step: min of acoustic and diffusive limits.
 
     Acoustic scale c = sqrt(R*theta*gamma)/v per cell; diffusive scale
-    max(mu/v, kappa/(c_v*v)); the diffusive limit is ``cfl_parabolic`` of
-    SSPRK(4,3)'s, times the table's ``reach`` up to its own SSP limit.
+    D = max(mu/v, kappa/(c_v*v)) and forward-Euler limit dt_FE = dm^2/(2D); the
+    diffusive limit is min(6 dt_FE, 10 * (2 ``cfl_parabolic`` dt_FE)).
     Raises StiffnessError when the unclamped step falls below dt_min
     (blow-up or floor-level v/theta).
     """
@@ -145,9 +135,10 @@ def stable_dt(
     dt_hyp = ctrl.cfl_hyperbolic * dm / float(np.maximum.reduce(sound))
     # rounded division and multiplication are monotone, so the largest
     # diffusivity over the cells is the one at min v, bit for bit
-    diffusivity = max(params.mu / v_min, params.kappa / (params.c_v * v_min))
-    dt43 = SSPRK43.ssp * ctrl.cfl_parabolic * dm * dm / (2.0 * float(diffusivity))
-    dt_par = min(table.ssp * dm * dm / (2.0 * float(diffusivity)), table.reach * dt43)
+    two_d = 2.0 * float(max(params.mu / v_min, params.kappa / (params.c_v * v_min)))
+    # the operand order is part of the step's bits: ten times (2 cfl_parabolic dm^2 / 2D)
+    dt_par = min(SSPRK104.ssp * dm * dm / two_d,
+                 10.0 * (2.0 * ctrl.cfl_parabolic * dm * dm / two_d))
     dt = min(dt_hyp, dt_par)
     if dt < ctrl.dt_min:
         raise StiffnessError(
@@ -193,16 +184,15 @@ def step(
     ctrl: StepControl,
     sources: SourceFn | None = None,
     ledger: EnergyLedger | None = None,
-    table: SSPTable = SSPRK43,
     kept: list[tuple[np.ndarray, float]] | None = None,
 ) -> FluidState:
-    """One step of ``table``: positivity-checked Euler substeps of h = dt/ssp.
+    """One SSPRK(10,4) step: ten positivity-checked Euler substeps of h = dt/6.
 
     A state off the grid's cell count (ConfigurationError) or with v or theta not finite
     and positive (DomainError) fails before any stage.  Sources are evaluated once per
     distinct stage time.  A ledger gets the boundary-energy inflow with the scheme's
     weights, so the total-energy residual measures time-integration error only.  A
-    stage whose result fails the floor raises IntegrationError naming it (1, 2, ...).
+    stage whose result fails the floor raises IntegrationError naming it (1 to 10).
     A ``kept`` list gets each stage's rates k_j and boundary power (NaN without a
     ledger) for :func:`_dense_output`; the result's bits stay the same.
     """
@@ -211,6 +201,7 @@ def step(
     require_cells_match("step", state, grid)
     y0 = state.packed()
     require_positive("step", y0[: 2 * grid.n_cells])
+    table = SSPRK104
     t0, h = state.t, dt / table.ssp
     floor = ctrl.positivity_floor
     forcing = {} if sources is None else {
@@ -270,8 +261,8 @@ def advance(
     """March to ``t_end``, emitting an AuditRecord every ``every`` time units.
 
     A record is always written at the start time and at ``t_end``, the only
-    time a step lands on; each step's table is the one that reaches it with
-    the fewer rhs calls.  The ticks inside a step, at most ``_BLOCK_CELLS // n``
+    time a step lands on; each step is the stable one, or the rest of the way
+    to ``t_end`` if that is shorter.  The ticks inside a step, at most ``_BLOCK_CELLS // n``
     (one or more) at a time, read their states and ledger inflows from its dense
     output as one block, checked as a stage is and recorded in one
     ``record_block``; on_record then sees each in order.  In a block that fails
@@ -298,23 +289,16 @@ def advance(
         if target > t_end - eps:
             target = t_end
         while landed.t < target - eps:
-            # fewer rhs calls to t_end, stages * ceil(gap / dt); ties, and
-            # gaps within one SSPRK(4,3) step, go to SSPRK(4,3)
             start, inflow = landed, trail.ledger.inflow
-            table, dt, gap = SSPRK43, stable_dt(start, grid, params, ctrl), t_end - start.t
-            if gap > dt:
-                dt104 = stable_dt(start, grid, params, ctrl, SSPRK104)
-                if 4 * math.ceil(gap / dt) > 10 * math.ceil(gap / dt104):
-                    table, dt = SSPRK104, dt104
-            dt = min(dt, gap)
+            dt = min(stable_dt(start, grid, params, ctrl), t_end - start.t)
             kept = [] if target < start.t + dt - eps else None
             landed = step(start, dt, grid, params, setup, ctrl, sources=sources,
-                          ledger=trail.ledger, table=table, kept=kept)
+                          ledger=trail.ledger, kept=kept)
         if target < landed.t - eps:  # later ticks need no clamp, as t_end >= landed.t
             times = [target]
             while len(times) < cap and (later := t0 + (tick + len(times)) * every) < landed.t - eps:
                 times.append(later)
-            weights = [table.dense_weights((t - start.t) / dt) for t in times]
+            weights = [SSPRK104.dense_weights((t - start.t) / dt) for t in times]
             block = _dense_output(start, dt, weights, kept)
             inflows = [inflow + dt * sum(b * p for b, (_, p) in zip(row, kept)) for row in weights]
         else:

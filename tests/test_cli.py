@@ -305,11 +305,10 @@ def test_main_run_dense_output_failure_writes_failure_json(tmp_path, monkeypatch
 def test_stiffness_failure_json_has_no_stage(tmp_path, monkeypatch):
     stable_dt = lagas.integrate.stable_dt
 
-    def stiff_after(state, grid, params, ctrl, *table):
-        # advance also asks for SSPRK(10,4)'s step, passing its table
+    def stiff_after(state, grid, params, ctrl):
         if state.t > 0.05:
             ctrl = replace(ctrl, dt_min=1.0)
-        return stable_dt(state, grid, params, ctrl, *table)
+        return stable_dt(state, grid, params, ctrl)
 
     monkeypatch.setattr(lagas.integrate, "stable_dt", stiff_after)
     config = cfg(tmp_path, n=64, t_end=1.0, cadence=0.1)

@@ -325,24 +325,6 @@ def test_energy_balance_residual_small_for_bump_run():
     assert abs(records[-1].energy_balance_residual) <= 1e-6
 
 
-def test_energy_balance_residual_shrinks_with_dt():
-    # forced constant dt halving: third-order ledger => ~8x smaller drift
-    setup = SetupKind.HALFLINE_INSULATED
-    grid = make_grid(setup, 8.0, 64)
-    params = GasParams(1.0, 1.0, 1.0, 1.5)
-    spec = InitialDataSpec(
-        family="gaussian_bump", amplitude_v=0.8, amplitude_u=0.5,
-        amplitude_theta=-0.4, width=1.0, center=4.0,
-    )
-    residuals = []
-    for dt in (2e-3, 1e-3):
-        state = build_initial_data(spec, setup, grid)
-        ctrl = StepControl(dt_max=dt)
-        _, records = advance(state, 0.5, 0.5, grid, params, setup, ctrl)
-        residuals.append(abs(records[-1].energy_balance_residual))
-    assert residuals[0] / residuals[1] > 5.0
-
-
 def test_integral_diagnostics_scale_with_dm():
     # same field values on a grid with doubled dm: integrals double, sups unchanged
     params = GasParams(1.0, 1.0, 1.0, 1.5)
