@@ -31,47 +31,49 @@ from lagas.verification import (
     sample_state,
 )
 
-# recorded last when ticks were first read from the dense output
+# recorded last when ticks were first read from the dense output; the Cauchy
+# run, whose fifth step was third-order, again when every step became SSPRK(10,4)
 AUDIT_SHA256 = {
-    "cauchy": "3b4e8befe8ddbe89be4bf8e5013767373a4325ef2feb31c44b4d74228d9b3e10",
+    "cauchy": "da0bbaef00cd030642a424756693583586593bc29160cd1bcf6647bfd07b66f5",
     "halfline_insulated": "15418608744529aa6b8d6d4efb55ac4bfece081bfeb60bf56287879f099d3224",
     "halfline_isothermal": "e917a7804b242e338ec622c328a729970564b7ec11080fe722ae6b6648974068",
 }
 # summary.json echoes config values (setup, n_cells, half_length, t_end, the
 # truncation threshold), so these also pin how the run config is typed;
-# recorded last when ticks were first read from the dense output
+# recorded as AUDIT_SHA256 is
 SUMMARY_SHA256 = {
-    "cauchy": "a96591ce7af052f534984ad6122c4724687d305b9290d15b77891f5f131ec644",
+    "cauchy": "d014e92e7ac08c9bfb37445088435b5d226e3a449b1ce3374edb7a0d4c0eb549",
     "halfline_insulated": "2056290db7b7825709b831f526e55b52931a0efe9778846bd538d34179a0f6b4",
     "halfline_isothermal": "3b8406b4f85feb29d14cd46ab533bf75545e336aead934dc6ec5d491eb9918db",
 }
 # the run's snapshot files, sorted names and bytes (shortest round-trip
-# decimals), recorded last when ticks were first read from the dense output
+# decimals), recorded as AUDIT_SHA256 is
 SNAPSHOT_SHA256 = {
-    "cauchy": "e9d2a3584c7bf859366091f65a8de49de97a61a06e6846f4fb05c0ca42e03635",
+    "cauchy": "c0829c8c494f84c27d584df9a5806991df8fafbfedc190f80b8bbcc49e36a74f",
     "halfline_insulated": "972865cba9c7678bad863efb1110a6e9fefc00d2935b6a66da2500da5cda8edd",
     "halfline_isothermal": "56bdca505acc3e9ed8ee26e83db32d5e40027c0fdf08207a60f0e3653c6d557c",
 }
 # the final state of a forced run of each setup's default pulse solution, one
-# tick to t_end, so dense output leaves it as it was; the half-line runs take
-# SSPRK(10,4) steps and were recorded last when that table joined, the Cauchy
-# run steps with SSPRK(4,3) only and keeps its stress-power rhs digest
+# tick to t_end, so dense output leaves it as it was; recorded last when every
+# step became SSPRK(10,4): the Cauchy run had taken two third-order steps, and
+# each half-line run had ended on one
 FORCED_SHA256 = {
-    "cauchy": "5a3bd61f0d584eee077643944ee21479e17b48b2756951dccd8ea4a3b3ea4bda",
-    "halfline_insulated": "e81ecf749615d1d5c9ed7b7f84c3290b40891adfce3d54c7a1742437518bef06",
-    "halfline_isothermal": "cfc07df68040d71821b0502bdf20da2889b6bef152009908b7143a37be6aca21",
+    "cauchy": "1a8ea1bbc433151318fbbb58aba8be9e675d5c3408d451589c130576d8fb5575",
+    "halfline_insulated": "9213c5909ee3f71fadc24fc17850e3427301f01838f87ed54913d573bbcb82bf",
+    "halfline_isothermal": "61a691aaac7e601f3a812264720e33079ea83fa413440a2901b55ed1a0234d99",
 }
 
 # audit.csv and summary.json of a run at n = 256, where every cell and face sum
 # is longer than numpy's 128-element pairwise-summation block, so a change to
-# how the audit's sums are blocked shows here though it cannot at n = 64
+# how the audit's sums are blocked shows here though it cannot at n = 64; the
+# Cauchy pair recorded again when every step became SSPRK(10,4)
 AUDIT_N256_SHA256 = {
-    "cauchy": "44d974926ede13d9b77ccdc6d9eb6d8cee3ad609f793457ca0eb32aace56806f",
+    "cauchy": "4a0898968e62a10bd8822e5f986c40b642e3f24659b3fb81786196c3234585ea",
     "halfline_insulated": "2262246adc971d31d14181c762d802fab36fdcc5a016c693305b944bbfb24da5",
     "halfline_isothermal": "74146f2f51cbefb1cf266a1867309cd14dd5713ce5979bb303c9ae978d15d0ee",
 }
 SUMMARY_N256_SHA256 = {
-    "cauchy": "4491aa153d39f50c6040dfad00ab4b86ce197659b8aac657c394e427728eed69",
+    "cauchy": "4a8464aa7e6cdc32db1c7855d022061ea4dc47fb65ef210f1cec11ca9b3d449a",
     "halfline_insulated": "92dbdbce9abb041ea69ea4d34b5ab6ee794ae5439f6d0b28913a3f8c28d05204",
     "halfline_isothermal": "cbcde7e9f49db3640ec8685f26e4bace31b3ed6546ac41a0fd96c7769a5dbe63",
 }
