@@ -94,7 +94,8 @@ class StepControl:
 
     The diffusive step is 10 times ``cfl_parabolic`` of twice the forward-Euler
     limit dt_FE, capped at SSPRK(10,4)'s SSP limit 6 dt_FE: every value in
-    [0.3, 1] gives the same 6 dt_FE step, and only smaller values shorten it."""
+    [0.3, 1] gives the same 6 dt_FE step, to rounding, and only smaller values
+    shorten it."""
 
     cfl_hyperbolic: float = 0.4
     cfl_parabolic: float = 0.3
@@ -262,10 +263,10 @@ def advance(
 
     A record is always written at the start time and at ``t_end``, the only
     time a step lands on; each step is the stable one, or the rest of the way
-    to ``t_end`` if that is shorter.  The ticks inside a step, at most ``_BLOCK_CELLS // n``
-    (one or more) at a time, read their states and ledger inflows from its dense
-    output as one block, checked as a stage is and recorded in one
-    ``record_block``; on_record then sees each in order.  In a block that fails
+    to ``t_end`` if that is shorter.  The ticks inside a step, at most
+    ``_BLOCK_CELLS // n`` (one or more) at a time, read their states and ledger
+    inflows from its dense output as one block, checked as a stage is and
+    recorded in one ``record_block``; on_record then sees each in order.  In a block that fails
     the check the ticks before the failing one are still recorded.  A state off
     the grid's cell count fails before any record; calling with ``t_end`` equal
     to the state time is a no-op that emits the single record.  Step failures

@@ -175,18 +175,13 @@ def test_cli_audit_bytes_are_pinned_past_the_pairwise_block(tmp_path, monkeypatc
 def test_pinned_run_reads_ticks_inside_ssprk104_steps(tmp_path, monkeypatch, kind):
     # the pinned bytes cover the dense output: all 38 ticks between 0 and
     # t_end fall inside steps, read as blocks of several rows, far fewer steps
-    # than ticks, each of them ten rhs calls
-    steps, calls, rows = [], [], []
-    step, rhs = lagas.integrate.step, lagas.integrate.rhs
-    dense_output = lagas.integrate._dense_output
+    # than ticks
+    steps, rows = [], []
+    step, dense_output = lagas.integrate.step, lagas.integrate._dense_output
 
     def spy_step(*args, **kwargs):
         steps.append(args[1])
         return step(*args, **kwargs)
-
-    def spy_rhs(*args):
-        calls.append(1)
-        return rhs(*args)
 
     def spy_dense(*args):
         block = dense_output(*args)
@@ -194,11 +189,9 @@ def test_pinned_run_reads_ticks_inside_ssprk104_steps(tmp_path, monkeypatch, kin
         return block
 
     monkeypatch.setattr(lagas.integrate, "step", spy_step)
-    monkeypatch.setattr(lagas.integrate, "rhs", spy_rhs)
     monkeypatch.setattr(lagas.integrate, "_dense_output", spy_dense)
     assert run(pinned_run(kind, tmp_path / "out")) == EXIT_OK
     assert sum(rows) == 38 and max(rows) > 1 and len(steps) < 12
-    assert len(calls) == 10 * len(steps)
 
 
 @pytest.mark.parametrize("setup", list(SetupKind), ids=lambda k: k.value)

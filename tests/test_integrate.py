@@ -185,7 +185,7 @@ def test_step_failure_names_stage_and_cell(cauchy, params, ctrl):
     assert 1 <= err.stage <= 10
     assert err.cell is not None
     assert err.field_name in ("v", "theta", "u")
-    assert "stage" in str(err)
+    assert f"stage {err.stage}" in str(err)
 
 
 @given(
