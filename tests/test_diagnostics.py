@@ -325,6 +325,22 @@ def test_energy_balance_residual_small_for_bump_run():
     assert abs(records[-1].energy_balance_residual) <= 1e-6
 
 
+@pytest.mark.parametrize("dt", [2e-3, 1e-3])
+@pytest.mark.parametrize("setup", list(SetupKind), ids=lambda k: k.value)
+def test_energy_balance_residual_is_round_off_where_dt_max_binds(setup, dt):
+    # dt_max clamps every step far below the stable one: the fourth-order
+    # ledger's drift over 0.5 time units then sits at rounding, some 1e-14
+    grid = make_grid(setup, 8.0, 64)
+    params = GasParams(1.0, 1.0, 1.0, 1.5)
+    spec = InitialDataSpec(
+        family="gaussian_bump", amplitude_v=0.8, amplitude_u=0.5, amplitude_theta=-0.4,
+        width=1.0, center=0.0 if setup is SetupKind.CAUCHY else 4.0,
+    )
+    state = build_initial_data(spec, setup, grid)
+    _, records = advance(state, 0.5, 0.5, grid, params, setup, StepControl(dt_max=dt))
+    assert abs(records[-1].energy_balance_residual) < 1e-13
+
+
 def test_integral_diagnostics_scale_with_dm():
     # same field values on a grid with doubled dm: integrals double, sups unchanged
     params = GasParams(1.0, 1.0, 1.0, 1.5)

@@ -220,15 +220,19 @@ def test_stage_fast_check_agrees_with_validate_state(seed, index, bad, second):
     assert (err.stage, err.field_name, err.cell) == (2, report.field_name, report.index)
 
 
+@pytest.mark.parametrize("cell", [0, 3, -1], ids=["first", "interior", "last"])
 @pytest.mark.parametrize("field", ["v", "theta"])
 @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, -np.inf])
-def test_step_rejects_a_bad_state_before_any_rhs_call(monkeypatch, unit_params, field, value):
-    # rhs takes packed stages unchecked, so step checks its input state first
+def test_step_rejects_a_bad_state_before_any_rhs_call(monkeypatch, unit_params, field, value,
+                                                      cell):
+    # rhs takes packed stages unchecked, so step checks its input state first;
+    # the check reads [v | theta] of the packed state, whose ends are v's first
+    # cell and theta's last
     calls = []
     monkeypatch.setattr(lagas.integrate, "rhs", lambda *args, **kwargs: calls.append(args))
     grid = make_grid(SetupKind.CAUCHY, 2.0, 8)
     state = steady_state(grid)
-    getattr(state, field)[3] = value
+    getattr(state, field)[cell] = value
     with pytest.raises(DomainError):
         step(state, 1e-3, grid, unit_params, SetupKind.CAUCHY, StepControl())
     assert calls == []
@@ -250,14 +254,17 @@ def test_butcher_tableaus_are_consistent():
     assert SSPRK104_C == pytest.approx(SSPRK104.c, abs=0.0)
 
 
+# a short step, as the last one before t_end, takes the same table as a stable one
 ORACLE_CASES = [
-    pytest.param(setup, forced, id=f"{setup.value}-{'forced' if forced else 'unforced'}")
-    for setup in SetupKind for forced in (False, True)
+    pytest.param(setup, forced, fraction,
+                 id=f"{setup.value}-{'forced' if forced else 'unforced'}"
+                 + ("" if fraction == 1.0 else "-short"))
+    for fraction in (1.0, 0.37) for setup in SetupKind for forced in (False, True)
 ]
 
 
-@pytest.mark.parametrize("setup,forced", ORACLE_CASES)
-def test_step_matches_butcher_tableau_oracle(setup, forced, params, ctrl):
+@pytest.mark.parametrize("setup,forced,fraction", ORACLE_CASES)
+def test_step_matches_butcher_tableau_oracle(setup, forced, fraction, params, ctrl):
     # oracle: the loop rhs stepped by the generic explicit Runge-Kutta form,
     # and the ledger as dt * sum_i b_i boundary_power(Y_i); a random state
     # keeps the boundary power of order one, and forcing starts at t = 0.3
@@ -270,7 +277,7 @@ def test_step_matches_butcher_tableau_oracle(setup, forced, params, ctrl):
     if forced:
         sources = make_source_rates(default_pulse_solution(setup, 4.0), params, grid)
         state = FluidState(0.3, state.v, state.theta, state.u)
-    dt = stable_dt(state, grid, params, ctrl)
+    dt = fraction * stable_dt(state, grid, params, ctrl)
     ledger = EnergyLedger()
     new = step(state, dt, grid, params, setup, ctrl, sources=sources, ledger=ledger)
     expected, stages = bruteforce.explicit_rk_step(
@@ -576,6 +583,33 @@ def test_advance_asks_for_one_stable_dt_per_step(monkeypatch, setup, params, ctr
     assert len(steps) > 1
     assert [t for t, _ in asked] == [t for t, _ in steps]
     assert [dt for _, dt in steps] == [min(dt, 0.5 - t) for t, dt in asked]
+
+
+@pytest.mark.parametrize("bound", ["acoustic", "dt_max"])
+@pytest.mark.parametrize("setup", list(SetupKind), ids=lambda k: k.value)
+def test_advance_steps_at_the_acoustic_or_dt_max_bound_with_ten_rhs_calls(monkeypatch, setup,
+                                                                          bound, params):
+    # where a bound other than the diffusive one sets dt, every step but the
+    # last is that bound, bit for bit, and still one ten-stage SSPRK(10,4) step
+    grid, state = bump_state(setup)
+    ctrl = StepControl(cfl_hyperbolic=0.05) if bound == "acoustic" else StepControl(dt_max=2e-3)
+    starts, original_step = [], lagas.integrate.step
+
+    def spy_step(start, dt, *args, **kwargs):
+        starts.append((start, dt))
+        return original_step(start, dt, *args, **kwargs)
+
+    calls, original_rhs = [], lagas.integrate.rhs
+    monkeypatch.setattr(lagas.integrate, "step", spy_step)
+    monkeypatch.setattr(lagas.integrate, "rhs",
+                        lambda *args: calls.append(1) or original_rhs(*args))
+    final, _ = advance(state, 0.1, 0.1, grid, params, setup, ctrl)
+    assert final.t == 0.1 and len(starts) > 5
+    assert len(calls) == 10 * len(starts)
+    for start, dt in starts[:-1]:
+        sound = np.sqrt(params.R * start.theta * params.gamma) / start.v
+        acoustic = ctrl.cfl_hyperbolic * grid.dm / float(sound.max())
+        assert dt == (acoustic if bound == "acoustic" else ctrl.dt_max)
 
 
 def large_data(n):
