@@ -8,11 +8,11 @@ inputs give bit-identical outputs at any cadence.  Every step is the
 fourth-order, ten-stage SSPRK(10,4) of Ketcheson (2008).
 
 Inside a step every stage is one contiguous float64 buffer ``[v | theta | u]``
-(n cells, n cells, n + 1 nodes).  ``rhs`` returns rates in the same layout,
-each stage is one whole-buffer combination computed in place in its rate
-buffer, and only the step's result becomes a FluidState, with views of its
-buffer as fields.  ``step`` checks its input (finite, positive v and theta), then
-each stage result with ``_passes``; ``rhs`` checks no packed stage again.  Only a
+(n cells, n cells, n + 1 nodes) on the step's one :class:`~lagas.scheme.Stage`,
+where ``rhs`` leaves rates in the same layout and the boundary power.  Euler
+substeps add to the stage buffer in place; a mix writes a fresh one, and the last
+is the result's.  ``step`` checks its input (finite, positive v and theta, finite
+u), then each stage with ``_passes``; ``rhs`` checks no Stage again.  Only a
 failing stage goes through ``validate_state``, to name the stage, field and cell.
 """
 
@@ -27,6 +27,7 @@ import numpy as np
 from .core import (
     POSITIVITY_FLOOR,
     ConfigurationError,
+    DomainError,
     FluidState,
     GasParams,
     IntegrationError,
@@ -38,7 +39,7 @@ from .core import (
     validate_state,
 )
 from .diagnostics import DEFAULT_EXCESS_THRESHOLDS, AuditRecord, AuditTrail, EnergyLedger
-from .scheme import boundary_power, rhs
+from .scheme import Stage, boundary_power, rhs
 
 __all__ = ["SSPRK104", "SSPTable", "StepControl", "stable_dt", "step", "advance"]
 
@@ -73,9 +74,14 @@ class SSPTable:
     mix: dict[int, tuple[float, tuple[tuple[int, float], ...]]]
     dense: tuple[tuple[float, float, float], ...]
 
+    def dense_block(self, thetas: list[float]) -> np.ndarray:
+        """A row of ``dense_weights(theta)`` per theta, in one numpy pass of its operations."""
+        theta, (p1, p2, p3) = np.array(thetas)[:, None], np.array(self.dense).T
+        return theta * (p1 + theta * (p2 + theta * p3))
+
     def dense_weights(self, theta: float) -> tuple[float, ...]:
         """b_j(theta) for each stage, theta in [0, 1] the fraction of the step."""
-        return tuple(theta * (p1 + theta * (p2 + theta * p3)) for p1, p2, p3 in self.dense)
+        return tuple(self.dense_block([theta])[0].tolist())
 
 
 #: Ketcheson 2008, SSP coefficient 6: y5 = 2/5 w5 + 3/5 y0 and
@@ -149,11 +155,10 @@ def stable_dt(state: FluidState, grid: MassGrid, params: GasParams, ctrl: StepCo
     return min(dt, ctrl.dt_max)
 
 
-def _passes(y: np.ndarray, floor: float) -> bool:
-    """The stage test of a packed state or block: its min over [v | theta] is above floor
-    (NaN fails it) and its sum finite (finite entries may overflow it; numpy then warns)."""
-    return (np.minimum.reduce(y[..., : 2 * (y.shape[-1] // 3)], None) > floor
-            and math.isfinite(np.add.reduce(y, None)))
+def _passes(vth: np.ndarray, y: np.ndarray, floor: float) -> bool:
+    """The stage test of packed ``y`` (a state or block) with [v | theta] part ``vth``: min
+    above floor (NaN fails it), sum finite (finite entries may overflow it; numpy then warns)."""
+    return np.minimum.reduce(vth, None) > floor and math.isfinite(np.add.reduce(y, None))
 
 
 def _checked(y: np.ndarray, floor: float, stage: int | None, t_start: float) -> None:
@@ -162,7 +167,7 @@ def _checked(y: np.ndarray, floor: float, stage: int | None, t_start: float) -> 
     A stage failing :func:`_passes` goes through validate_state, which passes an overflow
     and names the field and cell of another failure; a None ``stage`` is a dense-output tick.
     """
-    if _passes(y, floor):
+    if _passes(y[: 2 * (y.shape[0] // 3)], y, floor):
         return
     report = validate_state(FluidState.from_packed(t_start, y), floor)
     if not report.ok:
@@ -189,44 +194,44 @@ def step(
 ) -> FluidState:
     """One SSPRK(10,4) step: ten positivity-checked Euler substeps of h = dt/6.
 
-    A state off the grid's cell count (ConfigurationError) or with v or theta not finite
-    and positive (DomainError) fails before any stage.  Sources are evaluated once per
-    distinct stage time.  A ledger gets the boundary-energy inflow with the scheme's
-    weights, so the total-energy residual measures time-integration error only.  A
-    stage whose result fails the floor raises IntegrationError naming it (1 to 10).
-    A ``kept`` list gets each stage's rates k_j and boundary power (NaN without a
-    ledger) for :func:`_dense_output`; the result's bits stay the same.
+    A state off the grid's cell count (ConfigurationError), with v or theta not finite
+    and positive or u not finite (DomainError) fails before any stage.  Sources are
+    evaluated once per distinct stage time.  A ledger gets the boundary-energy inflow
+    with the scheme's weights, so the total-energy residual measures time-integration
+    error only.  A stage whose result fails the floor raises IntegrationError naming it
+    (1 to 10).  A ``kept`` list gets a copy of each stage's rates k_j and its boundary
+    power (NaN without a ledger) for :func:`_dense_output`; the result's bits stay put.
     """
     if not dt > 0.0:
         raise ConfigurationError(f"dt must be positive, got {dt!r}")
     require_cells_match("step", state, grid)
     y0 = state.packed()
-    require_positive("step", y0[: 2 * grid.n_cells])
-    table = SSPRK104
-    t0, h = state.t, dt / table.ssp
-    floor = ctrl.positivity_floor
-    forcing = {} if sources is None else {
-        c: sources(t0 + c * dt) for c in dict.fromkeys(table.c)
-    }
-
-    y, mixed, inflow, power = y0, {0: y0}, 0.0, math.nan
+    stage = Stage(y0.copy())
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf: fail the scan, not warn
+        scanned = _passes(stage.vth, stage.y, 0.0)  # one scan of every field
+    if not scanned:  # the slow path names the culprit
+        require_positive("step", state.v, state.theta)
+        if (bad := np.flatnonzero(~np.isfinite(state.u))).size:
+            raise DomainError(f"step needs finite u, got u[{bad[0]}] = {state.u.item(bad[0])!r}")
+    table, t0, floor, h = SSPRK104, state.t, ctrl.positivity_floor, dt / SSPRK104.ssp
+    forcing = {} if sources is None else {c: sources(t0 + c * dt) for c in dict.fromkeys(table.c)}
+    y, mixed, inflow, power = stage.y, {0: y0}, 0.0, math.nan
     for i, (c, weight) in enumerate(zip(table.c, table.weights), 1):
+        k = rhs(stage, grid, params, setup, forcing.get(c))
         if ledger is not None:
-            power = boundary_power(y, grid, params, setup)
+            power = boundary_power(stage, grid, params, setup)
             inflow += weight * power
-        w = rhs(y, grid, params, setup, forcing.get(c))
         if kept is not None:
-            kept.append((w, power))
-        w = np.multiply(w, h, out=w if kept is None else None)  # a kept rate stays
-        w += y
-        y = w
+            kept.append((k.copy(), power))
+        k *= h
+        y += k  # in place: y + k h, which is k h + y bit for bit
         if i in table.mix:
             a, terms = table.mix[i]
-            mixed[i] = w
-            y = a * w
-            for k, coef in terms:
-                y += coef * mixed[k]
-        if not _passes(y, floor):
+            mixed[i], y = y, a * y  # a fresh buffer, so mixed[i] and the result stay put
+            for j, coef in terms:
+                y += coef * mixed[j]
+            stage.load(y)
+        if not _passes(stage.vth, y, floor):
             _checked(y, floor, i, t0)
 
     if ledger is not None:
@@ -299,14 +304,15 @@ def advance(
             times = [target]
             while len(times) < cap and (later := t0 + (tick + len(times)) * every) < landed.t - eps:
                 times.append(later)
-            weights = [SSPRK104.dense_weights((t - start.t) / dt) for t in times]
+            weights = SSPRK104.dense_block([(t - start.t) / dt for t in times])
             block = _dense_output(start, dt, weights, kept)
-            inflows = [inflow + dt * sum(b * p for b, (_, p) in zip(row, kept)) for row in weights]
+            inflows = [inflow + dt * sum(b * p for b, (_, p) in zip(row, kept))
+                       for row in weights.tolist()]
         else:
             times, block, inflows = [target], landed.packed()[None], [trail.ledger.inflow]
         tick += len(times)
         # a block failing the stage test goes a tick at a time, up to the tick that fails
-        whole = _passes(block, ctrl.positivity_floor)
+        whole = _passes(block[:, : 2 * grid.n_cells], block, ctrl.positivity_floor)
         for part in [slice(None)] if whole else [slice(i, i + 1) for i in range(len(times))]:
             if not whole:
                 _checked(block[part.start], ctrl.positivity_floor, None, times[part.start])

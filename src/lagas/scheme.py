@@ -20,10 +20,12 @@ is always far field; the setup says how the left end closes:
 c_v * theta_t = (kappa * theta_x / v)_x + sigma * u_x with the momentum stress
 sigma = mu * u_x / v - p; in exact arithmetic that is the third line above.
 
-All operators are pure functions of their inputs and deterministic.
+All operators are deterministic, and pure but for :func:`rhs` of a :class:`Stage`.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -37,6 +39,7 @@ from .core import (
 )
 
 __all__ = [
+    "Stage",
     "heat_flux_faces",
     "rhs",
     "boundary_power",
@@ -44,30 +47,60 @@ __all__ = [
 ]
 
 
-def _boundary_heat_fluxes(
-    v: np.ndarray, th: np.ndarray, dm: float, setup: SetupKind, kappa: float
-) -> tuple[float, float]:
-    """Heat flux through the left and right closures, as Python floats: the interior
-    formula against a ghost cell (1, 1), or against the isothermal wall at dm/2."""
-    c = 2.0 * kappa / dm
-    th0 = th.item(0) - 1.0
+class Stage:
+    """A step's workspace: a stage buffer ``y`` ``[v | theta | u]`` (``load`` re-points it),
+    ``rates`` laid out alike, faces ``[heat flux | stress | right ghost stress]``, a scratch
+    row, every view :func:`rhs` needs, sliced once, and the ``power`` rhs sets (else NaN)."""
+
+    def __init__(self, y: np.ndarray) -> None:
+        self.n = n = (y.shape[0] - 1) // 3
+        self.rates = rates = np.empty(3 * n + 1)
+        self.tmp, faces = np.empty(n), np.empty(2 * n + 2)
+        self.dv, self.dth, self.du = rates[:n], rates[n : 2 * n], rates[2 * n :]
+        self.dthu, self.vbar = rates[n:], self.tmp[:-1]
+        self.flux, self.flux_inner, self.stress = faces[: n + 1], faces[1:n], faces[n + 1 : -1]
+        self.faces_lo, self.faces_hi = faces[:-1], faces[1:]
+        self.load(y)
+
+    def load(self, y: np.ndarray) -> None:
+        n = self.n
+        self.y, self.vth, self.power = y, y[: 2 * n], math.nan
+        self.v, self.th, self.u = y[:n], y[n : 2 * n], y[2 * n :]
+        self.v_lo, self.v_hi = y[: n - 1], y[1:n]
+        self.th_lo, self.th_hi = y[n : 2 * n - 1], y[n + 1 : 2 * n]
+        self.u_lo, self.u_hi = y[2 * n : -1], y[2 * n + 1 :]
+
+
+def _far_field_stress(u_out: float, params: GasParams, dm: float) -> float:
+    """Stress of the rest-state ghost cell beyond an end whose node moves out at u_out."""
+    return -params.R - params.mu * (u_out / dm)
+
+
+def _closures(v: np.ndarray, th: np.ndarray, u: np.ndarray, dm: float, setup: SetupKind,
+              params: GasParams) -> tuple[float, float, float | None, float, float]:
+    """Heat fluxes through the left and right closures (against a ghost cell (1, 1) or the
+    isothermal wall at dm/2), far-field ghost stresses (None at a wall) and their power."""
+    c, th0, u0, un = 2.0 * params.kappa / dm, th.item(0) - 1.0, u.item(0), u.item(-1)
+    flux_right = c * ((1.0 - th.item(-1)) / (1.0 + v.item(-1)))
+    ghost_left, ghost_right = None, _far_field_stress(un, params, dm)
+    work = un * ghost_right  # a wall does no work, as u = 0 there
     if setup is SetupKind.CAUCHY:
-        flux_left = c * (th0 / (v.item(0) + 1.0))
-    elif setup is SetupKind.HALFLINE_INSULATED:
-        flux_left = 0.0
+        flux_left, ghost_left = c * (th0 / (v.item(0) + 1.0)), _far_field_stress(-u0, params, dm)
+        work -= u0 * ghost_left
     else:
-        flux_left = c * (th0 / v.item(0))
-    return flux_left, c * ((1.0 - th.item(-1)) / (1.0 + v.item(-1)))
+        flux_left = 0.0 if setup is SetupKind.HALFLINE_INSULATED else c * (th0 / v.item(0))
+    return flux_left, flux_right, ghost_left, ghost_right, flux_right - flux_left + work
 
 
-def _heat_flux(v: np.ndarray, th: np.ndarray, dm: float, setup: SetupKind, kappa: float,
-               out: np.ndarray) -> np.ndarray:
-    """Heat flux (2*kappa/dm)*(theta_i - theta_{i-1})/(v_{i-1} + v_i) into ``out``."""
-    inner = np.subtract(th[1:], th[:-1], out=out[1:-1])
-    inner /= v[:-1] + v[1:]
-    inner *= 2.0 * kappa / dm
-    out[0], out[-1] = _boundary_heat_fluxes(v, th, dm, setup, kappa)
-    return out
+def _heat_flux(stage: Stage, dm: float, setup: SetupKind, params: GasParams) -> tuple:
+    """Heat flux (2*kappa/dm)*(theta_i - theta_{i-1})/(v_{i-1} + v_i) into ``stage.flux``;
+    returns the :func:`_closures` that give its ends."""
+    inner = np.subtract(stage.th_hi, stage.th_lo, out=stage.flux_inner)
+    inner /= np.add(stage.v_lo, stage.v_hi, out=stage.vbar)
+    inner *= 2.0 * params.kappa / dm
+    ends = _closures(stage.v, stage.th, stage.u, dm, setup, params)
+    stage.flux[0], stage.flux[-1] = ends[:2]
+    return ends
 
 
 def heat_flux_faces(
@@ -76,17 +109,13 @@ def heat_flux_faces(
     """Heat flux kappa*theta_x/v at every node (face): the face difference of theta over
     the arithmetic-mean specific volume, the left face closed as ``setup`` says, the
     right one by the far field.  ``rhs`` and ``boundary_power`` use the same fluxes."""
-    out = np.empty(grid.n_cells + 1)
-    return _heat_flux(state.v, state.theta, grid.dm, setup, params.kappa, out)
-
-
-def _far_field_stress(u_out: float, params: GasParams, dm: float) -> float:
-    """Stress of the rest-state ghost cell beyond an end whose node moves out at u_out."""
-    return -params.R - params.mu * (u_out / dm)
+    stage = Stage(state.packed())
+    _heat_flux(stage, grid.dm, setup, params)
+    return stage.flux
 
 
 def rhs(
-    state: FluidState | np.ndarray,
+    state: FluidState | Stage,
     grid: MassGrid,
     params: GasParams,
     setup: SetupKind,
@@ -95,73 +124,58 @@ def rhs(
     """Semi-discrete rates for (v, u, theta), packed like a stage: ``[dv | dtheta | du]``.
 
     Interior node i feels the stress difference of its two neighbor cells,
-    stress = (mu*u_x - R*theta)/v.  Far-field boundary nodes see a ghost cell
-    at the rest state whose strain uses a ghost node with u = 0; a wall node
-    has du = 0, imposing u(0, t) = 0 strongly.  ``sources`` are optional
-    extra rates (dv, du, dtheta), e.g. manufactured forcings.  ``state`` may
-    be a FluidState, which must have the grid's cell count (else
-    ConfigurationError) and finite positive v and theta (else DomainError),
-    or a packed ``[v | theta | u]`` stage, which is taken as checked:
-    ``integrate.step`` checks every stage it passes.
+    stress = (mu*u_x - R*theta)/v.  Far-field boundary nodes see a ghost cell at the rest
+    state whose strain uses a ghost node with u = 0; a wall node has du = 0, imposing
+    u(0, t) = 0 strongly.  ``sources`` are optional extra rates (dv, du, dtheta), e.g.
+    manufactured forcings.  ``state`` may be a FluidState, which must have the grid's cell
+    count (else ConfigurationError) and finite positive v and theta (else DomainError), or
+    a checked :class:`Stage`, whose rates and ``power`` rhs sets.
     """
-    n = grid.n_cells
-    if isinstance(state, np.ndarray):
-        y = state
-    else:
+    stage = state
+    if not isinstance(state, Stage):
         require_cells_match("rhs", state, grid)
-        y = state.packed()
-        require_positive("rhs", y[: 2 * n])
-    v, th, u = y[:n], y[n : 2 * n], y[2 * n :]
-    dm = grid.dm
-
-    rates = np.empty_like(y)
-    dv, dth, du = rates[:n], rates[n : 2 * n], rates[2 * n :]
-    # faces holds [heat flux (n + 1) | stress (n) | right ghost stress]: one
-    # difference of it is the flux divergence followed by every du, with the
-    # seam (stress[0] - flux[n]) on du[0], which the left closure then sets
-    faces = np.empty(2 * n + 2)
-    _heat_flux(v, th, dm, setup, params.kappa, faces[: n + 1])
-    s = np.subtract(u[1:], u[:-1], out=dv)  # u_x; dv until sources are added
+        stage = Stage(state.packed())
+        require_positive("rhs", stage.vth)
+    dm, du, dth = grid.dm, stage.du, stage.dth
+    # one difference of faces [heat flux | stress | right ghost stress] is the flux divergence,
+    # then every du, the seam (stress[0] - flux[n]) on du[0], which the left closure then sets
+    _, _, ghost_left, ghost_right, stage.power = _heat_flux(stage, dm, setup, params)
+    s = np.subtract(stage.u_hi, stage.u_lo, out=stage.dv)  # u_x; dv until sources are added
     s /= dm
-    stress = np.multiply(s, params.mu, out=faces[n + 1 : -1])
-    rt = params.R * th
+    stress = np.multiply(s, params.mu, out=stage.stress)
+    rt = np.multiply(stage.th, params.R, out=stage.tmp)
     stress -= rt
-    stress /= v
-    faces[-1] = _far_field_stress(u.item(-1), params, dm)
-    np.subtract(faces[1:], faces[:-1], out=rates[n:])
-    rates[n:] /= dm
-    if setup is SetupKind.CAUCHY:
-        du[0] = (stress.item(0) - _far_field_stress(-u.item(0), params, dm)) / dm
+    stress /= stage.v
+    stage.faces_hi[-1] = ghost_right
+    dthu = np.subtract(stage.faces_hi, stage.faces_lo, out=stage.dthu)
+    dthu /= dm
+    if ghost_left is not None:
+        du[0] = (stress.item(0) - ghost_left) / dm
     dth += np.multiply(s, stress, out=rt)  # c_v*dtheta = diff(flux)/dm + s*stress
     dth /= params.c_v
 
     if sources is not None:
         sv, su, sth = sources
-        dv += sv
+        stage.dv += sv
         du += su
         dth += sth
     if setup.has_wall:
         du[0] = 0.0  # the wall rate stays pinned, even under forcing
-    return rates
+    return stage.rates
 
 
 def boundary_power(
-    state: FluidState | np.ndarray, grid: MassGrid, params: GasParams, setup: SetupKind
+    state: FluidState | Stage, grid: MassGrid, params: GasParams, setup: SetupKind
 ) -> float:
     """Rate of total-energy inflow through the two closures.
 
     Uses the scheme's own boundary fluxes, so the semi-discrete budget
-    d/dt total_energy == boundary_power holds exactly (walls do no work
-    because u = 0 there).  ``state`` may be a FluidState or a packed stage.
+    d/dt total_energy == boundary_power holds exactly.  Of a :class:`Stage`
+    it is the ``power`` :func:`rhs` left there, of a FluidState the same.
     """
-    y = state if isinstance(state, np.ndarray) else state.packed()
-    n, dm = grid.n_cells, grid.dm
-    f_left, f_right = _boundary_heat_fluxes(y[:n], y[n : 2 * n], dm, setup, params.kappa)
-    u0, un = y.item(2 * n), y.item(-1)
-    work = un * _far_field_stress(un, params, dm)
-    if setup is SetupKind.CAUCHY:
-        work -= u0 * _far_field_stress(-u0, params, dm)
-    return f_right - f_left + work
+    if isinstance(state, Stage):
+        return state.power
+    return _closures(state.v, state.theta, state.u, grid.dm, setup, params)[-1]
 
 
 def total_energy(state: FluidState, grid: MassGrid, params: GasParams) -> float:

@@ -238,6 +238,78 @@ def test_step_rejects_a_bad_state_before_any_rhs_call(monkeypatch, unit_params, 
     assert calls == []
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("setup", list(SetupKind), ids=lambda k: k.value)
+def test_step_rejects_a_non_finite_u_before_any_rhs_call(monkeypatch, unit_params, setup, value):
+    # a non-finite u used to reach rhs and fail at stage 1 naming v; the input
+    # scan covers u too, and its slow path names u and the node
+    calls = []
+    monkeypatch.setattr(lagas.integrate, "rhs", lambda *args, **kwargs: calls.append(args))
+    grid, state = bump_state(setup)
+    state.u[3] = value
+    with pytest.raises(DomainError, match=rf"step needs finite u, got u\[3\] = {value!r}$"):
+        step(state, 1e-3, grid, unit_params, setup, StepControl())
+    assert calls == []
+
+
+@pytest.mark.parametrize("field,message", [("v", "finite positive v and theta"),
+                                           ("u", r"finite u, got u\[2\] = inf")], ids=["v", "u"])
+def test_step_rejects_infinities_of_both_signs_without_a_warning(monkeypatch, unit_params,
+                                                                 field, message):
+    # +inf and -inf sum to NaN in the input scan; under warnings as errors that
+    # must still end in a DomainError, not in numpy's invalid-value warning
+    calls = []
+    monkeypatch.setattr(lagas.integrate, "rhs", lambda *args, **kwargs: calls.append(args))
+    grid, state = bump_state(SetupKind.CAUCHY)
+    getattr(state, field)[2], state.u[3] = np.inf, -np.inf
+    with pytest.raises(DomainError, match=message):
+        step(state, 1e-3, grid, unit_params, SetupKind.CAUCHY, StepControl())
+    assert calls == []
+
+
+def forced_bump(setup, params, forced):
+    """bump_state's grid and state, with manufactured sources when ``forced``."""
+    grid, state = bump_state(setup)
+    if not forced:
+        return grid, state, None
+    return grid, state, make_source_rates(default_pulse_solution(setup, 8.0), params, grid)
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["bare", "forced"])
+@pytest.mark.parametrize("setup", list(SetupKind), ids=lambda k: k.value)
+def test_a_second_step_leaves_the_first_result_and_the_input_alone(setup, params, ctrl, forced):
+    # each step has its own workspace, and neither its input nor its result
+    # shares memory with it
+    grid, state, sources = forced_bump(setup, params, forced)
+    before = state.packed().tobytes()
+    dt = stable_dt(state, grid, params, ctrl)
+    first = step(state, dt, grid, params, setup, ctrl, sources=sources, ledger=EnergyLedger())
+    result = first.packed().tobytes()
+    second = step(state, dt, grid, params, setup, ctrl, sources=sources, ledger=EnergyLedger())
+    assert first.packed().tobytes() == second.packed().tobytes() == result
+    assert state.packed().tobytes() == before
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["bare", "forced"])
+@pytest.mark.parametrize("setup", list(SetupKind), ids=lambda k: k.value)
+def test_a_kept_step_holds_ten_distinct_rates_and_the_same_result(setup, params, ctrl, forced):
+    # the kept rates are copies out of the step's workspace: ten arrays apart
+    # from each other and from the result, which is the one a bare step gives
+    grid, state, sources = forced_bump(setup, params, forced)
+    dt = stable_dt(state, grid, params, ctrl)
+    kept, ledgers = [], (EnergyLedger(), EnergyLedger())
+    with_kept = step(state, dt, grid, params, setup, ctrl, sources=sources, ledger=ledgers[0],
+                     kept=kept)
+    held = [k.tobytes() for k, _ in kept]
+    alone = step(state, dt, grid, params, setup, ctrl, sources=sources, ledger=ledgers[1])
+    assert with_kept.packed().tobytes() == alone.packed().tobytes()
+    assert ledgers[0].inflow == ledgers[1].inflow
+    assert len(kept) == 10 and len(set(held)) == 10
+    assert [k.tobytes() for k, _ in kept] == held
+    arrays = [k for k, _ in kept] + [with_kept.v, with_kept.theta, with_kept.u]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1 :])
+
+
 # SSPRK(10,4) (Ketcheson 2008) written out from its Shu-Osher form: five
 # substeps of dt/6, the sixth stage input 3/5 y0 + 2/5 y5, so the first five
 # rates enter later stages at 2/5 * 1/6 = 1/15, and every b is 1/10
@@ -331,6 +403,19 @@ def test_dense_weights_meet_the_third_order_conditions():
     assert table.dense_weights(0.0) == (0.0,) * len(c)
     assert table.dense_weights(1.0) == pytest.approx(
         [w / table.denominator for w in table.weights], abs=1e-15)
+
+
+def test_dense_block_is_the_per_tick_loop_bit_for_bit():
+    # a block of ticks takes its weights in one numpy pass; each row is the
+    # Python-float loop over the stages, and goes on as Python floats
+    thetas = [0.0, 1.0, *np.random.default_rng(3).uniform(0.0, 1.0, 40).tolist()]
+    block = SSPRK104.dense_block(thetas)
+    assert block.shape == (len(thetas), len(SSPRK104.c))
+    for theta, row in zip(thetas, block.tolist()):
+        loop = [theta * (p1 + theta * (p2 + theta * p3)) for p1, p2, p3 in SSPRK104.dense]
+        assert [b.hex() for b in row] == [b.hex() for b in loop]
+        assert SSPRK104.dense_weights(theta) == tuple(row)
+        assert all(type(b) is float for b in SSPRK104.dense_weights(theta))
 
 
 @pytest.mark.parametrize("setup", list(SetupKind), ids=lambda k: k.value)

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import inspect
+import json
 import subprocess
 import sys
 import textwrap
@@ -132,6 +133,43 @@ def test_perfbench_trace_sees_every_step_and_stage(monkeypatch):
     assert calls["step"] > 0
     assert calls["rhs"] == 10 * calls["step"]
     assert calls["require_positive"] == 0
+
+
+def test_perfbench_traced_runs_yield_their_layer_metrics(monkeypatch, tmp_path):
+    # the tracer installed in-process over a forced advance and a cli.run, each
+    # a workload span as perfbench's worker opens them: its layer figures must
+    # compute, and restore must leave nothing wrapped for an untraced run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracer")
+    sys.modules.pop("tracer")
+    setup = SetupKind.CAUCHY
+    grid = lagas.make_grid(setup, 10.0, 16)
+    params = lagas.GasParams(1.0, 1.0, 1.0, 1.5)
+    solution = lagas.verification.default_pulse_solution(setup, 10.0)
+    config = lagas.cli.parse_config(json.dumps(
+        {"setup": "halfline_insulated", "L": 10.0, "n": 16, "t_end": 0.05, "cadence": 0.02,
+         "out_dir": str(tmp_path / "out")}))
+    tracer = tracing.Tracer("guard")
+    tracing.install(tracer, lagas)
+    try:
+        index = tracer.open("workload")
+        sources = lagas.verification.make_source_rates(solution, params, grid)
+        state = lagas.verification.sample_state(solution, grid)
+        lagas.integrate.advance(state, 0.05, 0.02, grid, params, setup, lagas.StepControl(),
+                                sources=sources)
+        tracer.close(index)
+        index = tracer.open("workload")
+        assert lagas.cli.run(config) == lagas.cli.EXIT_OK
+        tracer.close(index)
+        layers = tracing.layer_metrics(tracer.spans)
+    finally:
+        tracer.restore()
+    tracing.assert_untraced(lagas)
+    names = [span[0] for span in tracer.spans]
+    assert names.count("workload") == 2 and layers["integrate.steps"] >= 2
+    assert layers["scheme.rhs.calls"] == 10 * layers["integrate.steps"]
+    assert names.count("scheme.boundary_power") == layers["scheme.rhs.calls"]
+    assert layers["verification.sources.calls"] > 0
 
 
 @pytest.mark.parametrize("kind", list(SetupKind), ids=lambda k: k.value)

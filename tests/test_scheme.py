@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +15,7 @@ from lagas import (
     make_grid,
     steady_state,
 )
-from lagas.scheme import boundary_power, heat_flux_faces, rhs, total_energy
+from lagas.scheme import Stage, boundary_power, heat_flux_faces, rhs, total_energy
 
 ALL_SETUPS = list(SetupKind)
 
@@ -188,26 +190,56 @@ def test_rhs_matches_loop_oracle_with_and_without_sources(n, setup, params, seed
     assert abs(float(terms.sum()) - power) <= 1e-12 * float(np.abs(terms).sum())
 
 
+def random_sources(n, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.uniform(-2.0, 2.0, n), rng.uniform(-2.0, 2.0, n + 1), rng.uniform(-2.0, 2.0, n))
+
+
 @pytest.mark.parametrize("forced", [False, True], ids=["bare", "forced"])
 @pytest.mark.parametrize("setup", ALL_SETUPS, ids=lambda s: s.value)
 def test_rhs_returns_one_buffer_laid_out_like_a_stage(setup, params, forced):
-    # a FluidState and its packed stage give the same bytes, [dv | dtheta | du]
+    # a FluidState and a Stage over its packed copy give the same bytes,
+    # [dv | dtheta | du]; the Stage gets its own rates buffer back
     n = 12
     grid = make_grid(setup, 3.0, n)
     state = random_state(grid, seed=23)
     if setup.has_wall:
         state.u[0] = 0.0
-    rng = np.random.default_rng(23)
-    sources = (rng.uniform(-2.0, 2.0, n), rng.uniform(-2.0, 2.0, n + 1),
-               rng.uniform(-2.0, 2.0, n)) if forced else None
+    sources = random_sources(n, 23) if forced else None
     rates = rhs(state, grid, params, setup, sources)
-    assert rates.tobytes() == rhs(state.packed(), grid, params, setup, sources).tobytes()
+    stage = Stage(state.packed())
+    assert rhs(stage, grid, params, setup, sources) is stage.rates
+    assert rates.tobytes() == stage.rates.tobytes()
     assert isinstance(rates, np.ndarray) and rates.dtype == np.float64
     assert rates.shape == (3 * n + 1,) and rates.flags.c_contiguous
     dv, du, dtheta = bruteforce.rhs(state, grid, params, setup, sources)
     assert_close_to_oracle(rates[:n], dv)
     assert_close_to_oracle(rates[n : 2 * n], dtheta)
     assert_close_to_oracle(rates[2 * n :], du)
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["bare", "forced"])
+@pytest.mark.parametrize("n", [4, 5, 128, 129])
+@pytest.mark.parametrize("setup", ALL_SETUPS, ids=lambda s: s.value)
+def test_a_reloaded_stage_evaluates_like_a_fresh_one(setup, params, n, forced):
+    # the views a Stage slices once follow load to the new buffer, and rhs
+    # leaves on it the boundary power of the buffer it read, NaN until then
+    grid = make_grid(setup, 3.0, n)
+    first, second = random_state(grid, seed=5), random_state(grid, seed=6)
+    if setup.has_wall:
+        first.u[0] = second.u[0] = 0.0
+    sources = random_sources(n, n) if forced else None
+    stage = Stage(first.packed())
+    assert math.isnan(boundary_power(stage, grid, params, setup))
+    rhs(stage, grid, params, setup, sources)
+    power = boundary_power(stage, grid, params, setup)
+    assert power.hex() == boundary_power(first, grid, params, setup).hex()
+    stage.load(second.packed())
+    assert math.isnan(boundary_power(stage, grid, params, setup))
+    rates = rhs(stage, grid, params, setup, sources)
+    assert rates.tobytes() == rhs(second, grid, params, setup, sources).tobytes()
+    power = boundary_power(stage, grid, params, setup)
+    assert power.hex() == boundary_power(second, grid, params, setup).hex()
 
 
 @pytest.mark.parametrize("setup", ALL_SETUPS, ids=lambda s: s.value)
