@@ -279,13 +279,13 @@ def config_from_dict(raw: Any) -> RunConfig:
     )
 
 
-def _write_snapshot(path: Path, state: FluidState, grid: MassGrid) -> None:
+def _write_snapshot(path: Path, state: FluidState, xs: tuple[list[str], list[str]]) -> None:
     """One row per node, the cell columns first (empty on the last row), as
-    shortest round-trip decimals."""
-    cells = [f"{x!r},{v!r},{th!r}" for x, v, th in zip(
-        grid.cell_centers().tolist(), state.v.tolist(), state.theta.tolist())] + [",,"]
-    rows = [f"{cell},{x!r},{u!r}"
-            for cell, x, u in zip(cells, grid.nodes().tolist(), state.u.tolist())]
+    shortest round-trip decimals; ``xs`` holds the x_center and x_node columns,
+    formatted once per run."""
+    cells = [f"{x},{v!r},{th!r}" for x, v, th in zip(
+        xs[0], state.v.tolist(), state.theta.tolist())] + [",,"]
+    rows = [f"{cell},{x},{u!r}" for cell, x, u in zip(cells, xs[1], state.u.tolist())]
     path.write_text("\n".join(["x_center,v,theta,x_node,u", *rows]) + "\n", encoding="utf-8")
 
 
@@ -334,6 +334,7 @@ def run(config: RunConfig) -> int:
 
     snap_times: list[float] = []
     snap_names: set[str] = set()
+    xs = ([repr(x) for x in grid.cell_centers().tolist()], [repr(x) for x in grid.nodes().tolist()])
 
     with (out / "audit.csv").open("w", encoding="utf-8", newline="\n") as audit_file:
         audit_file.write(audit_header(config.excess_thresholds) + "\n")
@@ -346,7 +347,7 @@ def run(config: RunConfig) -> int:
                 and snapshot.t - snap_times[-1] >= config.snapshot_every * (1.0 - 1e-9)
             )
             if due or snapshot.t >= config.t_end:
-                _write_snapshot(_snapshot_path(out, snapshot.t, snap_names), snapshot, grid)
+                _write_snapshot(_snapshot_path(out, snapshot.t, snap_names), snapshot, xs)
                 snap_times.append(snapshot.t)
 
         try:

@@ -45,8 +45,8 @@ __all__ = ["SSPRK104", "SSPTable", "StepControl", "stable_dt", "step", "advance"
 
 #: the ticks inside a step are read and audited as blocks of at most this many cells
 _BLOCK_CELLS = 4096
-#: sources(t) -> (dv, du, dtheta) extra rates, or None
-SourceFn = Callable[[float], tuple[np.ndarray, np.ndarray, np.ndarray]]
+#: sources(times) -> (dv, du, dtheta) extra rates, a row per time
+SourceFn = Callable[[list[float]], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,30 +157,33 @@ def stable_dt(state: FluidState, grid: MassGrid, params: GasParams, ctrl: StepCo
 
 def _passes(vth: np.ndarray, y: np.ndarray, floor: float) -> bool:
     """The stage test of packed ``y`` (a state or block) with [v | theta] part ``vth``: min
-    above floor (NaN fails it), sum finite (finite entries may overflow it; numpy then warns)."""
+    above floor (NaN fails it), sum finite (finite entries may overflow it, and +inf and -inf
+    make it NaN; numpy warns of both, so callers wrap a step or a block in one errstate)."""
     return np.minimum.reduce(vth, None) > floor and math.isfinite(np.add.reduce(y, None))
 
 
-def _checked(y: np.ndarray, floor: float, stage: int | None, t_start: float) -> None:
-    """Raise IntegrationError unless the packed stage is finite with v, theta above floor.
+def _failure(y: np.ndarray, floor: float, stage: int | None,
+             t_start: float) -> IntegrationError | None:
+    """The IntegrationError of a packed stage not finite with v, theta above floor, or None.
 
     A stage failing :func:`_passes` goes through validate_state, which passes an overflow
     and names the field and cell of another failure; a None ``stage`` is a dense-output tick.
     """
-    if _passes(y[: 2 * (y.shape[0] // 3)], y, floor):
-        return
-    report = validate_state(FluidState.from_packed(t_start, y), floor)
-    if not report.ok:
-        where = "dense output" if stage is None else f"stage {stage}"
-        raise IntegrationError(
-            f"{where} at t = {t_start:.6g}: {report.message()}",
-            time=t_start,
-            stage=stage,
-            cell=report.index,
-            field_name=report.field_name,
-        )
+    passes = _passes(y[: 2 * (y.shape[0] // 3)], y, floor)
+    if passes or (report := validate_state(FluidState.from_packed(t_start, y), floor)).ok:
+        return None
+    where = "dense output" if stage is None else f"stage {stage}"
+    return IntegrationError(f"{where} at t = {t_start:.6g}: {report.message()}", time=t_start,
+                            stage=stage, cell=report.index, field_name=report.field_name)
 
 
+def _checked(y: np.ndarray, floor: float, stage: int | None, t_start: float) -> None:
+    """Raise :func:`_failure`'s IntegrationError of the packed stage, if it has one."""
+    if (error := _failure(y, floor, stage, t_start)) is not None:
+        raise error
+
+
+@np.errstate(invalid="ignore", over="ignore")
 def step(
     state: FluidState,
     dt: float,
@@ -195,11 +198,12 @@ def step(
     """One SSPRK(10,4) step: ten positivity-checked Euler substeps of h = dt/6.
 
     A state off the grid's cell count (ConfigurationError), with v or theta not finite
-    and positive or u not finite (DomainError) fails before any stage.  Sources are
-    evaluated once per distinct stage time.  A ledger gets the boundary-energy inflow
-    with the scheme's weights, so the total-energy residual measures time-integration
-    error only.  A stage whose result fails the floor raises IntegrationError naming it
-    (1 to 10).  A ``kept`` list gets a copy of each stage's rates k_j and its boundary
+    and positive or u not finite (DomainError) fails before any stage.  ``sources`` gets
+    one call, with the distinct stage times t0 + c dt in stage order; each stage adds its
+    time's rows.  A ledger gets the boundary-energy inflow with the scheme's weights, so
+    the total-energy residual measures time-integration error only.  A stage whose result
+    fails the floor, or is not finite, raises IntegrationError naming it (1 to 10), never
+    numpy's warning.  A ``kept`` list gets a copy of each stage's rates k_j and its boundary
     power (NaN without a ledger) for :func:`_dense_output`; the result's bits stay put.
     """
     if not dt > 0.0:
@@ -207,14 +211,13 @@ def step(
     require_cells_match("step", state, grid)
     y0 = state.packed()
     stage = Stage(y0.copy())
-    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf: fail the scan, not warn
-        scanned = _passes(stage.vth, stage.y, 0.0)  # one scan of every field
-    if not scanned:  # the slow path names the culprit
-        require_positive("step", state.v, state.theta)
+    if not _passes(stage.vth, stage.y, 0.0):  # one scan of every field
+        require_positive("step", state.v, state.theta)  # the slow path names the culprit
         if (bad := np.flatnonzero(~np.isfinite(state.u))).size:
             raise DomainError(f"step needs finite u, got u[{bad[0]}] = {state.u.item(bad[0])!r}")
     table, t0, floor, h = SSPRK104, state.t, ctrl.positivity_floor, dt / SSPRK104.ssp
-    forcing = {} if sources is None else {c: sources(t0 + c * dt) for c in dict.fromkeys(table.c)}
+    cs = list(dict.fromkeys(table.c))  # one sources call, a row per distinct stage time
+    forcing = {} if sources is None else dict(zip(cs, zip(*sources([t0 + c * dt for c in cs]))))
     y, mixed, inflow, power = stage.y, {0: y0}, 0.0, math.nan
     for i, (c, weight) in enumerate(zip(table.c, table.weights), 1):
         k = rhs(stage, grid, params, setup, forcing.get(c))
@@ -312,10 +315,13 @@ def advance(
             times, block, inflows = [target], landed.packed()[None], [trail.ledger.inflow]
         tick += len(times)
         # a block failing the stage test goes a tick at a time, up to the tick that fails
-        whole = _passes(block[:, : 2 * grid.n_cells], block, ctrl.positivity_floor)
+        with np.errstate(invalid="ignore", over="ignore"):  # one per block, as in a step
+            whole = _passes(block[:, : 2 * grid.n_cells], block, ctrl.positivity_floor)
+            failures = [] if whole else [_failure(y, ctrl.positivity_floor, None, t)
+                                         for t, y in zip(times, block)]
         for part in [slice(None)] if whole else [slice(i, i + 1) for i in range(len(times))]:
-            if not whole:
-                _checked(block[part.start], ctrl.positivity_floor, None, times[part.start])
+            if not whole and failures[part.start] is not None:
+                raise failures[part.start]
             batch = trail.record_block(times[part], block[part], inflows[part])
             for record, t, y in zip(batch, times[part], block[part]):
                 state = FluidState.from_packed(t, y)

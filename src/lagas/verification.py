@@ -12,8 +12,8 @@ shared by v, u and theta.  A field is its profile sampler, ``field(x) ->
 (F, F_x, F_xx)`` in closed form; a finite-difference oracle cross-checks
 those in the test-suite.  The forcing terms are polynomial in e =
 exp(-decay*t) and r = 1/(1 + e*F_v), so their coefficient profiles are
-built once per point set and each evaluation at a time t costs one scalar
-exp.
+built once per point set, and the rates at a list of times are one pass
+of them over a column of scalar exps.
 """
 
 from __future__ import annotations
@@ -251,7 +251,7 @@ def default_pulse_solution(setup: SetupKind, half_length: float) -> Manufactured
 
 
 def _mass_thermal_sources(ms: ManufacturedSolution, params: GasParams, x):
-    """``at(e) -> (s_v, s_th)`` at the points x."""
+    """``at(e) -> (s_v, s_th)`` at the points x; a column e gives a row per entry."""
     (fv, fv_x, _), (_, fu_x, _), (fth, fth_x, fth_xx) = ms.v(x), ms.u(x), ms.theta(x)
     k = -ms.decay * fv - fu_x
     t0 = -params.c_v * ms.decay * fth
@@ -259,7 +259,7 @@ def _mass_thermal_sources(ms: ManufacturedSolution, params: GasParams, x):
     t2 = (params.R * fth - params.mu * fu_x) * fu_x
     t3 = params.kappa * fth_x * fv_x
 
-    def at(e: float):
+    def at(e):
         r = 1.0 / (1.0 + e * fv)
         return e * k, e * (t0 + r * (t1 + e * t2 + (e * r) * t3))
 
@@ -267,14 +267,14 @@ def _mass_thermal_sources(ms: ManufacturedSolution, params: GasParams, x):
 
 
 def _momentum_source(ms: ManufacturedSolution, params: GasParams, x):
-    """``at(e) -> s_u`` at the points x."""
+    """``at(e) -> s_u`` at the points x; a column e gives a row per entry."""
     (fv, fv_x, _), (fu, fu_x, fu_xx), (fth, fth_x, _) = ms.v(x), ms.u(x), ms.theta(x)
     m0 = -ms.decay * fu
     m1 = params.R * fth_x - params.mu * fu_xx
     m2 = -params.R * fv_x
     m3 = (params.mu * fu_x - params.R * fth) * fv_x
 
-    def at(e: float):
+    def at(e):
         r = 1.0 / (1.0 + e * fv)
         return e * (m0 + r * (m1 + r * (m2 + e * m3)))
 
@@ -299,14 +299,15 @@ def make_source_rates(ms: ManufacturedSolution, params: GasParams, grid: MassGri
 
     Mass and thermal rates sample at cell centers (thermal divided by c_v to
     become a theta rate); the momentum rate samples at nodes.  The coefficient
-    profiles are built once per point set here, so each ``rates(t)`` call
-    costs one scalar exp and a few array products.
+    profiles are built once per point set here.  ``rates(times)`` gives a row
+    per time: e is a column of scalar exps, so each array product covers
+    every row and each entry has the bits of :func:`manufactured_sources`.
     """
     mass_thermal = _mass_thermal_sources(ms, params, grid.cell_centers())
     momentum = _momentum_source(ms, params, grid.nodes())
 
-    def rates(t: float):
-        e = math.exp(-ms.decay * t)
+    def rates(times: list[float]):
+        e = np.array([math.exp(-ms.decay * t) for t in times])[:, None]
         s_v, s_th = mass_thermal(e)
         return s_v, momentum(e), s_th / params.c_v
 

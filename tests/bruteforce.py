@@ -237,7 +237,7 @@ def explicit_rk_step(state, dt, grid, params, setup, a, b, c, sources=None):
     """One explicit Runge-Kutta step with Butcher tableau ``(a, b, c)``.
 
     Stage i is Y_i = y0 + dt * sum_j a[i][j] K_j with K_j = rhs(Y_j) plus
-    ``sources(t0 + c[j]*dt)``; the result is y0 + dt * sum_i b[i] K_i.
+    the one row of ``sources([t0 + c[j]*dt])``; the result is y0 + dt * sum_i b[i] K_i.
     Fields are lists ordered [v | theta | u].  Returns the result and the
     stage inputs Y_i, each a ``(v, theta, u)`` triple of lists.
     """
@@ -258,7 +258,7 @@ def explicit_rk_step(state, dt, grid, params, setup, a, b, c, sources=None):
         dv, du, dth = rhs(stage, grid, params, setup)
         k = [*dv, *dth, *du]
         if sources is not None:
-            sv, su, sth = sources(state.t + c[i] * dt)
+            sv, su, sth = (rows[0] for rows in sources([state.t + c[i] * dt]))
             extra = [*sv, *sth, *su]
             if setup is not SetupKind.CAUCHY:
                 extra[2 * n] = 0.0  # the wall rate stays pinned under forcing

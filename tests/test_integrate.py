@@ -537,6 +537,55 @@ def test_a_failed_dense_output_state_raises_at_its_tick(monkeypatch, insulated, 
     assert "dense output at t = 0.013" in str(err)
 
 
+@pytest.mark.parametrize("field", ["v", "theta", "u"])
+def test_a_stage_holding_both_infinities_names_its_stage(monkeypatch, insulated, params, ctrl,
+                                                         field):
+    # +inf and -inf sum to NaN in the stage test; under warnings as errors that
+    # must still end in the IntegrationError naming stage 3, the field and the
+    # cell that validate_state names, not in numpy's invalid-value warning
+    grid, state = bump_state(insulated)
+    n, original, calls = grid.n_cells, lagas.integrate.rhs, []
+
+    def third_rate_infinite(*args):
+        k = original(*args)
+        calls.append(1)
+        if len(calls) == 3:
+            k[{"v": 0, "theta": n, "u": 2 * n}[field] + 2] = np.inf
+            k[2 * n + 5] = -np.inf
+        return k
+
+    monkeypatch.setattr(lagas.integrate, "rhs", third_rate_infinite)
+    with pytest.raises(IntegrationError) as excinfo:
+        step(state, stable_dt(state, grid, params, ctrl), grid, params, insulated, ctrl,
+             ledger=EnergyLedger())
+    err = excinfo.value
+    assert (err.stage, err.field_name, err.cell) == (3, field, 2)
+    assert len(calls) == 3
+
+
+def test_a_dense_output_row_holding_both_infinities_raises_at_its_tick(monkeypatch, insulated,
+                                                                       params, ctrl):
+    # the same for a tick read from the dense output: the ticks before it are
+    # recorded, and the error names the tick, the field and the cell
+    grid, state = bump_state(insulated)
+    every, original = 0.002, lagas.integrate._dense_output
+
+    def third_tick_infinite(*args):
+        block = original(*args)
+        block[2, 64 + 5], block[2, 128 + 7] = np.inf, -np.inf
+        return block
+
+    monkeypatch.setattr(lagas.integrate, "_dense_output", third_tick_infinite)
+    seen = []
+    with pytest.raises(IntegrationError) as excinfo:
+        advance(state, 0.5, every, grid, params, insulated, ctrl,
+                on_record=lambda record, snapshot: seen.append(snapshot.t))
+    err = excinfo.value
+    assert (err.time, err.stage, err.field_name, err.cell) == (3 * every, None, "theta", 5)
+    assert "dense output at t = 0.006" in str(err)
+    assert seen == [k * every for k in range(3)]
+
+
 def pinned_run_data(setup):
     """The run tests/test_golden.py pins, as library arguments."""
     grid = make_grid(setup, 10.0, 64)
@@ -578,17 +627,19 @@ def test_ssprk104_evaluates_sources_once_per_distinct_time(params, ctrl):
     setup = SetupKind.HALFLINE_ISOTHERMAL
     grid = make_grid(setup, 4.0, 16)
     rates = make_source_rates(default_pulse_solution(setup, 4.0), params, grid)
-    times = []
+    calls = []
 
-    def sources(t):
-        times.append(t)
-        return rates(t)
+    def sources(times):
+        calls.append(times)
+        return rates(times)
 
     rest = steady_state(grid)
     state = FluidState(0.3, rest.v, rest.theta, rest.u)
     step(state, 0.06, grid, params, setup, ctrl, sources=sources)
-    # c = 0, 1/6, 1/3, 1/2, 2/3, 1/3, 1/2, 2/3, 5/6, 1: seven distinct times
-    assert times == pytest.approx([0.3 + 0.01 * k for k in range(7)], abs=1e-15)
+    # c = 0, 1/6, 1/3, 1/2, 2/3, 1/3, 1/2, 2/3, 5/6, 1: seven distinct times,
+    # in the order the stages first reach them, in one call
+    assert len(calls) == 1
+    assert calls[0] == pytest.approx([0.3 + 0.01 * k for k in range(7)], abs=1e-15)
 
 
 def test_stable_dt_is_ten_parabolic_fractions_up_to_the_ssp_limit(cauchy, unit_params):

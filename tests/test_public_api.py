@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import lagas
+import lagas.cli  # perfbench traces lagas.cli, which `import lagas` alone does not load
 from lagas import SetupKind
 
 SUBMODULES = ["cli", "core", "diagnostics", "integrate", "scheme", "verification"]
@@ -169,7 +170,18 @@ def test_perfbench_traced_runs_yield_their_layer_metrics(monkeypatch, tmp_path):
     assert names.count("workload") == 2 and layers["integrate.steps"] >= 2
     assert layers["scheme.rhs.calls"] == 10 * layers["integrate.steps"]
     assert names.count("scheme.boundary_power") == layers["scheme.rhs.calls"]
-    assert layers["verification.sources.calls"] > 0
+    # one sources call per step, each inside a step of the forced workload
+    spans, forced = tracer.spans, names.index("workload")
+
+    def inside(i, root):
+        while i not in (-1, root):
+            i = spans[i][3]
+        return i == root
+
+    steps = [i for i, span in enumerate(spans) if span[0] == "integrate.step" and inside(i, forced)]
+    parents = [span[3] for span in spans if span[0] == "verification.sources"]
+    assert steps and sorted(parents) == steps
+    assert layers["verification.sources.calls"] == len(steps)
 
 
 @pytest.mark.parametrize("kind", list(SetupKind), ids=lambda k: k.value)

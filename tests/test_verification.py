@@ -281,17 +281,23 @@ def _bits(a) -> bytes:
 @pytest.mark.parametrize("kind", list(SetupKind), ids=lambda k: k.value)
 def test_source_rates_equal_pointwise_sources_bit_for_bit(solution, kind, params):
     # make_source_rates builds the coefficient profiles once per grid and
-    # reuses them at every t; that must give the bits of a fresh evaluation,
-    # and sample_state the bits of rest + exp(-decay*t) * profile
+    # reuses them at every t, a row per time of one call; each row must give
+    # the bits of a fresh scalar evaluation at its time, whatever the list (all
+    # times at once, one, a repeat, unsorted), and sample_state the bits of
+    # rest + exp(-decay*t) * profile
     grid = make_grid(kind, 10.0, 48)
     centers, nodes = grid.cell_centers(), grid.nodes()
     rates = make_source_rates(solution, params, grid)
-    for t in np.random.default_rng(11).uniform(0.0, 3.0, 6):
-        s_v, s_u, s_th = rates(t)
-        c_mass, _, c_th = manufactured_sources(solution, params, centers, t)
-        assert _bits(s_v) == _bits(c_mass)
-        assert _bits(s_u) == _bits(manufactured_sources(solution, params, nodes, t)[1])
-        assert _bits(s_th) == _bits(c_th / params.c_v)
+    times = np.random.default_rng(11).uniform(0.0, 3.0, 6).tolist()
+    for ts in (times, times[:1], [times[2]] * 2, [times[4], times[0], times[3]]):
+        block = rates(ts)
+        assert [rows.shape for rows in block] == [(len(ts), 48), (len(ts), 49), (len(ts), 48)]
+        for t, s_v, s_u, s_th in zip(ts, *block):
+            c_mass, _, c_th = manufactured_sources(solution, params, centers, t)
+            assert _bits(s_v) == _bits(c_mass)
+            assert _bits(s_u) == _bits(manufactured_sources(solution, params, nodes, t)[1])
+            assert _bits(s_th) == _bits(c_th / params.c_v)
+    for t in times:
         state = sample_state(solution, grid, t)
         for name in REST:
             x = nodes if name == "u" else centers
@@ -328,7 +334,7 @@ def test_forced_rhs_consistent_with_analytic_rates(setup, params):
     for n in (128, 256):
         grid = make_grid(setup, 10.0, n)
         state = sample_state(ms, grid, 0.0)
-        rates = make_source_rates(ms, params, grid)(0.0)
+        rates = tuple(rows[0] for rows in make_source_rates(ms, params, grid)([0.0]))
         dv, dtheta, du = split_rates(rhs(state, grid, params, setup, rates))
         centers, nodes = grid.cell_centers(), grid.nodes()
         err = max(
