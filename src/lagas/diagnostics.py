@@ -1,11 +1,11 @@
 """Audit functionals: energy, dissipation, norms, running integrals.
 
 Instantaneous quantities are pure functions of a state snapshot, all taken by
-``_Tick`` in a fixed handful of whole-buffer numpy passes and bit for bit what
-one pass per functional gives: each summand keeps its operand order, each
-buffer of summand rows is reduced along its contiguous rows (numpy sums each
-exactly as that row's own ``.sum()``), and max |x - 1| over a field comes from
-its bounds, since fl(x - 1) is monotone in x.  The running time integrals
+``_Tick`` for a block of snapshots at once, each field read in its own shape,
+and bit for bit what one pass per functional gives: each summand keeps its
+operand order, each is reduced along its last axis (numpy sums every row
+exactly as its own ``.sum()``), and max |x - 1| over a field comes from its
+bounds, since fl(x - 1) is monotone in x.  The running time integrals
 (cum_D, cum_df8, cum_z4) are accumulated by trapezoid on the record cadence
 inside :class:`AuditTrail`, which also tracks the total-energy ledger the
 integrator feeds.
@@ -47,72 +47,64 @@ def check_excess_thresholds(thresholds) -> tuple[float, ...]:
 
 class _Tick:
     """The intermediates that the audit functionals share, for a block of m packed
-    states ``[v | theta | u]`` (rows of width N = 3n + 1), taken in a fixed handful of
-    numpy passes whatever m is; each method gives one value per state.
+    states ``[v | theta | u]``; each method gives one value per state.
 
-    Most passes run once over the flattened block, read at shifts of 0, n and 2n so that
-    the fields of a state line up; what they write across a seam, between fields or
-    states, is never read.  A work row, seen as (m, N), has three n-long slots per state
-    and each summand lands in one: face sums in the theta_x slots (first n - 1 columns)
-    of a run of rows, cell sums in the u_x slots of the next.  ``np.add.reduce`` along
-    contiguous slots gives each its own ``.sum()`` bit for bit.  Operand order is part
-    of the audit.csv bytes that tests/test_golden.py pins: df8's
-    ``((1 + theta + ubar^2)*s)*s`` is not ``(1 + theta + ubar^2)*(s*s)``.
+    Each field is read in its own shape, ``vt`` = [v; theta] as (m, 2, n) and u as
+    (m, n + 1), so every mean, difference and summand is formed within one field of one
+    state, and nothing is computed across a seam.  The summands on faces and on cells
+    are the rows of a (kind, m, n - 1) and a (kind, m, n) array, theta_xx^2 an (m, n - 2)
+    one, each reduced along its last axis: numpy sums every row exactly as its own
+    ``.sum()``, and one reduction serves each location.  Operand order is part of the
+    audit.csv bytes that tests/test_golden.py pins: df8's ``((1 + theta + ubar^2)*s)*s``
+    is not ``(1 + theta + ubar^2)*(s*s)``.
 
     With ``check`` set, v and theta must be finite and positive (NaN fails the
     minima), tested on the bounds before any other array work; DomainError names
-    ``check``.  Only then are the rows that divide by v and theta written, dividing
-    within their slots only; only entropy_energy, which is checked, takes a log.
+    ``check``.  Only then are the summands that divide by v and theta formed; only
+    entropy_energy, which is checked, takes a log.
     """
 
     def __init__(self, block: np.ndarray, dm: float, check: str | None = None) -> None:
         m, width = block.shape
         self.n = n = (width - 1) // 3
-        self.dm, self.block = dm, block
-        self.bounds = _bounds(block[:, : 2 * n].reshape(m, 2, n))
+        vt, u = block[:, : 2 * n].reshape(m, 2, n), block[:, 2 * n :]
+        self.dm, self.vt, self.bounds = dm, vt, _bounds(vt)
         if check and not all(b[0] > 0.0 and b[2] > 0.0 and max(b[1], b[3]) < math.inf
                              for b in self.bounds):
             raise DomainError(f"{check} needs finite positive v and theta")
-        # rows 0-3 faces at theta_x: D_heat's (checked), z4's, [theta_xx^2 | u_xx^2 | .] and
-        # [v_x^2 | theta_x^2 | u_x^2]; 4-7 cells at u_x: df8's, lp_deviation(2)'s, u^4 (ubar^2
-        # first) and D_visc's (checked); 8 [v_face | . | theta_face | . | ubar], 9 [v_x | . |
-        # theta_x | . | u_x], 10 [|v - 1| | |theta - 1| | |u|], 11 its squares
-        y, self.work = block.reshape(-1), np.empty((12, block.size))
-        self.rows = rows = self.work.reshape(12, m, width)
-        span = y.size - 2 * n - 1  # a slot of the first state to that of the last
-        faces, cells, at_u = slice(n, 2 * n - 1), slice(2 * n, 3 * n), slice(2 * n, 2 * n + span)
-        mean, d1, dev = self.work[8, :-1], self.work[9, :-1], self.work[10]
-        np.multiply(np.add(y[:-1], y[1:], mean), 0.5, mean)
-        np.divide(np.subtract(y[1:], y[:-1], d1), dm, d1)
-        d2 = self.work[2, : span + n - 1]
-        np.divide(np.subtract(d1[n + 1 :], d1[n:-1], d2), dm, d2)
-        np.multiply(d1, d1, self.work[3, :-1])
-        np.multiply(d2, d2, d2)
-        np.subtract(y[: span + n], 1.0, dev[: span + n])
-        rows[10, :, 2 * n :] = block[:, 2 * n :]
-        np.abs(dev, dev)
-        powers, squares = self.work[11, : span + n], self.work[6, at_u]
-        np.multiply(dev[: span + n], dev[: span + n], powers)
-        ubar, s, thf = mean[at_u], d1[at_u], mean[n : n + span]
-        np.multiply(ubar, ubar, squares)
-        z4, df8 = self.work[1, n : n + span], self.work[4, at_u]
-        np.multiply(np.multiply(thf, d1[:span], z4), d1[:span], z4)
-        np.add(np.add(1.0, y[n : n + span], df8), squares, df8)
-        np.multiply(np.multiply(df8, s, df8), s, df8)
-        self._lp_summand(powers[:span], powers[n : n + span], squares, self.work[5, at_u])
-        np.multiply(squares, squares, squares)
+        lo, hi, below, above = vt[:, :, :-1], vt[:, :, 1:], u[:, :-1], u[:, 1:]
+        # [v; theta] and [v_x; theta_x] on interior faces, u and u_x on cells; then u_xx
+        # on interior faces and theta_xx on interior cells
+        mean, grads, ubar, ux = lo + hi, hi - lo, below + above, above - below
+        mean *= 0.5
+        ubar *= 0.5
+        grads /= dm
+        ux /= dm
+        uxx, thxx = ux[:, 1:] - ux[:, :-1], grads[:, 1, 1:] - grads[:, 1, :-1]
+        uxx /= dm
+        thxx /= dm
+        dev = vt - 1.0
+        self.ubar, self.dev = ubar, (np.abs(dev, dev), np.abs(u))  # |v - 1|, |theta - 1|; |u|
+        ubar2, powers = ubar * ubar, dev * dev
+        # on faces v_x^2, theta_x^2, theta*v_x^2, u_xx^2 and D_heat's; on cells u_x^2, df8's,
+        # lp_deviation(2)'s, u^4 and D_visc's; the D rows only with check
+        faces, cells = np.empty((4 + bool(check), m, n - 1)), np.empty((4 + bool(check), m, n))
+        np.multiply(grads, grads, faces[:2].swapaxes(0, 1))
+        th_face, vx = mean[:, 1], grads[:, 0]
+        np.multiply(np.multiply(th_face, vx, faces[2]), vx, faces[2])
+        np.multiply(uxx, uxx, faces[3])
+        np.multiply(ux, ux, cells[0])
+        df8 = np.add(np.add(1.0, vt[:, 1], cells[1]), ubar2, cells[1])
+        np.multiply(np.multiply(df8, ux, df8), ux, df8)
+        self._lp_summand(powers[:, 0], powers[:, 1], ubar2, cells[2])
+        np.multiply(ubar2, ubar2, cells[3])
         if check:
-            heat = self.work[0, n : n + span]
-            np.multiply(np.multiply(mean[:span], thf, heat), thf, heat)
-            np.divide(rows[3, :, faces], rows[0, :, faces], rows[0, :, faces])
-            np.multiply(y[:span], y[n : n + span], self.work[7, at_u])
-            np.divide(rows[3, :, cells], rows[7, :, cells], rows[7, :, cells])
-        first, last = (0, 8) if check else (1, 7)
-        *heat, self.z4_faces, uxx_ss, thx_ss = np.add.reduce(rows[first:4, :, faces], 2).tolist()
-        ux_ss, self.df8_cells, self.lp2_sums, self.u4_sums, *visc = np.add.reduce(
-            rows[3:last, :, cells], 2).tolist()
-        vx_ss = np.add.reduce(rows[3, :, : n - 1], 1).tolist()
-        thxx_ss = np.add.reduce(rows[2, :, : n - 2], 1).tolist()
+            heat = np.multiply(np.multiply(mean[:, 0], th_face, faces[4]), th_face, faces[4])
+            np.divide(faces[1], heat, heat)
+            np.divide(cells[0], np.multiply(vt[:, 0], vt[:, 1], cells[4]), cells[4])
+        vx_ss, thx_ss, self.z4_faces, uxx_ss, *heat = np.add.reduce(faces, 2).tolist()
+        ux_ss, self.df8_cells, self.lp2_sums, self.u4_sums, *visc = np.add.reduce(cells, 2).tolist()
+        thxx_ss = np.add.reduce(thxx * thxx, 1).tolist()
         #: per state, sums of squares of (v_x, u_x, theta_x, u_xx, theta_xx)
         self.sq_sums = list(zip(vx_ss, ux_ss, thx_ss, uxx_ss, thxx_ss))
         self.dissipation_sums, self.theta_top = visc + heat, max(b[3] for b in self.bounds)
@@ -124,11 +116,10 @@ class _Tick:
         return np.add(np.add(v_powers, ubar_powers, out), theta_powers, out)
 
     def entropy_energy(self, params: GasParams) -> list[float]:
-        n, vt = self.n, self.block[:, : 2 * self.n]
-        excess, ubar = np.log(vt), self.rows[8, :, 2 * n : 3 * n]
-        np.subtract(np.subtract(vt, excess, excess), 1.0, excess)
-        density = 0.5 * ubar * ubar + params.R * excess[:, :n]
-        density += params.c_v * excess[:, n:]
+        excess = np.log(self.vt)
+        np.subtract(np.subtract(self.vt, excess, excess), 1.0, excess)
+        density = 0.5 * self.ubar * self.ubar + params.R * excess[:, 0]
+        density += params.c_v * excess[:, 1]
         return [total * self.dm for total in np.add.reduce(density, 1).tolist()]
 
     def dissipation_rates(self, params: GasParams) -> list[tuple[float, float]]:
@@ -138,25 +129,24 @@ class _Tick:
     def lp_deviation(self, p: float) -> list[float]:
         if not p > 1.0:
             raise DomainError(f"lp_deviation needs p in (1, inf], got {p!r}")
-        n, rows = self.n, self.rows
         if math.isinf(p):
-            du = np.maximum.reduce(np.abs(rows[8, :, 2 * n : 3 * n]), 1).tolist()
+            du = np.maximum.reduce(np.abs(self.ubar), 1).tolist()
             return [max(abs(v_min - 1.0), abs(v_max - 1.0), d, abs(th_min - 1.0), abs(th_max - 1.0))
                     for (v_min, v_max, th_min, th_max), d in zip(self.bounds, du)]
         totals = self.lp2_sums
         if p != 2.0:
-            powers, ubar = rows[10, :, : 2 * n] ** p, np.abs(rows[8, :, 2 * n : 3 * n]) ** p
-            totals = np.add.reduce(self._lp_summand(powers[:, :n], powers[:, n:], ubar), 1).tolist()
+            powers, ubar = self.dev[0] ** p, np.abs(self.ubar) ** p
+            totals = np.add.reduce(self._lp_summand(powers[:, 0], powers[:, 1], ubar), 1).tolist()
         return [(total * self.dm) ** (1.0 / p) for total in totals]
 
     def outer_deviation(self, left: bool) -> list[float]:
-        n, dev = self.n, self.rows[10]
-        k, ends = max(1, math.ceil(0.05 * n)), dev[:, : 3 * n].reshape(-1, 3, n)
-        # rows |v - 1|, |theta - 1|, |u|: the u row holds every node of an end but its last
-        right = np.maximum(np.maximum.reduce(ends[:, :, -k:], (1, 2)), dev[:, 3 * n])
+        k, (dev, dev_u) = max(1, math.ceil(0.05 * self.n)), self.dev
+        # an end's k cells (|v - 1|, |theta - 1|) and the k + 1 nodes that bound them (|u|)
+        right = np.maximum(np.maximum.reduce(dev[:, :, -k:], (1, 2)),
+                           np.maximum.reduce(dev_u[:, -k - 1 :], 1))
         if left:
-            right = np.maximum(right, np.maximum(np.maximum.reduce(ends[:, :, :k], (1, 2)),
-                                                 dev[:, 2 * n + k]))
+            right = np.maximum(right, np.maximum(np.maximum.reduce(dev[:, :, :k], (1, 2)),
+                                                 np.maximum.reduce(dev_u[:, : k + 1], 1)))
         return right.tolist()
 
     def h1_seminorms(self) -> list[tuple[float, float, float, float, float]]:
@@ -167,7 +157,7 @@ class _Tick:
     def truncated_excess(self, a: float) -> list[tuple[float, float]]:
         if a >= self.theta_top:  # the bits the array path gives
             return [(0.0, 0.0)] * len(self.bounds)
-        th = self.block[:, self.n : 2 * self.n]
+        th = self.vt[:, 1]
         over, counts = np.maximum(th - a, 0.0), np.count_nonzero(th > a, 1).tolist()
         totals = np.add.reduce(over * over, 1).tolist()
         return [(total * self.dm, float(count * self.dm)) for total, count in zip(totals, counts)]

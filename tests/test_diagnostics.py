@@ -502,15 +502,19 @@ def test_row_reduction_sums_each_row_as_its_own_sum():
         buffer = rng.standard_normal((4, m + 2)) * 10.0 ** rng.uniform(-3, 3, (4, 1))
         for rows in (buffer[:, :m], np.ascontiguousarray(buffer[:, :m])):
             assert np.add.reduce(rows, 1).tolist() == [float(row.copy().sum()) for row in rows]
-    # a block's sums take slots of its work rows, (rows, m, length) views whose
-    # last axis is contiguous and whose states lie a packed state's width apart;
-    # reduced along that axis, in either order of the other two, each slot gives
-    # its own .sum()
-    for m, count, n in ((9, 6, 255), (2, 5, 128), (16, 4, 257), (1, 5, 4095), (3, 2, 4)):
-        work = rng.standard_normal((count, m, 3 * n + 1)) * 10.0 ** rng.uniform(-3, 3, (count, m, 1))
-        for slots in (work[:, :, n : 2 * n - 1], work[:, :, 2 * n : 3 * n].transpose(1, 0, 2)):
-            assert np.add.reduce(slots, 2).tolist() == [
-                [float(slot.copy().sum()) for slot in rows] for rows in slots]
+    # a block's sums reduce C-contiguous (m, k), (m, 2, k) and (kinds, m, k) arrays,
+    # and row views of packed states such as block[:, n : 2 * n], along the last
+    # axis; each row gives its own .sum(), for row lengths k about numpy's
+    # 128-element pairwise block and about 4 096
+    for m, k in ((1, 4), (9, 127), (9, 128), (2, 129), (16, 255), (16, 256), (3, 257),
+                 (1, 4095), (1, 4096), (2, 4097)):
+        for shape in ((m, k), (m, 2, k), (5, m, k)):
+            rows = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, (*shape[:-1], 1))
+            assert np.add.reduce(rows, -1).ravel().tolist() == [
+                float(row.copy().sum()) for row in rows.reshape(-1, k)]
+        block = rng.standard_normal((m, 3 * k + 1)) * 10.0 ** rng.uniform(-3, 3, (m, 1))
+        assert np.add.reduce(block[:, k : 2 * k], -1).tolist() == [
+            float(row.copy().sum()) for row in block[:, k : 2 * k]]
 
 
 def block_of_states(grid, m, seed):
@@ -555,9 +559,9 @@ def test_record_block_rejects_times_out_of_order(params, cauchy, grid16):
 
 
 def test_unchecked_functionals_stay_quiet_on_a_zero_volume(cauchy):
-    # the functionals that check nothing take no log and divide by no field, and
-    # read nothing at the seams between the packed fields; their values are
-    # pinned bit for bit and checked against the loop oracle
+    # the functionals that check nothing take no log and divide by no field, so a
+    # zero volume raises no warning; their values are pinned bit for bit and
+    # checked against the loop oracle
     grid = make_grid(cauchy, 4.0, 129)
     rng = np.random.default_rng(11)
     v = rng.uniform(0.5, 2.0, 129)
@@ -581,6 +585,24 @@ def test_unchecked_functionals_stay_quiet_on_a_zero_volume(cauchy):
     assert (df8, z4) == pytest.approx(
         (bruteforce.df8_rate(state, grid), bruteforce.z4_rate(state, grid)), rel=1e-12)
     assert excess == pytest.approx(bruteforce.truncated_excess(state, grid, 1.5), rel=1e-12)
+
+
+@pytest.mark.parametrize("L", [4e-211, 1e-150])
+@pytest.mark.parametrize("setup", list(SetupKind), ids=lambda k: k.value)
+def test_rest_state_audit_stays_quiet_at_a_tiny_grid_spacing(params, setup, L):
+    # every difference is taken within one field of one state: no pass divides a
+    # jump across a seam, such as u_0 - theta_{n-1}, by a spacing of about L / 16
+    grid = make_grid(setup, L, 16)
+    state = steady_state(grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        record = AuditTrail(state, grid, params, setup).record(state)
+        h1 = tuple(vars(h1_seminorms(state, grid)).values())
+        rates = df8_rate(state, grid), z4_rate(state, grid)
+    values = dict(vars(record))
+    excess = values.pop("excess")
+    assert [values.pop(name) for name in ("v_min", "v_max", "theta_min", "theta_max")] == [1.0] * 4
+    assert set(values.values()) | set(sum(excess.values(), ())) | {*h1, *rates} == {0.0}
 
 
 def test_audit_record_rejects_a_snapshot_earlier_than_the_last(params, cauchy, grid16):
