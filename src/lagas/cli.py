@@ -247,9 +247,11 @@ def parse_config(text: str) -> RunConfig:
     return config_from_dict(_decode(text))
 
 
-def config_from_dict(raw: Any) -> RunConfig:
+def config_from_dict(raw: Any, command: str = "run") -> RunConfig:
     """Read, type and locate the keys of a decoded config; :class:`RunConfig`
-    supplies the defaults of absent keys and checks the values."""
+    supplies the defaults of absent keys and checks the values.  For ``command``
+    "mms", which reads neither, ``n`` and ``t_end`` may be absent and go unchecked:
+    the study's finest grid and end time stand in for them."""
     root = _Section(raw)
     if "theta_bc" in root:
         raise ConfigurationError(
@@ -258,16 +260,21 @@ def config_from_dict(raw: Any) -> RunConfig:
         )
     setup = _parse_setup(root.take_typed("setup", "str"))
     half_length = root.take_typed("L", "float")
-    n_cells = root.take_typed("n", "int")
-    t_end = root.take_typed("t_end", "float")
+    if command == "mms":
+        for key in ("n", "t_end"):
+            root.take(key)
+    else:
+        n_cells, t_end = root.take_typed("n", "int"), root.take_typed("t_end", "float")
     center = 0.0 if setup is SetupKind.CAUCHY else 0.5 * half_length
     values = {
-        "cadence": t_end / 100.0 if t_end > 0.0 else 1.0,
         "gas": _section_dataclass(root, "gas", RunConfig.gas),
         "control": _section_dataclass(root, "step", RunConfig.control),
         "initial": _section_dataclass(root, "initial_data", InitialDataSpec(center=center)),
         "mms": _section_dataclass(root, "mms", RunConfig.mms),
     }
+    if command == "mms":
+        n_cells, t_end = values["mms"].n_list[-1], values["mms"].t_end
+    values["cadence"] = t_end / 100.0 if t_end > 0.0 else 1.0
     kinds = {f.name: f.type for f in fields(RunConfig)}
     for key in ("cadence", "out_dir", "excess_thresholds", "truncation_threshold",
                 "snapshot_every"):
@@ -540,7 +547,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return run(config_from_dict(raw))
         if args.command == "mms":
-            return mms(config_from_dict(raw))
+            return mms(config_from_dict(raw, "mms"))
         return sweep(raw, jobs=args.jobs)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)

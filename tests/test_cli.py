@@ -22,6 +22,7 @@ from lagas.cli import (
     _apply_overrides,
     _deep_merge,
     _snapshot_path,
+    config_from_dict,
     main,
     mms,
     parse_config,
@@ -447,6 +448,21 @@ def test_main_mms_checks_the_manufactured_state_against_the_floor_before_any_out
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra", [{}, {"n": "many", "t_end": -1}], ids=["absent", "unchecked"])
+def test_main_mms_reads_neither_n_nor_t_end(tmp_path, extra):
+    # the study takes its grids and end time from the mms section: a config
+    # without n and t_end runs, and so does one with values `run` would refuse
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps({"setup": "cauchy", "L": 10.0, **extra,
+                                "mms": {"family": "steady", "n_list": [8, 16, 32], "t_end": 0.05}}))
+    assert main(["mms", str(path), "--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "mms_report.json").read_text())["n_list"] == [8, 16, 32]
+    config = config_from_dict(json.loads(path.read_text()), "mms")
+    assert (config.n_cells, config.t_end) == (32, 0.05)
+    with pytest.raises(ConfigurationError, match="config key 'n'"):  # `run` needs n
+        config_from_dict(json.loads(path.read_text()))
+
+
 def test_mms_threshold_failure_exit_code(tmp_path):
     config = cfg(
         tmp_path, n=16, t_end=0.0,
@@ -648,16 +664,16 @@ TINY = {"run": ["n=32", "t_end=0.2"], "sweep": ["n=32", "t_end=0.2"],
 
 @pytest.mark.parametrize("name, text", SHIPPED)
 def test_shipped_configs_parse_and_run_at_a_tiny_size(tmp_path, name, text):
-    # each config in configs/ runs by the command README gives it, README's
-    # JSON examples by `run`; a shipped config takes the gas and step control
-    # of RunConfig, the one home of those defaults
+    # each config in configs/ parses and runs by the command README gives it,
+    # README's JSON examples by `run`; a shipped config takes the gas and step
+    # control of RunConfig, the one home of those defaults
     command = "run" if name is None else README_COMMANDS[name]
     base = json.loads(text)
     section = base.pop("sweep", None)
     assert (section is not None) == (command == "sweep")
     variants = [{}] if section is None else section["variants"]
     for raw in (_deep_merge(base, variant) for variant in variants):
-        parse_config(json.dumps(raw))
+        config_from_dict(raw, command)
         assert name is None or not {"gas", "step"} & raw.keys()
 
     path = REPO / "configs" / name if name else tmp_path / "config.json"
