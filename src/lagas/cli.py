@@ -250,8 +250,9 @@ def parse_config(text: str) -> RunConfig:
 def config_from_dict(raw: Any, command: str = "run") -> RunConfig:
     """Read, type and locate the keys of a decoded config; :class:`RunConfig`
     supplies the defaults of absent keys and checks the values.  For ``command``
-    "mms", which reads neither, ``n`` and ``t_end`` may be absent and go unchecked:
-    the study's finest grid and end time stand in for them."""
+    "mms" the keys only ``run`` reads may be absent and go unchecked, defaults
+    standing in for them and the study's finest grid and end time for ``n`` and
+    ``t_end``."""
     root = _Section(raw)
     if "theta_bc" in root:
         raise ConfigurationError(
@@ -261,7 +262,8 @@ def config_from_dict(raw: Any, command: str = "run") -> RunConfig:
     setup = _parse_setup(root.take_typed("setup", "str"))
     half_length = root.take_typed("L", "float")
     if command == "mms":
-        for key in ("n", "t_end"):
+        for key in ("n", "t_end", "cadence", "initial_data", "excess_thresholds",
+                    "truncation_threshold", "snapshot_every"):
             root.take(key)
     else:
         n_cells, t_end = root.take_typed("n", "int"), root.take_typed("t_end", "float")

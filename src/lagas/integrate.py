@@ -9,11 +9,11 @@ fourth-order, ten-stage SSPRK(10,4) of Ketcheson (2008).
 
 Inside a step every stage is one contiguous float64 buffer ``[v | theta | u]``
 (n cells, n cells, n + 1 nodes) on the step's one :class:`~lagas.scheme.Stage`,
-where ``rhs`` leaves rates in the same layout and the boundary power.  Euler
-substeps add to the stage buffer in place; a mix writes a fresh one, and the last
-is the result's.  ``step`` checks its input (finite, positive v and theta, finite
-u), then each stage with ``_passes``; ``rhs`` checks no Stage again.  Only a
-failing stage goes through ``validate_state``, to name the stage, field and cell.
+where ``rhs`` leaves rates in the same layout and the boundary power.  The Euler
+substeps and the method's two mixes update the stage buffer in place, and the result
+keeps it.  ``step`` checks its input (finite, positive v and theta, finite u), then
+each stage with ``_passes``; ``rhs`` checks no Stage again.  Only a failing stage goes
+through ``validate_state``, to name the stage, field and cell.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ from .core import (
 from .diagnostics import DEFAULT_EXCESS_THRESHOLDS, AuditRecord, AuditTrail, EnergyLedger
 from .scheme import Stage, boundary_power, rhs
 
-__all__ = ["SSPRK104", "SSPTable", "StepControl", "stable_dt", "step", "advance"]
+__all__ = ["STAGE_TIMES", "DENSE_CUBICS", "dense_block", "StepControl", "stable_dt", "step",
+           "advance"]
 
 #: the ticks inside a step are read and audited as blocks of at most this many cells
 _BLOCK_CELLS = 4096
@@ -49,49 +50,26 @@ _BLOCK_CELLS = 4096
 SourceFn = Callable[[list[float]], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
-@dataclass(frozen=True, eq=False)
-class SSPTable:
-    """A low-storage SSP Runge-Kutta method in Shu-Osher form.
-
-    Stage i = 1, 2, ... is an Euler substep w_i = y + h F(y), h = dt/ssp, with
-    sources at t0 + c[i-1] dt.  ``mix[i] = (a, ((k, b), ...))`` makes the next
-    stage input a w_i + sum b w_k, with w_0 = y0 and k > 0 a mixed stage.  The
-    ledger weighs stage inputs by weights/denominator.  The step is at most
-    ``ssp`` forward-Euler steps.
-
-    ``dense[j] = (p1, p2, p3)`` makes b_j(theta) = p1 theta + p2 theta^2 +
-    p3 theta^3 in the dense output y_n + dt sum_j b_j(theta) k_j: the
-    minimum-norm cubic meeting the four third-order conditions, with b(1) =
-    weights/denominator.  SSPRK(10,4)'s least b_j is -0.028; none is >= 0
-    throughout, as sum_j b_j c_j = theta^2/2 then fails: the c and c^2
-    conditions zero the low terms where c_j > 0.
-    """
-
-    ssp: float
-    c: tuple[float, ...]
-    weights: tuple[float, ...]
-    denominator: float
-    mix: dict[int, tuple[float, tuple[tuple[int, float], ...]]]
-    dense: tuple[tuple[float, float, float], ...]
-
-    def dense_block(self, thetas: list[float]) -> np.ndarray:
-        """A row of ``dense_weights(theta)`` per theta, in one numpy pass of its operations."""
-        theta, (p1, p2, p3) = np.array(thetas)[:, None], np.array(self.dense).T
-        return theta * (p1 + theta * (p2 + theta * p3))
-
-    def dense_weights(self, theta: float) -> tuple[float, ...]:
-        """b_j(theta) for each stage, theta in [0, 1] the fraction of the step."""
-        return tuple(self.dense_block([theta])[0].tolist())
+#: SSPRK(10,4) of Ketcheson 2008, SSP coefficient 6: stage i = 1, ..., 10 is an Euler
+#: substep w_i = y + h F(y), h = dt/6, with sources at t0 + STAGE_TIMES[i-1] dt; the sixth
+#: stage input is y5 = 2/5 w5 + 3/5 y0, the result 3/5 w10 + 1/25 y0 + 9/25 w5, and every
+#: weight b is 1/10, the ledger's too.  The step is at most 6 forward-Euler steps.
+STAGE_TIMES = (0, 1 / 6, 1 / 3, 1 / 2, 2 / 3, 1 / 3, 1 / 2, 2 / 3, 5 / 6, 1)
+#: (p1, p2, p3) of stage j make b_j(theta) = p1 theta + p2 theta^2 + p3 theta^3 in the dense
+#: output y_n + dt sum_j b_j(theta) k_j: the minimum-norm cubic meeting the four third-order
+#: conditions, with b(1) = 1/10.  The least b_j is -0.028; none is >= 0 throughout, as
+#: sum_j b_j c_j = theta^2/2 then fails: the c and c^2 conditions zero the low terms where c_j > 0
+DENSE_CUBICS = ((11 / 15, -13 / 10, 2 / 3), (16 / 45, -11 / 30, 1 / 9),
+                (4 / 45, 7 / 30, -2 / 9), (-1 / 15, 1 / 2, -1 / 3), (-1 / 9, 13 / 30, -2 / 9),
+                (4 / 45, 7 / 30, -2 / 9), (-1 / 15, 1 / 2, -1 / 3), (-1 / 9, 13 / 30, -2 / 9),
+                (-2 / 45, 1 / 30, 1 / 9), (2 / 15, -7 / 10, 2 / 3))
 
 
-#: Ketcheson 2008, SSP coefficient 6: y5 = 2/5 w5 + 3/5 y0 and
-#: y_{n+1} = 3/5 w10 + 1/25 y0 + 9/25 w5, every weight b 1/10
-SSPRK104 = SSPTable(6.0, (0, 1 / 6, 1 / 3, 1 / 2, 2 / 3, 1 / 3, 1 / 2, 2 / 3, 5 / 6, 1),
-                    (1.0,) * 10, 10.0, {5: (0.4, ((0, 0.6),)), 10: (0.6, ((0, 0.04), (5, 0.36)))},
-                    ((11 / 15, -13 / 10, 2 / 3), (16 / 45, -11 / 30, 1 / 9),
-                     (4 / 45, 7 / 30, -2 / 9), (-1 / 15, 1 / 2, -1 / 3), (-1 / 9, 13 / 30, -2 / 9),
-                     (4 / 45, 7 / 30, -2 / 9), (-1 / 15, 1 / 2, -1 / 3), (-1 / 9, 13 / 30, -2 / 9),
-                     (-2 / 45, 1 / 30, 1 / 9), (2 / 15, -7 / 10, 2 / 3)))
+def dense_block(thetas: list[float]) -> np.ndarray:
+    """The dense-output weights b_j(theta), theta in [0, 1] the fraction of the step, a row
+    per theta and a column per stage, in one numpy pass of their operations."""
+    theta, (p1, p2, p3) = np.array(thetas)[:, None], np.array(DENSE_CUBICS).T
+    return theta * (p1 + theta * (p2 + theta * p3))
 
 
 @dataclass(frozen=True)
@@ -144,7 +122,7 @@ def stable_dt(state: FluidState, grid: MassGrid, params: GasParams, ctrl: StepCo
     # diffusivity over the cells is the one at min v, bit for bit
     two_d = 2.0 * float(max(params.mu / v_min, params.kappa / (params.c_v * v_min)))
     # the operand order is part of the step's bits: ten times (2 cfl_parabolic dm^2 / 2D)
-    dt_par = min(SSPRK104.ssp * dm * dm / two_d,
+    dt_par = min(6.0 * dm * dm / two_d,
                  10.0 * (2.0 * ctrl.cfl_parabolic * dm * dm / two_d))
     dt = min(dt_hyp, dt_par)
     if dt < ctrl.dt_min:
@@ -215,30 +193,32 @@ def step(
         require_positive("step", state.v, state.theta)  # the slow path names the culprit
         if (bad := np.flatnonzero(~np.isfinite(state.u))).size:
             raise DomainError(f"step needs finite u, got u[{bad[0]}] = {state.u.item(bad[0])!r}")
-    table, t0, floor, h = SSPRK104, state.t, ctrl.positivity_floor, dt / SSPRK104.ssp
-    cs = list(dict.fromkeys(table.c))  # one sources call, a row per distinct stage time
+    t0, floor, h = state.t, ctrl.positivity_floor, dt / 6.0
+    cs = list(dict.fromkeys(STAGE_TIMES))  # one sources call, a row per distinct stage time
     forcing = {} if sources is None else dict(zip(cs, zip(*sources([t0 + c * dt for c in cs]))))
-    y, mixed, inflow, power = stage.y, {0: y0}, 0.0, math.nan
-    for i, (c, weight) in enumerate(zip(table.c, table.weights), 1):
+    y, inflow, power = stage.y, 0.0, math.nan
+    for i, c in enumerate(STAGE_TIMES, 1):
         k = rhs(stage, grid, params, setup, forcing.get(c))
         if ledger is not None:
             power = boundary_power(stage, grid, params, setup)
-            inflow += weight * power
+            inflow += power
         if kept is not None:
             kept.append((k.copy(), power))
         k *= h
         y += k  # in place: y + k h, which is k h + y bit for bit
-        if i in table.mix:
-            a, terms = table.mix[i]
-            mixed[i], y = y, a * y  # a fresh buffer, so mixed[i] and the result stay put
-            for j, coef in terms:
-                y += coef * mixed[j]
-            stage.load(y)
+        if i == 5:  # y5 = 2/5 w5 + 3/5 y0, keeping w5 for the result
+            w5 = y.copy()
+            y *= 0.4
+            y += 0.6 * y0
+        elif i == 10:  # 3/5 w10 + 1/25 y0 + 9/25 w5
+            y *= 0.6
+            y += 0.04 * y0
+            y += 0.36 * w5
         if not _passes(stage.vth, y, floor):
             _checked(y, floor, i, t0)
 
     if ledger is not None:
-        ledger.add(dt * inflow / table.denominator)
+        ledger.add(dt * inflow / 10.0)
     return FluidState.from_packed(t0 + dt, y)
 
 
@@ -307,25 +287,25 @@ def advance(
             times = [target]
             while len(times) < cap and (later := t0 + (tick + len(times)) * every) < landed.t - eps:
                 times.append(later)
-            weights = SSPRK104.dense_block([(t - start.t) / dt for t in times])
+            weights = dense_block([(t - start.t) / dt for t in times])
             block = _dense_output(start, dt, weights, kept)
             inflows = [inflow + dt * sum(b * p for b, (_, p) in zip(row, kept))
                        for row in weights.tolist()]
         else:
             times, block, inflows = [target], landed.packed()[None], [trail.ledger.inflow]
         tick += len(times)
-        # a block failing the stage test goes a tick at a time, up to the tick that fails
+        # a block failing the stage test is recorded up to its first failing tick
         with np.errstate(invalid="ignore", over="ignore"):  # one per block, as in a step
-            whole = _passes(block[:, : 2 * grid.n_cells], block, ctrl.positivity_floor)
-            failures = [] if whole else [_failure(y, ctrl.positivity_floor, None, t)
-                                         for t, y in zip(times, block)]
-        for part in [slice(None)] if whole else [slice(i, i + 1) for i in range(len(times))]:
-            if not whole and failures[part.start] is not None:
-                raise failures[part.start]
-            batch = trail.record_block(times[part], block[part], inflows[part])
-            for record, t, y in zip(batch, times[part], block[part]):
+            failures = [] if _passes(block[:, : 2 * grid.n_cells], block, ctrl.positivity_floor) \
+                else [_failure(y, ctrl.positivity_floor, None, t) for t, y in zip(times, block)]
+        good = next((i for i, error in enumerate(failures) if error is not None), len(times))
+        if good:  # record_block takes one row or more
+            for record, t, y in zip(trail.record_block(times[:good], block[:good], inflows[:good]),
+                                    times, block):
                 state = FluidState.from_packed(t, y)
                 records.append(record)
                 if on_record is not None:
                     on_record(record, state)
+        if good < len(times):
+            raise failures[good]
     return state, records

@@ -48,22 +48,18 @@ __all__ = [
 
 
 class Stage:
-    """A step's workspace: a stage buffer ``y`` ``[v | theta | u]`` (``load`` re-points it),
-    ``rates`` laid out alike, faces ``[heat flux | stress | right ghost stress]``, a scratch
-    row, every view :func:`rhs` needs, sliced once, and the ``power`` rhs sets (else NaN)."""
+    """A step's workspace: a stage buffer ``y`` ``[v | theta | u]``, ``rates`` laid out
+    alike, faces ``[heat flux | stress | right ghost stress]``, a scratch row, every view
+    :func:`rhs` needs, sliced once, and the ``power`` rhs sets (else NaN)."""
 
     def __init__(self, y: np.ndarray) -> None:
-        self.n = n = (y.shape[0] - 1) // 3
+        n = (y.shape[0] - 1) // 3
         self.rates = rates = np.empty(3 * n + 1)
         self.tmp, faces = np.empty(n), np.empty(2 * n + 2)
         self.dv, self.dth, self.du = rates[:n], rates[n : 2 * n], rates[2 * n :]
         self.dthu, self.vbar = rates[n:], self.tmp[:-1]
         self.flux, self.flux_inner, self.stress = faces[: n + 1], faces[1:n], faces[n + 1 : -1]
         self.faces_lo, self.faces_hi = faces[:-1], faces[1:]
-        self.load(y)
-
-    def load(self, y: np.ndarray) -> None:
-        n = self.n
         self.y, self.vth, self.power = y, y[: 2 * n], math.nan
         self.v, self.th, self.u = y[:n], y[n : 2 * n], y[2 * n :]
         self.v_lo, self.v_hi = y[: n - 1], y[1:n]

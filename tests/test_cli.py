@@ -448,10 +448,14 @@ def test_main_mms_checks_the_manufactured_state_against_the_floor_before_any_out
     assert not out.exists()
 
 
-@pytest.mark.parametrize("extra", [{}, {"n": "many", "t_end": -1}], ids=["absent", "unchecked"])
+@pytest.mark.parametrize("extra", [{}, {
+    "n": "many", "t_end": -1, "cadence": -1, "initial_data": {"amplitude_v": -5, "width": "x"},
+    "excess_thresholds": [-1], "truncation_threshold": 0, "snapshot_every": -1,
+}], ids=["absent", "unchecked"])
 def test_main_mms_reads_neither_n_nor_t_end(tmp_path, extra):
     # the study takes its grids and end time from the mms section: a config
-    # without n and t_end runs, and so does one with values `run` would refuse
+    # without n and t_end runs, and so does one whose run-only keys hold values
+    # `run` would refuse
     path, out = tmp_path / "config.json", tmp_path / "out"
     path.write_text(json.dumps({"setup": "cauchy", "L": 10.0, **extra,
                                 "mms": {"family": "steady", "n_list": [8, 16, 32], "t_end": 0.05}}))

@@ -29,7 +29,7 @@ from lagas import (
 from lagas.core import validate_state
 from lagas.diagnostics import AuditTrail, EnergyLedger, audit_row, entropy_energy
 from lagas.cli import config_from_dict
-from lagas.integrate import SSPRK104, _checked, _dense_output
+from lagas.integrate import DENSE_CUBICS, STAGE_TIMES, _checked, _dense_output, dense_block
 from lagas.scheme import boundary_power, rhs
 from lagas.verification import default_pulse_solution, make_source_rates
 
@@ -320,13 +320,13 @@ SSPRK104_C = [0.0, 1 / 6, 1 / 3, 1 / 2, 2 / 3, 1 / 3, 1 / 2, 2 / 3, 5 / 6, 1.0]
 
 
 def test_butcher_tableaus_are_consistent():
-    # row sums are the stage times, and they match step's table
+    # row sums are the stage times, and they match step's own
     assert [sum(row) for row in SSPRK104_A] == pytest.approx(SSPRK104_C, abs=1e-15)
     assert sum(SSPRK104_B) == pytest.approx(1.0, abs=1e-15)
-    assert SSPRK104_C == pytest.approx(SSPRK104.c, abs=0.0)
+    assert SSPRK104_C == pytest.approx(STAGE_TIMES, abs=0.0)
 
 
-# a short step, as the last one before t_end, takes the same table as a stable one
+# a short step, as the last one before t_end, takes the same stages as a stable one
 ORACLE_CASES = [
     pytest.param(setup, forced, fraction,
                  id=f"{setup.value}-{'forced' if forced else 'unforced'}"
@@ -340,7 +340,7 @@ def test_step_matches_butcher_tableau_oracle(setup, forced, fraction, params, ct
     # oracle: the loop rhs stepped by the generic explicit Runge-Kutta form,
     # and the ledger as dt * sum_i b_i boundary_power(Y_i); a random state
     # keeps the boundary power of order one, and forcing starts at t = 0.3
-    table, a, b, c = SSPRK104, SSPRK104_A, SSPRK104_B, SSPRK104_C
+    a, b, c = SSPRK104_A, SSPRK104_B, SSPRK104_C
     grid = make_grid(setup, 4.0, 16)
     state = random_state(grid, seed=11)
     if setup.has_wall:
@@ -377,7 +377,7 @@ def test_step_matches_butcher_tableau_oracle(setup, forced, fraction, params, ct
         [boundary_power(FluidState(state.t, *map(np.array, y)), grid, params, setup)
          for y in stages], rel=1e-12, abs=1e-14)
     for theta in (0.25, 0.6):
-        weights = table.dense_weights(theta)
+        weights = dense_block([theta])[0].tolist()
         dense = _dense_output(state, dt, [weights], kept)[0]
         expected, _ = bruteforce.explicit_rk_step(
             state, dt, grid, params, setup, a, weights, c, sources
@@ -389,33 +389,31 @@ def test_step_matches_butcher_tableau_oracle(setup, forced, fraction, params, ct
 def test_dense_weights_meet_the_third_order_conditions():
     # oracle: sum b = theta, sum b c = theta^2/2, sum b c^2 = theta^3/3 and
     # sum_i b_i sum_j a_ij c_j = theta^3/6 at every theta; b(0) = 0 and b(1)
-    # is the table's own weights
-    table, a, c = SSPRK104, SSPRK104_A, SSPRK104_C
+    # is the tableau's own weights, 1/10 each
+    a, c = SSPRK104_A, SSPRK104_C
     ac = [sum(aij * cj for aij, cj in zip(row, c)) for row in a]
     for theta in (0.1, 0.3, 0.5, 0.77, 1.0):
-        b = table.dense_weights(theta)
+        b = dense_block([theta])[0].tolist()
         assert len(b) == len(c)
         assert sum(b) == pytest.approx(theta, abs=1e-15)
         assert sum(bi * ci for bi, ci in zip(b, c)) == pytest.approx(theta**2 / 2, abs=1e-15)
         assert sum(bi * ci * ci for bi, ci in zip(b, c)) == pytest.approx(theta**3 / 3,
                                                                             abs=1e-15)
         assert sum(bi * x for bi, x in zip(b, ac)) == pytest.approx(theta**3 / 6, abs=1e-15)
-    assert table.dense_weights(0.0) == (0.0,) * len(c)
-    assert table.dense_weights(1.0) == pytest.approx(
-        [w / table.denominator for w in table.weights], abs=1e-15)
+    assert dense_block([0.0])[0].tolist() == [0.0] * len(c)
+    assert dense_block([1.0])[0].tolist() == pytest.approx(SSPRK104_B, abs=1e-15)
 
 
 def test_dense_block_is_the_per_tick_loop_bit_for_bit():
     # a block of ticks takes its weights in one numpy pass; each row is the
     # Python-float loop over the stages, and goes on as Python floats
     thetas = [0.0, 1.0, *np.random.default_rng(3).uniform(0.0, 1.0, 40).tolist()]
-    block = SSPRK104.dense_block(thetas)
-    assert block.shape == (len(thetas), len(SSPRK104.c))
+    block = dense_block(thetas)
+    assert block.shape == (len(thetas), len(STAGE_TIMES))
     for theta, row in zip(thetas, block.tolist()):
-        loop = [theta * (p1 + theta * (p2 + theta * p3)) for p1, p2, p3 in SSPRK104.dense]
+        loop = [theta * (p1 + theta * (p2 + theta * p3)) for p1, p2, p3 in DENSE_CUBICS]
         assert [b.hex() for b in row] == [b.hex() for b in loop]
-        assert SSPRK104.dense_weights(theta) == tuple(row)
-        assert all(type(b) is float for b in SSPRK104.dense_weights(theta))
+        assert all(type(b) is float for b in row)
 
 
 @pytest.mark.parametrize("setup", list(SetupKind), ids=lambda k: k.value)
@@ -425,8 +423,8 @@ def test_dense_output_spans_the_step(setup, params, ctrl):
     kept = []
     dt = stable_dt(state, grid, params, ctrl)
     new = step(state, dt, grid, params, setup, ctrl, kept=kept)
-    assert len(kept) == len(SSPRK104.c)
-    weights = [SSPRK104.dense_weights(0.0), SSPRK104.dense_weights(1.0)]
+    assert len(kept) == len(STAGE_TIMES)
+    weights = dense_block([0.0, 1.0]).tolist()
     start, end = _dense_output(state, dt, weights, kept)
     assert start.tobytes() == state.packed().tobytes()
     assert np.abs(end - new.packed()).max() <= 1e-14 * np.abs(new.packed()).max()
@@ -436,7 +434,7 @@ def dense_error(state, grid, params, setup, ctrl, dt, theta):
     """Max error of a step's dense output at theta, against many small steps."""
     kept = []
     step(state, dt, grid, params, setup, ctrl, kept=kept)
-    dense = _dense_output(state, dt, [SSPRK104.dense_weights(theta)], kept)[0]
+    dense = _dense_output(state, dt, dense_block([theta]).tolist(), kept)[0]
     reference, target = state, state.t + theta * dt
     while reference.t < target - 1e-14:
         reference = step(reference, min(dt / 200.0, target - reference.t), grid, params, setup,
@@ -477,7 +475,7 @@ def test_dense_output_block_matches_the_per_tick_loop(insulated, params, ctrl, n
     dt = stable_dt(state, grid, params, ctrl)
     step(state, dt, grid, params, insulated, ctrl, ledger=EnergyLedger(), kept=kept)
     for m in (1, 2, 9, max(1, lagas.integrate._BLOCK_CELLS // n) + 1):
-        weights = [SSPRK104.dense_weights(theta) for theta in np.linspace(0.0, 1.0, m + 2)[1:-1]]
+        weights = dense_block(np.linspace(0.0, 1.0, m + 2)[1:-1].tolist()).tolist()
         block = _dense_output(state, dt, weights, kept)
         assert block.shape == (m, 3 * n + 1) and block.flags.c_contiguous
         for row, b in zip(block, weights):
@@ -678,7 +676,7 @@ def test_ssprk104_step_halving_shows_fourth_order(setup, params):
 
 
 def test_ssprk104_energy_residual_shrinks_at_fourth_order(insulated, params, ctrl):
-    # the ledger weighs the stage boundary powers by the table's weights:
+    # the ledger weighs the stage boundary powers by the method's weights:
     # fourth order gives ~16x smaller drift per dt halving, a first-order slip 2x
     grid, state = bump_state(insulated, center=4.0)
     residuals = []

@@ -184,6 +184,19 @@ def test_perfbench_traced_runs_yield_their_layer_metrics(monkeypatch, tmp_path):
     assert layers["verification.sources.calls"] == len(steps)
 
 
+def test_perfbench_workloads_pass_their_checks_at_the_tiny_size(monkeypatch, tmp_path):
+    # each benchmark workload, built as perfbench's worker builds it with --tiny,
+    # runs its chunks and passes every check it gates a repetition on
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    worker = importlib.import_module("worker")
+    for name in ("worker", "tracer"):
+        sys.modules.pop(name)
+    for name, workload in worker.WORKLOADS.items():
+        built = workload(1, True, tmp_path / name)
+        checks, _, _ = built.check([chunk() for chunk in built.chunks()])
+        assert checks and all(checks.values()), (name, checks)
+
+
 @pytest.mark.parametrize("kind", list(SetupKind), ids=lambda k: k.value)
 def test_problem_setup_is_another_name_for_setup_kind(kind):
     # perfbench builds its setups as lagas.ProblemSetup(kind)

@@ -221,25 +221,18 @@ def test_rhs_returns_one_buffer_laid_out_like_a_stage(setup, params, forced):
 @pytest.mark.parametrize("forced", [False, True], ids=["bare", "forced"])
 @pytest.mark.parametrize("n", [4, 5, 128, 129])
 @pytest.mark.parametrize("setup", ALL_SETUPS, ids=lambda s: s.value)
-def test_a_reloaded_stage_evaluates_like_a_fresh_one(setup, params, n, forced):
-    # the views a Stage slices once follow load to the new buffer, and rhs
-    # leaves on it the boundary power of the buffer it read, NaN until then
+def test_a_stage_power_is_nan_until_rhs_leaves_the_boundary_power(setup, params, n, forced):
+    # rhs leaves on a Stage the boundary power of the buffer it read, NaN until then
     grid = make_grid(setup, 3.0, n)
-    first, second = random_state(grid, seed=5), random_state(grid, seed=6)
+    state = random_state(grid, seed=5)
     if setup.has_wall:
-        first.u[0] = second.u[0] = 0.0
+        state.u[0] = 0.0
     sources = random_sources(n, n) if forced else None
-    stage = Stage(first.packed())
+    stage = Stage(state.packed())
     assert math.isnan(boundary_power(stage, grid, params, setup))
     rhs(stage, grid, params, setup, sources)
     power = boundary_power(stage, grid, params, setup)
-    assert power.hex() == boundary_power(first, grid, params, setup).hex()
-    stage.load(second.packed())
-    assert math.isnan(boundary_power(stage, grid, params, setup))
-    rates = rhs(stage, grid, params, setup, sources)
-    assert rates.tobytes() == rhs(second, grid, params, setup, sources).tobytes()
-    power = boundary_power(stage, grid, params, setup)
-    assert power.hex() == boundary_power(second, grid, params, setup).hex()
+    assert power.hex() == boundary_power(state, grid, params, setup).hex()
 
 
 @pytest.mark.parametrize("setup", ALL_SETUPS, ids=lambda s: s.value)
