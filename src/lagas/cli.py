@@ -324,12 +324,11 @@ def _write_failure(out: Path, exc: IntegrationError | StiffnessError) -> None:
 
 def _initial_state(config: RunConfig) -> tuple[MassGrid, FluidState]:
     """The grid and the initial data of a run, checked against its positivity floor."""
-    grid = make_grid(config.setup, config.half_length, config.n_cells)
-    floor = config.control.positivity_floor
-    try:
-        return grid, build_initial_data(config.initial, config.setup, grid, floor)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"config key 'step.positivity_floor': {exc}") from None
+    with _config_key("L"):
+        grid = make_grid(config.setup, config.half_length, config.n_cells)
+    with _config_key("step.positivity_floor"):
+        return grid, build_initial_data(config.initial, config.setup, grid,
+                                        config.control.positivity_floor)
 
 
 def run(config: RunConfig) -> int:
@@ -404,7 +403,8 @@ def mms(config: RunConfig) -> int:
         solution = default_pulse_solution(config.setup, config.half_length)
     floor = config.control.positivity_floor
     for n in settings.n_list:  # a bad L or floor fails here, before out_dir exists
-        grid = make_grid(config.setup, config.half_length, n)
+        with _config_key("L"):
+            grid = make_grid(config.setup, config.half_length, n)
         report = validate_state(sample_state(solution, grid, 0.0), floor)
         if not report.ok:
             raise ConfigurationError(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,10 @@ __all__ = [
     "ValidationReport",
     "POSITIVITY_FLOOR",
     "make_grid",
+    "first_breach",
+    "positive_and_finite",
     "require_cells_match",
-    "require_positive",
+    "require_valid",
     "steady_state",
     "validate_state",
 ]
@@ -155,10 +158,11 @@ class MassGrid:
             raise ConfigurationError(
                 f"n_cells must be an integer >= 4, got {self.n_cells!r}"
             )
-        if not 0.0 < self.dm < np.inf:
+        dm = float(self.dm)  # a Python float's square overflows without a numpy warning
+        if not np.finfo(float).tiny <= dm * dm < np.inf:
             raise ConfigurationError(
                 f"grid [{self.x_left}, {self.x_right}] with {self.n_cells} cells has "
-                f"spacing {self.dm}; it must be finite and positive"
+                f"spacing {dm}; its square must be a normal float"
             )
 
     @property
@@ -262,31 +266,44 @@ def require_cells_match(what: str, state: FluidState, grid: MassGrid) -> None:
         raise ConfigurationError(f"{what}: state has {state.n_cells} cells, grid {grid.n_cells}")
 
 
-def require_positive(what: str, *fields: np.ndarray) -> float:
-    """Raise DomainError unless every entry is finite and > 0 (NaN fails the min);
-    return the first field's min, which callers may need next."""
-    lows = []
-    for values in fields:
-        low = np.minimum.reduce(values)
-        if not (low > 0.0 and np.maximum.reduce(values) < np.inf):
-            raise DomainError(f"{what} needs finite positive v and theta")
-        lows.append(low)
-    return lows[0]
+def positive_and_finite(y: np.ndarray, floor: float) -> bool:
+    """The fast state test of packed ``y``, a state ``[v | theta | u]`` or a C-ordered block
+    of them, a row each: one min over every [v | theta] above ``floor`` (NaN fails it) and one
+    sum finite.  Finite entries may overflow the sum and +inf and -inf make it NaN, so a False
+    goes to :func:`first_breach`; numpy warns of both, so callers hold an errstate."""
+    return (np.minimum.reduce(y[..., : 2 * (y.shape[-1] // 3)], None) > floor
+            and math.isfinite(np.add.reduce(y, None)))
+
+
+def first_breach(state: FluidState, floor: float = 0.0) -> ValidationReport:
+    """The naming scan: the first non-finite entry of v, theta and u in that order, or the
+    first v or theta entry not above ``floor``."""
+    for name, arr, needs_floor in (("v", state.v, True), ("theta", state.theta, True),
+                                   ("u", state.u, False)):
+        finite = np.isfinite(arr)
+        if not finite.all():
+            return ValidationReport(False, name, int(np.argmin(finite)), "is non-finite")
+        if needs_floor and arr.min() <= floor:
+            return ValidationReport(False, name, int(np.argmax(arr <= floor)),
+                                    f"is not above the positivity floor {floor:g}")
+    return ValidationReport(True)
+
+
+def require_valid(what: str, y: np.ndarray) -> np.ndarray:
+    """Packed ``y``, a state or a block of them, once it is finite with positive v and theta;
+    else a DomainError names its first bad field and cell (in the first bad row)."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        if positive_and_finite(y, 0.0):
+            return y
+    for row in y.reshape(-1, y.shape[-1]):
+        if not (report := first_breach(FluidState.from_packed(0.0, row))).ok:
+            raise DomainError(f"{what} needs finite positive v and theta, and finite u: "
+                              f"{report.message()}")
+    return y  # finite entries whose sum overflows
 
 
 def validate_state(state: FluidState, floor: float = POSITIVITY_FLOOR) -> ValidationReport:
     """Check finiteness of all fields and that min v and min theta exceed ``floor``."""
     if not (np.isfinite(floor) and floor > 0.0):
         raise ConfigurationError(f"positivity floor must be positive, got {floor!r}")
-    checks = (("v", state.v, True), ("theta", state.theta, True), ("u", state.u, False))
-    for name, arr, needs_floor in checks:
-        finite = np.isfinite(arr)
-        if not finite.all():
-            idx = int(np.argmin(finite))
-            return ValidationReport(False, name, idx, "is non-finite")
-        if needs_floor and arr.min() <= floor:
-            idx = int(np.argmax(arr <= floor))
-            return ValidationReport(
-                False, name, idx, f"is not above the positivity floor {floor:g}"
-            )
-    return ValidationReport(True)
+    return first_breach(state, floor)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import DomainError, FluidState, GasParams, MassGrid, SetupKind
+from .core import DomainError, FluidState, GasParams, MassGrid, SetupKind, require_valid
 from .scheme import total_energies, total_energy
 
 __all__ = [
@@ -58,26 +58,22 @@ class _Tick:
     audit.csv bytes that tests/test_golden.py pins: df8's ``((1 + theta + ubar^2)*s)*s``
     is not ``(1 + theta + ubar^2)*(s*s)``.
 
-    With ``check`` set, v and theta must be finite and positive (NaN fails the
-    minima), tested on the bounds before any other array work; DomainError names
-    ``check``.  Only then are the summands that divide by v and theta formed; only
-    entropy_energy, which is checked, takes a log.
+    A tick checks nothing: it divides by no field and takes no log until entropy_energy
+    or dissipation_rates is called, on a block that the caller has checked.
     """
 
-    def __init__(self, block: np.ndarray, dm: float, check: str | None = None) -> None:
+    def __init__(self, block: np.ndarray, dm: float) -> None:
         m, width = block.shape
         self.n = n = (width - 1) // 3
         vt, u = block[:, : 2 * n].reshape(m, 2, n), block[:, 2 * n :]
         self.dm, self.vt, self.bounds = dm, vt, _bounds(vt)
-        if check and not all(b[0] > 0.0 and b[2] > 0.0 and max(b[1], b[3]) < math.inf
-                             for b in self.bounds):
-            raise DomainError(f"{check} needs finite positive v and theta")
         lo, hi, below, above = vt[:, :, :-1], vt[:, :, 1:], u[:, :-1], u[:, 1:]
         # [v; theta] and [v_x; theta_x] on interior faces, u and u_x on cells; then u_xx
         # on interior faces and theta_xx on interior cells
         mean, grads, ubar, ux = lo + hi, hi - lo, below + above, above - below
         mean *= 0.5
         ubar *= 0.5
+        self.mean = mean
         grads /= dm
         ux /= dm
         uxx, thxx = ux[:, 1:] - ux[:, :-1], grads[:, 1, 1:] - grads[:, 1, :-1]
@@ -86,9 +82,9 @@ class _Tick:
         dev = vt - 1.0
         self.ubar, self.dev = ubar, (np.abs(dev, dev), np.abs(u))  # |v - 1|, |theta - 1|; |u|
         ubar2, powers = ubar * ubar, dev * dev
-        # on faces v_x^2, theta_x^2, theta*v_x^2, u_xx^2 and D_heat's; on cells u_x^2, df8's,
-        # lp_deviation(2)'s, u^4 and D_visc's; the D rows only with check
-        faces, cells = np.empty((4 + bool(check), m, n - 1)), np.empty((4 + bool(check), m, n))
+        # on faces v_x^2, theta_x^2, theta*v_x^2 and u_xx^2; on cells u_x^2, df8's,
+        # lp_deviation(2)'s and u^4
+        self.faces, self.cells = faces, cells = np.empty((4, m, n - 1)), np.empty((4, m, n))
         np.multiply(grads, grads, faces[:2].swapaxes(0, 1))
         th_face, vx = mean[:, 1], grads[:, 0]
         np.multiply(np.multiply(th_face, vx, faces[2]), vx, faces[2])
@@ -98,16 +94,12 @@ class _Tick:
         np.multiply(np.multiply(df8, ux, df8), ux, df8)
         self._lp_summand(powers[:, 0], powers[:, 1], ubar2, cells[2])
         np.multiply(ubar2, ubar2, cells[3])
-        if check:
-            heat = np.multiply(np.multiply(mean[:, 0], th_face, faces[4]), th_face, faces[4])
-            np.divide(faces[1], heat, heat)
-            np.divide(cells[0], np.multiply(vt[:, 0], vt[:, 1], cells[4]), cells[4])
-        vx_ss, thx_ss, self.z4_faces, uxx_ss, *heat = np.add.reduce(faces, 2).tolist()
-        ux_ss, self.df8_cells, self.lp2_sums, self.u4_sums, *visc = np.add.reduce(cells, 2).tolist()
+        vx_ss, thx_ss, self.z4_faces, uxx_ss = np.add.reduce(faces, 2).tolist()
+        ux_ss, self.df8_cells, self.lp2_sums, self.u4_sums = np.add.reduce(cells, 2).tolist()
         thxx_ss = np.add.reduce(thxx * thxx, 1).tolist()
         #: per state, sums of squares of (v_x, u_x, theta_x, u_xx, theta_xx)
         self.sq_sums = list(zip(vx_ss, ux_ss, thx_ss, uxx_ss, thxx_ss))
-        self.dissipation_sums, self.theta_top = visc + heat, max(b[3] for b in self.bounds)
+        self.theta_top = max(b[3] for b in self.bounds)
 
     @staticmethod
     def _lp_summand(v_powers: np.ndarray, theta_powers: np.ndarray, ubar_powers: np.ndarray,
@@ -123,8 +115,12 @@ class _Tick:
         return [total * self.dm for total in np.add.reduce(density, 1).tolist()]
 
     def dissipation_rates(self, params: GasParams) -> list[tuple[float, float]]:
-        return [(params.mu * visc * self.dm, params.kappa * heat * self.dm)
-                for visc, heat in zip(*self.dissipation_sums)]
+        # u_x^2/(v theta) on cells and theta_x^2/(vbar theta^2) on faces, formed on demand
+        (v, th), th_face = self.vt.swapaxes(0, 1), self.mean[:, 1]
+        visc = np.add.reduce(self.cells[0] / (v * th), 1).tolist()
+        heat = np.add.reduce(self.faces[1] / (self.mean[:, 0] * th_face * th_face), 1).tolist()
+        return [(params.mu * d_visc * self.dm, params.kappa * d_heat * self.dm)
+                for d_visc, d_heat in zip(visc, heat)]
 
     def lp_deviation(self, p: float) -> list[float]:
         if not p > 1.0:
@@ -169,8 +165,9 @@ class _Tick:
         return [(faces + sq[3] + sq[4]) * self.dm for faces, sq in zip(self.z4_faces, self.sq_sums)]
 
 
-def _one(state: FluidState, dm: float, check: str | None = None) -> _Tick:
-    return _Tick(state.packed()[None], dm, check)  # the tick of a single state
+def _one(state: FluidState, dm: float, what: str | None = None) -> _Tick:
+    block = state.packed()[None]  # the tick of a single state, checked as ``what`` if given
+    return _Tick(block if what is None else require_valid(what, block), dm)
 
 
 def entropy_energy(state: FluidState, params: GasParams, grid: MassGrid) -> float:
@@ -179,7 +176,7 @@ def entropy_energy(state: FluidState, params: GasParams, grid: MassGrid) -> floa
     Midpoint quadrature over cells, with u averaged to cell centers.  Zero
     exactly at the rest state and strictly positive elsewhere.
     """
-    return _one(state, grid.dm, check="entropy energy").entropy_energy(params)[0]
+    return _one(state, grid.dm, "entropy energy").entropy_energy(params)[0]
 
 
 def dissipation_rates(state: FluidState, params: GasParams, grid: MassGrid) -> tuple[float, float]:
@@ -189,7 +186,7 @@ def dissipation_rates(state: FluidState, params: GasParams, grid: MassGrid) -> t
     D_heat = kappa * sum over interior faces of theta_x^2/(v*theta^2) * dm
     with face values by arithmetic mean.
     """
-    return _one(state, grid.dm, check="dissipation rates").dissipation_rates(params)[0]
+    return _one(state, grid.dm, "dissipation rates").dissipation_rates(params)[0]
 
 
 def energy_balance_residual(te_now: float, te_initial: float, boundary_inflow: float) -> float:
@@ -338,11 +335,12 @@ class EnergyLedger:
 class AuditTrail:
     """Running audit along one trajectory.
 
-    ``record`` and ``record_block`` (several packed snapshots at once) take snapshots
-    of a single trajectory in time order, and fail with DomainError on one earlier
-    than the last; the cumulative integrals are trapezoids on that cadence, and the
-    energy ledger is filled by the integrator at every step.  A snapshot read between
-    steps comes with its own ``inflow``, the ledger's at that time.
+    ``record`` and ``record_block`` (several packed snapshots at once) take snapshots of
+    a single trajectory in time order, and fail with DomainError on one earlier than the
+    last or one not finite with positive v and theta (naming the field and cell); the
+    cumulative integrals are trapezoids on that cadence, and the energy ledger is filled
+    by the integrator at every step.  A snapshot read between steps comes with its own
+    ``inflow``, the ledger's at that time.
     """
 
     def __init__(self, initial: FluidState, grid: MassGrid, params: GasParams, setup: SetupKind,
@@ -366,7 +364,8 @@ class AuditTrail:
                 raise DomainError(
                     f"audit record at t={t!r} is earlier than the last, at t={last!r}")
         grid, params, levels, n = self.grid, self.params, self.excess_thresholds, self.grid.n_cells
-        tick = _Tick(block, grid.dm, check="audit record")
+        require_valid("audit record", block)
+        tick = _Tick(block, grid.dm)
         columns = zip(
             times, tick.entropy_energy(params), tick.dissipation_rates(params), tick.bounds,
             tick.lp_deviation(2.0), tick.lp_deviation(math.inf),

@@ -11,9 +11,10 @@ Inside a step every stage is one contiguous float64 buffer ``[v | theta | u]``
 (n cells, n cells, n + 1 nodes) on the step's one :class:`~lagas.scheme.Stage`,
 where ``rhs`` leaves rates in the same layout and the boundary power.  The Euler
 substeps and the method's two mixes update the stage buffer in place, and the result
-keeps it.  ``step`` checks its input (finite, positive v and theta, finite u), then
-each stage with ``_passes``; ``rhs`` checks no Stage again.  Only a failing stage goes
-through ``validate_state``, to name the stage, field and cell.
+keeps it.  Every state check is core's fast ``positive_and_finite``, with its naming scan
+behind it: ``stable_dt`` and ``step`` check their input with ``require_valid`` (DomainError);
+each stage and dense-output block is tested at the floor, and ``_failure`` names the stage,
+field and cell of a failure (IntegrationError); ``rhs`` checks no Stage again.
 """
 
 from __future__ import annotations
@@ -27,15 +28,15 @@ import numpy as np
 from .core import (
     POSITIVITY_FLOOR,
     ConfigurationError,
-    DomainError,
     FluidState,
     GasParams,
     IntegrationError,
     MassGrid,
     SetupKind,
     StiffnessError,
+    positive_and_finite,
     require_cells_match,
-    require_positive,
+    require_valid,
     validate_state,
 )
 from .diagnostics import DEFAULT_EXCESS_THRESHOLDS, AuditRecord, AuditTrail, EnergyLedger
@@ -109,12 +110,14 @@ def stable_dt(state: FluidState, grid: MassGrid, params: GasParams, ctrl: StepCo
     Acoustic scale c = sqrt(R*theta*gamma)/v per cell; diffusive scale
     D = max(mu/v, kappa/(c_v*v)) and forward-Euler limit dt_FE = dm^2/(2D); the
     diffusive limit is min(6 dt_FE, 10 * (2 ``cfl_parabolic`` dt_FE)).
-    Raises StiffnessError when the unclamped step falls below dt_min
+    A state off the grid (ConfigurationError) or not finite with positive v and theta
+    (DomainError) fails first; StiffnessError when the unclamped step falls below dt_min
     (blow-up or floor-level v/theta).
     """
     require_cells_match("stable_dt", state, grid)
+    require_valid("stable_dt", state.packed())
     v, th = state.v, state.theta
-    v_min = require_positive("stable_dt", v, th)
+    v_min = np.minimum.reduce(v)
     dm = grid.dm
     sound = np.sqrt(params.R * th * params.gamma) / v
     dt_hyp = ctrl.cfl_hyperbolic * dm / float(np.maximum.reduce(sound))
@@ -133,32 +136,15 @@ def stable_dt(state: FluidState, grid: MassGrid, params: GasParams, ctrl: StepCo
     return min(dt, ctrl.dt_max)
 
 
-def _passes(vth: np.ndarray, y: np.ndarray, floor: float) -> bool:
-    """The stage test of packed ``y`` (a state or block) with [v | theta] part ``vth``: min
-    above floor (NaN fails it), sum finite (finite entries may overflow it, and +inf and -inf
-    make it NaN; numpy warns of both, so callers wrap a step or a block in one errstate)."""
-    return np.minimum.reduce(vth, None) > floor and math.isfinite(np.add.reduce(y, None))
-
-
 def _failure(y: np.ndarray, floor: float, stage: int | None,
              t_start: float) -> IntegrationError | None:
-    """The IntegrationError of a packed stage not finite with v, theta above floor, or None.
-
-    A stage failing :func:`_passes` goes through validate_state, which passes an overflow
-    and names the field and cell of another failure; a None ``stage`` is a dense-output tick.
-    """
-    passes = _passes(y[: 2 * (y.shape[0] // 3)], y, floor)
-    if passes or (report := validate_state(FluidState.from_packed(t_start, y), floor)).ok:
+    """The IntegrationError naming the field and cell of a packed stage failing the fast test,
+    or None for finite entries whose sum overflowed; a None ``stage`` is a dense-output tick."""
+    if (report := validate_state(FluidState.from_packed(t_start, y), floor)).ok:
         return None
     where = "dense output" if stage is None else f"stage {stage}"
     return IntegrationError(f"{where} at t = {t_start:.6g}: {report.message()}", time=t_start,
                             stage=stage, cell=report.index, field_name=report.field_name)
-
-
-def _checked(y: np.ndarray, floor: float, stage: int | None, t_start: float) -> None:
-    """Raise :func:`_failure`'s IntegrationError of the packed stage, if it has one."""
-    if (error := _failure(y, floor, stage, t_start)) is not None:
-        raise error
 
 
 @np.errstate(invalid="ignore", over="ignore")
@@ -188,11 +174,9 @@ def step(
         raise ConfigurationError(f"dt must be positive, got {dt!r}")
     require_cells_match("step", state, grid)
     y0 = state.packed()
+    if not positive_and_finite(y0, 0.0):  # tested under step's own errstate, then named
+        require_valid("step", y0)
     stage = Stage(y0.copy())
-    if not _passes(stage.vth, stage.y, 0.0):  # one scan of every field
-        require_positive("step", state.v, state.theta)  # the slow path names the culprit
-        if (bad := np.flatnonzero(~np.isfinite(state.u))).size:
-            raise DomainError(f"step needs finite u, got u[{bad[0]}] = {state.u.item(bad[0])!r}")
     t0, floor, h = state.t, ctrl.positivity_floor, dt / 6.0
     cs = list(dict.fromkeys(STAGE_TIMES))  # one sources call, a row per distinct stage time
     forcing = {} if sources is None else dict(zip(cs, zip(*sources([t0 + c * dt for c in cs]))))
@@ -214,8 +198,8 @@ def step(
             y *= 0.6
             y += 0.04 * y0
             y += 0.36 * w5
-        if not _passes(stage.vth, y, floor):
-            _checked(y, floor, i, t0)
+        if not positive_and_finite(y, floor) and (error := _failure(y, floor, i, t0)) is not None:
+            raise error
 
     if ledger is not None:
         ledger.add(dt * inflow / 10.0)
@@ -291,13 +275,14 @@ def advance(
             block = _dense_output(start, dt, weights, kept)
             inflows = [inflow + dt * sum(b * p for b, (_, p) in zip(row, kept))
                        for row in weights.tolist()]
-        else:
+            # a block failing the stage test is recorded up to its first failing tick
+            with np.errstate(invalid="ignore", over="ignore"):  # one per block, as in a step
+                failures = [] if positive_and_finite(block, ctrl.positivity_floor) else \
+                    [_failure(y, ctrl.positivity_floor, None, t) for t, y in zip(times, block)]
+        else:  # the landed state, which the step checked at the floor as its stage 10
             times, block, inflows = [target], landed.packed()[None], [trail.ledger.inflow]
+            failures = []
         tick += len(times)
-        # a block failing the stage test is recorded up to its first failing tick
-        with np.errstate(invalid="ignore", over="ignore"):  # one per block, as in a step
-            failures = [] if _passes(block[:, : 2 * grid.n_cells], block, ctrl.positivity_floor) \
-                else [_failure(y, ctrl.positivity_floor, None, t) for t, y in zip(times, block)]
         good = next((i for i, error in enumerate(failures) if error is not None), len(times))
         if good:  # record_block takes one row or more
             for record, t, y in zip(trail.record_block(times[:good], block[:good], inflows[:good]),

@@ -35,7 +35,7 @@ from .core import (
     MassGrid,
     SetupKind,
     require_cells_match,
-    require_positive,
+    require_valid,
 )
 
 __all__ = [
@@ -60,7 +60,7 @@ class Stage:
         self.dthu, self.vbar = rates[n:], self.tmp[:-1]
         self.flux, self.flux_inner, self.stress = faces[: n + 1], faces[1:n], faces[n + 1 : -1]
         self.faces_lo, self.faces_hi = faces[:-1], faces[1:]
-        self.y, self.vth, self.power = y, y[: 2 * n], math.nan
+        self.y, self.power = y, math.nan
         self.v, self.th, self.u = y[:n], y[n : 2 * n], y[2 * n :]
         self.v_lo, self.v_hi = y[: n - 1], y[1:n]
         self.th_lo, self.th_hi = y[n : 2 * n - 1], y[n + 1 : 2 * n]
@@ -123,15 +123,14 @@ def rhs(
     stress = (mu*u_x - R*theta)/v.  Far-field boundary nodes see a ghost cell at the rest
     state whose strain uses a ghost node with u = 0; a wall node has du = 0, imposing
     u(0, t) = 0 strongly.  ``sources`` are optional extra rates (dv, du, dtheta), e.g.
-    manufactured forcings.  ``state`` may be a FluidState, which must have the grid's cell
-    count (else ConfigurationError) and finite positive v and theta (else DomainError), or
+    manufactured forcings.  ``state`` may be a FluidState with the grid's cell count (else
+    ConfigurationError), finite positive v and theta and a finite u (else DomainError), or
     a checked :class:`Stage`, whose rates and ``power`` rhs sets.
     """
     stage = state
     if not isinstance(state, Stage):
         require_cells_match("rhs", state, grid)
-        stage = Stage(state.packed())
-        require_positive("rhs", stage.vth)
+        stage = Stage(require_valid("rhs", state.packed()))
     dm, du, dth = grid.dm, stage.du, stage.dth
     # one difference of faces [heat flux | stress | right ghost stress] is the flux divergence,
     # then every du, the seam (stress[0] - flux[n]) on du[0], which the left closure then sets

@@ -268,6 +268,21 @@ def explicit_rk_step(state, dt, grid, params, setup, a, b, c, sources=None):
     return (y[:n], y[n : 2 * n], y[2 * n :]), stages
 
 
+def cumulative_integrals(records):
+    """(cum_D, cum_df8, cum_z4) of each record: trapezoids of D_visc + D_heat, df8_rate
+    and z4_rate over the record times, summed in a plain loop from the first record."""
+    totals, rows = [0.0, 0.0, 0.0], []
+    for i, record in enumerate(records):
+        if i > 0:
+            prev = records[i - 1]
+            h = record.t - prev.t
+            totals[0] += 0.5 * ((record.D_visc + record.D_heat) + (prev.D_visc + prev.D_heat)) * h
+            totals[1] += 0.5 * (record.df8_rate + prev.df8_rate) * h
+            totals[2] += 0.5 * (record.z4_rate + prev.z4_rate) * h
+        rows.append(tuple(totals))
+    return rows
+
+
 def summarize(records):
     """summary.json's record-derived sections, by explicit loops over the records."""
     e0 = records[0].E

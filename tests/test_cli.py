@@ -251,6 +251,16 @@ def test_rerun_leaves_only_its_own_verdict(tmp_path):
     assert (out / "failure.json").exists() and not (out / "summary.json").exists()
 
 
+def test_a_record_just_short_of_a_snapshot_interval_writes_no_snapshot(tmp_path):
+    # the snapshot-due slack is 1e-9 of snapshot_every: the record at t = 0.1
+    # falls 1e-6 short of a snapshot_every of 0.100001, so only t = 0 and
+    # t_end are written
+    out = tmp_path / "out"
+    assert run(cfg(tmp_path, n=64, t_end=0.2, cadence=0.1, snapshot_every=0.1 + 1e-6)) == EXIT_OK
+    assert json.loads((out / "summary.json").read_text())["snapshots"] == [0.0, 0.2]
+    assert sorted(p.name for p in out.glob("snap_*.csv")) == ["snap_0.2.csv", "snap_0.csv"]
+
+
 def test_rerun_leaves_only_its_own_snapshots(tmp_path):
     out = tmp_path / "out"
     assert run(cfg(tmp_path, n=64, t_end=0.4, cadence=0.1, snapshot_every=0.1)) == EXIT_OK
@@ -429,6 +439,19 @@ def test_main_mms_rejects_a_zero_grid_spacing_before_any_output(tmp_path, capsys
     path.write_text(json.dumps(dict(MINIMAL, L=5e-324, mms={"family": "steady"})))
     assert main(["mms", str(path), "--out", str(out)]) == EXIT_CONFIG
     assert "spacing 0.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, L", [("run", 4e204), ("mms", 5e-300)])
+def test_main_rejects_an_L_whose_spacing_squared_is_not_normal(tmp_path, capsys, command, L):
+    # a finite, positive spacing is not enough: at L = 4e204 the run's profile
+    # and audit overflowed, and at L = 5e-300 the study divided by zero
+    out = tmp_path / "out"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(MINIMAL, L=L, n=64, t_end=0.2)))
+    assert main([command, str(path), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config key 'L': " in err and "its square must be a normal float" in err
     assert not out.exists()
 
 

@@ -18,6 +18,7 @@ from lagas import (
     steady_state,
     validate_state,
 )
+from lagas.core import require_valid
 from lagas.diagnostics import entropy_energy
 
 
@@ -34,9 +35,11 @@ def test_make_grid_halfline(insulated):
 
 
 # a float or infinite n must fail here, not later as a TypeError or OverflowError,
-# and so must an L whose spacing overflows to inf or underflows to 0
+# and so must an L whose spacing overflows to inf or underflows to 0, or whose
+# spacing squared is not a normal float
 @pytest.mark.parametrize("bad", [(10.0, 3), (-1.0, 100), (0.0, 100), (10.0, 4.0),
-                                 (10.0, math.inf), (1e308, 16), (5e-324, 16)])
+                                 (10.0, math.inf), (1e308, 16), (5e-324, 16),
+                                 (4e204, 64), (4e-211, 16), (5e-300, 64)])
 def test_make_grid_rejects_bad_config(cauchy, bad):
     half_length, n = bad
     with pytest.raises(ConfigurationError):
@@ -102,6 +105,23 @@ def test_steady_state_values(cauchy):
 def test_steady_state_validates_for_any_subunit_floor(floor):
     grid = make_grid(SetupKind.CAUCHY, 2.0, 8)
     assert validate_state(steady_state(grid), floor).ok
+
+
+def test_default_positivity_floor_lies_between_1e_10_and_2e_10(cauchy):
+    # POSITIVITY_FLOOR pinned by what it does: a min v of 2e-10 passes the
+    # default floor, and 1e-10 is not above it
+    state = steady_state(make_grid(cauchy, 2.0, 8))
+    state.v[3] = 2e-10
+    assert validate_state(state).ok
+    state.v[3] = 1e-10
+    assert validate_state(state).message() == "v[3] is not above the positivity floor 1e-10"
+
+
+def test_require_valid_passes_finite_entries_whose_sum_overflows(cauchy):
+    # the fast test's sum overflows, quietly, and the naming scan finds nothing
+    y = steady_state(make_grid(cauchy, 2.0, 8)).packed()
+    y[[0, 20]] = 1e308
+    assert require_valid("input", y) is y
 
 
 def test_steady_state_has_zero_entropy_energy(cauchy, params):

@@ -587,7 +587,9 @@ def test_unchecked_functionals_stay_quiet_on_a_zero_volume(cauchy):
     assert excess == pytest.approx(bruteforce.truncated_excess(state, grid, 1.5), rel=1e-12)
 
 
-@pytest.mark.parametrize("L", [4e-211, 1e-150])
+# 3e-153 is about the least L whose spacing squared is normal on all three
+# setups at n = 16, the least grid that MassGrid accepts
+@pytest.mark.parametrize("L", [3e-153, 1e-150])
 @pytest.mark.parametrize("setup", list(SetupKind), ids=lambda k: k.value)
 def test_rest_state_audit_stays_quiet_at_a_tiny_grid_spacing(params, setup, L):
     # every difference is taken within one field of one state: no pass divides a
@@ -681,6 +683,14 @@ def test_summarize_matches_loop_oracle_on_a_run():
     records = short_run()
     assert len(records) == 11
     assert summarize(records) == bruteforce.summarize(records)
+
+
+def test_cum_columns_match_loop_oracle_on_a_run():
+    # cum_D, cum_df8 and cum_z4 bit for bit against trapezoids over the records'
+    # own rate columns, for ticks read inside steps and at the landing alike
+    records = short_run()
+    assert [(r.cum_D, r.cum_df8, r.cum_z4) for r in records] == \
+        bruteforce.cumulative_integrals(records)
 
 
 def test_summarize_needs_a_record():

@@ -26,10 +26,10 @@ from lagas import (
     steady_state,
     step,
 )
-from lagas.core import validate_state
+from lagas.core import positive_and_finite, validate_state
 from lagas.diagnostics import AuditTrail, EnergyLedger, audit_row, entropy_energy
 from lagas.cli import config_from_dict
-from lagas.integrate import DENSE_CUBICS, STAGE_TIMES, _checked, _dense_output, dense_block
+from lagas.integrate import DENSE_CUBICS, STAGE_TIMES, _dense_output, _failure, dense_block
 from lagas.scheme import boundary_power, rhs
 from lagas.verification import default_pulse_solution, make_source_rates
 
@@ -198,25 +198,24 @@ def test_step_failure_names_stage_and_cell(cauchy, params, ctrl):
 @example(seed=0, index=20, bad=1e308, second=24)
 @settings(max_examples=60, deadline=None)
 def test_stage_fast_check_agrees_with_validate_state(seed, index, bad, second):
-    # oracle: the fast stage check raises exactly when validate_state fails,
-    # and then names the same field and cell; a second bad entry lets finite
-    # entries (two of 1e308) overflow the check's sum, numpy warns of the
-    # overflow, and that stage passes
+    # oracle: the stage check, core's fast test with the naming scan behind it,
+    # fails exactly when validate_state does, and then names the same field and
+    # cell; a second bad entry lets finite entries (two of 1e308) overflow the
+    # fast test's sum, numpy warns of the overflow, and that stage passes
     grid = make_grid(SetupKind.CAUCHY, 2.0, 8)
     y = random_state(grid, seed).packed()
     y[index] = bad
     if second is not None:
         y[second] = bad
     report = validate_state(FluidState.from_packed(0.0, y), 1e-10)
+    overflow = report.ok and bad == 1e308 and second not in (None, index)
+    with (pytest.warns(RuntimeWarning, match="overflow") if overflow
+          else contextlib.nullcontext()):
+        err = None if positive_and_finite(y, 1e-10) else _failure(y, 1e-10, 2, 0.0)
     if report.ok:
-        overflow = bad == 1e308 and second not in (None, index)
-        with (pytest.warns(RuntimeWarning, match="overflow") if overflow
-              else contextlib.nullcontext()):
-            _checked(y, 1e-10, 2, 0.0)
+        assert err is None
         return
-    with pytest.raises(IntegrationError) as excinfo:
-        _checked(y, 1e-10, 2, 0.0)
-    err = excinfo.value
+    assert isinstance(err, IntegrationError)
     assert (err.stage, err.field_name, err.cell) == (2, report.field_name, report.index)
 
 
@@ -242,18 +241,19 @@ def test_step_rejects_a_bad_state_before_any_rhs_call(monkeypatch, unit_params, 
 @pytest.mark.parametrize("setup", list(SetupKind), ids=lambda k: k.value)
 def test_step_rejects_a_non_finite_u_before_any_rhs_call(monkeypatch, unit_params, setup, value):
     # a non-finite u used to reach rhs and fail at stage 1 naming v; the input
-    # scan covers u too, and its slow path names u and the node
+    # check covers u too, and its naming scan names u and the node
     calls = []
     monkeypatch.setattr(lagas.integrate, "rhs", lambda *args, **kwargs: calls.append(args))
     grid, state = bump_state(setup)
     state.u[3] = value
-    with pytest.raises(DomainError, match=rf"step needs finite u, got u\[3\] = {value!r}$"):
+    with pytest.raises(DomainError, match=r"step needs .*: u\[3\] is non-finite$"):
         step(state, 1e-3, grid, unit_params, setup, StepControl())
     assert calls == []
 
 
 @pytest.mark.parametrize("field,message", [("v", "finite positive v and theta"),
-                                           ("u", r"finite u, got u\[2\] = inf")], ids=["v", "u"])
+                                           ("u", r"finite u: u\[2\] is non-finite$")],
+                         ids=["v", "u"])
 def test_step_rejects_infinities_of_both_signs_without_a_warning(monkeypatch, unit_params,
                                                                  field, message):
     # +inf and -inf sum to NaN in the input scan; under warnings as errors that
@@ -820,6 +820,14 @@ def test_a_state_off_the_grid_is_rejected_before_any_work(monkeypatch, cauchy, p
     with pytest.raises(ConfigurationError, match=message):
         run()
     assert calls == [] and records == []
+
+
+def test_a_tick_just_before_t_end_stays_its_own_record(cauchy, params, ctrl):
+    # advance's landing slack is 1e-12 of max(1, t_end): a tick 1e-10 before
+    # t_end is read from the step's dense output as a record of its own
+    grid, state = bump_state(cauchy, n=16)
+    _, records = advance(state, 0.01, 0.01 - 1e-10, grid, params, cauchy, ctrl)
+    assert [r.t for r in records] == [0.0, 0.01 - 1e-10, 0.01]
 
 
 def test_advance_lands_exactly_on_t_end(cauchy, params, ctrl):

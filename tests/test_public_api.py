@@ -2,16 +2,21 @@ import ast
 import importlib
 import inspect
 import json
+import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lagas
 import lagas.cli  # perfbench traces lagas.cli, which `import lagas` alone does not load
+from conftest import random_state
 from lagas import SetupKind
+from lagas.diagnostics import AuditTrail, dissipation_rates, entropy_energy
 
 SUBMODULES = ["cli", "core", "diagnostics", "integrate", "scheme", "verification"]
 
@@ -106,9 +111,9 @@ def test_perfbench_trace_sees_every_step_and_stage(monkeypatch):
     # lagas.integrate.rhs, and rhs must not re-check a stage step has checked
     names = list(inspect.signature(lagas.integrate.step).parameters)[:6]
     assert names == ["state", "dt", "grid", "params", "setup", "ctrl"]
-    calls = {"rhs": 0, "step": 0, "require_positive": 0}
+    calls = {"rhs": 0, "step": 0, "require_valid": 0}
     step, rhs = lagas.integrate.step, lagas.integrate.rhs
-    require_positive = lagas.scheme.require_positive
+    require_valid = lagas.scheme.require_valid
 
     def count_step(*args, **kwargs):
         calls["step"] += 1
@@ -119,13 +124,13 @@ def test_perfbench_trace_sees_every_step_and_stage(monkeypatch):
         assert isinstance(args[1], lagas.MassGrid)
         return rhs(*args, **kwargs)
 
-    def count_require_positive(*args):
-        calls["require_positive"] += 1
-        return require_positive(*args)
+    def count_require_valid(*args):
+        calls["require_valid"] += 1
+        return require_valid(*args)
 
     monkeypatch.setattr(lagas.integrate, "step", count_step)
     monkeypatch.setattr(lagas.integrate, "rhs", count_rhs)
-    monkeypatch.setattr(lagas.scheme, "require_positive", count_require_positive)
+    monkeypatch.setattr(lagas.scheme, "require_valid", count_require_valid)
     setup = SetupKind.HALFLINE_INSULATED
     grid = lagas.make_grid(setup, 10.0, 64)
     state = lagas.build_initial_data(lagas.InitialDataSpec(amplitude_v=0.5), setup, grid)
@@ -133,7 +138,7 @@ def test_perfbench_trace_sees_every_step_and_stage(monkeypatch):
     lagas.advance(state, 0.1, 0.03, grid, params, setup, lagas.StepControl())
     assert calls["step"] > 0
     assert calls["rhs"] == 10 * calls["step"]
-    assert calls["require_positive"] == 0
+    assert calls["require_valid"] == 0
 
 
 def test_perfbench_traced_runs_yield_their_layer_metrics(monkeypatch, tmp_path):
@@ -202,3 +207,39 @@ def test_problem_setup_is_another_name_for_setup_kind(kind):
     # perfbench builds its setups as lagas.ProblemSetup(kind)
     assert lagas.ProblemSetup(kind) is kind
     assert kind.has_wall == (kind is not SetupKind.CAUCHY)
+
+
+#: every public entry point that checks its input state, called on (state, grid, params, setup)
+CHECKED_ENTRIES = {
+    "stable_dt": lambda state, grid, params, setup: lagas.stable_dt(
+        state, grid, params, lagas.StepControl()),
+    "step": lambda state, grid, params, setup: lagas.step(
+        state, 1e-3, grid, params, setup, lagas.StepControl()),
+    "rhs": lagas.rhs,
+    "AuditTrail.record": lambda state, grid, params, setup: AuditTrail(
+        lagas.steady_state(grid), grid, params, setup).record(state),
+    "entropy_energy": lambda state, grid, params, setup: entropy_energy(state, params, grid),
+    "dissipation_rates": lambda state, grid, params, setup: dissipation_rates(state, params, grid),
+}
+
+
+@pytest.mark.parametrize("cell", [0, 5, -1], ids=["first", "interior", "last"])
+@pytest.mark.parametrize("field, value", [
+    *((name, bad) for name in ("v", "theta") for bad in (np.nan, np.inf, -np.inf, 0.0, -1.0)),
+    *(("u", bad) for bad in (np.nan, np.inf, -np.inf)),
+])
+@pytest.mark.parametrize("entry", list(CHECKED_ENTRIES))
+def test_every_checked_entry_names_the_bad_field_and_cell(entry, field, value, cell):
+    # one bad entry fails each entry point with a DomainError naming the field
+    # and cell that validate_state names, before numpy can warn
+    setup = SetupKind.CAUCHY
+    grid = lagas.make_grid(setup, 4.0, 16)
+    state = random_state(grid, 7)
+    getattr(state, field)[cell] = value
+    report = lagas.validate_state(state)
+    where = f"{report.field_name}[{report.index}]"
+    assert where == f"{field}[{cell % getattr(state, field).size}]"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(lagas.DomainError, match=re.escape(f": {where} is ")):
+            CHECKED_ENTRIES[entry](state, grid, lagas.GasParams(1.0, 1.0, 1.0, 1.5), setup)
