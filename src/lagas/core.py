@@ -1,8 +1,8 @@
 """Setups, discrete gas state, mass grid, physical parameters, and validity checks.
 
 A setup is a :class:`SetupKind` member.  Everything here is value-like: grids
-and parameter sets are frozen, and a ``FluidState`` can be copied and mutated
-without touching the original.
+and parameter sets are frozen, and a ``FluidState`` owns one packed buffer, so it can
+be copied and mutated without touching the original or the arrays it was built from.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ __all__ = [
     "require_cells_match",
     "require_valid",
     "steady_state",
+    "unpack",
     "validate_state",
 ]
 
@@ -189,10 +190,10 @@ def make_grid(setup: SetupKind, half_length: float, n_cells: int) -> MassGrid:
 class FluidState:
     """Discrete fields at one instant: v, theta on cells; u on nodes.
 
-    Construction checks only shapes and the time stamp; positivity is the
-    job of :func:`validate_state` so that deliberately broken states can be
-    built in tests.
-    """
+    Each is a view of the state's own contiguous float64 buffer ``y``, ``[v | theta | u]``,
+    which construction fills with a copy, checking only shapes and the time stamp;
+    positivity is the job of :func:`validate_state` so that deliberately broken states can
+    be built in tests."""
 
     t: float
     v: np.ndarray
@@ -200,22 +201,27 @@ class FluidState:
     u: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=np.float64))
-        object.__setattr__(self, "theta", np.asarray(self.theta, dtype=np.float64))
-        object.__setattr__(self, "u", np.asarray(self.u, dtype=np.float64))
-        if self.v.ndim != 1 or self.theta.ndim != 1 or self.u.ndim != 1:
+        v, theta, u = (np.asarray(a, dtype=np.float64) for a in (self.v, self.theta, self.u))
+        if v.ndim != 1 or theta.ndim != 1 or u.ndim != 1:
             raise ConfigurationError("state fields must be one-dimensional")
-        if self.theta.shape != self.v.shape:
+        if theta.shape != v.shape:
+            raise ConfigurationError(f"theta has {theta.shape[0]} cells but v has {v.shape[0]}")
+        if u.shape[0] != v.shape[0] + 1:
             raise ConfigurationError(
-                f"theta has {self.theta.shape[0]} cells but v has {self.v.shape[0]}"
-            )
-        if self.u.shape[0] != self.v.shape[0] + 1:
-            raise ConfigurationError(
-                f"u must have one entry per node ({self.v.shape[0] + 1}), "
-                f"got {self.u.shape[0]}"
-            )
-        if not (np.isfinite(self.t) and self.t >= 0.0):
-            raise ConfigurationError(f"time must be a nonnegative real, got {self.t!r}")
+                f"u must have one entry per node ({v.shape[0] + 1}), got {u.shape[0]}")
+        vars(self).update(vars(FluidState.from_packed(self.t, np.concatenate((v, theta, u)))))
+
+    @classmethod
+    def from_packed(cls, t: float, y: np.ndarray) -> "FluidState":
+        """The state at time ``t`` that adopts ``y``, a packed ``[v | theta | u]``, uncopied."""
+        if not (math.isfinite(t) and t >= 0.0):
+            raise ConfigurationError(f"time must be a nonnegative real, got {t!r}")
+        state = object.__new__(cls)  # frozen: its fields go straight into its __dict__
+        vars(state).update(zip(("t", "y", "v", "theta", "u"), (t, y, *unpack(y))))
+        return state
+
+    def __reduce__(self):  # a pickle or deep copy keeps the fields views of one buffer
+        return FluidState.from_packed, (self.t, self.y)
 
     @property
     def n_cells(self) -> int:
@@ -226,17 +232,18 @@ class FluidState:
         return 0.5 * (self.u[:-1] + self.u[1:])
 
     def copy(self) -> "FluidState":
-        return FluidState(self.t, self.v.copy(), self.theta.copy(), self.u.copy())
+        return FluidState.from_packed(self.t, self.y.copy())
 
-    def packed(self) -> np.ndarray:
-        """The fields copied into one contiguous buffer ``[v | theta | u]`` (3n+1)."""
-        return np.concatenate((self.v, self.theta, self.u))
 
-    @classmethod
-    def from_packed(cls, t: float, y: np.ndarray) -> "FluidState":
-        """A state whose fields are views of a packed ``[v | theta | u]`` buffer."""
-        n = (y.shape[0] - 1) // 3
-        return cls(t, y[:n], y[n : 2 * n], y[2 * n :])
+def unpack(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (v, theta, u) views of a packed ``[v | theta | u]`` state or block, on its last axis."""
+    n = _cells(y)
+    return y[..., :n], y[..., n : 2 * n], y[..., 2 * n :]
+
+
+def _cells(y: np.ndarray) -> int:
+    """n of a packed state or block, 3n + 1 entries on its last axis, without unpack's views."""
+    return (y.shape[-1] - 1) // 3
 
 
 def steady_state(grid: MassGrid) -> FluidState:
@@ -271,15 +278,14 @@ def positive_and_finite(y: np.ndarray, floor: float) -> bool:
     of them, a row each: one min over every [v | theta] above ``floor`` (NaN fails it) and one
     sum finite.  Finite entries may overflow the sum and +inf and -inf make it NaN, so a False
     goes to :func:`first_breach`; numpy warns of both, so callers hold an errstate."""
-    return (np.minimum.reduce(y[..., : 2 * (y.shape[-1] // 3)], None) > floor
+    return (np.minimum.reduce(y[..., : 2 * _cells(y)], None) > floor
             and math.isfinite(np.add.reduce(y, None)))
 
 
-def first_breach(state: FluidState, floor: float = 0.0) -> ValidationReport:
-    """The naming scan: the first non-finite entry of v, theta and u in that order, or the
-    first v or theta entry not above ``floor``."""
-    for name, arr, needs_floor in (("v", state.v, True), ("theta", state.theta, True),
-                                   ("u", state.u, False)):
+def first_breach(y: np.ndarray, floor: float = 0.0) -> ValidationReport:
+    """The naming scan of packed ``y``, a state: the first non-finite entry of v, theta and u
+    in that order, or the first v or theta entry not above ``floor``."""
+    for name, arr, needs_floor in zip(("v", "theta", "u"), unpack(y), (True, True, False)):
         finite = np.isfinite(arr)
         if not finite.all():
             return ValidationReport(False, name, int(np.argmin(finite)), "is non-finite")
@@ -296,7 +302,7 @@ def require_valid(what: str, y: np.ndarray) -> np.ndarray:
         if positive_and_finite(y, 0.0):
             return y
     for row in y.reshape(-1, y.shape[-1]):
-        if not (report := first_breach(FluidState.from_packed(0.0, row))).ok:
+        if not (report := first_breach(row)).ok:
             raise DomainError(f"{what} needs finite positive v and theta, and finite u: "
                               f"{report.message()}")
     return y  # finite entries whose sum overflows
@@ -306,4 +312,4 @@ def validate_state(state: FluidState, floor: float = POSITIVITY_FLOOR) -> Valida
     """Check finiteness of all fields and that min v and min theta exceed ``floor``."""
     if not (np.isfinite(floor) and floor > 0.0):
         raise ConfigurationError(f"positivity floor must be positive, got {floor!r}")
-    return first_breach(state, floor)
+    return first_breach(state.y, floor)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import DomainError, FluidState, GasParams, MassGrid, SetupKind, require_valid
+from .core import DomainError, FluidState, GasParams, MassGrid, SetupKind, require_valid, unpack
 from .scheme import total_energies, total_energy
 
 __all__ = [
@@ -63,10 +63,10 @@ class _Tick:
     """
 
     def __init__(self, block: np.ndarray, dm: float) -> None:
-        m, width = block.shape
-        self.n = n = (width - 1) // 3
-        vt, u = block[:, : 2 * n].reshape(m, 2, n), block[:, 2 * n :]
-        self.dm, self.vt, self.bounds = dm, vt, _bounds(vt)
+        v, _, u = unpack(block)
+        m, n = v.shape
+        vt = block[:, : 2 * n].reshape(m, 2, n)  # [v; theta], a view
+        self.n, self.dm, self.vt, self.bounds = n, dm, vt, _bounds(vt)
         lo, hi, below, above = vt[:, :, :-1], vt[:, :, 1:], u[:, :-1], u[:, 1:]
         # [v; theta] and [v_x; theta_x] on interior faces, u and u_x on cells; then u_xx
         # on interior faces and theta_xx on interior cells
@@ -166,7 +166,7 @@ class _Tick:
 
 
 def _one(state: FluidState, dm: float, what: str | None = None) -> _Tick:
-    block = state.packed()[None]  # the tick of a single state, checked as ``what`` if given
+    block = state.y[None]  # the tick of a single state, checked as ``what`` if given
     return _Tick(block if what is None else require_valid(what, block), dm)
 
 
@@ -355,7 +355,7 @@ class AuditTrail:
     def record(self, state: FluidState, inflow: float | None = None) -> AuditRecord:
         """The record of one snapshot, the one-state case of :meth:`record_block`."""
         inflow = self.ledger.inflow if inflow is None else inflow
-        return self.record_block((state.t,), state.packed()[None], (inflow,))[0]
+        return self.record_block((state.t,), state.y[None], (inflow,))[0]
 
     def record_block(self, times, block: np.ndarray, inflows) -> list[AuditRecord]:
         """One _Tick's records of the C-ordered packed states block[i] at times[i], inflows[i]."""
@@ -363,7 +363,7 @@ class AuditTrail:
             if t < last:
                 raise DomainError(
                     f"audit record at t={t!r} is earlier than the last, at t={last!r}")
-        grid, params, levels, n = self.grid, self.params, self.excess_thresholds, self.grid.n_cells
+        grid, params, levels = self.grid, self.params, self.excess_thresholds
         require_valid("audit record", block)
         tick = _Tick(block, grid.dm)
         columns = zip(
@@ -371,7 +371,7 @@ class AuditTrail:
             tick.lp_deviation(2.0), tick.lp_deviation(math.inf),
             tick.outer_deviation(not self.setup.has_wall), tick.h1_seminorms(), tick.df8_rate(),
             tick.z4_rate(), tick.u4_sums, zip(*[tick.truncated_excess(a) for a in levels]),
-            total_energies(block[:, n : 2 * n], block[:, 2 * n :], grid.dm, params), inflows)
+            total_energies(*unpack(block)[1:], grid.dm, params), inflows)
         records = []
         for t, e, (d_visc, d_heat), bounds, lp2, lpinf, outer, h1, df8, z4, u4, excess, te, inflow \
                 in columns:

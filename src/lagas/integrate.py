@@ -7,14 +7,13 @@ states, checked and audited together.  Trajectories are deterministic: identical
 inputs give bit-identical outputs at any cadence.  Every step is the
 fourth-order, ten-stage SSPRK(10,4) of Ketcheson (2008).
 
-Inside a step every stage is one contiguous float64 buffer ``[v | theta | u]``
-(n cells, n cells, n + 1 nodes) on the step's one :class:`~lagas.scheme.Stage`,
-where ``rhs`` leaves rates in the same layout and the boundary power.  The Euler
-substeps and the method's two mixes update the stage buffer in place, and the result
-keeps it.  Every state check is core's fast ``positive_and_finite``, with its naming scan
-behind it: ``stable_dt`` and ``step`` check their input with ``require_valid`` (DomainError);
-each stage and dense-output block is tested at the floor, and ``_failure`` names the stage,
-field and cell of a failure (IntegrationError); ``rhs`` checks no Stage again.
+A state is read in place as its buffer ``state.y``, ``[v | theta | u]``; a step copies it once,
+into its one :class:`~lagas.scheme.Stage`, where ``rhs`` leaves rates in the same layout and the
+boundary power.  The Euler substeps and the method's two mixes update that buffer in place, and
+the result adopts it.  Every state check is core's fast ``positive_and_finite``, with its naming
+scan behind it: ``stable_dt`` and ``step`` check their input with ``require_valid``
+(DomainError); each stage and dense-output block is tested at the floor, and ``_failure`` names
+the stage, field and cell of a failure (IntegrationError); ``rhs`` checks no Stage again.
 """
 
 from __future__ import annotations
@@ -115,7 +114,7 @@ def stable_dt(state: FluidState, grid: MassGrid, params: GasParams, ctrl: StepCo
     (blow-up or floor-level v/theta).
     """
     require_cells_match("stable_dt", state, grid)
-    require_valid("stable_dt", state.packed())
+    require_valid("stable_dt", state.y)
     v, th = state.v, state.theta
     v_min = np.minimum.reduce(v)
     dm = grid.dm
@@ -173,7 +172,7 @@ def step(
     if not dt > 0.0:
         raise ConfigurationError(f"dt must be positive, got {dt!r}")
     require_cells_match("step", state, grid)
-    y0 = state.packed()
+    y0 = state.y
     if not positive_and_finite(y0, 0.0):  # tested under step's own errstate, then named
         require_valid("step", y0)
     stage = Stage(y0.copy())
@@ -215,7 +214,7 @@ def _dense_output(start: FluidState, dt: float, weights: list[tuple[float, ...]]
     for j, (k, _) in enumerate(kept[1:], 1):
         acc += np.multiply(b[:, j], k, out=term)
     acc *= dt
-    acc += start.packed()
+    acc += start.y
     return acc
 
 
@@ -280,7 +279,7 @@ def advance(
                 failures = [] if positive_and_finite(block, ctrl.positivity_floor) else \
                     [_failure(y, ctrl.positivity_floor, None, t) for t, y in zip(times, block)]
         else:  # the landed state, which the step checked at the floor as its stage 10
-            times, block, inflows = [target], landed.packed()[None], [trail.ledger.inflow]
+            times, block, inflows = [target], landed.y[None], [trail.ledger.inflow]
             failures = []
         tick += len(times)
         good = next((i for i, error in enumerate(failures) if error is not None), len(times))

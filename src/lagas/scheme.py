@@ -36,6 +36,7 @@ from .core import (
     SetupKind,
     require_cells_match,
     require_valid,
+    unpack,
 )
 
 __all__ = [
@@ -53,18 +54,16 @@ class Stage:
     :func:`rhs` needs, sliced once, and the ``power`` rhs sets (else NaN)."""
 
     def __init__(self, y: np.ndarray) -> None:
-        n = (y.shape[0] - 1) // 3
-        self.rates = rates = np.empty(3 * n + 1)
+        self.y, self.power, self.rates = y, math.nan, np.empty_like(y)
+        self.v, self.th, self.u = v, th, u = unpack(y)
+        self.dv, self.dth, self.du = unpack(self.rates)
+        n = v.shape[0]
         self.tmp, faces = np.empty(n), np.empty(2 * n + 2)
-        self.dv, self.dth, self.du = rates[:n], rates[n : 2 * n], rates[2 * n :]
-        self.dthu, self.vbar = rates[n:], self.tmp[:-1]
+        self.dthu, self.vbar = self.rates[n:], self.tmp[:-1]
         self.flux, self.flux_inner, self.stress = faces[: n + 1], faces[1:n], faces[n + 1 : -1]
         self.faces_lo, self.faces_hi = faces[:-1], faces[1:]
-        self.y, self.power = y, math.nan
-        self.v, self.th, self.u = y[:n], y[n : 2 * n], y[2 * n :]
-        self.v_lo, self.v_hi = y[: n - 1], y[1:n]
-        self.th_lo, self.th_hi = y[n : 2 * n - 1], y[n + 1 : 2 * n]
-        self.u_lo, self.u_hi = y[2 * n : -1], y[2 * n + 1 :]
+        self.v_lo, self.v_hi, self.th_lo, self.th_hi = v[:-1], v[1:], th[:-1], th[1:]
+        self.u_lo, self.u_hi = u[:-1], u[1:]
 
 
 def _far_field_stress(u_out: float, params: GasParams, dm: float) -> float:
@@ -105,7 +104,7 @@ def heat_flux_faces(
     """Heat flux kappa*theta_x/v at every node (face): the face difference of theta over
     the arithmetic-mean specific volume, the left face closed as ``setup`` says, the
     right one by the far field.  ``rhs`` and ``boundary_power`` use the same fluxes."""
-    stage = Stage(state.packed())
+    stage = Stage(state.y)
     _heat_flux(stage, grid.dm, setup, params)
     return stage.flux
 
@@ -130,7 +129,7 @@ def rhs(
     stage = state
     if not isinstance(state, Stage):
         require_cells_match("rhs", state, grid)
-        stage = Stage(require_valid("rhs", state.packed()))
+        stage = Stage(require_valid("rhs", state.y))
     dm, du, dth = grid.dm, stage.du, stage.dth
     # one difference of faces [heat flux | stress | right ghost stress] is the flux divergence,
     # then every du, the seam (stress[0] - flux[n]) on du[0], which the left closure then sets

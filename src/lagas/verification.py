@@ -89,9 +89,10 @@ class InitialDataSpec:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed!r}")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _profile(spec: InitialDataSpec, tag: int, x: np.ndarray) -> np.ndarray:
     """Field ``tag`` (1 = v, 2 = u, 3 = theta) of the spec's family at the points x:
-    a unit-sup perturbation of the rest state."""
+    a unit-sup perturbation of the rest state, at its limit where (x - c)/w overflows."""
     c, w = spec.center, spec.width
     if spec.family == "gaussian_bump":
         z = (x - c) / w

@@ -60,6 +60,12 @@ MUTANTS = [
      "None) > floor", "None) >= floor"),
     ("the fast state test's finite sum dropped", "core.py",
      "and math.isfinite(np.add.reduce(y, None)))", "and True)"),
+    ("FluidState keeps the caller's arrays, apart from its packed buffer", "core.py",
+     "vars(FluidState.from_packed(self.t, np.concatenate((v, theta, u)))))\n",
+     "vars(FluidState.from_packed(self.t, np.concatenate((v, theta, u)))))\n"
+     "        vars(self).update(v=v, theta=theta, u=u)\n"),
+    ("FluidState.copy() shares its buffer", "core.py",
+     "FluidState.from_packed(self.t, self.y.copy())", "FluidState.from_packed(self.t, self.y)"),
 ]
 
 _FAILED = re.compile(r"^FAILED (\S+)", re.MULTILINE)

@@ -215,6 +215,29 @@ def test_main_run_accepts_initial_data_above_a_configured_floor_below_the_defaul
     assert (tmp_path / "out" / "summary.json").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("setup", ["cauchy", "halfline_isothermal"])
+@pytest.mark.parametrize("family", ["gaussian_bump", "tanh_front", "random_smooth"])
+@pytest.mark.parametrize("center, width", [(0.0, 1e-300), (1e300, 1e-10)],
+                         ids=["narrow", "far-and-narrow"])
+def test_main_run_samples_a_profile_at_its_limit_where_its_argument_overflows(
+        tmp_path, capsys, setup, family, center, width):
+    # (x - center)/width or its square overflows: the bump is 0 there and a tanh edge +-1,
+    # with no numpy warning; random_smooth, not finite at an infinite argument, is refused
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "setup": setup, "L": 10, "n": 32, "t_end": 0.01, "out_dir": str(tmp_path / "out"),
+        "initial_data": {"family": family, "center": center, "width": width,
+                         "amplitude_v": 0.1, "amplitude_u": 0.1, "amplitude_theta": 0.1},
+    }))
+    code = main(["run", str(path)])
+    if family == "random_smooth" and center == 1e300:
+        assert code == EXIT_CONFIG
+        assert "initial data invalid: v[0] is non-finite" in capsys.readouterr().err
+    else:
+        assert code == EXIT_OK
+
+
 def test_main_reports_an_out_dir_it_cannot_create(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("kept")

@@ -1,3 +1,4 @@
+import copy
 import math
 import pickle
 
@@ -119,7 +120,7 @@ def test_default_positivity_floor_lies_between_1e_10_and_2e_10(cauchy):
 
 def test_require_valid_passes_finite_entries_whose_sum_overflows(cauchy):
     # the fast test's sum overflows, quietly, and the naming scan finds nothing
-    y = steady_state(make_grid(cauchy, 2.0, 8)).packed()
+    y = steady_state(make_grid(cauchy, 2.0, 8)).y
     y[[0, 20]] = 1e308
     assert require_valid("input", y) is y
 
@@ -183,6 +184,29 @@ def test_fluid_state_copy_is_independent(cauchy):
     assert np.array_equal(original.v, snapshot[0])
     assert np.array_equal(original.theta, snapshot[1])
     assert np.array_equal(original.u, snapshot[2])
+
+
+def test_a_state_owns_one_packed_buffer():
+    # v, theta and u are views of one C-contiguous float64 [v | theta | u]: the state never
+    # aliases the arrays it was built from, from_packed adopts its buffer, a copy shares nothing
+    rng = np.random.default_rng(5)
+    n = 9
+    v, theta, u = rng.uniform(0.5, 2, n), rng.uniform(0.5, 2, n), rng.uniform(-1, 1, n + 1)
+    state = FluidState(0.25, v, theta, u)
+    y = state.y
+    assert y.dtype == np.float64 and y.flags.c_contiguous and y.shape == (3 * n + 1,)
+    assert np.array_equal(y, np.concatenate((v, theta, u)))
+    assert all(np.shares_memory(field, y) for field in (state.v, state.theta, state.u))
+    packed = y.copy()
+    for arr in (v, theta, u):
+        arr[:] = 7.0
+    assert np.array_equal(state.y, packed)
+    assert np.array_equal(state.u, packed[2 * n :])
+    assert FluidState.from_packed(0.5, y).y is y
+    assert not np.shares_memory(state.copy().y, y)
+    for twin in (pickle.loads(pickle.dumps(state)), copy.deepcopy(state)):
+        assert all(np.shares_memory(field, twin.y) for field in (twin.v, twin.theta, twin.u))
+        assert np.array_equal(twin.y, y) and not np.shares_memory(twin.y, y)
 
 
 def test_cell_velocity_averages_nodes(cauchy):

@@ -522,7 +522,7 @@ def block_of_states(grid, m, seed):
     cycle below every excess level and above each of them."""
     states = [steady_state(grid)] + [hot_state(grid, seed + i, (1.4, 1.6, 2.5, 3.5)[i % 4])
                                      for i in range(1, m)]
-    return np.array([state.packed() for state in states])
+    return np.array([state.y for state in states])
 
 
 @pytest.mark.parametrize("n", [4, 5, 127, 128, 129, 256, 257])
@@ -552,7 +552,7 @@ def test_record_block_gives_the_records_of_one_state_at_a_time(params, setup, n)
 def test_record_block_rejects_times_out_of_order(params, cauchy, grid16):
     state = steady_state(grid16)
     trail = AuditTrail(state, grid16, params, cauchy)
-    block = np.array([state.packed()] * 2)
+    block = np.array([state.y] * 2)
     with pytest.raises(DomainError, match="t=0.25 is earlier than the last, at t=0.5"):
         trail.record_block([0.5, 0.25], block, [0.0, 0.0])
     assert [record.t for record in trail.record_block([0.25, 0.5], block, [0.0, 0.0])] == [0.25, 0.5]

@@ -203,7 +203,7 @@ def test_stage_fast_check_agrees_with_validate_state(seed, index, bad, second):
     # cell; a second bad entry lets finite entries (two of 1e308) overflow the
     # fast test's sum, numpy warns of the overflow, and that stage passes
     grid = make_grid(SetupKind.CAUCHY, 2.0, 8)
-    y = random_state(grid, seed).packed()
+    y = random_state(grid, seed).y
     y[index] = bad
     if second is not None:
         y[second] = bad
@@ -281,13 +281,13 @@ def test_a_second_step_leaves_the_first_result_and_the_input_alone(setup, params
     # each step has its own workspace, and neither its input nor its result
     # shares memory with it
     grid, state, sources = forced_bump(setup, params, forced)
-    before = state.packed().tobytes()
+    before = state.y.tobytes()
     dt = stable_dt(state, grid, params, ctrl)
     first = step(state, dt, grid, params, setup, ctrl, sources=sources, ledger=EnergyLedger())
-    result = first.packed().tobytes()
+    result = first.y.tobytes()
     second = step(state, dt, grid, params, setup, ctrl, sources=sources, ledger=EnergyLedger())
-    assert first.packed().tobytes() == second.packed().tobytes() == result
-    assert state.packed().tobytes() == before
+    assert first.y.tobytes() == second.y.tobytes() == result
+    assert state.y.tobytes() == before
 
 
 @pytest.mark.parametrize("forced", [False, True], ids=["bare", "forced"])
@@ -302,7 +302,7 @@ def test_a_kept_step_holds_ten_distinct_rates_and_the_same_result(setup, params,
                      kept=kept)
     held = [k.tobytes() for k, _ in kept]
     alone = step(state, dt, grid, params, setup, ctrl, sources=sources, ledger=ledgers[1])
-    assert with_kept.packed().tobytes() == alone.packed().tobytes()
+    assert with_kept.y.tobytes() == alone.y.tobytes()
     assert ledgers[0].inflow == ledgers[1].inflow
     assert len(kept) == 10 and len(set(held)) == 10
     assert [k.tobytes() for k, _ in kept] == held
@@ -372,7 +372,7 @@ def test_step_matches_butcher_tableau_oracle(setup, forced, fraction, params, ct
     kept = []
     again = step(state, dt, grid, params, setup, ctrl, sources=sources, ledger=EnergyLedger(),
                  kept=kept)
-    assert again.packed().tobytes() == new.packed().tobytes()
+    assert again.y.tobytes() == new.y.tobytes()
     assert [power for _, power in kept] == pytest.approx(
         [boundary_power(FluidState(state.t, *map(np.array, y)), grid, params, setup)
          for y in stages], rel=1e-12, abs=1e-14)
@@ -426,8 +426,8 @@ def test_dense_output_spans_the_step(setup, params, ctrl):
     assert len(kept) == len(STAGE_TIMES)
     weights = dense_block([0.0, 1.0]).tolist()
     start, end = _dense_output(state, dt, weights, kept)
-    assert start.tobytes() == state.packed().tobytes()
-    assert np.abs(end - new.packed()).max() <= 1e-14 * np.abs(new.packed()).max()
+    assert start.tobytes() == state.y.tobytes()
+    assert np.abs(end - new.y).max() <= 1e-14 * np.abs(new.y).max()
 
 
 def dense_error(state, grid, params, setup, ctrl, dt, theta):
@@ -439,7 +439,7 @@ def dense_error(state, grid, params, setup, ctrl, dt, theta):
     while reference.t < target - 1e-14:
         reference = step(reference, min(dt / 200.0, target - reference.t), grid, params, setup,
                          ctrl)
-    return np.abs(dense - reference.packed()).max()
+    return np.abs(dense - reference.y).max()
 
 
 @pytest.mark.parametrize("setup", list(SetupKind), ids=lambda k: k.value)
@@ -483,7 +483,7 @@ def test_dense_output_block_matches_the_per_tick_loop(insulated, params, ctrl, n
             for b_j, (k, _) in zip(b[1:], kept[1:]):
                 alone += b_j * k
             alone *= dt
-            alone += state.packed()
+            alone += state.y
             assert row.tobytes() == alone.tobytes()
 
 
@@ -599,7 +599,7 @@ def test_steps_do_not_depend_on_the_cadence(setup, params, ctrl):
     finals = []
     for every in (0.013, 0.1, 0.5):
         final, records = advance(state, 0.5, every, grid, params, setup, ctrl)
-        finals.append((final.t, final.packed().tobytes(), records[-1].energy_balance_residual))
+        finals.append((final.t, final.y.tobytes(), records[-1].energy_balance_residual))
     assert finals[0] == finals[1] == finals[2]
 
 

@@ -14,6 +14,7 @@ import pytest
 
 import lagas
 import lagas.cli  # perfbench traces lagas.cli, which `import lagas` alone does not load
+import mutants
 from conftest import random_state
 from lagas import SetupKind
 from lagas.diagnostics import AuditTrail, dissipation_rates, entropy_energy
@@ -243,3 +244,12 @@ def test_every_checked_entry_names_the_bad_field_and_cell(entry, field, value, c
         warnings.simplefilter("error")
         with pytest.raises(lagas.DomainError, match=re.escape(f": {where} is ")):
             CHECKED_ENTRIES[entry](state, grid, lagas.GasParams(1.0, 1.0, 1.0, 1.5), setup)
+
+
+def test_every_mutant_original_occurs_once_in_its_file():
+    # tests/mutants.py applies each mutant as one string replacement: a refactor that moves
+    # or repeats an original fails here, not in the next mutation run
+    src = Path(lagas.__file__).parent
+    counts = {what: (src / name).read_text(encoding="utf-8").count(old)
+              for what, name, old, _ in mutants.MUTANTS}
+    assert {what: count for what, count in counts.items() if count != 1} == {}

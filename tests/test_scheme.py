@@ -207,7 +207,7 @@ def test_rhs_returns_one_buffer_laid_out_like_a_stage(setup, params, forced):
         state.u[0] = 0.0
     sources = random_sources(n, 23) if forced else None
     rates = rhs(state, grid, params, setup, sources)
-    stage = Stage(state.packed())
+    stage = Stage(state.y)
     assert rhs(stage, grid, params, setup, sources) is stage.rates
     assert rates.tobytes() == stage.rates.tobytes()
     assert isinstance(rates, np.ndarray) and rates.dtype == np.float64
@@ -228,7 +228,7 @@ def test_a_stage_power_is_nan_until_rhs_leaves_the_boundary_power(setup, params,
     if setup.has_wall:
         state.u[0] = 0.0
     sources = random_sources(n, n) if forced else None
-    stage = Stage(state.packed())
+    stage = Stage(state.y)
     assert math.isnan(boundary_power(stage, grid, params, setup))
     rhs(stage, grid, params, setup, sources)
     power = boundary_power(stage, grid, params, setup)
