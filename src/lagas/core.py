@@ -273,12 +273,16 @@ def require_cells_match(what: str, state: FluidState, grid: MassGrid) -> None:
         raise ConfigurationError(f"{what}: state has {state.n_cells} cells, grid {grid.n_cells}")
 
 
+def above_floor(y: np.ndarray, floor: float) -> bool:
+    """The fast test's min over every [v | theta] of packed ``y`` above ``floor``; NaN fails."""
+    return np.minimum.reduce(y[..., : 2 * _cells(y)], None) > floor
+
+
 def positive_and_finite(y: np.ndarray, floor: float) -> bool:
-    """The fast state test of packed ``y``, a state ``[v | theta | u]`` or a C-ordered block
-    of them, a row each: one min over every [v | theta] above ``floor`` (NaN fails it) and one
-    sum finite.  Finite entries may overflow the sum and +inf and -inf make it NaN, so a False
-    goes to :func:`first_breach`; numpy warns of both, so callers hold an errstate."""
-    return (np.minimum.reduce(y[..., : 2 * _cells(y)], None) > floor
+    """The fast state test of packed ``y``, a state ``[v | theta | u]`` or a C-ordered block of
+    them: :func:`above_floor` and one sum finite, which finite entries may overflow and +inf
+    and -inf make NaN, so a False goes to :func:`first_breach`; numpy warns, so hold an errstate."""
+    return (above_floor(y, floor)
             and math.isfinite(np.add.reduce(y, None)))
 
 

@@ -7,13 +7,14 @@ states, checked and audited together.  Trajectories are deterministic: identical
 inputs give bit-identical outputs at any cadence.  Every step is the
 fourth-order, ten-stage SSPRK(10,4) of Ketcheson (2008).
 
-A state is read in place as its buffer ``state.y``, ``[v | theta | u]``; a step copies it once,
-into its one :class:`~lagas.scheme.Stage`, where ``rhs`` leaves rates in the same layout and the
-boundary power.  The Euler substeps and the method's two mixes update that buffer in place, and
-the result adopts it.  Every state check is core's fast ``positive_and_finite``, with its naming
+A state is read in place as its buffer ``state.y``, ``[v | theta | u]``; a step copies it into
+a :class:`~lagas.scheme.Stage`, where ``rhs`` leaves rates in the same layout and the boundary
+power.  The Euler substeps and the method's two mixes update that buffer in place, and the
+result adopts it.  Every state check is core's fast ``positive_and_finite``, with its naming
 scan behind it: ``stable_dt`` and ``step`` check their input with ``require_valid``
-(DomainError); each stage and dense-output block is tested at the floor, and ``_failure`` names
-the stage, field and cell of a failure (IntegrationError); ``rhs`` checks no Stage again.
+(DomainError); a step's result and each dense-output block are tested at the floor, its other
+stages by ``above_floor`` alone, and ``_failure`` names the stage, field and cell of a failing
+step's replay (IntegrationError), in which every stage is tested in full; ``rhs`` checks none.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .core import (
     MassGrid,
     SetupKind,
     StiffnessError,
+    above_floor,
     positive_and_finite,
     require_cells_match,
     require_valid,
@@ -164,10 +166,12 @@ def step(
     and positive or u not finite (DomainError) fails before any stage.  ``sources`` gets
     one call, with the distinct stage times t0 + c dt in stage order; each stage adds its
     time's rows.  A ledger gets the boundary-energy inflow with the scheme's weights, so
-    the total-energy residual measures time-integration error only.  A stage whose result
-    fails the floor, or is not finite, raises IntegrationError naming it (1 to 10), never
-    numpy's warning.  A ``kept`` list gets a copy of each stage's rates k_j and its boundary
-    power (NaN without a ledger) for :func:`_dense_output`; the result's bits stay put.
+    the total-energy residual measures time-integration error only.  Stages 1 to 9 are
+    tested at the floor, the result for finiteness too, as a non-finite entry survives every
+    update and mix; a failing step is replayed, each stage tested in full, only to raise the
+    IntegrationError naming the first bad stage (1 to 10), never numpy's warning.  A
+    ``kept`` list gets a copy of each stage's rates k_j and its boundary power (NaN without
+    a ledger) for :func:`_dense_output`; the result's bits stay put.
     """
     if not dt > 0.0:
         raise ConfigurationError(f"dt must be positive, got {dt!r}")
@@ -175,31 +179,40 @@ def step(
     y0 = state.y
     if not positive_and_finite(y0, 0.0):  # tested under step's own errstate, then named
         require_valid("step", y0)
-    stage = Stage(y0.copy())
-    t0, floor, h = state.t, ctrl.positivity_floor, dt / 6.0
+    t0, floor, h, mark = state.t, ctrl.positivity_floor, dt / 6.0, len(kept or ())
     cs = list(dict.fromkeys(STAGE_TIMES))  # one sources call, a row per distinct stage time
     forcing = {} if sources is None else dict(zip(cs, zip(*sources([t0 + c * dt for c in cs]))))
-    y, inflow, power = stage.y, 0.0, math.nan
-    for i, c in enumerate(STAGE_TIMES, 1):
-        k = rhs(stage, grid, params, setup, forcing.get(c))
-        if ledger is not None:
-            power = boundary_power(stage, grid, params, setup)
-            inflow += power
-        if kept is not None:
-            kept.append((k.copy(), power))
-        k *= h
-        y += k  # in place: y + k h, which is k h + y bit for bit
-        if i == 5:  # y5 = 2/5 w5 + 3/5 y0, keeping w5 for the result
-            w5 = y.copy()
-            y *= 0.4
-            y += 0.6 * y0
-        elif i == 10:  # 3/5 w10 + 1/25 y0 + 9/25 w5
-            y *= 0.6
-            y += 0.04 * y0
-            y += 0.36 * w5
-        if not positive_and_finite(y, floor) and (error := _failure(y, floor, i, t0)) is not None:
-            raise error
 
+    def stages(named: bool) -> tuple[np.ndarray, float] | None:
+        if kept is not None:
+            del kept[mark:]  # a replay keeps only its own rates
+        stage = Stage(y0.copy())
+        y, inflow, power = stage.y, 0.0, math.nan
+        for i, c in enumerate(STAGE_TIMES, 1):
+            k = rhs(stage, grid, params, setup, forcing.get(c))
+            if ledger is not None:
+                power = boundary_power(stage, grid, params, setup)
+                inflow += power
+            if kept is not None:
+                kept.append((k.copy(), power))
+            k *= h
+            y += k  # in place: y + k h, which is k h + y bit for bit
+            if i == 5:  # y5 = 2/5 w5 + 3/5 y0, keeping w5 for the result
+                w5 = y.copy()
+                y *= 0.4
+                y += 0.6 * y0
+            elif i == 10:  # 3/5 w10 + 1/25 y0 + 9/25 w5
+                y *= 0.6
+                y += 0.04 * y0
+                y += 0.36 * w5
+            if not (positive_and_finite if named or i == 10 else above_floor)(y, floor):
+                if not named:
+                    return None
+                if error := _failure(y, floor, i, t0):  # None: finite, but the sum overflowed
+                    raise error
+        return y, inflow
+
+    y, inflow = stages(False) or stages(True)
     if ledger is not None:
         ledger.add(dt * inflow / 10.0)
     return FluidState.from_packed(t0 + dt, y)

@@ -66,6 +66,10 @@ MUTANTS = [
      "        vars(self).update(v=v, theta=theta, u=u)\n"),
     ("FluidState.copy() shares its buffer", "core.py",
      "FluidState.from_packed(self.t, self.y.copy())", "FluidState.from_packed(self.t, self.y)"),
+    ("the end-of-step full test dropped", "integrate.py",
+     "if named or i == 10 else above_floor", "if named else above_floor"),
+    ("the replay keeps the fast pass's kept entries", "integrate.py",
+     "del kept[mark:]", "del kept[len(kept):]"),
 ]
 
 _FAILED = re.compile(r"^FAILED (\S+)", re.MULTILINE)

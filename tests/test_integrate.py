@@ -30,7 +30,7 @@ from lagas.core import positive_and_finite, validate_state
 from lagas.diagnostics import AuditTrail, EnergyLedger, audit_row, entropy_energy
 from lagas.cli import config_from_dict
 from lagas.integrate import DENSE_CUBICS, STAGE_TIMES, _dense_output, _failure, dense_block
-from lagas.scheme import boundary_power, rhs
+from lagas.scheme import Stage, boundary_power, rhs
 from lagas.verification import default_pulse_solution, make_source_rates
 
 
@@ -535,6 +535,23 @@ def test_a_failed_dense_output_state_raises_at_its_tick(monkeypatch, insulated, 
     assert "dense output at t = 0.013" in str(err)
 
 
+def inject_at_stage(monkeypatch, number, inject):
+    """Patch ``lagas.integrate.rhs`` so that ``inject`` gets the rates of the ``number``-th
+    call made with each Stage; a step's fast pass and its replay each have a Stage of their
+    own.  Returns the calls per Stage, in the order the Stages were first seen."""
+    original, calls = lagas.integrate.rhs, {}
+
+    def injecting(stage, *args):
+        k = original(stage, *args)
+        calls[stage] = calls.get(stage, 0) + 1
+        if calls[stage] == number:
+            inject(k)
+        return k
+
+    monkeypatch.setattr(lagas.integrate, "rhs", injecting)
+    return calls
+
+
 @pytest.mark.parametrize("field", ["v", "theta", "u"])
 def test_a_stage_holding_both_infinities_names_its_stage(monkeypatch, insulated, params, ctrl,
                                                          field):
@@ -542,23 +559,124 @@ def test_a_stage_holding_both_infinities_names_its_stage(monkeypatch, insulated,
     # must still end in the IntegrationError naming stage 3, the field and the
     # cell that validate_state names, not in numpy's invalid-value warning
     grid, state = bump_state(insulated)
-    n, original, calls = grid.n_cells, lagas.integrate.rhs, []
+    n = grid.n_cells
 
-    def third_rate_infinite(*args):
-        k = original(*args)
-        calls.append(1)
-        if len(calls) == 3:
-            k[{"v": 0, "theta": n, "u": 2 * n}[field] + 2] = np.inf
-            k[2 * n + 5] = -np.inf
-        return k
+    def both_infinities(k):
+        k[{"v": 0, "theta": n, "u": 2 * n}[field] + 2] = np.inf
+        k[2 * n + 5] = -np.inf
 
-    monkeypatch.setattr(lagas.integrate, "rhs", third_rate_infinite)
+    calls = inject_at_stage(monkeypatch, 3, both_infinities)
     with pytest.raises(IntegrationError) as excinfo:
         step(state, stable_dt(state, grid, params, ctrl), grid, params, insulated, ctrl,
              ledger=EnergyLedger())
     err = excinfo.value
     assert (err.stage, err.field_name, err.cell) == (3, field, 2)
-    assert len(calls) == 3
+    assert list(calls.values())[-1] == 3
+
+
+#: (field, rate) set in one cell of one stage's rates: a non-finite rate leaves that entry of
+#: the stage's result non-finite, and -1e12 takes it far below the floor, finite after a mix
+STAGE_INJECTIONS = [*((field, bad) for field in ("v", "theta", "u")
+                      for bad in (np.inf, np.nan, -np.inf)),
+                    ("v", -1e12), ("theta", -1e12)]
+
+
+@pytest.mark.parametrize("field,value", STAGE_INJECTIONS,
+                         ids=[f"{field}={value:g}" for field, value in STAGE_INJECTIONS])
+@pytest.mark.parametrize("number", range(1, 11))
+def test_a_failure_injected_at_any_stage_names_that_stage(monkeypatch, insulated, params, ctrl,
+                                                          number, field, value):
+    # a step tests stages 1-9 at the floor only and its result in full, so a
+    # non-finite u, or an infinite v or theta, passes the stages after it; the
+    # replay tests each stage in full and names the stage, field and cell hit
+    grid, state = bump_state(insulated)
+    cell = {"v": 0, "theta": grid.n_cells, "u": 2 * grid.n_cells}[field] + 2
+
+    def inject(k):
+        k[cell] = value
+
+    inject_at_stage(monkeypatch, number, inject)
+    with pytest.raises(IntegrationError) as excinfo:
+        step(state, stable_dt(state, grid, params, ctrl), grid, params, insulated, ctrl,
+             ledger=EnergyLedger())
+    err = excinfo.value
+    assert (err.stage, err.field_name, err.cell) == (number, field, 2)
+    reason = "is not above the positivity floor" if np.isfinite(value) else "is non-finite"
+    assert f"stage {number} at t = 0:" in str(err) and reason in str(err)
+
+
+def per_stage_checked_step(state, dt, grid, params, setup, ctrl, sources):
+    """The result of step's stage arithmetic with core's full fast test at every stage, as a
+    loop of its own, through ``lagas.integrate.rhs``."""
+    y0, h, floor = state.y, dt / 6.0, ctrl.positivity_floor
+    stage = Stage(y0.copy())
+    y = stage.y
+    times = list(dict.fromkeys(STAGE_TIMES))
+    rows = dict(zip(times, zip(*sources([state.t + c * dt for c in times]))))
+    for i, c in enumerate(STAGE_TIMES, 1):
+        k = lagas.integrate.rhs(stage, grid, params, setup, rows[c])
+        k *= h
+        y += k
+        if i == 5:
+            w5 = y.copy()
+            y *= 0.4
+            y += 0.6 * y0
+        elif i == 10:
+            y *= 0.6
+            y += 0.04 * y0
+            y += 0.36 * w5
+        if not positive_and_finite(y, floor):
+            assert _failure(y, floor, i, state.t) is None
+    return y
+
+
+def test_a_result_whose_finite_sum_overflows_is_replayed_to_the_same_bits(monkeypatch, cauchy,
+                                                                           params, ctrl):
+    # the steady state stays put at any dt, so dt = 6 makes h = 1 and stage 10
+    # leaves 0.6 * 1.5e308 in four u entries: finite, but their sum overflows
+    # the end-of-step test, and the replay, which lets an overflowing stage
+    # pass as before, gives those bits with one ledger entry and one sources call
+    grid = make_grid(cauchy, 16.0, 64)
+    state, n = steady_state(grid), grid.n_cells
+    calls = {"sources": 0, "add": 0}
+
+    def sources(times):
+        calls["sources"] += 1
+        rows = len(times)
+        return np.zeros((rows, n)), np.zeros((rows, n + 1)), np.zeros((rows, n))
+
+    def huge_u(k):
+        k[2 * n + 3 : 2 * n + 7] = 1.5e308
+
+    class CountingLedger(EnergyLedger):
+        def add(self, increment):
+            calls["add"] += 1
+            super().add(increment)
+
+    stage_calls = inject_at_stage(monkeypatch, 10, huge_u)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        expected = per_stage_checked_step(state, 6.0, grid, params, cauchy, ctrl, sources)
+        assert np.isfinite(expected).all() and not math.isfinite(expected.sum())
+    calls["sources"], kept, ledger = 0, [], CountingLedger()
+    new = step(state, 6.0, grid, params, cauchy, ctrl, sources=sources, ledger=ledger, kept=kept)
+    assert new.y.tobytes() == expected.tobytes()
+    assert list(stage_calls.values()) == [10, 10, 10]  # the oracle, the fast pass, the replay
+    assert len(kept) == 10 and all(k.shape == state.y.shape for k, _ in kept)
+    assert calls == {"sources": 1, "add": 1}
+
+
+def test_a_passing_step_runs_the_full_fast_test_on_its_input_and_its_result(monkeypatch,
+                                                                            insulated, params,
+                                                                            ctrl):
+    # the finiteness sum runs once per step, not once per stage: the stages
+    # between input and result are tested at the floor alone
+    grid, state = bump_state(insulated)
+    tested, original = [], lagas.integrate.positive_and_finite
+    monkeypatch.setattr(lagas.integrate, "positive_and_finite",
+                        lambda y, floor: tested.append(y.copy()) or original(y, floor))
+    new = step(state, stable_dt(state, grid, params, ctrl), grid, params, insulated, ctrl,
+               ledger=EnergyLedger())
+    assert [y.tobytes() for y in tested] == [state.y.tobytes(), new.y.tobytes()]
 
 
 def test_a_dense_output_row_holding_both_infinities_raises_at_its_tick(monkeypatch, insulated,
