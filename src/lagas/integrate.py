@@ -57,6 +57,9 @@ SourceFn = Callable[[list[float]], tuple[np.ndarray, np.ndarray, np.ndarray]]
 #: stage input is y5 = 2/5 w5 + 3/5 y0, the result 3/5 w10 + 1/25 y0 + 9/25 w5, and every
 #: weight b is 1/10, the ledger's too.  The step is at most 6 forward-Euler steps.
 STAGE_TIMES = (0, 1 / 6, 1 / 3, 1 / 2, 2 / 3, 1 / 3, 1 / 2, 2 / 3, 5 / 6, 1)
+#: the distinct stage times in stage order, one sources row each, and each stage's row
+_TIMES = tuple(dict.fromkeys(STAGE_TIMES))
+_ROWS = tuple(map(_TIMES.index, STAGE_TIMES))
 #: (p1, p2, p3) of stage j make b_j(theta) = p1 theta + p2 theta^2 + p3 theta^3 in the dense
 #: output y_n + dt sum_j b_j(theta) k_j: the minimum-norm cubic meeting the four third-order
 #: conditions, with b(1) = 1/10.  The least b_j is -0.028; none is >= 0 throughout, as
@@ -110,25 +113,25 @@ def stable_dt(state: FluidState, grid: MassGrid, params: GasParams, ctrl: StepCo
 
     Acoustic scale c = sqrt(R*theta*gamma)/v per cell; diffusive scale
     D = max(mu/v, kappa/(c_v*v)) and forward-Euler limit dt_FE = dm^2/(2D); the
-    diffusive limit is min(6 dt_FE, 10 * (2 ``cfl_parabolic`` dt_FE)).
+    diffusive limit is min(6 dt_FE, 10 * (2 ``cfl_parabolic`` dt_FE)).  Rounding is
+    monotone, so the largest D is the one at min v, and no cell's c exceeds
+    sqrt(R*max theta*gamma)/min v in the same operand order: when that bound's acoustic step
+    is no shorter than the diffusive limit, the pass over the cells is skipped, bit for bit.
     A state off the grid (ConfigurationError) or not finite with positive v and theta
     (DomainError) fails first; StiffnessError when the unclamped step falls below dt_min
     (blow-up or floor-level v/theta).
     """
     require_cells_match("stable_dt", state, grid)
     require_valid("stable_dt", state.y)
-    v, th = state.v, state.theta
-    v_min = np.minimum.reduce(v)
-    dm = grid.dm
-    sound = np.sqrt(params.R * th * params.gamma) / v
-    dt_hyp = ctrl.cfl_hyperbolic * dm / float(np.maximum.reduce(sound))
-    # rounded division and multiplication are monotone, so the largest
-    # diffusivity over the cells is the one at min v, bit for bit
-    two_d = 2.0 * float(max(params.mu / v_min, params.kappa / (params.c_v * v_min)))
+    v, th, dm = state.v, state.theta, grid.dm
+    v_min = float(np.minimum.reduce(v))
+    two_d = 2.0 * max(params.mu / v_min, params.kappa / (params.c_v * v_min))
     # the operand order is part of the step's bits: ten times (2 cfl_parabolic dm^2 / 2D)
-    dt_par = min(6.0 * dm * dm / two_d,
-                 10.0 * (2.0 * ctrl.cfl_parabolic * dm * dm / two_d))
-    dt = min(dt_hyp, dt_par)
+    dt = min(6.0 * dm * dm / two_d, 10.0 * (2.0 * ctrl.cfl_parabolic * dm * dm / two_d))
+    bound = math.sqrt(params.R * float(np.maximum.reduce(th)) * params.gamma) / v_min
+    if ctrl.cfl_hyperbolic * dm / bound < dt:
+        sound = np.sqrt(params.R * th * params.gamma) / v
+        dt = min(ctrl.cfl_hyperbolic * dm / float(np.maximum.reduce(sound)), dt)
     if dt < ctrl.dt_min:
         raise StiffnessError(
             f"stable step {dt:.3e} fell below dt_min {ctrl.dt_min:.3e} "
@@ -164,14 +167,14 @@ def step(
 
     A state off the grid's cell count (ConfigurationError), with v or theta not finite
     and positive or u not finite (DomainError) fails before any stage.  ``sources`` gets
-    one call, with the distinct stage times t0 + c dt in stage order; each stage adds its
-    time's rows.  A ledger gets the boundary-energy inflow with the scheme's weights, so
-    the total-energy residual measures time-integration error only.  Stages 1 to 9 are
-    tested at the floor, the result for finiteness too, as a non-finite entry survives every
-    update and mix; a failing step is replayed, each stage tested in full, only to raise the
-    IntegrationError naming the first bad stage (1 to 10), never numpy's warning.  A
-    ``kept`` list gets a copy of each stage's rates k_j and its boundary power (NaN without
-    a ledger) for :func:`_dense_output`; the result's bits stay put.
+    one call, with the distinct stage times t0 + c dt in stage order, its rows packed once
+    like the rates; each stage adds its time's row.  A ledger gets the boundary-energy
+    inflow with the scheme's weights, so the total-energy residual measures time-integration
+    error only.  Stages 1 to 9 are tested at the floor, the result for finiteness too, as a
+    non-finite entry survives every update and mix; a failing step is replayed, each stage
+    tested in full, only to raise the IntegrationError naming the first bad stage (1 to 10),
+    never numpy's warning.  A ``kept`` list gets a copy of each stage's rates k_j and its
+    boundary power (NaN without a ledger) for :func:`_dense_output`; the result's bits stay put.
     """
     if not dt > 0.0:
         raise ConfigurationError(f"dt must be positive, got {dt!r}")
@@ -180,16 +183,18 @@ def step(
     if not positive_and_finite(y0, 0.0):  # tested under step's own errstate, then named
         require_valid("step", y0)
     t0, floor, h, mark = state.t, ctrl.positivity_floor, dt / 6.0, len(kept or ())
-    cs = list(dict.fromkeys(STAGE_TIMES))  # one sources call, a row per distinct stage time
-    forcing = {} if sources is None else dict(zip(cs, zip(*sources([t0 + c * dt for c in cs]))))
+    forcing = None  # else one sources call, packed once as rows [dv | dtheta | du] of rates
+    if sources is not None:
+        sv, su, sth = sources([t0 + c * dt for c in _TIMES])
+        forcing = np.concatenate((sv, sth, su), axis=-1)
 
     def stages(named: bool) -> tuple[np.ndarray, float] | None:
         if kept is not None:
             del kept[mark:]  # a replay keeps only its own rates
-        stage = Stage(y0.copy())
+        stage = Stage(y0.copy(), grid, params)
         y, inflow, power = stage.y, 0.0, math.nan
-        for i, c in enumerate(STAGE_TIMES, 1):
-            k = rhs(stage, grid, params, setup, forcing.get(c))
+        for i, row in enumerate(_ROWS, 1):
+            k = rhs(stage, grid, params, setup, forcing if forcing is None else forcing[row])
             if ledger is not None:
                 power = boundary_power(stage, grid, params, setup)
                 inflow += power
@@ -200,11 +205,11 @@ def step(
             if i == 5:  # y5 = 2/5 w5 + 3/5 y0, keeping w5 for the result
                 w5 = y.copy()
                 y *= 0.4
-                y += 0.6 * y0
+                y += np.multiply(0.6, y0, out=k)  # the spent k holds each mix product
             elif i == 10:  # 3/5 w10 + 1/25 y0 + 9/25 w5
                 y *= 0.6
-                y += 0.04 * y0
-                y += 0.36 * w5
+                y += np.multiply(0.04, y0, out=k)
+                y += np.multiply(0.36, w5, out=k)
             if not (positive_and_finite if named or i == 10 else above_floor)(y, floor):
                 if not named:
                     return None

@@ -20,7 +20,10 @@ is always far field; the setup says how the left end closes:
 c_v * theta_t = (kappa * theta_x / v)_x + sigma * u_x with the momentum stress
 sigma = mu * u_x / v - p; in exact arithmetic that is the third line above.
 
-All operators are deterministic, and pure but for :func:`rhs` of a :class:`Stage`.
+All operators are deterministic, and pure but for :func:`rhs` of a :class:`Stage`.  rhs
+fuses the theta and u differences into one pass over a work row, with the seam between them
+scaled by 0 onto a face the right closure then sets, and every entry keeps its operands and
+their order, so the rates have the bits of one pass per difference and scaling.
 """
 
 from __future__ import annotations
@@ -49,21 +52,28 @@ __all__ = [
 
 
 class Stage:
-    """A step's workspace: a stage buffer ``y`` ``[v | theta | u]``, ``rates`` laid out
-    alike, faces ``[heat flux | stress | right ghost stress]``, a scratch row, every view
-    :func:`rhs` needs, sliced once, and the ``power`` rhs sets (else NaN)."""
+    """A step's workspace on one grid and gas: a stage buffer ``y`` ``[v | theta | u]``; a
+    buffer whose tail is ``rates``, laid out alike, and whose head is the work row ``[theta
+    diffs | seam | u diffs]``, its u half ``dv`` and its spent theta half then the scratch row
+    ``tmp``; faces ``[heat flux | stress | right ghost stress]``; the rows ``[vbar | 1 | dm...]``
+    that divide the work row and ``[2*kappa/dm... | 0 | mu...]`` that scale it into the faces,
+    of which only vbar is rewritten; every view :func:`rhs` needs, sliced once, and the
+    ``power`` rhs sets (else NaN)."""
 
-    def __init__(self, y: np.ndarray) -> None:
-        self.y, self.power, self.rates = y, math.nan, np.empty_like(y)
+    def __init__(self, y: np.ndarray, grid: MassGrid, params: GasParams) -> None:
+        self.y, self.power = y, math.nan
         self.v, self.th, self.u = v, th, u = unpack(y)
+        n, dm = v.shape[0], grid.dm
+        buffer, faces = np.empty(4 * n + 1), np.empty(2 * n + 2)
+        self.work, self.tmp, self.rates = buffer[: 2 * n], buffer[:n], buffer[n:]
         self.dv, self.dth, self.du = unpack(self.rates)
-        n = v.shape[0]
-        self.tmp, faces = np.empty(n), np.empty(2 * n + 2)
-        self.dthu, self.vbar = self.rates[n:], self.tmp[:-1]
-        self.flux, self.flux_inner, self.stress = faces[: n + 1], faces[1:n], faces[n + 1 : -1]
+        self.dthu = buffer[2 * n :]
+        rows = np.array((0.0, 1.0, dm, 2.0 * params.kappa / dm, 0.0, params.mu)).repeat(
+            (n - 1, 1, n, n - 1, 1, n))
+        self.divisor, self.scale, self.vbar = rows[: 2 * n], rows[2 * n :], rows[: n - 1]
+        self.y_lo, self.y_hi, self.v_lo, self.v_hi = y[n:-1], y[n + 1 :], v[:-1], v[1:]
+        self.flux, self.stress, self.faces_mid = faces[: n + 1], faces[n + 1 : -1], faces[1:-1]
         self.faces_lo, self.faces_hi = faces[:-1], faces[1:]
-        self.v_lo, self.v_hi, self.th_lo, self.th_hi = v[:-1], v[1:], th[:-1], th[1:]
-        self.u_lo, self.u_hi = u[:-1], u[1:]
 
 
 def _far_field_stress(u_out: float, params: GasParams, dm: float) -> float:
@@ -87,12 +97,15 @@ def _closures(v: np.ndarray, th: np.ndarray, u: np.ndarray, dm: float, setup: Se
     return flux_left, flux_right, ghost_left, ghost_right, flux_right - flux_left + work
 
 
-def _heat_flux(stage: Stage, dm: float, setup: SetupKind, params: GasParams) -> tuple:
-    """Heat flux (2*kappa/dm)*(theta_i - theta_{i-1})/(v_{i-1} + v_i) into ``stage.flux``;
-    returns the :func:`_closures` that give its ends."""
-    inner = np.subtract(stage.th_hi, stage.th_lo, out=stage.flux_inner)
-    inner /= np.add(stage.v_lo, stage.v_hi, out=stage.vbar)
-    inner *= 2.0 * params.kappa / dm
+def _faces(stage: Stage, dm: float, setup: SetupKind, params: GasParams) -> tuple:
+    """Heat flux (2*kappa/dm)*(theta_i - theta_{i-1})/(v_{i-1} + v_i) into ``stage.flux``,
+    u_x into ``stage.dv`` and mu*u_x into ``stage.stress``: one difference, divide and multiply
+    over the work row, whose seam lands on flux[n] times 0; returns the :func:`_closures` that
+    give the flux's ends."""
+    np.add(stage.v_lo, stage.v_hi, out=stage.vbar)
+    work = np.subtract(stage.y_hi, stage.y_lo, out=stage.work)
+    work /= stage.divisor
+    np.multiply(work, stage.scale, out=stage.faces_mid)
     ends = _closures(stage.v, stage.th, stage.u, dm, setup, params)
     stage.flux[0], stage.flux[-1] = ends[:2]
     return ends
@@ -104,8 +117,8 @@ def heat_flux_faces(
     """Heat flux kappa*theta_x/v at every node (face): the face difference of theta over
     the arithmetic-mean specific volume, the left face closed as ``setup`` says, the
     right one by the far field.  ``rhs`` and ``boundary_power`` use the same fluxes."""
-    stage = Stage(state.y)
-    _heat_flux(stage, grid.dm, setup, params)
+    stage = Stage(state.y, grid, params)
+    _faces(stage, grid.dm, setup, params)
     return stage.flux
 
 
@@ -114,7 +127,7 @@ def rhs(
     grid: MassGrid,
     params: GasParams,
     setup: SetupKind,
-    sources: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    sources: tuple[np.ndarray, np.ndarray, np.ndarray] | np.ndarray | None = None,
 ) -> np.ndarray:
     """Semi-discrete rates for (v, u, theta), packed like a stage: ``[dv | dtheta | du]``.
 
@@ -122,22 +135,23 @@ def rhs(
     stress = (mu*u_x - R*theta)/v.  Far-field boundary nodes see a ghost cell at the rest
     state whose strain uses a ghost node with u = 0; a wall node has du = 0, imposing
     u(0, t) = 0 strongly.  ``sources`` are optional extra rates (dv, du, dtheta), e.g.
-    manufactured forcings.  ``state`` may be a FluidState with the grid's cell count (else
+    manufactured forcings, packed like the rates at entry, or such a packed row, as a step
+    passes them.  ``state`` may be a FluidState with the grid's cell count (else
     ConfigurationError), finite positive v and theta and a finite u (else DomainError), or
     a checked :class:`Stage`, whose rates and ``power`` rhs sets.
     """
     stage = state
     if not isinstance(state, Stage):
         require_cells_match("rhs", state, grid)
-        stage = Stage(require_valid("rhs", state.y))
+        stage = Stage(require_valid("rhs", state.y), grid, params)
+    if sources is not None and not isinstance(sources, np.ndarray):
+        sv, su, sth = sources
+        sources = np.concatenate((sv, sth, su))  # packed like the rates: one add forces them
     dm, du, dth = grid.dm, stage.du, stage.dth
     # one difference of faces [heat flux | stress | right ghost stress] is the flux divergence,
     # then every du, the seam (stress[0] - flux[n]) on du[0], which the left closure then sets
-    _, _, ghost_left, ghost_right, stage.power = _heat_flux(stage, dm, setup, params)
-    s = np.subtract(stage.u_hi, stage.u_lo, out=stage.dv)  # u_x; dv until sources are added
-    s /= dm
-    stress = np.multiply(s, params.mu, out=stage.stress)
-    rt = np.multiply(stage.th, params.R, out=stage.tmp)
+    _, _, ghost_left, ghost_right, stage.power = _faces(stage, dm, setup, params)
+    stress, rt = stage.stress, np.multiply(stage.th, params.R, out=stage.tmp)
     stress -= rt
     stress /= stage.v
     stage.faces_hi[-1] = ghost_right
@@ -145,14 +159,10 @@ def rhs(
     dthu /= dm
     if ghost_left is not None:
         du[0] = (stress.item(0) - ghost_left) / dm
-    dth += np.multiply(s, stress, out=rt)  # c_v*dtheta = diff(flux)/dm + s*stress
+    dth += np.multiply(stage.dv, stress, out=rt)  # c_v*dtheta = diff(flux)/dm + u_x*stress
     dth /= params.c_v
-
     if sources is not None:
-        sv, su, sth = sources
-        stage.dv += sv
-        du += su
-        dth += sth
+        stage.rates += sources
     if setup.has_wall:
         du[0] = 0.0  # the wall rate stays pinned, even under forcing
     return stage.rates

@@ -233,6 +233,28 @@ def rhs(state, grid, params, setup, sources=None):
     return dv, du, dth
 
 
+def stable_dt(state, grid, params, ctrl):
+    """SSPRK(10,4)'s stable step by a loop over the cells, clamped to ``dt_max``.
+
+    Cell j has sound speed sqrt(R*theta_j*gamma)/v_j and diffusivity
+    max(mu/v_j, kappa/(c_v*v_j)).  The acoustic limit is cfl_hyperbolic*dm over
+    the largest speed; with dt_FE = dm^2/(2D) of the largest diffusivity D the
+    diffusive limit is min(6 dt_FE, 10 * (2 cfl_parabolic dt_FE)).  Each product
+    and quotient is taken in the vectorized operand order, so the bits agree.
+    No dt_min check.  Returns (dt, acoustic limit, diffusive limit).
+    """
+    dm, gamma = grid.dm, params.R / params.c_v + 1.0
+    sound = diffusivity = 0.0
+    for j in range(state.n_cells):
+        v, theta = float(state.v[j]), float(state.theta[j])
+        sound = max(sound, math.sqrt(params.R * theta * gamma) / v)
+        diffusivity = max(diffusivity, params.mu / v, params.kappa / (params.c_v * v))
+    acoustic = ctrl.cfl_hyperbolic * dm / sound
+    two_d = 2.0 * diffusivity
+    diffusive = min(6.0 * dm * dm / two_d, 10.0 * (2.0 * ctrl.cfl_parabolic * dm * dm / two_d))
+    return min(acoustic, diffusive, ctrl.dt_max), acoustic, diffusive
+
+
 def explicit_rk_step(state, dt, grid, params, setup, a, b, c, sources=None):
     """One explicit Runge-Kutta step with Butcher tableau ``(a, b, c)``.
 

@@ -33,7 +33,7 @@ MUTANTS = [
     ("a DENSE_CUBICS coefficient 2/3 -> 2/3 + 1e-3", "integrate.py",
      "(11 / 15, -13 / 10, 2 / 3)", "(11 / 15, -13 / 10, 2 / 3 + 1e-3)"),
     ("the stage-10 mix weight 0.36 -> 0.35", "integrate.py",
-     "y += 0.36 * w5", "y += 0.35 * w5"),
+     "np.multiply(0.36, w5, out=k)", "np.multiply(0.35, w5, out=k)"),
     ("the far-field ghost stress's viscous sign", "scheme.py",
      "return -params.R - params.mu * (u_out / dm)", "return -params.R + params.mu * (u_out / dm)"),
     ("the isothermal wall flux halved", "scheme.py",
@@ -70,6 +70,8 @@ MUTANTS = [
      "if named or i == 10 else above_floor", "if named else above_floor"),
     ("the replay keeps the fast pass's kept entries", "integrate.py",
      "del kept[mark:]", "del kept[len(kept):]"),
+    ("stable_dt skips the acoustic pass exactly when its bound cannot", "integrate.py",
+     "dm / bound < dt:", "dm / bound >= dt:"),
 ]
 
 _FAILED = re.compile(r"^FAILED (\S+)", re.MULTILINE)

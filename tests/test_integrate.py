@@ -148,6 +148,65 @@ def test_stable_dt_diffusive_bound_matches_cellwise_maximum(seed, mu, kappa, c_v
     assert stable_dt(state, grid, params, ctrl) == dt_par
 
 
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("regime", ["acoustic", "diffusive"])
+def test_stable_dt_is_the_loop_oracle_bit_for_bit(regime, seed):
+    # stable_dt takes the diffusive limit first and skips the acoustic pass
+    # when a bound on the sound speed, from max theta and min v, shows it is
+    # not shorter; either way its bits are the loop's min of both limits.  A
+    # coarse grid and hot gas make the acoustic limit the shorter
+    rng = np.random.default_rng(seed)
+    params = GasParams(*rng.uniform(0.2, 5.0, 4).tolist())
+    setup = list(SetupKind)[seed % 3]
+    if regime == "acoustic":
+        grid = make_grid(setup, rng.uniform(20.0, 200.0), int(rng.integers(4, 12)))
+    else:
+        grid = make_grid(setup, rng.uniform(0.5, 2.0), int(rng.integers(64, 256)))
+    state = random_state(grid, seed)
+    if regime == "acoustic":
+        state.theta[:] *= 1e4
+    ctrl = StepControl(cfl_hyperbolic=rng.uniform(0.05, 1.0),
+                       cfl_parabolic=rng.uniform(0.1, 1.0), dt_min=1e-300)
+    dt, acoustic, diffusive = bruteforce.stable_dt(state, grid, params, ctrl)
+    assert (acoustic < diffusive) == (regime == "acoustic")
+    assert stable_dt(state, grid, params, ctrl).hex() == dt.hex()
+
+
+def test_stable_dt_where_the_two_limits_meet_within_an_ulp():
+    # theta is solved for the acoustic limit to meet the diffusive one, then
+    # moved by up to 4 ulps either way in one cell: at min v ("same"), where the
+    # shortcut's bound is that cell's speed, or a few ulps of v above it
+    # ("apart"), where the bound overstates every cell.  Each result is the
+    # loop's bit for bit, and the limits land on both sides of each other
+    sides = set()
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        params = GasParams(*rng.uniform(0.5, 2.0, 4).tolist())
+        grid, n = make_grid(SetupKind.CAUCHY, 4.0, 16), 16
+        ctrl = StepControl(cfl_parabolic=0.3, dt_min=1e-300)
+        v = rng.uniform(0.8, 1.2, n)
+        low, v_min = int(np.argmin(v)), float(v.min())
+        dm, two_d = grid.dm, 2.0 * max(params.mu / v_min, params.kappa / (params.c_v * v_min))
+        diffusive = min(6.0 * dm * dm / two_d, 10.0 * (2.0 * 0.3 * dm * dm / two_d))
+        speed = ctrl.cfl_hyperbolic * dm / diffusive
+        theta_star = (speed * v_min) ** 2 / (params.R * params.gamma)
+        for where in ("same", "apart"):
+            hot = low if where == "same" else (low + 1) % n
+            for offset in range(-4, 5):
+                vv, theta = v.copy(), np.full(n, 0.5 * theta_star)
+                if where == "apart":
+                    vv[hot] = np.nextafter(np.nextafter(v_min, 2.0), 2.0)
+                theta[hot] = theta_star
+                for _ in range(abs(offset)):
+                    theta[hot] = np.nextafter(theta[hot], np.inf if offset > 0 else 0.0)
+                state = FluidState(0.0, vv, theta, np.zeros(n + 1))
+                dt, acoustic, limit = bruteforce.stable_dt(state, grid, params, ctrl)
+                assert limit == diffusive and abs(acoustic - diffusive) <= 8 * math.ulp(diffusive)
+                assert stable_dt(state, grid, params, ctrl).hex() == dt.hex()
+                sides.add((where, (acoustic > diffusive) - (acoustic < diffusive)))
+    assert {("same", -1), ("same", 1), ("apart", -1), ("apart", 1)} <= sides
+
+
 @pytest.mark.parametrize("setup", list(SetupKind), ids=lambda k: k.value)
 def test_step_preserves_steady_state_exactly(setup, params, ctrl):
     grid = make_grid(setup, 5.0, 32)
@@ -609,7 +668,7 @@ def per_stage_checked_step(state, dt, grid, params, setup, ctrl, sources):
     """The result of step's stage arithmetic with core's full fast test at every stage, as a
     loop of its own, through ``lagas.integrate.rhs``."""
     y0, h, floor = state.y, dt / 6.0, ctrl.positivity_floor
-    stage = Stage(y0.copy())
+    stage = Stage(y0.copy(), grid, params)
     y = stage.y
     times = list(dict.fromkeys(STAGE_TIMES))
     rows = dict(zip(times, zip(*sources([state.t + c * dt for c in times]))))

@@ -15,7 +15,8 @@ from lagas import (
     make_grid,
     steady_state,
 )
-from lagas.scheme import Stage, boundary_power, heat_flux_faces, rhs, total_energy
+from lagas.core import unpack
+from lagas.scheme import Stage, _closures, boundary_power, heat_flux_faces, rhs, total_energy
 
 ALL_SETUPS = list(SetupKind)
 
@@ -207,7 +208,7 @@ def test_rhs_returns_one_buffer_laid_out_like_a_stage(setup, params, forced):
         state.u[0] = 0.0
     sources = random_sources(n, 23) if forced else None
     rates = rhs(state, grid, params, setup, sources)
-    stage = Stage(state.y)
+    stage = Stage(state.y, grid, params)
     assert rhs(stage, grid, params, setup, sources) is stage.rates
     assert rates.tobytes() == stage.rates.tobytes()
     assert isinstance(rates, np.ndarray) and rates.dtype == np.float64
@@ -228,11 +229,83 @@ def test_a_stage_power_is_nan_until_rhs_leaves_the_boundary_power(setup, params,
     if setup.has_wall:
         state.u[0] = 0.0
     sources = random_sources(n, n) if forced else None
-    stage = Stage(state.y)
+    stage = Stage(state.y, grid, params)
     assert math.isnan(boundary_power(stage, grid, params, setup))
     rhs(stage, grid, params, setup, sources)
     power = boundary_power(stage, grid, params, setup)
     assert power.hex() == boundary_power(state, grid, params, setup).hex()
+
+
+@pytest.mark.parametrize("setup", ALL_SETUPS, ids=lambda s: s.value)
+def test_forcing_is_one_add_of_the_packed_rows(setup, params):
+    # rhs packs a sources tuple (dv, du, dtheta) like its rates, [dv | dtheta |
+    # du], and adds it in one pass, then pins a wall's du[0] at +0.0; a packed
+    # row, as a step passes it, gives the same bits, on a Stage too
+    n = 12
+    grid = make_grid(setup, 3.0, n)
+    state = random_state(grid, seed=31)
+    sv, su, sth = random_sources(n, 31)
+    packed = np.concatenate((sv, sth, su))
+    expected = rhs(state, grid, params, setup) + packed
+    if setup.has_wall:
+        expected[2 * n] = 0.0
+    forced = rhs(state, grid, params, setup, (sv, su, sth))
+    assert forced.tobytes() == expected.tobytes()
+    assert (forced[2 * n] == 0.0) == setup.has_wall
+    assert rhs(state, grid, params, setup, packed).tobytes() == expected.tobytes()
+    stage = Stage(state.y.copy(), grid, params)
+    assert rhs(stage, grid, params, setup, packed).tobytes() == expected.tobytes()
+
+
+def fifteen_pass_rates(y, grid, params, setup):
+    """The rates and boundary power of packed ``y`` as the unfused rhs took them, one numpy
+    pass per step: the heat flux (passes 1-4), the strain u_x (5-6), the stress
+    (mu*u_x - R*theta)/v (7-10), one difference of the faces for the flux divergence and
+    every du (11-12), and the thermal rate in stress-power form (13-15)."""
+    n, dm = grid.n_cells, grid.dm
+    v, th, u = unpack(y)
+    rates, faces, tmp = np.empty_like(y), np.empty(2 * n + 2), np.empty(n)
+    dv, dth, du = unpack(rates)
+    flux, stress = faces[: n + 1], faces[n + 1 : -1]
+    inner = np.subtract(th[1:], th[:-1], out=faces[1:n])
+    inner /= np.add(v[:-1], v[1:], out=tmp[:-1])
+    inner *= 2.0 * params.kappa / dm
+    flux[0], flux[-1], ghost_left, ghost_right, power = _closures(v, th, u, dm, setup, params)
+    s = np.subtract(u[1:], u[:-1], out=dv)
+    s /= dm
+    np.multiply(s, params.mu, out=stress)
+    rt = np.multiply(th, params.R, out=tmp)
+    stress -= rt
+    stress /= v
+    faces[-1] = ghost_right
+    dthu = np.subtract(faces[1:], faces[:-1], out=rates[n:])
+    dthu /= dm
+    if ghost_left is not None:
+        du[0] = (stress[0] - ghost_left) / dm
+    dth += np.multiply(s, stress, out=rt)
+    dth /= params.c_v
+    if setup.has_wall:
+        du[0] = 0.0
+    return rates, power
+
+
+@pytest.mark.parametrize("n", [4, 5, 64])
+@pytest.mark.parametrize("setup", ALL_SETUPS, ids=lambda s: s.value)
+def test_rhs_of_a_stage_is_the_fifteen_pass_evaluation_bit_for_bit(setup, n):
+    # the fused rhs takes one difference over [theta | u], one divide by
+    # [vbar | 1 | dm...] and one multiply by [2 kappa/dm... | 0 | mu...] into
+    # the faces; its seam slot and constant rows must leave the unfused bits,
+    # on a Stage's first state and on a second one written into its buffer
+    params = GasParams(mu=0.7, kappa=1.3, R=2.0, c_v=1.1)
+    grid = make_grid(setup, 3.0, n)
+    first, second = random_state(grid, seed=n), random_state(grid, seed=n + 1, scale=0.9)
+    stage = Stage(first.y.copy(), grid, params)
+    for state in (first, second):
+        stage.y[:] = state.y
+        rates = rhs(stage, grid, params, setup)
+        expected, power = fifteen_pass_rates(state.y, grid, params, setup)
+        assert rates.tobytes() == expected.tobytes()
+        assert stage.power.hex() == power.hex()
 
 
 @pytest.mark.parametrize("setup", ALL_SETUPS, ids=lambda s: s.value)
