@@ -29,7 +29,6 @@ __all__ = [
     "make_grid",
     "first_breach",
     "positive_and_finite",
-    "require_cells_match",
     "require_valid",
     "steady_state",
     "unpack",
@@ -267,10 +266,9 @@ class ValidationReport:
         return f"{self.field_name}[{self.index}] {self.reason}"
 
 
-def require_cells_match(what: str, state: FluidState, grid: MassGrid) -> None:
-    """Raise ConfigurationError unless ``state`` has as many cells as ``grid``."""
-    if state.n_cells != grid.n_cells:
-        raise ConfigurationError(f"{what}: state has {state.n_cells} cells, grid {grid.n_cells}")
+def on_grid(y: np.ndarray, grid: MassGrid) -> bool:
+    """Whether packed ``y``, a state or a block of them, has the grid's 3n + 1 entries a row."""
+    return y.shape[-1] == 3 * grid.n_cells + 1
 
 
 def above_floor(y: np.ndarray, floor: float) -> bool:
@@ -299,9 +297,12 @@ def first_breach(y: np.ndarray, floor: float = 0.0) -> ValidationReport:
     return ValidationReport(True)
 
 
-def require_valid(what: str, y: np.ndarray) -> np.ndarray:
-    """Packed ``y``, a state or a block of them, once it is finite with positive v and theta;
-    else a DomainError names its first bad field and cell (in the first bad row)."""
+def require_valid(what: str, y: np.ndarray, grid: MassGrid) -> np.ndarray:
+    """Packed ``y``, a state or a block of them, that public function ``what`` took on ``grid``,
+    once it is :func:`on_grid` (else a ConfigurationError names both cell counts) and finite
+    with positive v and theta (else a DomainError names its first bad field and cell)."""
+    if not on_grid(y, grid):
+        raise ConfigurationError(f"{what}: state has {_cells(y)} cells, grid {grid.n_cells}")
     with np.errstate(invalid="ignore", over="ignore"):
         if positive_and_finite(y, 0.0):
             return y

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .core import DomainError, FluidState, GasParams, MassGrid, SetupKind, require_valid, unpack
-from .scheme import total_energies, total_energy
+from .scheme import total_energies
 
 __all__ = [
     "AuditRecord", "AuditTrail", "EnergyLedger", "H1Seminorms", "entropy_energy",
@@ -165,9 +165,9 @@ class _Tick:
         return [(faces + sq[3] + sq[4]) * self.dm for faces, sq in zip(self.z4_faces, self.sq_sums)]
 
 
-def _one(state: FluidState, dm: float, what: str | None = None) -> _Tick:
-    block = state.y[None]  # the tick of a single state, checked as ``what`` if given
-    return _Tick(block if what is None else require_valid(what, block), dm)
+def _one(method, state: FluidState, grid: MassGrid, *args):
+    """_Tick ``method`` at one state, checked as the public function of the same name."""
+    return method(_Tick(require_valid(method.__name__, state.y[None], grid), grid.dm), *args)[0]
 
 
 def entropy_energy(state: FluidState, params: GasParams, grid: MassGrid) -> float:
@@ -176,7 +176,7 @@ def entropy_energy(state: FluidState, params: GasParams, grid: MassGrid) -> floa
     Midpoint quadrature over cells, with u averaged to cell centers.  Zero
     exactly at the rest state and strictly positive elsewhere.
     """
-    return _one(state, grid.dm, "entropy energy").entropy_energy(params)[0]
+    return _one(_Tick.entropy_energy, state, grid, params)
 
 
 def dissipation_rates(state: FluidState, params: GasParams, grid: MassGrid) -> tuple[float, float]:
@@ -186,7 +186,7 @@ def dissipation_rates(state: FluidState, params: GasParams, grid: MassGrid) -> t
     D_heat = kappa * sum over interior faces of theta_x^2/(v*theta^2) * dm
     with face values by arithmetic mean.
     """
-    return _one(state, grid.dm, "dissipation rates").dissipation_rates(params)[0]
+    return _one(_Tick.dissipation_rates, state, grid, params)
 
 
 def energy_balance_residual(te_now: float, te_initial: float, boundary_inflow: float) -> float:
@@ -207,7 +207,7 @@ def _bounds(vt: np.ndarray) -> list[tuple[float, float, float, float]]:
 
 def lp_deviation(state: FluidState, grid: MassGrid, p: float) -> float:
     """L^p norm of (v-1, u, theta-1) with node u averaged to cells; p in (1, inf]."""
-    return _one(state, grid.dm).lp_deviation(p)[0]
+    return _one(_Tick.lp_deviation, state, grid, p)
 
 
 @dataclass(frozen=True)
@@ -227,7 +227,7 @@ def h1_seminorms(state: FluidState, grid: MassGrid) -> H1Seminorms:
     v_x and theta_x live on interior faces, u_x on cells; second differences
     compose the first ones (u_xx on interior nodes, theta_xx on interior cells).
     """
-    return H1Seminorms(*_one(state, grid.dm).h1_seminorms()[0])
+    return H1Seminorms(*_one(_Tick.h1_seminorms, state, grid))
 
 
 def truncated_excess(state: FluidState, grid: MassGrid, a: float) -> tuple[float, float]:
@@ -236,7 +236,7 @@ def truncated_excess(state: FluidState, grid: MassGrid, a: float) -> tuple[float
     The super-level set is measured by cell counting.
     """
     check_excess_thresholds((a,))
-    return _one(state, grid.dm).truncated_excess(a)[0]
+    return _one(_Tick.truncated_excess, state, grid, a)
 
 
 def sup_embedding_check(values: np.ndarray, grid: MassGrid) -> tuple[float, float]:
@@ -251,12 +251,12 @@ def sup_embedding_check(values: np.ndarray, grid: MassGrid) -> tuple[float, floa
 
 def df8_rate(state: FluidState, grid: MassGrid) -> float:
     """Instantaneous value of the integral of (1 + theta + u^2)*u_x^2 + theta_x^2."""
-    return _one(state, grid.dm).df8_rate()[0]
+    return _one(_Tick.df8_rate, state, grid)
 
 
 def z4_rate(state: FluidState, grid: MassGrid) -> float:
     """Instantaneous value of the integral of theta*v_x^2 + u_xx^2 + theta_xx^2."""
-    return _one(state, grid.dm).z4_rate()[0]
+    return _one(_Tick.z4_rate, state, grid)
 
 
 @dataclass(frozen=True)
@@ -337,7 +337,7 @@ class AuditTrail:
 
     ``record`` and ``record_block`` (several packed snapshots at once) take snapshots of
     a single trajectory in time order, and fail with DomainError on one earlier than the
-    last or one not finite with positive v and theta (naming the field and cell); the
+    last; the initial state and each snapshot must pass ``require_valid`` on ``grid``.  The
     cumulative integrals are trapezoids on that cadence, and the energy ledger is filled
     by the integrator at every step.  A snapshot read between steps comes with its own
     ``inflow``, the ledger's at that time.
@@ -348,23 +348,27 @@ class AuditTrail:
         self.excess_thresholds = check_excess_thresholds(excess_thresholds)
         self.grid, self.params, self.setup = grid, params, setup
         self.ledger = EnergyLedger()
-        self._te0 = total_energy(initial, grid, params)
+        require_valid("AuditTrail", initial.y, grid)
+        self._te0 = total_energies(initial.theta[None], initial.u[None], grid.dm, params)[0]
         self._prev: tuple[float, float, float, float] | None = None
         self._cum_d = self._cum_df8 = self._cum_z4 = 0.0
 
     def record(self, state: FluidState, inflow: float | None = None) -> AuditRecord:
         """The record of one snapshot, the one-state case of :meth:`record_block`."""
         inflow = self.ledger.inflow if inflow is None else inflow
-        return self.record_block((state.t,), state.y[None], (inflow,))[0]
+        return self._records("AuditTrail.record", (state.t,), state.y[None], (inflow,))[0]
 
     def record_block(self, times, block: np.ndarray, inflows) -> list[AuditRecord]:
         """One _Tick's records of the C-ordered packed states block[i] at times[i], inflows[i]."""
+        return self._records("AuditTrail.record_block", times, block, inflows)
+
+    def _records(self, what: str, times, block: np.ndarray, inflows) -> list[AuditRecord]:
         for last, t in zip([-math.inf if self._prev is None else self._prev[0], *times], times):
             if t < last:
                 raise DomainError(
                     f"audit record at t={t!r} is earlier than the last, at t={last!r}")
         grid, params, levels = self.grid, self.params, self.excess_thresholds
-        require_valid("audit record", block)
+        require_valid(what, block, grid)
         tick = _Tick(block, grid.dm)
         columns = zip(
             times, tick.entropy_energy(params), tick.dissipation_rates(params), tick.bounds,

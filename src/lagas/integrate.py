@@ -11,10 +11,10 @@ A state is read in place as its buffer ``state.y``, ``[v | theta | u]``; a step 
 a :class:`~lagas.scheme.Stage`, where ``rhs`` leaves rates in the same layout and the boundary
 power.  The Euler substeps and the method's two mixes update that buffer in place, and the
 result adopts it.  Every state check is core's fast ``positive_and_finite``, with its naming
-scan behind it: ``stable_dt`` and ``step`` check their input with ``require_valid``
-(DomainError); a step's result and each dense-output block are tested at the floor, its other
-stages by ``above_floor`` alone, and ``_failure`` names the stage, field and cell of a failing
-step's replay (IntegrationError), in which every stage is tested in full; ``rhs`` checks none.
+scan behind it: an input state on its grid passes ``require_valid``, in ``step`` only once
+``on_grid`` or the fast test fails; a step's result and each dense-output block are tested at
+the floor, its other stages by ``above_floor`` alone, and ``_failure`` names the stage, field
+and cell of a failing step's replay (IntegrationError), in which every stage is tested in full.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from .core import (
     SetupKind,
     StiffnessError,
     above_floor,
+    on_grid,
     positive_and_finite,
-    require_cells_match,
     require_valid,
     validate_state,
 )
@@ -117,12 +117,10 @@ def stable_dt(state: FluidState, grid: MassGrid, params: GasParams, ctrl: StepCo
     monotone, so the largest D is the one at min v, and no cell's c exceeds
     sqrt(R*max theta*gamma)/min v in the same operand order: when that bound's acoustic step
     is no shorter than the diffusive limit, the pass over the cells is skipped, bit for bit.
-    A state off the grid (ConfigurationError) or not finite with positive v and theta
-    (DomainError) fails first; StiffnessError when the unclamped step falls below dt_min
-    (blow-up or floor-level v/theta).
+    A state failing ``require_valid`` fails first; StiffnessError when the unclamped step
+    falls below dt_min (blow-up or floor-level v/theta).
     """
-    require_cells_match("stable_dt", state, grid)
-    require_valid("stable_dt", state.y)
+    require_valid("stable_dt", state.y, grid)
     v, th, dm = state.v, state.theta, grid.dm
     v_min = float(np.minimum.reduce(v))
     two_d = 2.0 * max(params.mu / v_min, params.kappa / (params.c_v * v_min))
@@ -165,8 +163,7 @@ def step(
 ) -> FluidState:
     """One SSPRK(10,4) step: ten positivity-checked Euler substeps of h = dt/6.
 
-    A state off the grid's cell count (ConfigurationError), with v or theta not finite
-    and positive or u not finite (DomainError) fails before any stage.  ``sources`` gets
+    A state failing ``require_valid`` fails before any stage.  ``sources`` gets
     one call, with the distinct stage times t0 + c dt in stage order, its rows packed once
     like the rates; each stage adds its time's row.  A ledger gets the boundary-energy
     inflow with the scheme's weights, so the total-energy residual measures time-integration
@@ -178,10 +175,9 @@ def step(
     """
     if not dt > 0.0:
         raise ConfigurationError(f"dt must be positive, got {dt!r}")
-    require_cells_match("step", state, grid)
     y0 = state.y
-    if not positive_and_finite(y0, 0.0):  # tested under step's own errstate, then named
-        require_valid("step", y0)
+    if not (on_grid(y0, grid) and positive_and_finite(y0, 0.0)):  # under step's errstate
+        require_valid("step", y0, grid)
     t0, floor, h, mark = state.t, ctrl.positivity_floor, dt / 6.0, len(kept or ())
     forcing = None  # else one sources call, packed once as rows [dv | dtheta | du] of rates
     if sources is not None:
@@ -256,8 +252,8 @@ def advance(
     ``_BLOCK_CELLS // n`` (one or more) at a time, read their states and ledger
     inflows from its dense output as one block, checked as a stage is and
     recorded in one ``record_block``; on_record then sees each in order.  In a block that fails
-    the check the ticks before the failing one are still recorded.  A state off
-    the grid's cell count fails before any record; calling with ``t_end`` equal
+    the check the ticks before the failing one are still recorded.  A state failing
+    ``require_valid`` fails before any record; calling with ``t_end`` equal
     to the state time is a no-op that emits the single record.  Step failures
     carry the time of failure.
     """
@@ -265,7 +261,7 @@ def advance(
         raise ConfigurationError(f"t_end must be >= the state time {state.t!r}, got {t_end!r}")
     if not every > 0.0:
         raise ConfigurationError(f"cadence must be positive, got {every!r}")
-    require_cells_match("advance", state, grid)
+    require_valid("advance", state.y, grid)
 
     trail = AuditTrail(state, grid, params, setup, excess_thresholds)
     records = [trail.record(state)]

@@ -37,7 +37,6 @@ from .core import (
     GasParams,
     MassGrid,
     SetupKind,
-    require_cells_match,
     require_valid,
     unpack,
 )
@@ -117,7 +116,7 @@ def heat_flux_faces(
     """Heat flux kappa*theta_x/v at every node (face): the face difference of theta over
     the arithmetic-mean specific volume, the left face closed as ``setup`` says, the
     right one by the far field.  ``rhs`` and ``boundary_power`` use the same fluxes."""
-    stage = Stage(state.y, grid, params)
+    stage = Stage(require_valid("heat_flux_faces", state.y, grid), grid, params)
     _faces(stage, grid.dm, setup, params)
     return stage.flux
 
@@ -136,14 +135,12 @@ def rhs(
     state whose strain uses a ghost node with u = 0; a wall node has du = 0, imposing
     u(0, t) = 0 strongly.  ``sources`` are optional extra rates (dv, du, dtheta), e.g.
     manufactured forcings, packed like the rates at entry, or such a packed row, as a step
-    passes them.  ``state`` may be a FluidState with the grid's cell count (else
-    ConfigurationError), finite positive v and theta and a finite u (else DomainError), or
-    a checked :class:`Stage`, whose rates and ``power`` rhs sets.
+    passes them.  ``state`` may be a FluidState, which must pass ``require_valid`` on
+    ``grid``, or a checked :class:`Stage`, whose rates and ``power`` rhs sets.
     """
     stage = state
     if not isinstance(state, Stage):
-        require_cells_match("rhs", state, grid)
-        stage = Stage(require_valid("rhs", state.y), grid, params)
+        stage = Stage(require_valid("rhs", state.y, grid), grid, params)
     if sources is not None and not isinstance(sources, np.ndarray):
         sv, su, sth = sources
         sources = np.concatenate((sv, sth, su))  # packed like the rates: one add forces them
@@ -179,6 +176,7 @@ def boundary_power(
     """
     if isinstance(state, Stage):
         return state.power
+    require_valid("boundary_power", state.y, grid)
     return _closures(state.v, state.theta, state.u, grid.dm, setup, params)[-1]
 
 
@@ -189,6 +187,7 @@ def total_energy(state: FluidState, grid: MassGrid, params: GasParams) -> float:
     convention the spatial exchange terms telescope and only boundary
     fluxes remain in the budget.
     """
+    require_valid("total_energy", state.y, grid)
     return total_energies(state.theta[None], state.u[None], grid.dm, params)[0]
 
 

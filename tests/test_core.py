@@ -120,9 +120,10 @@ def test_default_positivity_floor_lies_between_1e_10_and_2e_10(cauchy):
 
 def test_require_valid_passes_finite_entries_whose_sum_overflows(cauchy):
     # the fast test's sum overflows, quietly, and the naming scan finds nothing
-    y = steady_state(make_grid(cauchy, 2.0, 8)).y
+    grid = make_grid(cauchy, 2.0, 8)
+    y = steady_state(grid).y
     y[[0, 20]] = 1e308
-    assert require_valid("input", y) is y
+    assert require_valid("input", y, grid) is y
 
 
 def test_steady_state_has_zero_entropy_energy(cauchy, params):

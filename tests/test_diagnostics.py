@@ -30,6 +30,7 @@ from lagas import (
 from lagas.diagnostics import (
     DEFAULT_EXCESS_THRESHOLDS,
     AuditTrail,
+    _Tick,
     audit_columns,
     audit_header,
     audit_row,
@@ -211,7 +212,7 @@ def test_h1_seminorms_zero_at_steady(grid16):
 
 
 def test_h1_seminorms_linear_temperature(grid16):
-    slope = 0.4
+    slope = 0.2  # theta = 1 + slope x stays positive on [-4, 4]
     theta = 1.0 + slope * grid16.cell_centers()
     state = FluidState(0.0, np.ones(16), theta, np.zeros(17))
     h1 = h1_seminorms(state, grid16)
@@ -558,10 +559,10 @@ def test_record_block_rejects_times_out_of_order(params, cauchy, grid16):
     assert [record.t for record in trail.record_block([0.25, 0.5], block, [0.0, 0.0])] == [0.25, 0.5]
 
 
-def test_unchecked_functionals_stay_quiet_on_a_zero_volume(cauchy):
-    # the functionals that check nothing take no log and divide by no field, so a
-    # zero volume raises no warning; their values are pinned bit for bit and
-    # checked against the loop oracle
+def test_the_audit_tick_stays_quiet_on_a_zero_volume(cauchy):
+    # the tick takes no log and divides by no field for these functionals, so a zero
+    # volume raises no warning in it; its values are pinned bit for bit and checked
+    # against the loop oracle, and the public functionals refuse the state, naming v[40]
     grid = make_grid(cauchy, 4.0, 129)
     rng = np.random.default_rng(11)
     v = rng.uniform(0.5, 2.0, 129)
@@ -569,10 +570,15 @@ def test_unchecked_functionals_stay_quiet_on_a_zero_volume(cauchy):
     state = FluidState(0.0, v, rng.uniform(0.5, 2.5, 129), rng.uniform(-1.0, 1.0, 130))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        h1 = tuple(vars(h1_seminorms(state, grid)).values())
-        lp2, lpinf = lp_deviation(state, grid, 2.0), lp_deviation(state, grid, math.inf)
-        df8, z4 = df8_rate(state, grid), z4_rate(state, grid)
-        excess = truncated_excess(state, grid, 1.5)
+        tick = _Tick(state.y[None], grid.dm)
+        h1 = tick.h1_seminorms()[0]
+        lp2, lpinf = tick.lp_deviation(2.0)[0], tick.lp_deviation(math.inf)[0]
+        df8, z4 = tick.df8_rate()[0], tick.z4_rate()[0]
+        excess = tick.truncated_excess(1.5)[0]
+        for functional, *args in [(h1_seminorms,), (lp_deviation, 2.0), (df8_rate,),
+                                  (z4_rate,), (truncated_excess, 1.5)]:
+            with pytest.raises(DomainError, match=r": v\[40\] is not above"):
+                functional(state, grid, *args)
     assert h1 == (29.574383536171986, 34.88848800689442, 36.788657356603494,
                   958.6998696901557, 1011.4469877250839)
     assert (lp2, lpinf, df8, z4) == (2.806503772200929, 1.4818590268122902,
