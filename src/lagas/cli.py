@@ -70,6 +70,8 @@ EXIT_INTEGRATION = 3
 EXIT_MMS_FAIL = 4
 
 OUT_ROOT_ENV = "LAGAS_OUT_ROOT"
+#: a run's audit records after the initial one, t_end / cadence, are at most this many
+MAX_RECORDS = 10**6
 
 
 @contextmanager
@@ -127,6 +129,9 @@ class RunConfig:
             ("t_end", math.isfinite(self.t_end) and self.t_end >= 0.0,
              f"must be >= 0, got {self.t_end}"),
             ("cadence", self.cadence > 0.0, f"must be positive, got {self.cadence}"),
+            ("cadence", self.t_end <= MAX_RECORDS * self.cadence,
+             f"must be >= t_end / {MAX_RECORDS:,}, the most records after the first, "
+             f"got {self.cadence}"),
             ("truncation_threshold", 0.0 < self.truncation_threshold < math.inf,
              "must be finite and positive"),
             ("snapshot_every", self.snapshot_every is None or self.snapshot_every > 0.0,

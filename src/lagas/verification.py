@@ -53,6 +53,8 @@ __all__ = [
 ]
 
 FAMILIES = ("gaussian_bump", "tanh_front", "random_smooth")
+#: random_smooth sums its modes in a Python loop, on 4 097 points to normalise
+MAX_MODES = 1024
 
 
 @dataclass(frozen=True)
@@ -83,8 +85,8 @@ class InitialDataSpec:
         for name in ("amplitude_v", "amplitude_u", "amplitude_theta", "center"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.modes < 1:
-            raise ConfigurationError(f"modes must be >= 1, got {self.modes!r}")
+        if not 1 <= self.modes <= MAX_MODES:
+            raise ConfigurationError(f"modes must lie in [1, {MAX_MODES}], got {self.modes!r}")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed!r}")
 

@@ -72,6 +72,8 @@ MUTANTS = [
      "del kept[mark:]", "del kept[len(kept):]"),
     ("stable_dt skips the acoustic pass exactly when its bound cannot", "integrate.py",
      "dm / bound < dt:", "dm / bound >= dt:"),
+    ("the entry check's width comparison dropped", "core.py",
+     "return y.shape[-1] == 3 * grid.n_cells + 1", "return True"),
 ]
 
 _FAILED = re.compile(r"^FAILED (\S+)", re.MULTILINE)

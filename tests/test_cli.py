@@ -455,6 +455,12 @@ def test_main_mms_integration_failure_writes_failure_json(tmp_path, monkeypatch,
     assert not (out / "mms_report.json").exists()
 
 
+@pytest.mark.parametrize("extra", [{"initial_data": {"family": "random_smooth", "modes": 1024}},
+                                   {"t_end": 2.0, "cadence": 2e-6}], ids=["modes", "records"])
+def test_run_config_accepts_work_at_its_bounds(tmp_path, extra):
+    assert cfg(tmp_path, **extra).out_dir == tmp_path / "out"
+
+
 def test_main_mms_rejects_a_zero_grid_spacing_before_any_output(tmp_path, capsys):
     # the steady family builds no pulse, so only the grid check sees L = 5e-324
     out = tmp_path / "out"
@@ -655,8 +661,11 @@ def test_main_reports_config_errors(tmp_path, capsys):
     ("mms", '{"t_end": 1e400}'),
     ("excess_thresholds", "[1.5, 1e400]"),
     ("L", "5e-324"),
+    ("initial_data", '{"family": "random_smooth", "modes": 1025}'),
+    ("cadence", "1.9e-7"),
 ], ids=["random-seed", "gaussian-seed", "floor", "width-inf", "center-inf", "amplitude-nan",
-        "truncation-inf", "mms-t_end-inf", "excess-inf", "L-spacing-underflow"])
+        "truncation-inf", "mms-t_end-inf", "excess-inf", "L-spacing-underflow", "modes-1025",
+        "records-over-1e6"])
 def test_main_rejects_bad_numbers_before_any_output(tmp_path, capsys, section, body):
     # numpy's generator raises a bare ValueError on a negative seed, an
     # infinite floor would fail only mid-run, an infinite width turns the
@@ -664,13 +673,16 @@ def test_main_rejects_bad_numbers_before_any_output(tmp_path, capsys, section, b
     # infinite truncation threshold passes every truncation audit, an
     # infinite mms t_end fails only inside the study, and an infinite excess
     # level gives audit columns that are always 0, and an L of 5e-324 gives
-    # a zero grid spacing: all are config errors, caught before any file is written
+    # a zero grid spacing; random_smooth sums its modes in a Python loop, and
+    # t_end / cadence is the number of audit rows: all are config errors naming
+    # the key, caught before any file is written
     out = tmp_path / "out"
     raw = json.dumps(dict(MINIMAL, n=64, t_end=0.2, out_dir=str(out)))
     path = tmp_path / "config.json"
     path.write_text(raw[:-1] + f', "{section}": {body}}}')
     assert main(["run", str(path)]) == EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and f"config key '{section}'" in err
     assert not out.exists()
 
 

@@ -1,5 +1,10 @@
 import contextlib
+import importlib
+import inspect
 import math
+import pkgutil
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -27,10 +32,12 @@ from lagas import (
     step,
 )
 from lagas.core import positive_and_finite, validate_state
-from lagas.diagnostics import AuditTrail, EnergyLedger, audit_row, entropy_energy
+from lagas.diagnostics import (AuditTrail, EnergyLedger, audit_row, df8_rate, dissipation_rates,
+                               entropy_energy, h1_seminorms, lp_deviation, truncated_excess,
+                               z4_rate)
 from lagas.cli import config_from_dict
 from lagas.integrate import DENSE_CUBICS, STAGE_TIMES, _dense_output, _failure, dense_block
-from lagas.scheme import Stage, boundary_power, rhs
+from lagas.scheme import Stage, boundary_power, heat_flux_faces, rhs, total_energy
 from lagas.verification import default_pulse_solution, make_source_rates
 
 
@@ -976,27 +983,95 @@ def test_advance_rejects_backward_target(cauchy, params, ctrl):
         advance(mid, 0.1, 0.1, grid, params, cauchy, ctrl)
 
 
+PARAMS, CAUCHY, CTRL = GasParams(1.0, 1.0, 1.0, 1.5), SetupKind.CAUCHY, StepControl()
+
+
+def _trail(grid):
+    return AuditTrail(steady_state(grid), grid, PARAMS, CAUCHY)
+
+
+#: every public function or class that takes a state and its grid, by the name that its
+#: errors give, called on a state and a grid
+ENTRY = {
+    "advance": lambda state, grid: advance(state, 0.1, 0.05, grid, PARAMS, CAUCHY, CTRL),
+    "step": lambda state, grid: step(state, 1e-3, grid, PARAMS, CAUCHY, CTRL),
+    "stable_dt": lambda state, grid: stable_dt(state, grid, PARAMS, CTRL),
+    "rhs": lambda state, grid: rhs(state, grid, PARAMS, CAUCHY),
+    "heat_flux_faces": lambda state, grid: heat_flux_faces(state, grid, PARAMS, CAUCHY),
+    "boundary_power": lambda state, grid: boundary_power(state, grid, PARAMS, CAUCHY),
+    "total_energy": lambda state, grid: total_energy(state, grid, PARAMS),
+    "AuditTrail": lambda state, grid: AuditTrail(state, grid, PARAMS, CAUCHY),
+    "AuditTrail.record": lambda state, grid: _trail(grid).record(state),
+    "AuditTrail.record_block": lambda state, grid: _trail(grid).record_block(
+        [0.0], state.y[None], [0.0]),
+    "entropy_energy": lambda state, grid: entropy_energy(state, PARAMS, grid),
+    "dissipation_rates": lambda state, grid: dissipation_rates(state, PARAMS, grid),
+    "lp_deviation": lambda state, grid: lp_deviation(state, grid, 2.0),
+    "h1_seminorms": h1_seminorms,
+    "truncated_excess": lambda state, grid: truncated_excess(state, grid, 1.5),
+    "df8_rate": df8_rate,
+    "z4_rate": z4_rate,
+}
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Every rhs call, flux or closure pass and audit tick, as the entries make them."""
+    calls = []
+
+    class Tick(lagas.diagnostics._Tick):
+        def __init__(self, *args):
+            calls.append("tick")
+
+    monkeypatch.setattr(lagas.integrate, "rhs", lambda *args, **kwargs: calls.append("rhs"))
+    for name in ("_faces", "_closures"):
+        monkeypatch.setattr(lagas.scheme, name, lambda *args, name=name: calls.append(name))
+    monkeypatch.setattr(lagas.diagnostics, "_Tick", Tick)
+    return calls
+
+
 @pytest.mark.parametrize("state_cells,grid_cells", [(64, 32), (32, 64)])
-@pytest.mark.parametrize("entry", ["advance", "step", "stable_dt", "rhs"])
-def test_a_state_off_the_grid_is_rejected_before_any_work(monkeypatch, cauchy, params, ctrl,
-                                                          entry, state_cells, grid_cells):
+@pytest.mark.parametrize("entry", list(ENTRY))
+def test_a_state_off_the_grid_is_rejected_before_any_work(work, entry, state_cells, grid_cells):
     # unchecked, a longer state failed inside rhs on a numpy broadcast after the
-    # first record, and a shorter one as a positivity DomainError read off u
-    calls, records = [], []
-    monkeypatch.setattr(lagas.integrate, "rhs", lambda *args, **kwargs: calls.append(args))
-    grid = make_grid(cauchy, 8.0, grid_cells)
-    state = bump_state(cauchy, n=state_cells)[1]
-    run = {
-        "advance": lambda: advance(state, 0.1, 0.05, grid, params, cauchy, ctrl,
-                                   on_record=lambda record, _: records.append(record)),
-        "step": lambda: step(state, 1e-3, grid, params, cauchy, ctrl),
-        "stable_dt": lambda: stable_dt(state, grid, params, ctrl),
-        "rhs": lambda: rhs(state, grid, params, cauchy),
-    }[entry]
-    message = f"{entry}: state has {state_cells} cells, grid {grid_cells}$"
+    # first record, a shorter one as a positivity DomainError read off u, and the
+    # audit functionals gave a number weighted by the wrong dm
+    grid = make_grid(CAUCHY, 8.0, grid_cells)
+    state = bump_state(CAUCHY, n=state_cells)[1]
+    message = f"^{re.escape(entry)}: state has {state_cells} cells, grid {grid_cells}$"
     with pytest.raises(ConfigurationError, match=message):
-        run()
-    assert calls == [] and records == []
+        ENTRY[entry](state, grid)
+    assert work == []
+
+
+@pytest.mark.parametrize("field,cell,value", [("v", 3, -1.0), ("theta", 0, np.nan),
+                                              ("u", -1, np.inf)])
+@pytest.mark.parametrize("entry", list(ENTRY))
+def test_a_bad_value_is_named_before_any_work(work, entry, field, cell, value):
+    grid, state = bump_state(CAUCHY, n=16)
+    getattr(state, field)[cell] = value
+    where = re.escape(f"{field}[{cell % getattr(state, field).size}]")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"^{re.escape(entry)} needs .*: {where} is "):
+            ENTRY[entry](state, grid)
+    assert work == []
+
+
+def test_every_state_and_grid_entry_is_listed():
+    # a public function or class taking a state (or an initial one) and a grid must be in
+    # ENTRY, so that the tests above hold it to the entry check
+    found = set()
+    for module in ["lagas", *(f"lagas.{m.name}" for m in pkgutil.iter_modules(lagas.__path__))]:
+        mod = importlib.import_module(module)
+        for name in mod.__all__:
+            try:
+                params = set(inspect.signature(getattr(mod, name)).parameters)
+            except (TypeError, ValueError):  # a constant, or a class with no Python signature
+                continue
+            if {"state", "initial"} & params and "grid" in params:
+                found.add(name)
+    assert found and found <= set(ENTRY)
 
 
 def test_a_tick_just_before_t_end_stays_its_own_record(cauchy, params, ctrl):

@@ -17,7 +17,7 @@ import lagas.cli  # perfbench traces lagas.cli, which `import lagas` alone does 
 import mutants
 from conftest import random_state
 from lagas import SetupKind
-from lagas.diagnostics import AuditTrail, dissipation_rates, entropy_energy
+from test_integrate import ENTRY
 
 SUBMODULES = ["cli", "core", "diagnostics", "integrate", "scheme", "verification"]
 
@@ -210,26 +210,12 @@ def test_problem_setup_is_another_name_for_setup_kind(kind):
     assert kind.has_wall == (kind is not SetupKind.CAUCHY)
 
 
-#: every public entry point that checks its input state, called on (state, grid, params, setup)
-CHECKED_ENTRIES = {
-    "stable_dt": lambda state, grid, params, setup: lagas.stable_dt(
-        state, grid, params, lagas.StepControl()),
-    "step": lambda state, grid, params, setup: lagas.step(
-        state, 1e-3, grid, params, setup, lagas.StepControl()),
-    "rhs": lagas.rhs,
-    "AuditTrail.record": lambda state, grid, params, setup: AuditTrail(
-        lagas.steady_state(grid), grid, params, setup).record(state),
-    "entropy_energy": lambda state, grid, params, setup: entropy_energy(state, params, grid),
-    "dissipation_rates": lambda state, grid, params, setup: dissipation_rates(state, params, grid),
-}
-
-
 @pytest.mark.parametrize("cell", [0, 5, -1], ids=["first", "interior", "last"])
 @pytest.mark.parametrize("field, value", [
     *((name, bad) for name in ("v", "theta") for bad in (np.nan, np.inf, -np.inf, 0.0, -1.0)),
     *(("u", bad) for bad in (np.nan, np.inf, -np.inf)),
 ])
-@pytest.mark.parametrize("entry", list(CHECKED_ENTRIES))
+@pytest.mark.parametrize("entry", list(ENTRY))
 def test_every_checked_entry_names_the_bad_field_and_cell(entry, field, value, cell):
     # one bad entry fails each entry point with a DomainError naming the field
     # and cell that validate_state names, before numpy can warn
@@ -243,7 +229,7 @@ def test_every_checked_entry_names_the_bad_field_and_cell(entry, field, value, c
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(lagas.DomainError, match=re.escape(f": {where} is ")):
-            CHECKED_ENTRIES[entry](state, grid, lagas.GasParams(1.0, 1.0, 1.0, 1.5), setup)
+            ENTRY[entry](state, grid)
 
 
 def test_every_mutant_original_occurs_once_in_its_file():
