@@ -271,16 +271,16 @@ def on_grid(y: np.ndarray, grid: MassGrid) -> bool:
     return y.shape[-1] == 3 * grid.n_cells + 1
 
 
-def above_floor(y: np.ndarray, floor: float) -> bool:
-    """The fast test's min over every [v | theta] of packed ``y`` above ``floor``; NaN fails."""
-    return np.minimum.reduce(y[..., : 2 * _cells(y)], None) > floor
+def above_floor(vth: np.ndarray, floor: float) -> bool:
+    """The min of ``vth``, the [v | theta] of packed states, above ``floor``; NaN fails."""
+    return np.minimum.reduce(vth, None) > floor
 
 
 def positive_and_finite(y: np.ndarray, floor: float) -> bool:
     """The fast state test of packed ``y``, a state ``[v | theta | u]`` or a C-ordered block of
     them: :func:`above_floor` and one sum finite, which finite entries may overflow and +inf
     and -inf make NaN, so a False goes to :func:`first_breach`; numpy warns, so hold an errstate."""
-    return (above_floor(y, floor)
+    return (above_floor(y[..., : 2 * _cells(y)], floor)
             and math.isfinite(np.add.reduce(y, None)))
 
 
@@ -299,10 +299,13 @@ def first_breach(y: np.ndarray, floor: float = 0.0) -> ValidationReport:
 
 def require_valid(what: str, y: np.ndarray, grid: MassGrid) -> np.ndarray:
     """Packed ``y``, a state or a block of them, that public function ``what`` took on ``grid``,
-    once it is :func:`on_grid` (else a ConfigurationError names both cell counts) and finite
-    with positive v and theta (else a DomainError names its first bad field and cell)."""
+    once it is :func:`on_grid` (else a ConfigurationError names both cell counts or widths) and
+    finite with positive v and theta (else a DomainError names its first bad field and cell)."""
     if not on_grid(y, grid):
-        raise ConfigurationError(f"{what}: state has {_cells(y)} cells, grid {grid.n_cells}")
+        width, n = y.shape[-1], grid.n_cells
+        has = (f"{_cells(y)} cells, grid {n}" if width % 3 == 1
+               else f"width {width}, grid {n} needs 3n + 1 = {3 * n + 1}")
+        raise ConfigurationError(f"{what}: state has {has}")
     with np.errstate(invalid="ignore", over="ignore"):
         if positive_and_finite(y, 0.0):
             return y

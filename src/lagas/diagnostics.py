@@ -123,8 +123,6 @@ class _Tick:
                 for d_visc, d_heat in zip(visc, heat)]
 
     def lp_deviation(self, p: float) -> list[float]:
-        if not p > 1.0:
-            raise DomainError(f"lp_deviation needs p in (1, inf], got {p!r}")
         if math.isinf(p):
             du = np.maximum.reduce(np.abs(self.ubar), 1).tolist()
             return [max(abs(v_min - 1.0), abs(v_max - 1.0), d, abs(th_min - 1.0), abs(th_max - 1.0))
@@ -207,6 +205,8 @@ def _bounds(vt: np.ndarray) -> list[tuple[float, float, float, float]]:
 
 def lp_deviation(state: FluidState, grid: MassGrid, p: float) -> float:
     """L^p norm of (v-1, u, theta-1) with node u averaged to cells; p in (1, inf]."""
+    if not p > 1.0:
+        raise DomainError(f"lp_deviation needs p in (1, inf], got {p!r}")
     return _one(_Tick.lp_deviation, state, grid, p)
 
 

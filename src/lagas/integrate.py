@@ -7,14 +7,14 @@ states, checked and audited together.  Trajectories are deterministic: identical
 inputs give bit-identical outputs at any cadence.  Every step is the
 fourth-order, ten-stage SSPRK(10,4) of Ketcheson (2008).
 
-A state is read in place as its buffer ``state.y``, ``[v | theta | u]``; a step copies it into
-a :class:`~lagas.scheme.Stage`, where ``rhs`` leaves rates in the same layout and the boundary
-power.  The Euler substeps and the method's two mixes update that buffer in place, and the
-result adopts it.  Every state check is core's fast ``positive_and_finite``, with its naming
-scan behind it: an input state on its grid passes ``require_valid``, in ``step`` only once
-``on_grid`` or the fast test fails; a step's result and each dense-output block are tested at
-the floor, its other stages by ``above_floor`` alone, and ``_failure`` names the stage, field
-and cell of a failing step's replay (IntegrationError), in which every stage is tested in full.
+A state is read in place as its buffer ``state.y``, ``[v | theta | u]``; a step copies it into a
+:class:`~lagas.scheme.Stage`, where ``rhs`` leaves rates in the same layout and the boundary power.
+The Euler substeps and the method's two mixes update that buffer in place, and the result adopts
+it.  Every state check is core's fast ``positive_and_finite``, with its naming scan behind it: an
+input state on its grid passes ``require_valid``, in ``step`` only once ``on_grid`` or the fast
+test fails; a step's result and each dense-output block are tested at the floor, its other stages
+by ``above_floor`` of the Stage's ``vth`` alone, and ``_failure`` names the stage, field and cell
+of a failing step's replay (IntegrationError), in which every stage is tested in full.
 """
 
 from __future__ import annotations
@@ -188,7 +188,7 @@ def step(
         if kept is not None:
             del kept[mark:]  # a replay keeps only its own rates
         stage = Stage(y0.copy(), grid, params)
-        y, inflow, power = stage.y, 0.0, math.nan
+        y, vth, inflow, power = stage.y, stage.vth, 0.0, math.nan
         for i, row in enumerate(_ROWS, 1):
             k = rhs(stage, grid, params, setup, forcing if forcing is None else forcing[row])
             if ledger is not None:
@@ -196,17 +196,14 @@ def step(
                 inflow += power
             if kept is not None:
                 kept.append((k.copy(), power))
-            k *= h
-            y += k  # in place: y + k h, which is k h + y bit for bit
-            if i == 5:  # y5 = 2/5 w5 + 3/5 y0, keeping w5 for the result
+            np.add(y, np.multiply(k, h, k), y)  # in place: y + k h, bit for bit k h + y
+            if i == 5:  # y5 = 2/5 w5 + 3/5 y0, keeping w5; the spent k holds each mix product
                 w5 = y.copy()
-                y *= 0.4
-                y += np.multiply(0.6, y0, out=k)  # the spent k holds each mix product
+                np.add(np.multiply(y, 0.4, y), np.multiply(0.6, y0, k), y)
             elif i == 10:  # 3/5 w10 + 1/25 y0 + 9/25 w5
-                y *= 0.6
-                y += np.multiply(0.04, y0, out=k)
-                y += np.multiply(0.36, w5, out=k)
-            if not (positive_and_finite if named or i == 10 else above_floor)(y, floor):
+                np.add(np.multiply(y, 0.6, y), np.multiply(0.04, y0, k), y)
+                np.add(y, np.multiply(0.36, w5, k), y)
+            if not (positive_and_finite(y, floor) if named or i == 10 else above_floor(vth, floor)):
                 if not named:
                     return None
                 if error := _failure(y, floor, i, t0):  # None: finite, but the sum overflowed

@@ -20,10 +20,11 @@ is always far field; the setup says how the left end closes:
 c_v * theta_t = (kappa * theta_x / v)_x + sigma * u_x with the momentum stress
 sigma = mu * u_x / v - p; in exact arithmetic that is the third line above.
 
-All operators are deterministic, and pure but for :func:`rhs` of a :class:`Stage`.  rhs
-fuses the theta and u differences into one pass over a work row, with the seam between them
-scaled by 0 onto a face the right closure then sets, and every entry keeps its operands and
-their order, so the rates have the bits of one pass per difference and scaling.
+All operators are deterministic, and pure but for :func:`rhs` of a :class:`Stage`, which binds
+its grid's and gas's constants.  One straight-line kernel evaluates the rates on a Stage for rhs
+and heat_flux_faces: it fuses the theta and u differences into one pass over a work row, the
+seam between them scaled by 0 onto a face the right closure then sets, and keeps every entry's
+operands and their order, so the rates have the bits of one pass per operation.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import math
 import numpy as np
 
 from .core import (
+    ConfigurationError,
     FluidState,
     GasParams,
     MassGrid,
@@ -50,25 +52,32 @@ __all__ = [
 ]
 
 
+#: the ufuncs the kernel calls, each with its out operand positional
+_add, _sub, _mul, _div = np.add, np.subtract, np.multiply, np.divide
+
+
 class Stage:
-    """A step's workspace on one grid and gas: a stage buffer ``y`` ``[v | theta | u]``; a
-    buffer whose tail is ``rates``, laid out alike, and whose head is the work row ``[theta
-    diffs | seam | u diffs]``, its u half ``dv`` and its spent theta half then the scratch row
-    ``tmp``; faces ``[heat flux | stress | right ghost stress]``; the rows ``[vbar | 1 | dm...]``
-    that divide the work row and ``[2*kappa/dm... | 0 | mu...]`` that scale it into the faces,
-    of which only vbar is rewritten; every view :func:`rhs` needs, sliced once, and the
-    ``power`` rhs sets (else NaN)."""
+    """A step's workspace on one grid and gas, binding dm, 2*kappa/dm, R, mu and c_v: a stage
+    buffer ``y`` ``[v | theta | u]`` and its ``vth`` view ``[v | theta]`` for the floor test;
+    from one 64-byte-aligned block, so that each row written starts 32-byte aligned when 4
+    divides n, a buffer whose tail is ``rates``, laid out alike, and whose head is the work row
+    ``[theta diffs | seam | u diffs]``, its u half ``dv``, its spent theta half then the scratch
+    row ``tmp``; faces ``[heat flux | stress | right ghost stress]``; the rows
+    ``[vbar | 1 | dm...]`` dividing the work row and ``[2*kappa/dm... | 0 | mu...]`` scaling it
+    into the faces, only vbar rewritten; the views :func:`_kernel` needs; its ``power`` or NaN."""
 
     def __init__(self, y: np.ndarray, grid: MassGrid, params: GasParams) -> None:
-        self.y, self.power = y, math.nan
+        self.y, self.grid, self.params, self.power = y, grid, params, math.nan
         self.v, self.th, self.u = v, th, u = unpack(y)
-        n, dm = v.shape[0], grid.dm
-        buffer, faces = np.empty(4 * n + 1), np.empty(2 * n + 2)
-        self.work, self.tmp, self.rates = buffer[: 2 * n], buffer[:n], buffer[n:]
+        n, self.dm, self.R, self.c_v = v.shape[0], grid.dm, params.R, params.c_v
+        self.vth, mem = y[: 2 * n], np.empty(10 * n + 15)
+        mem = mem[(-mem.ctypes.data % 64) // 8 :]  # numpy writes a 32-byte-aligned row faster
+        buf, faces, rows = mem[: 4 * n + 1], mem[4 * n + 3 : 6 * n + 5], mem[6 * n + 8 : 10 * n + 8]
+        self.work, self.tmp, self.rates = buf[: 2 * n], buf[:n], buf[n:]
         self.dv, self.dth, self.du = unpack(self.rates)
-        self.dthu = buffer[2 * n :]
-        rows = np.array((0.0, 1.0, dm, 2.0 * params.kappa / dm, 0.0, params.mu)).repeat(
-            (n - 1, 1, n, n - 1, 1, n))
+        self.dthu = buf[2 * n :]
+        rows[n - 1], rows[n : 2 * n], rows[3 * n - 1], rows[3 * n :] = 1.0, self.dm, 0.0, params.mu
+        rows[2 * n : 3 * n - 1] = 2.0 * params.kappa / self.dm
         self.divisor, self.scale, self.vbar = rows[: 2 * n], rows[2 * n :], rows[: n - 1]
         self.y_lo, self.y_hi, self.v_lo, self.v_hi = y[n:-1], y[n + 1 :], v[:-1], v[1:]
         self.flux, self.stress, self.faces_mid = faces[: n + 1], faces[n + 1 : -1], faces[1:-1]
@@ -96,18 +105,36 @@ def _closures(v: np.ndarray, th: np.ndarray, u: np.ndarray, dm: float, setup: Se
     return flux_left, flux_right, ghost_left, ghost_right, flux_right - flux_left + work
 
 
-def _faces(stage: Stage, dm: float, setup: SetupKind, params: GasParams) -> tuple:
-    """Heat flux (2*kappa/dm)*(theta_i - theta_{i-1})/(v_{i-1} + v_i) into ``stage.flux``,
-    u_x into ``stage.dv`` and mu*u_x into ``stage.stress``: one difference, divide and multiply
-    over the work row, whose seam lands on flux[n] times 0; returns the :func:`_closures` that
-    give the flux's ends."""
-    np.add(stage.v_lo, stage.v_hi, out=stage.vbar)
-    work = np.subtract(stage.y_hi, stage.y_lo, out=stage.work)
-    work /= stage.divisor
-    np.multiply(work, stage.scale, out=stage.faces_mid)
-    ends = _closures(stage.v, stage.th, stage.u, dm, setup, params)
-    stage.flux[0], stage.flux[-1] = ends[:2]
-    return ends
+def _kernel(stage: Stage, setup: SetupKind, sources: np.ndarray | None) -> np.ndarray:
+    """The rates of ``stage.y`` into ``stage.rates``, and its boundary power into
+    ``stage.power``: one difference, divide and multiply over the work row give the heat flux
+    (2*kappa/dm)*(theta_i - theta_{i-1})/(v_{i-1} + v_i), u_x into ``dv`` and mu*u_x into the
+    stress, the seam landing on flux[n] times 0 before :func:`_closures` sets the flux's ends;
+    one difference of the faces is then the flux divergence and every du, the seam
+    (stress[0] - flux[n]) on du[0], which the left closure sets; ``sources``, packed like the
+    rates, are one add, and a wall's du[0] stays 0."""
+    _add(stage.v_lo, stage.v_hi, stage.vbar)
+    work = _sub(stage.y_hi, stage.y_lo, stage.work)
+    _div(work, stage.divisor, work)
+    _mul(work, stage.scale, stage.faces_mid)
+    flux, stress, dm, du, dth = stage.flux, stage.stress, stage.dm, stage.du, stage.dth
+    flux[0], flux[-1], ghost_left, stage.faces_hi[-1], stage.power = _closures(
+        stage.v, stage.th, stage.u, dm, setup, stage.params)
+    rt = _mul(stage.th, stage.R, stage.tmp)
+    _div(_sub(stress, rt, stress), stage.v, stress)
+    _div(_sub(stage.faces_hi, stage.faces_lo, stage.dthu), dm, stage.dthu)
+    if ghost_left is not None:
+        du[0] = (stress.item(0) - ghost_left) / dm
+    _add(dth, _mul(stage.dv, stress, rt), dth)  # c_v*dtheta = diff(flux)/dm + u_x*stress
+    _div(dth, stage.c_v, dth)
+    if sources is not None:
+        if not isinstance(sources, np.ndarray):  # (dv, du, dtheta): packed like the rates
+            sv, su, sth = sources
+            sources = np.concatenate((sv, sth, su))
+        _add(stage.rates, sources, stage.rates)
+    if ghost_left is None:
+        du[0] = 0.0  # the wall rate stays pinned, even under forcing
+    return stage.rates
 
 
 def heat_flux_faces(
@@ -117,7 +144,7 @@ def heat_flux_faces(
     the arithmetic-mean specific volume, the left face closed as ``setup`` says, the
     right one by the far field.  ``rhs`` and ``boundary_power`` use the same fluxes."""
     stage = Stage(require_valid("heat_flux_faces", state.y, grid), grid, params)
-    _faces(stage, grid.dm, setup, params)
+    _kernel(stage, setup, None)
     return stage.flux
 
 
@@ -134,35 +161,18 @@ def rhs(
     stress = (mu*u_x - R*theta)/v.  Far-field boundary nodes see a ghost cell at the rest
     state whose strain uses a ghost node with u = 0; a wall node has du = 0, imposing
     u(0, t) = 0 strongly.  ``sources`` are optional extra rates (dv, du, dtheta), e.g.
-    manufactured forcings, packed like the rates at entry, or such a packed row, as a step
-    passes them.  ``state`` may be a FluidState, which must pass ``require_valid`` on
-    ``grid``, or a checked :class:`Stage`, whose rates and ``power`` rhs sets.
+    manufactured forcings, or one row packed like the rates, as a step passes them.
+    ``state`` may be a FluidState, which must pass ``require_valid`` on ``grid``, or a
+    checked :class:`Stage`, whose rates and ``power`` rhs sets; a Stage takes only the grid
+    and gas it was built on (the same objects or equal ones), else a ConfigurationError.
     """
-    stage = state
-    if not isinstance(state, Stage):
-        stage = Stage(require_valid("rhs", state.y, grid), grid, params)
-    if sources is not None and not isinstance(sources, np.ndarray):
-        sv, su, sth = sources
-        sources = np.concatenate((sv, sth, su))  # packed like the rates: one add forces them
-    dm, du, dth = grid.dm, stage.du, stage.dth
-    # one difference of faces [heat flux | stress | right ghost stress] is the flux divergence,
-    # then every du, the seam (stress[0] - flux[n]) on du[0], which the left closure then sets
-    _, _, ghost_left, ghost_right, stage.power = _faces(stage, dm, setup, params)
-    stress, rt = stage.stress, np.multiply(stage.th, params.R, out=stage.tmp)
-    stress -= rt
-    stress /= stage.v
-    stage.faces_hi[-1] = ghost_right
-    dthu = np.subtract(stage.faces_hi, stage.faces_lo, out=stage.dthu)
-    dthu /= dm
-    if ghost_left is not None:
-        du[0] = (stress.item(0) - ghost_left) / dm
-    dth += np.multiply(stage.dv, stress, out=rt)  # c_v*dtheta = diff(flux)/dm + u_x*stress
-    dth /= params.c_v
-    if sources is not None:
-        stage.rates += sources
-    if setup.has_wall:
-        du[0] = 0.0  # the wall rate stays pinned, even under forcing
-    return stage.rates
+    if state.__class__ is not Stage:  # a FluidState: checked, then run in a Stage of its own
+        return _kernel(Stage(require_valid("rhs", state.y, grid), grid, params), setup, sources)
+    if not ((grid is state.grid or grid == state.grid)
+            and (params is state.params or params == state.params)):
+        raise ConfigurationError(f"rhs: a Stage built on {state.grid} and {state.params} "
+                                 f"got {grid} and {params}")
+    return _kernel(state, setup, sources)
 
 
 def boundary_power(

@@ -194,9 +194,15 @@ def test_lp_deviation_large_p_approaches_sup(cauchy):
     assert abs(p64 - sup) / sup < 0.05
 
 
-@pytest.mark.parametrize("p", [1.0, 0.5, -2.0])
-def test_lp_deviation_rejects_small_p(grid16, p):
-    with pytest.raises(DomainError):
+@pytest.mark.parametrize("p", [1.0, 0.5, -2.0, math.nan])
+def test_lp_deviation_rejects_small_p(monkeypatch, grid16, p):
+    # p is refused before the state's _Tick, the whole audit pass, is built
+
+    def no_tick(*args):
+        raise AssertionError("a _Tick was built for a bad p")
+
+    monkeypatch.setattr(lagas.diagnostics, "_Tick", no_tick)
+    with pytest.raises(DomainError, match=r"^lp_deviation needs p in \(1, inf\]"):
         lp_deviation(steady_state(grid16), grid16, p)
 
 

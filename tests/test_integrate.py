@@ -654,19 +654,22 @@ def test_a_failure_injected_at_any_stage_names_that_stage(monkeypatch, insulated
                                                           number, field, value):
     # a step tests stages 1-9 at the floor only and its result in full, so a
     # non-finite u, or an infinite v or theta, passes the stages after it; the
-    # replay tests each stage in full and names the stage, field and cell hit
+    # replay tests each stage in full and names the stage, field and cell hit.
+    # A v or theta at or below the floor, or NaN, ends the fast pass at its stage
     grid, state = bump_state(insulated)
     cell = {"v": 0, "theta": grid.n_cells, "u": 2 * grid.n_cells}[field] + 2
 
     def inject(k):
         k[cell] = value
 
-    inject_at_stage(monkeypatch, number, inject)
+    calls = inject_at_stage(monkeypatch, number, inject)
     with pytest.raises(IntegrationError) as excinfo:
         step(state, stable_dt(state, grid, params, ctrl), grid, params, insulated, ctrl,
              ledger=EnergyLedger())
     err = excinfo.value
     assert (err.stage, err.field_name, err.cell) == (number, field, 2)
+    if field != "u" and value != np.inf:
+        assert list(calls.values()) == [number, number]  # the fast pass, the replay
     reason = "is not above the positivity floor" if np.isfinite(value) else "is non-finite"
     assert f"stage {number} at t = 0:" in str(err) and reason in str(err)
 
@@ -1016,7 +1019,7 @@ ENTRY = {
 
 @pytest.fixture
 def work(monkeypatch):
-    """Every rhs call, flux or closure pass and audit tick, as the entries make them."""
+    """Every rhs call, kernel or closure pass and audit tick, as the entries make them."""
     calls = []
 
     class Tick(lagas.diagnostics._Tick):
@@ -1024,7 +1027,7 @@ def work(monkeypatch):
             calls.append("tick")
 
     monkeypatch.setattr(lagas.integrate, "rhs", lambda *args, **kwargs: calls.append("rhs"))
-    for name in ("_faces", "_closures"):
+    for name in ("_kernel", "_closures"):
         monkeypatch.setattr(lagas.scheme, name, lambda *args, name=name: calls.append(name))
     monkeypatch.setattr(lagas.diagnostics, "_Tick", Tick)
     return calls
@@ -1041,6 +1044,19 @@ def test_a_state_off_the_grid_is_rejected_before_any_work(work, entry, state_cel
     message = f"^{re.escape(entry)}: state has {state_cells} cells, grid {grid_cells}$"
     with pytest.raises(ConfigurationError, match=message):
         ENTRY[entry](state, grid)
+    assert work == []
+
+
+@pytest.mark.parametrize("width,has", [(50, "width 50, grid 16 needs 3n + 1 = 49"),
+                                       (97, "32 cells, grid 16"), (1, "0 cells, grid 16")])
+def test_a_raw_block_off_the_grid_names_its_width(work, width, has):
+    # only a caller's raw block can have a width that is 3n + 1 for no n; it
+    # was named as (width - 1) // 3 cells, so a 50-wide block on a 16-cell grid
+    # read "state has 16 cells, grid 16"
+    grid = make_grid(CAUCHY, 8.0, 16)
+    message = f"^AuditTrail.record_block: state has {re.escape(has)}$"
+    with pytest.raises(ConfigurationError, match=message):
+        _trail(grid).record_block([0.0], np.ones((1, width)), [0.0])
     assert work == []
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import bruteforce
 from conftest import random_state, split_rates
 from lagas import (
+    ConfigurationError,
     DomainError,
     FluidState,
     GasParams,
@@ -234,6 +235,36 @@ def test_a_stage_power_is_nan_until_rhs_leaves_the_boundary_power(setup, params,
     rhs(stage, grid, params, setup, sources)
     power = boundary_power(stage, grid, params, setup)
     assert power.hex() == boundary_power(state, grid, params, setup).hex()
+
+
+def test_a_stage_takes_only_the_grid_and_gas_it_was_built_on(cauchy):
+    # a Stage binds its grid's dm and its gas's constants, so it refuses another
+    # grid or gas (a mix of the two gases' constants went unreported) and takes
+    # equal copies, to the same bits
+    params = GasParams(mu=0.7, kappa=1.3, R=2.0, c_v=1.1)
+    grid = make_grid(cauchy, 3.0, 16)
+    state = random_state(grid, seed=3)
+    stage = Stage(state.y.copy(), grid, params)
+    others = [(make_grid(cauchy, 4.0, 16), params), (grid, GasParams(1.0, 1.3, 2.0, 1.1)),
+              (grid, GasParams(0.7, 1.3, 2.0, 1.5))]
+    for other_grid, other_params in others:
+        with pytest.raises(ConfigurationError, match="^rhs: a Stage built on "):
+            rhs(stage, other_grid, other_params, cauchy)
+    assert math.isnan(stage.power)
+    copies = make_grid(cauchy, 3.0, 16), GasParams(mu=0.7, kappa=1.3, R=2.0, c_v=1.1)
+    expected = rhs(state, grid, params, cauchy).tobytes()
+    assert rhs(stage, *copies, cauchy).tobytes() == expected
+
+
+@pytest.mark.parametrize("n", [4, 64, 1024])
+def test_a_stage_writes_every_row_from_a_32_byte_boundary(cauchy, params, n):
+    # numpy writes an aligned output row faster and np.empty is only 16-byte
+    # aligned, so a Stage cuts its one block from a 64-byte boundary
+    grid = make_grid(cauchy, 3.0, n)
+    stage = Stage(steady_state(grid).y.copy(), grid, params)
+    rows = (stage.work, stage.tmp, stage.rates, stage.dthu, stage.dth, stage.faces_mid,
+            stage.stress, stage.vbar)
+    assert [row.ctypes.data % 32 for row in rows] == [0] * len(rows)
 
 
 @pytest.mark.parametrize("setup", ALL_SETUPS, ids=lambda s: s.value)
