@@ -28,6 +28,7 @@ __all__ = [
     "POSITIVITY_FLOOR",
     "make_grid",
     "first_breach",
+    "pack",
     "positive_and_finite",
     "require_valid",
     "steady_state",
@@ -208,7 +209,7 @@ class FluidState:
         if u.shape[0] != v.shape[0] + 1:
             raise ConfigurationError(
                 f"u must have one entry per node ({v.shape[0] + 1}), got {u.shape[0]}")
-        vars(self).update(vars(FluidState.from_packed(self.t, np.concatenate((v, theta, u)))))
+        vars(self).update(vars(FluidState.from_packed(self.t, pack(v, theta, u))))
 
     @classmethod
     def from_packed(cls, t: float, y: np.ndarray) -> "FluidState":
@@ -232,6 +233,11 @@ class FluidState:
 
     def copy(self) -> "FluidState":
         return FluidState.from_packed(self.t, self.y.copy())
+
+
+def pack(v: np.ndarray, theta: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """A new packed ``[v | theta | u]`` of fields or rows of them (last axis): unpack's inverse."""
+    return np.concatenate((v, theta, u), axis=-1)
 
 
 def unpack(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

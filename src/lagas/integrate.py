@@ -48,8 +48,8 @@ __all__ = ["STAGE_TIMES", "DENSE_CUBICS", "dense_block", "StepControl", "stable_
 
 #: the ticks inside a step are read and audited as blocks of at most this many cells
 _BLOCK_CELLS = 4096
-#: sources(times) -> (dv, du, dtheta) extra rates, a row per time
-SourceFn = Callable[[list[float]], tuple[np.ndarray, np.ndarray, np.ndarray]]
+#: sources(times) -> extra rates, a row per time packed like the rates, [dv | dtheta | du]
+SourceFn = Callable[[list[float]], np.ndarray]
 
 
 #: SSPRK(10,4) of Ketcheson 2008, SSP coefficient 6: stage i = 1, ..., 10 is an Euler
@@ -163,15 +163,16 @@ def step(
 ) -> FluidState:
     """One SSPRK(10,4) step: ten positivity-checked Euler substeps of h = dt/6.
 
-    A state failing ``require_valid`` fails before any stage.  ``sources`` gets
-    one call, with the distinct stage times t0 + c dt in stage order, its rows packed once
-    like the rates; each stage adds its time's row.  A ledger gets the boundary-energy
-    inflow with the scheme's weights, so the total-energy residual measures time-integration
-    error only.  Stages 1 to 9 are tested at the floor, the result for finiteness too, as a
-    non-finite entry survives every update and mix; a failing step is replayed, each stage
-    tested in full, only to raise the IntegrationError naming the first bad stage (1 to 10),
-    never numpy's warning.  A ``kept`` list gets a copy of each stage's rates k_j and its
-    boundary power (NaN without a ledger) for :func:`_dense_output`; the result's bits stay put.
+    A state failing ``require_valid`` fails before any stage.  ``sources`` gets one call, with
+    the distinct stage times t0 + c dt in stage order, and returns a row per time packed like
+    the rates, shape (7, 3n + 1), else a ConfigurationError before any stage; each stage adds
+    its time's row.  A ledger gets the boundary-energy inflow with the scheme's weights, so the
+    total-energy residual measures time-integration error only.  Stages 1 to 9 are tested at
+    the floor, the result for finiteness too, as a non-finite entry survives every update and
+    mix; a failing step is replayed, each stage tested in full, only to raise the
+    IntegrationError naming the first bad stage (1 to 10), never numpy's warning.  A ``kept``
+    list gets a copy of each stage's rates k_j and its boundary power (NaN without a ledger)
+    for :func:`_dense_output`; the result's bits stay put.
     """
     if not dt > 0.0:
         raise ConfigurationError(f"dt must be positive, got {dt!r}")
@@ -179,10 +180,10 @@ def step(
     if not (on_grid(y0, grid) and positive_and_finite(y0, 0.0)):  # under step's errstate
         require_valid("step", y0, grid)
     t0, floor, h, mark = state.t, ctrl.positivity_floor, dt / 6.0, len(kept or ())
-    forcing = None  # else one sources call, packed once as rows [dv | dtheta | du] of rates
-    if sources is not None:
-        sv, su, sth = sources([t0 + c * dt for c in _TIMES])
-        forcing = np.concatenate((sv, sth, su), axis=-1)
+    forcing = None if sources is None else sources([t0 + c * dt for c in _TIMES])
+    if forcing is not None and getattr(forcing, "shape", None) != (len(_TIMES), y0.shape[0]):
+        raise ConfigurationError(f"step: sources must return rows of shape (7, {y0.shape[0]}), "
+                                 f"got {getattr(forcing, 'shape', type(forcing).__name__)}")
 
     def stages(named: bool) -> tuple[np.ndarray, float] | None:
         if kept is not None:

@@ -39,6 +39,7 @@ from .core import (
     GasParams,
     MassGrid,
     SetupKind,
+    on_grid,
     require_valid,
     unpack,
 )
@@ -67,6 +68,8 @@ class Stage:
     into the faces, only vbar rewritten; the views :func:`_kernel` needs; its ``power`` or NaN."""
 
     def __init__(self, y: np.ndarray, grid: MassGrid, params: GasParams) -> None:
+        if not on_grid(y, grid):  # its width error; the builder checks the values
+            require_valid("Stage", y, grid)
         self.y, self.grid, self.params, self.power = y, grid, params, math.nan
         self.v, self.th, self.u = v, th, u = unpack(y)
         n, self.dm, self.R, self.c_v = v.shape[0], grid.dm, params.R, params.c_v
@@ -82,6 +85,14 @@ class Stage:
         self.y_lo, self.y_hi, self.v_lo, self.v_hi = y[n:-1], y[n + 1 :], v[:-1], v[1:]
         self.flux, self.stress, self.faces_mid = faces[: n + 1], faces[n + 1 : -1], faces[1:-1]
         self.faces_lo, self.faces_hi = faces[:-1], faces[1:]
+
+
+def _require_built_on(what: str, stage: Stage, grid: MassGrid, params: GasParams) -> None:
+    """A ConfigurationError naming ``what`` unless ``grid`` and ``params`` are the ones ``stage``
+    was built on or equal ones; its callers test identity first."""
+    if grid != stage.grid or params != stage.params:
+        raise ConfigurationError(f"{what}: a Stage built on {stage.grid} and {stage.params} "
+                                 f"got {grid} and {params}")
 
 
 def _far_field_stress(u_out: float, params: GasParams, dm: float) -> float:
@@ -128,9 +139,6 @@ def _kernel(stage: Stage, setup: SetupKind, sources: np.ndarray | None) -> np.nd
     _add(dth, _mul(stage.dv, stress, rt), dth)  # c_v*dtheta = diff(flux)/dm + u_x*stress
     _div(dth, stage.c_v, dth)
     if sources is not None:
-        if not isinstance(sources, np.ndarray):  # (dv, du, dtheta): packed like the rates
-            sv, su, sth = sources
-            sources = np.concatenate((sv, sth, su))
         _add(stage.rates, sources, stage.rates)
     if ghost_left is None:
         du[0] = 0.0  # the wall rate stays pinned, even under forcing
@@ -153,25 +161,26 @@ def rhs(
     grid: MassGrid,
     params: GasParams,
     setup: SetupKind,
-    sources: tuple[np.ndarray, np.ndarray, np.ndarray] | np.ndarray | None = None,
+    sources: np.ndarray | None = None,
 ) -> np.ndarray:
     """Semi-discrete rates for (v, u, theta), packed like a stage: ``[dv | dtheta | du]``.
 
     Interior node i feels the stress difference of its two neighbor cells,
     stress = (mu*u_x - R*theta)/v.  Far-field boundary nodes see a ghost cell at the rest
     state whose strain uses a ghost node with u = 0; a wall node has du = 0, imposing
-    u(0, t) = 0 strongly.  ``sources`` are optional extra rates (dv, du, dtheta), e.g.
-    manufactured forcings, or one row packed like the rates, as a step passes them.
+    u(0, t) = 0 strongly.  ``sources`` are optional extra rates, e.g. manufactured forcings:
+    one row packed like the rates, of shape (3n + 1,), else a ConfigurationError.
     ``state`` may be a FluidState, which must pass ``require_valid`` on ``grid``, or a
     checked :class:`Stage`, whose rates and ``power`` rhs sets; a Stage takes only the grid
     and gas it was built on (the same objects or equal ones), else a ConfigurationError.
     """
     if state.__class__ is not Stage:  # a FluidState: checked, then run in a Stage of its own
-        return _kernel(Stage(require_valid("rhs", state.y, grid), grid, params), setup, sources)
-    if not ((grid is state.grid or grid == state.grid)
-            and (params is state.params or params == state.params)):
-        raise ConfigurationError(f"rhs: a Stage built on {state.grid} and {state.params} "
-                                 f"got {grid} and {params}")
+        state = Stage(require_valid("rhs", state.y, grid), grid, params)
+    elif grid is not state.grid or params is not state.params:
+        _require_built_on("rhs", state, grid, params)
+    if sources is not None and getattr(sources, "shape", None) != state.y.shape:
+        raise ConfigurationError(f"rhs: sources must be one packed row of shape {state.y.shape}, "
+                                 f"got {getattr(sources, 'shape', type(sources).__name__)}")
     return _kernel(state, setup, sources)
 
 
@@ -181,10 +190,12 @@ def boundary_power(
     """Rate of total-energy inflow through the two closures.
 
     Uses the scheme's own boundary fluxes, so the semi-discrete budget
-    d/dt total_energy == boundary_power holds exactly.  Of a :class:`Stage`
-    it is the ``power`` :func:`rhs` left there, of a FluidState the same.
+    d/dt total_energy == boundary_power holds exactly.  Of a :class:`Stage`, on the grid and
+    gas it was built on as in :func:`rhs`, it is the ``power`` rhs left there.
     """
-    if isinstance(state, Stage):
+    if state.__class__ is Stage:
+        if grid is not state.grid or params is not state.params:
+            _require_built_on("boundary_power", state, grid, params)
         return state.power
     require_valid("boundary_power", state.y, grid)
     return _closures(state.v, state.theta, state.u, grid.dm, setup, params)[-1]

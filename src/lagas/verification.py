@@ -32,6 +32,7 @@ from .core import (
     MassGrid,
     SetupKind,
     make_grid,
+    pack,
     validate_state,
 )
 from .integrate import StepControl, advance
@@ -42,7 +43,6 @@ __all__ = [
     "ManufacturedSolution",
     "steady_solution",
     "gaussian_pulse_solution",
-    "sine_temperature_solution",
     "default_pulse_solution",
     "manufactured_sources",
     "make_source_rates",
@@ -213,19 +213,6 @@ def gaussian_pulse_solution(
     return ManufacturedSolution(decay, v, u, theta)
 
 
-def sine_temperature_solution(amplitude: float = 0.1, decay: float = 1.0) -> ManufacturedSolution:
-    """v = 1, u = 0, theta = 1 + a*sin(x)*exp(-decay*t)."""
-    if not abs(amplitude) < 1.0:
-        raise ConfigurationError(f"sine needs |amplitude| < 1, got {amplitude!r}")
-
-    def theta(x):
-        x = np.asarray(x, dtype=np.float64)
-        f = amplitude * np.sin(x)
-        return f, amplitude * np.cos(x), -f
-
-    return ManufacturedSolution(decay, _zero_profile, _zero_profile, theta)
-
-
 def default_pulse_solution(setup: SetupKind, half_length: float) -> ManufacturedSolution:
     """Setup-aware pulses whose tails vanish to round-off at every boundary.
 
@@ -302,9 +289,10 @@ def make_source_rates(ms: ManufacturedSolution, params: GasParams, grid: MassGri
 
     Mass and thermal rates sample at cell centers (thermal divided by c_v to
     become a theta rate); the momentum rate samples at nodes.  The coefficient
-    profiles are built once per point set here.  ``rates(times)`` gives a row
-    per time: e is a column of scalar exps, so each array product covers
-    every row and each entry has the bits of :func:`manufactured_sources`.
+    profiles are built once per point set here.  ``rates(times)`` packs a row
+    per time like the rates, ``[dv | dtheta | du]``: e is a column of scalar
+    exps, so each array product covers every row and each entry has the bits
+    of :func:`manufactured_sources`.
     """
     mass_thermal = _mass_thermal_sources(ms, params, grid.cell_centers())
     momentum = _momentum_source(ms, params, grid.nodes())
@@ -312,7 +300,7 @@ def make_source_rates(ms: ManufacturedSolution, params: GasParams, grid: MassGri
     def rates(times: list[float]):
         e = np.array([math.exp(-ms.decay * t) for t in times])[:, None]
         s_v, s_th = mass_thermal(e)
-        return s_v, momentum(e), s_th / params.c_v
+        return pack(s_v, s_th / params.c_v, momentum(e))
 
     return rates
 

@@ -176,10 +176,10 @@ def rhs(state, grid, params, setup, sources=None):
     """Stencil-by-stencil rate evaluation, including the boundary closures.
 
     The thermal rate is the governing equation's -p*s + (flux)_x + mu*s*s/v,
-    term by term.  ``sources`` = (dv, du, dtheta) are added to the rates; a
-    wall node's du stays 0 under them.
+    term by term.  ``sources``, one row packed like the rates, are added to
+    them; a wall node's du stays 0 under them.
     """
-    from lagas.core import SetupKind
+    from lagas.core import SetupKind, unpack
 
     dm = grid.dm
     n = state.n_cells
@@ -224,7 +224,7 @@ def rhs(state, grid, params, setup, sources=None):
         dth.append((work + heat + heating) / params.c_v)
 
     if sources is not None:
-        sv, su, sth = sources
+        sv, sth, su = unpack(sources)
         dv = [dv[j] + sv[j] for j in range(n)]
         du = [du[i] + su[i] for i in range(n + 1)]
         dth = [dth[j] + sth[j] for j in range(n)]
@@ -265,7 +265,7 @@ def explicit_rk_step(state, dt, grid, params, setup, a, b, c, sources=None):
     """
     from types import SimpleNamespace
 
-    from lagas.core import SetupKind
+    from lagas.core import SetupKind, unpack
 
     n = state.n_cells
     y0 = [*state.v, *state.theta, *state.u]
@@ -280,7 +280,7 @@ def explicit_rk_step(state, dt, grid, params, setup, a, b, c, sources=None):
         dv, du, dth = rhs(stage, grid, params, setup)
         k = [*dv, *dth, *du]
         if sources is not None:
-            sv, su, sth = (rows[0] for rows in sources([state.t + c[i] * dt]))
+            sv, sth, su = unpack(sources([state.t + c[i] * dt])[0])
             extra = [*sv, *sth, *su]
             if setup is not SetupKind.CAUCHY:
                 extra[2 * n] = 0.0  # the wall rate stays pinned under forcing

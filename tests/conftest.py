@@ -46,9 +46,3 @@ def random_state(grid, seed, scale=0.5):
     theta = 1.0 + scale * rng.uniform(-0.8, 1.5, n)
     u = scale * rng.uniform(-1.0, 1.0, n + 1)
     return FluidState(0.0, v, theta, u)
-
-
-def split_rates(rates):
-    """The (dv, dtheta, du) slices of rhs's packed rates ``[dv | dtheta | du]``."""
-    n = (rates.shape[0] - 1) // 3
-    return rates[:n], rates[n : 2 * n], rates[2 * n :]

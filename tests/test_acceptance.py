@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import bruteforce
-from conftest import random_state, split_rates
+from conftest import random_state
 from lagas import (
     FluidState,
     GasParams,
@@ -40,6 +40,7 @@ from lagas.diagnostics import (
     truncated_excess,
     z4_rate,
 )
+from lagas.core import unpack
 from lagas.scheme import heat_flux_faces, rhs
 
 GAS = GasParams(mu=1.0, kappa=1.0, R=1.0, c_v=1.5)
@@ -282,7 +283,7 @@ def test_criterion_8_oracle_equivalence():
     u = np.zeros(17)
     u[8] = 1.0
     hat = FluidState(0.0, np.ones(16), np.ones(16), u)
-    dv, dtheta, du = split_rates(rhs(hat, hat_grid, params, setup))
+    dv, dtheta, du = unpack(rhs(hat, hat_grid, params, setup))
     lap = params.mu / dm**2
     stencil_ok = (
         np.allclose(du[7:10], [lap, -2.0 * lap, lap], rtol=1e-13)

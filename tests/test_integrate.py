@@ -681,7 +681,7 @@ def per_stage_checked_step(state, dt, grid, params, setup, ctrl, sources):
     stage = Stage(y0.copy(), grid, params)
     y = stage.y
     times = list(dict.fromkeys(STAGE_TIMES))
-    rows = dict(zip(times, zip(*sources([state.t + c * dt for c in times]))))
+    rows = dict(zip(times, sources([state.t + c * dt for c in times])))
     for i, c in enumerate(STAGE_TIMES, 1):
         k = lagas.integrate.rhs(stage, grid, params, setup, rows[c])
         k *= h
@@ -711,8 +711,7 @@ def test_a_result_whose_finite_sum_overflows_is_replayed_to_the_same_bits(monkey
 
     def sources(times):
         calls["sources"] += 1
-        rows = len(times)
-        return np.zeros((rows, n)), np.zeros((rows, n + 1)), np.zeros((rows, n))
+        return np.zeros((len(times), 3 * n + 1))
 
     def huge_u(k):
         k[2 * n + 3 : 2 * n + 7] = 1.5e308
@@ -1044,6 +1043,47 @@ def test_a_state_off_the_grid_is_rejected_before_any_work(work, entry, state_cel
     message = f"^{re.escape(entry)}: state has {state_cells} cells, grid {grid_cells}$"
     with pytest.raises(ConfigurationError, match=message):
         ENTRY[entry](state, grid)
+    assert work == []
+
+
+@pytest.mark.parametrize("rows,got", [
+    (lambda m: (np.zeros((m, 16)), np.zeros((m, 17)), np.zeros((m, 16))), "tuple"),
+    (lambda m: np.zeros((m, 48)), "(7, 48)"), (lambda m: np.zeros((m, 50)), "(7, 50)"),
+    (lambda m: np.zeros((m + 1, 49)), "(8, 49)"), (lambda m: np.zeros(49), "(49,)"),
+    (lambda m: np.zeros((m, 1, 49)), "(7, 1, 49)")],
+    ids=["tuple", "narrow", "wide", "a-row-more", "one-row", "three-axes"])
+def test_a_step_refuses_a_forcing_off_the_rates_layout_before_any_work(work, rows, got):
+    # a forcing whose rows had the wrong width reached the kernel, which failed on a
+    # numpy broadcast after its first pass
+    grid, state = bump_state(CAUCHY, n=16)
+    message = f"^step: sources must return rows of shape \\(7, 49\\), got {re.escape(got)}$"
+    with pytest.raises(ConfigurationError, match=message):
+        step(state, 1e-3, grid, PARAMS, CAUCHY, CTRL, sources=lambda times: rows(len(times)))
+    assert work == []
+
+
+@pytest.mark.parametrize("row,got", [((np.zeros(16),) * 3, "tuple"), (np.zeros(48), "(48,)"),
+                                     (np.zeros((1, 49)), "(1, 49)"), ([0.0] * 49, "list")],
+                         ids=["tuple", "narrow", "block", "list"])
+@pytest.mark.parametrize("on_stage", [False, True], ids=["state", "stage"])
+def test_rhs_refuses_a_sources_row_off_the_rates_layout_before_any_work(work, row, got,
+                                                                        on_stage):
+    grid, state = bump_state(CAUCHY, n=16)
+    target = Stage(state.y.copy(), grid, PARAMS) if on_stage else state
+    message = f"^rhs: sources must be one packed row of shape \\(49,\\), got {re.escape(got)}$"
+    with pytest.raises(ConfigurationError, match=message):
+        rhs(target, grid, PARAMS, CAUCHY, row)
+    assert work == []
+
+
+@pytest.mark.parametrize("width,has", [(97, "32 cells, grid 16"),
+                                       (50, "width 50, grid 16 needs 3n + 1 = 49")],
+                         ids=["97", "50"])
+def test_a_stage_off_its_grid_is_refused_where_it_is_built(work, width, has):
+    # unchecked, a 97-wide Stage on a 16-cell grid gave 97 rates with that grid's dm
+    grid = make_grid(CAUCHY, 8.0, 16)
+    with pytest.raises(ConfigurationError, match=f"^Stage: state has {re.escape(has)}$"):
+        Stage(np.ones(width), grid, PARAMS)
     assert work == []
 
 

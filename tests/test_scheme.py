@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bruteforce
-from conftest import random_state, split_rates
+from conftest import random_state
 from lagas import (
     ConfigurationError,
     DomainError,
@@ -28,7 +28,7 @@ def test_pressure_formula(cauchy):
     params = GasParams(mu=0.7, kappa=1.3, R=2.0, c_v=1.1)
     grid = make_grid(cauchy, 2.0, 8)
     state = FluidState(0.0, np.full(8, 2.0), np.full(8, 3.0), np.zeros(9))
-    du = split_rates(rhs(state, grid, params, cauchy))[2]
+    du = unpack(rhs(state, grid, params, cauchy))[2]
     assert du[-1] * grid.dm == pytest.approx(2.0 * 3.0 / 2.0 - 2.0, rel=1e-14)
     assert du[0] * grid.dm == pytest.approx(2.0 - 2.0 * 3.0 / 2.0, rel=1e-14)
     assert np.all(du[1:-1] == 0.0)
@@ -46,7 +46,7 @@ def test_pressure_rejects_nonpositive(cauchy, params, v, theta):
 # without sources the mass rate dv is the cell strain u_x
 def test_strain_rate_zero_velocity(cauchy, params):
     grid = make_grid(cauchy, 2.0, 8)
-    assert np.all(split_rates(rhs(steady_state(grid), grid, params, cauchy))[0] == 0.0)
+    assert np.all(unpack(rhs(steady_state(grid), grid, params, cauchy))[0] == 0.0)
 
 
 def test_strain_rate_linear_velocity(cauchy, params):
@@ -54,13 +54,13 @@ def test_strain_rate_linear_velocity(cauchy, params):
     slope = 0.75
     u = slope * grid.dm * np.arange(9)
     state = FluidState(0.0, np.ones(8), np.ones(8), u)
-    assert np.allclose(split_rates(rhs(state, grid, params, cauchy))[0], slope, rtol=1e-13)
+    assert np.allclose(unpack(rhs(state, grid, params, cauchy))[0], slope, rtol=1e-13)
 
 
 def test_strain_rate_matches_bruteforce(cauchy, params):
     grid = make_grid(cauchy, 2.0, 8)
     state = random_state(grid, seed=7)
-    s = split_rates(rhs(state, grid, params, cauchy))[0]
+    s = unpack(rhs(state, grid, params, cauchy))[0]
     assert np.allclose(s, bruteforce.strain_rate(state, grid), rtol=1e-14)
 
 
@@ -92,7 +92,7 @@ def test_heat_flux_insulated_wall_is_exactly_zero(insulated, params):
 @pytest.mark.parametrize("setup", ALL_SETUPS, ids=lambda s: s.value)
 def test_rhs_steady_state_is_exactly_zero(setup, params):
     grid = make_grid(setup, 5.0, 32)
-    dv, dtheta, du = split_rates(rhs(steady_state(grid), grid, params, setup))
+    dv, dtheta, du = unpack(rhs(steady_state(grid), grid, params, setup))
     assert np.all(dv == 0.0)
     assert np.all(du == 0.0)
     assert np.all(dtheta == 0.0)
@@ -108,7 +108,7 @@ def test_rhs_single_hat_stencil(cauchy):
     u = np.zeros(17)
     u[k] = 1.0
     state = FluidState(0.0, np.ones(16), np.ones(16), u)
-    dv, dtheta, du = split_rates(rhs(state, grid, params, cauchy))
+    dv, dtheta, du = unpack(rhs(state, grid, params, cauchy))
 
     assert dv[k - 1] == pytest.approx(1.0 / dm, rel=1e-14)
     assert dv[k] == pytest.approx(-1.0 / dm, rel=1e-14)
@@ -136,7 +136,7 @@ def test_rhs_matches_bruteforce_stencils(setup, params):
     state = random_state(grid, seed=11)
     if setup.has_wall:
         state.u[0] = 0.0
-    d_v, d_theta, d_u = split_rates(rhs(state, grid, params, setup))
+    d_v, d_theta, d_u = unpack(rhs(state, grid, params, setup))
     dv, du, dth = bruteforce.rhs(state, grid, params, setup)
     assert np.allclose(d_v, dv, rtol=1e-12, atol=1e-12)
     assert np.allclose(d_u, du, rtol=1e-12, atol=1e-12)
@@ -172,11 +172,8 @@ def test_rhs_matches_loop_oracle_with_and_without_sources(n, setup, params, seed
     state = random_state(grid, seed=seed)
     if setup.has_wall:
         state.u[0] = 0.0
-    rng = np.random.default_rng(seed)
-    sources = (rng.uniform(-2.0, 2.0, n), rng.uniform(-2.0, 2.0, n + 1),
-               rng.uniform(-2.0, 2.0, n))
-    for extra in (None, sources):
-        dv, dtheta, du = split_rates(rhs(state, grid, params, setup, extra))
+    for extra in (None, random_sources(n, seed)):
+        dv, dtheta, du = unpack(rhs(state, grid, params, setup, extra))
         expected = bruteforce.rhs(state, grid, params, setup, extra)
         for actual, oracle in zip((dv, du, dtheta), expected):
             assert_close_to_oracle(actual, oracle)
@@ -186,15 +183,15 @@ def test_rhs_matches_loop_oracle_with_and_without_sources(n, setup, params, seed
     assert_close_to_oracle(flux, oracle)
 
     # d/dt total_energy == boundary_power, to 1e-12 of the summed magnitudes
-    _, dtheta, du = split_rates(rhs(state, grid, params, setup))
+    _, dtheta, du = unpack(rhs(state, grid, params, setup))
     terms = np.concatenate([params.c_v * dtheta, state.u * du]) * grid.dm
     power = boundary_power(state, grid, params, setup)
     assert abs(float(terms.sum()) - power) <= 1e-12 * float(np.abs(terms).sum())
 
 
 def random_sources(n, seed):
-    rng = np.random.default_rng(seed)
-    return (rng.uniform(-2.0, 2.0, n), rng.uniform(-2.0, 2.0, n + 1), rng.uniform(-2.0, 2.0, n))
+    """A random forcing row on n cells, packed like the rates."""
+    return np.random.default_rng(seed).uniform(-2.0, 2.0, 3 * n + 1)
 
 
 @pytest.mark.parametrize("forced", [False, True], ids=["bare", "forced"])
@@ -250,10 +247,14 @@ def test_a_stage_takes_only_the_grid_and_gas_it_was_built_on(cauchy):
     for other_grid, other_params in others:
         with pytest.raises(ConfigurationError, match="^rhs: a Stage built on "):
             rhs(stage, other_grid, other_params, cauchy)
+        with pytest.raises(ConfigurationError, match="^boundary_power: a Stage built on "):
+            boundary_power(stage, other_grid, other_params, cauchy)
     assert math.isnan(stage.power)
     copies = make_grid(cauchy, 3.0, 16), GasParams(mu=0.7, kappa=1.3, R=2.0, c_v=1.1)
     expected = rhs(state, grid, params, cauchy).tobytes()
     assert rhs(stage, *copies, cauchy).tobytes() == expected
+    power = boundary_power(state, grid, params, cauchy).hex()
+    assert boundary_power(stage, *copies, cauchy).hex() == power
 
 
 @pytest.mark.parametrize("n", [4, 64, 1024])
@@ -269,23 +270,25 @@ def test_a_stage_writes_every_row_from_a_32_byte_boundary(cauchy, params, n):
 
 @pytest.mark.parametrize("setup", ALL_SETUPS, ids=lambda s: s.value)
 def test_forcing_is_one_add_of_the_packed_rows(setup, params):
-    # rhs packs a sources tuple (dv, du, dtheta) like its rates, [dv | dtheta |
-    # du], and adds it in one pass, then pins a wall's du[0] at +0.0; a packed
-    # row, as a step passes it, gives the same bits, on a Stage too
+    # rhs adds a sources row, packed like its rates, [dv | dtheta | du], in one
+    # pass, then pins a wall's du[0] at +0.0, on a Stage too; the (dv, du,
+    # dtheta) tuple it once took is refused
     n = 12
     grid = make_grid(setup, 3.0, n)
     state = random_state(grid, seed=31)
-    sv, su, sth = random_sources(n, 31)
-    packed = np.concatenate((sv, sth, su))
+    packed = random_sources(n, 31)
     expected = rhs(state, grid, params, setup) + packed
     if setup.has_wall:
         expected[2 * n] = 0.0
-    forced = rhs(state, grid, params, setup, (sv, su, sth))
+    forced = rhs(state, grid, params, setup, packed)
     assert forced.tobytes() == expected.tobytes()
     assert (forced[2 * n] == 0.0) == setup.has_wall
-    assert rhs(state, grid, params, setup, packed).tobytes() == expected.tobytes()
     stage = Stage(state.y.copy(), grid, params)
     assert rhs(stage, grid, params, setup, packed).tobytes() == expected.tobytes()
+    dv, dtheta, du = unpack(packed)
+    with pytest.raises(ConfigurationError, match=r"^rhs: sources must be one packed row of "
+                                                 r"shape \(37,\), got tuple$"):
+        rhs(state, grid, params, setup, (dv, du, dtheta))
 
 
 def fifteen_pass_rates(y, grid, params, setup):
@@ -343,7 +346,7 @@ def test_rhs_of_a_stage_is_the_fifteen_pass_evaluation_bit_for_bit(setup, n):
 def test_rhs_discrete_mass_identity(setup, params):
     grid = make_grid(setup, 3.0, 24)
     state = random_state(grid, seed=5)
-    dv = split_rates(rhs(state, grid, params, setup))[0]
+    dv = unpack(rhs(state, grid, params, setup))[0]
     total = float(dv.sum() * grid.dm)
     expected = float(state.u[-1] - state.u[0])
     assert total == pytest.approx(expected, abs=64 * 24 * np.finfo(float).eps)
@@ -353,7 +356,7 @@ def test_rhs_discrete_momentum_identity(cauchy, params):
     # interior node sum telescopes to the stress difference of the outer cells
     grid = make_grid(cauchy, 3.0, 24)
     state = random_state(grid, seed=9)
-    du = split_rates(rhs(state, grid, params, cauchy))[2]
+    du = unpack(rhs(state, grid, params, cauchy))[2]
     s = np.array(bruteforce.strain_rate(state, grid))
     stress = params.mu * s / state.v - params.R * state.theta / state.v
     interior_sum = float(du[1:-1].sum() * grid.dm)
@@ -384,8 +387,8 @@ def test_rhs_translation_equivariance(cauchy, params):
     shifted = FluidState(0.0, np.roll(v, 1), np.roll(theta, 1), np.roll(u, 1))
     state = FluidState(0.0, v, theta, u)
 
-    d = split_rates(rhs(state, grid, params, cauchy))
-    d_shifted = split_rates(rhs(shifted, grid, params, cauchy))
+    d = unpack(rhs(state, grid, params, cauchy))
+    d_shifted = unpack(rhs(shifted, grid, params, cauchy))
     window = slice(5, 55)  # away from both boundaries
     for rate_shifted, rate in zip(d_shifted, d):  # dv, dtheta, du
         assert np.array_equal(rate_shifted[6:56], rate[window])
@@ -410,9 +413,9 @@ def test_rhs_wall_rate_is_zero_even_with_sources(setup, params):
     grid = make_grid(setup, 2.0, 8)
     state = random_state(grid, seed=17)
     state.u[0] = 0.0
-    sources = (np.ones(8), np.ones(9), np.ones(8))
-    bare_dv, _, bare_du = split_rates(rhs(state, grid, params, setup))
-    forced_dv, _, forced_du = split_rates(rhs(state, grid, params, setup, sources))
+    sources = np.ones(3 * 8 + 1)
+    bare_dv, _, bare_du = unpack(rhs(state, grid, params, setup))
+    forced_dv, _, forced_du = unpack(rhs(state, grid, params, setup, sources))
     assert bare_du[0] == 0.0
     assert forced_du[0] == 0.0
     assert np.array_equal(forced_dv, bare_dv + 1.0)
@@ -432,7 +435,7 @@ def test_total_energy_budget_closes_semi_discretely(setup, params):
     state = random_state(grid, seed=13)
     if setup.has_wall:
         state.u[0] = 0.0
-    _, dtheta, du = split_rates(rhs(state, grid, params, setup))
+    _, dtheta, du = unpack(rhs(state, grid, params, setup))
     de = (params.c_v * dtheta.sum() + (state.u * du).sum()) * grid.dm
     assert float(de) == pytest.approx(
         boundary_power(state, grid, params, setup), rel=1e-10, abs=1e-10

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import bruteforce
-from conftest import split_rates
 from lagas import (
     ConfigurationError,
     GasParams,
@@ -23,7 +22,22 @@ from lagas import (
     steady_state,
     validate_state,
 )
-from lagas.verification import gaussian_pulse_solution, sine_temperature_solution
+from lagas.core import unpack
+from lagas.verification import ManufacturedSolution, gaussian_pulse_solution
+
+
+def sine_temperature_solution(amplitude: float = 0.1, decay: float = 1.0) -> ManufacturedSolution:
+    """v = 1, u = 0, theta = 1 + a*sin(x)*exp(-decay*t)."""
+    if not abs(amplitude) < 1.0:
+        raise ConfigurationError(f"sine needs |amplitude| < 1, got {amplitude!r}")
+
+    def theta(x):
+        x = np.asarray(x, dtype=np.float64)
+        f = amplitude * np.sin(x)
+        return f, amplitude * np.cos(x), -f
+
+    rest = steady_solution().v  # the zero profile
+    return ManufacturedSolution(decay, rest, rest, theta)
 
 
 # ---------------------------------------------------------------- initial data
@@ -291,8 +305,9 @@ def test_source_rates_equal_pointwise_sources_bit_for_bit(solution, kind, params
     times = np.random.default_rng(11).uniform(0.0, 3.0, 6).tolist()
     for ts in (times, times[:1], [times[2]] * 2, [times[4], times[0], times[3]]):
         block = rates(ts)
-        assert [rows.shape for rows in block] == [(len(ts), 48), (len(ts), 49), (len(ts), 48)]
-        for t, s_v, s_u, s_th in zip(ts, *block):
+        assert block.shape == (len(ts), 3 * 48 + 1) and block.dtype == np.float64
+        for t, row in zip(ts, block):
+            s_v, s_th, s_u = unpack(row)
             c_mass, _, c_th = manufactured_sources(solution, params, centers, t)
             assert _bits(s_v) == _bits(c_mass)
             assert _bits(s_u) == _bits(manufactured_sources(solution, params, nodes, t)[1])
@@ -334,8 +349,8 @@ def test_forced_rhs_consistent_with_analytic_rates(setup, params):
     for n in (128, 256):
         grid = make_grid(setup, 10.0, n)
         state = sample_state(ms, grid, 0.0)
-        rates = tuple(rows[0] for rows in make_source_rates(ms, params, grid)([0.0]))
-        dv, dtheta, du = split_rates(rhs(state, grid, params, setup, rates))
+        rates = make_source_rates(ms, params, grid)([0.0])[0]
+        dv, dtheta, du = unpack(rhs(state, grid, params, setup, rates))
         centers, nodes = grid.cell_centers(), grid.nodes()
         err = max(
             np.abs(dv - _time_rate(ms, "v", centers, 0.0)).max(),
