@@ -7,14 +7,16 @@ states, checked and audited together.  Trajectories are deterministic: identical
 inputs give bit-identical outputs at any cadence.  Every step is the
 fourth-order, ten-stage SSPRK(10,4) of Ketcheson (2008).
 
-A state is read in place as its buffer ``state.y``, ``[v | theta | u]``; a step copies it into a
-:class:`~lagas.scheme.Stage`, where ``rhs`` leaves rates in the same layout and the boundary power.
-The Euler substeps and the method's two mixes update that buffer in place, and the result adopts
-it.  Every state check is core's fast ``positive_and_finite``, with its naming scan behind it: an
-input state on its grid passes ``require_valid``, in ``step`` only once ``on_grid`` or the fast
-test fails; a step's result and each dense-output block are tested at the floor, its other stages
-by ``above_floor`` of the Stage's ``vth`` alone, and ``_failure`` names the stage, field and cell
-of a failing step's replay (IntegrationError), in which every stage is tested in full.
+A state is read in place as its buffer ``state.y``, ``[v | theta | u]``; a step copies it into the
+stage buffer of a :class:`~lagas.scheme.Stage`, where ``rhs`` leaves rates in the same layout and
+the boundary power: the last passing step's Stage, loaded afresh, on that step's very grid and gas,
+else a new one, as in a failing step's replay.  The Euler substeps and the method's two mixes
+update that buffer in place, and the result adopts it.  Every state check is core's fast
+``positive_and_finite``, with its naming scan behind it: an input state on its grid passes
+``require_valid``, in ``step`` only once ``on_grid`` or the fast test fails; a step's result and
+each dense-output block are tested at the floor, its other stages by ``above_floor`` of the Stage's
+``vth`` alone, and ``_failure`` names the stage, field and cell of a failing step's replay
+(IntegrationError), in which every stage is tested in full.
 """
 
 from __future__ import annotations
@@ -50,6 +52,9 @@ __all__ = ["STAGE_TIMES", "DENSE_CUBICS", "dense_block", "StepControl", "stable_
 _BLOCK_CELLS = 4096
 #: sources(times) -> extra rates, a row per time packed like the rates, [dv | dtheta | du]
 SourceFn = Callable[[list[float]], np.ndarray]
+#: the slot holding the Stage of the last passing step, which a step popping it reuses on the same
+#: grid and gas; popped, it is never shared by two threads or a re-entrant call
+_SPARE: dict[str, Stage] = {}
 
 
 #: SSPRK(10,4) of Ketcheson 2008, SSP coefficient 6: stage i = 1, ..., 10 is an Euler
@@ -185,10 +190,14 @@ def step(
         raise ConfigurationError(f"step: sources must return rows of shape (7, {y0.shape[0]}), "
                                  f"got {getattr(forcing, 'shape', type(forcing).__name__)}")
 
-    def stages(named: bool) -> tuple[np.ndarray, float] | None:
+    def stages(named: bool) -> tuple[Stage, float] | None:
         if kept is not None:
             del kept[mark:]  # a replay keeps only its own rates
-        stage = Stage(y0.copy(), grid, params)
+        stage = None if named else _SPARE.pop("stage", None)  # a replay builds a Stage of its own
+        if stage is not None and stage.grid is grid and stage.params is params:
+            stage.load(y0.copy())
+        else:
+            stage = Stage(y0.copy(), grid, params)
         y, vth, inflow, power = stage.y, stage.vth, 0.0, math.nan
         for i, row in enumerate(_ROWS, 1):
             k = rhs(stage, grid, params, setup, forcing if forcing is None else forcing[row])
@@ -209,12 +218,13 @@ def step(
                     return None
                 if error := _failure(y, floor, i, t0):  # None: finite, but the sum overflowed
                     raise error
-        return y, inflow
+        return stage, inflow
 
-    y, inflow = stages(False) or stages(True)
+    stage, inflow = stages(False) or stages(True)
     if ledger is not None:
         ledger.add(dt * inflow / 10.0)
-    return FluidState.from_packed(t0 + dt, y)
+    _SPARE["stage"] = stage  # a failing step leaves the slot empty
+    return FluidState.from_packed(t0 + dt, stage.y)
 
 
 def _dense_output(start: FluidState, dt: float, weights: list[tuple[float, ...]],

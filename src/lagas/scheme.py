@@ -58,22 +58,18 @@ _add, _sub, _mul, _div = np.add, np.subtract, np.multiply, np.divide
 
 
 class Stage:
-    """A step's workspace on one grid and gas, binding dm, 2*kappa/dm, R, mu and c_v: a stage
-    buffer ``y`` ``[v | theta | u]`` and its ``vth`` view ``[v | theta]`` for the floor test;
-    from one 64-byte-aligned block, so that each row written starts 32-byte aligned when 4
-    divides n, a buffer whose tail is ``rates``, laid out alike, and whose head is the work row
-    ``[theta diffs | seam | u diffs]``, its u half ``dv``, its spent theta half then the scratch
-    row ``tmp``; faces ``[heat flux | stress | right ghost stress]``; the rows
-    ``[vbar | 1 | dm...]`` dividing the work row and ``[2*kappa/dm... | 0 | mu...]`` scaling it
-    into the faces, only vbar rewritten; the views :func:`_kernel` needs; its ``power`` or NaN."""
+    """A workspace on one grid and gas, built once and reused across the steps of a trajectory,
+    binding dm, 2*kappa/dm, R, mu and c_v: from one 64-byte-aligned block, so that each row
+    written starts 32-byte aligned when 4 divides n, a buffer whose tail is ``rates``, laid out
+    like a state, and whose head is the work row ``[theta diffs | seam | u diffs]``, its u half
+    ``dv``, its spent theta half then the scratch row ``tmp``; faces ``[heat flux | stress |
+    right ghost stress]``; the rows ``[vbar | 1 | dm...]`` dividing the work row and
+    ``[2*kappa/dm... | 0 | mu...]`` scaling it into the faces, filled once, only vbar rewritten;
+    the views :func:`_kernel` needs.  :meth:`load` points it at a stage buffer ``y``."""
 
     def __init__(self, y: np.ndarray, grid: MassGrid, params: GasParams) -> None:
-        if not on_grid(y, grid):  # its width error; the builder checks the values
-            require_valid("Stage", y, grid)
-        self.y, self.grid, self.params, self.power = y, grid, params, math.nan
-        self.v, self.th, self.u = v, th, u = unpack(y)
-        n, self.dm, self.R, self.c_v = v.shape[0], grid.dm, params.R, params.c_v
-        self.vth, mem = y[: 2 * n], np.empty(10 * n + 15)
+        n, self.grid, self.params = grid.n_cells, grid, params
+        self.dm, self.R, self.c_v, mem = grid.dm, params.R, params.c_v, np.empty(10 * n + 15)
         mem = mem[(-mem.ctypes.data % 64) // 8 :]  # numpy writes a 32-byte-aligned row faster
         buf, faces, rows = mem[: 4 * n + 1], mem[4 * n + 3 : 6 * n + 5], mem[6 * n + 8 : 10 * n + 8]
         self.work, self.tmp, self.rates = buf[: 2 * n], buf[:n], buf[n:]
@@ -82,9 +78,18 @@ class Stage:
         rows[n - 1], rows[n : 2 * n], rows[3 * n - 1], rows[3 * n :] = 1.0, self.dm, 0.0, params.mu
         rows[2 * n : 3 * n - 1] = 2.0 * params.kappa / self.dm
         self.divisor, self.scale, self.vbar = rows[: 2 * n], rows[2 * n :], rows[: n - 1]
-        self.y_lo, self.y_hi, self.v_lo, self.v_hi = y[n:-1], y[n + 1 :], v[:-1], v[1:]
         self.flux, self.stress, self.faces_mid = faces[: n + 1], faces[n + 1 : -1], faces[1:-1]
         self.faces_lo, self.faces_hi = faces[:-1], faces[1:]
+        self.load(y)
+
+    def load(self, y: np.ndarray) -> None:
+        """Point the stage buffer ``y`` ``[v | theta | u]``, its ``vth`` view ``[v | theta]`` for
+        the floor test and the kernel's views of it at ``y``, and ``power`` at NaN."""
+        if not on_grid(y, self.grid):  # its width error; its caller checks the values
+            require_valid("Stage", y, self.grid)
+        n, (self.v, self.th, self.u) = self.grid.n_cells, unpack(y)
+        self.y, self.vth, self.power = y, y[: 2 * n], math.nan
+        self.y_lo, self.y_hi, self.v_lo, self.v_hi = y[n:-1], y[n + 1 :], self.v[:-1], self.v[1:]
 
 
 def _require_built_on(what: str, stage: Stage, grid: MassGrid, params: GasParams) -> None:

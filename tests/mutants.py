@@ -76,7 +76,7 @@ MUTANTS = [
     ("the entry check's width comparison dropped", "core.py",
      "return y.shape[-1] == 3 * grid.n_cells + 1", "return True"),
     ("the Stage's floor view covers v only", "scheme.py",
-     "self.vth, mem = y[: 2 * n],", "self.vth, mem = y[:n],"),
+     "self.vth, self.power = y, y[: 2 * n],", "self.vth, self.power = y, y[:n],"),
     ("make_source_rates packs its rows in the old tuple's order (dv, du, dtheta)",
      "verification.py", "pack(s_v, s_th / params.c_v, momentum(e))",
      "pack(s_v, momentum(e), s_th / params.c_v)"),
@@ -84,10 +84,17 @@ MUTANTS = [
      "if forcing is not None and getattr(forcing, \"shape\", None) !=",
      "if False and getattr(forcing, \"shape\", None) !="),
     ("the Stage's width check dropped", "scheme.py",
-     "if not on_grid(y, grid):", "if False:"),
+     "if not on_grid(y, self.grid):", "if False:"),
+    ("step reuses the spare Stage on another grid with the same gas", "integrate.py",
+     "stage is not None and stage.grid is grid and stage.params is params",
+     "stage is not None and stage.params is params"),
+    ("step reuses the spare Stage with another gas on the same grid", "integrate.py",
+     "stage.grid is grid and stage.params is params:", "stage.grid is grid:"),
 ]
 
-_FAILED = re.compile(r"^FAILED (\S+)", re.MULTILINE)
+#: a failing test's node id, up to pytest's " - " before the reason or the end of the line; a
+#: parametrize id may hold a space
+_FAILED = re.compile(r"^FAILED (.+?)(?: - |$)", re.MULTILINE)
 #: a mutant whose test run takes longer than this is counted as killed
 TIMEOUT_S = 900
 

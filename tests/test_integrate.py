@@ -1,9 +1,12 @@
 import contextlib
+import dataclasses
 import importlib
 import inspect
 import math
 import pkgutil
 import re
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -344,8 +347,8 @@ def forced_bump(setup, params, forced):
 @pytest.mark.parametrize("forced", [False, True], ids=["bare", "forced"])
 @pytest.mark.parametrize("setup", list(SetupKind), ids=lambda k: k.value)
 def test_a_second_step_leaves_the_first_result_and_the_input_alone(setup, params, ctrl, forced):
-    # each step has its own workspace, and neither its input nor its result
-    # shares memory with it
+    # the second step reuses the first one's workspace, and neither a step's
+    # input nor its result shares memory with it
     grid, state, sources = forced_bump(setup, params, forced)
     before = state.y.tobytes()
     dt = stable_dt(state, grid, params, ctrl)
@@ -374,6 +377,150 @@ def test_a_kept_step_holds_ten_distinct_rates_and_the_same_result(setup, params,
     assert [k.tobytes() for k, _ in kept] == held
     arrays = [k for k, _ in kept] + [with_kept.v, with_kept.theta, with_kept.u]
     assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1 :])
+
+
+def kept_step(state, dt, grid, params, setup, ctrl, sources):
+    """The bytes of a step's result, its ledger inflow and its kept rates and powers."""
+    kept, ledger = [], EnergyLedger()
+    new = step(state, dt, grid, params, setup, ctrl, sources=sources, ledger=ledger, kept=kept)
+    return new.y.tobytes(), ledger.inflow, [(k.tobytes(), power) for k, power in kept]
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["bare", "forced"])
+@pytest.mark.parametrize("setup", list(SetupKind), ids=lambda k: k.value)
+def test_a_step_on_a_reused_workspace_has_the_bytes_of_a_cold_one(setup, params, ctrl, forced):
+    # a passing step leaves its Stage in the slot, and the next step on the same grid and gas
+    # loads it afresh: the rows it keeps, and what another state left in it, move no bit
+    grid, state, sources = forced_bump(setup, params, forced)
+    dt = stable_dt(state, grid, params, ctrl)
+    lagas.integrate._SPARE.clear()
+    cold = kept_step(state, dt, grid, params, setup, ctrl, sources)
+    spare = lagas.integrate._SPARE["stage"]
+    other = FluidState.from_packed(0.0, np.frombuffer(cold[0]).copy())  # the first result
+    step(other, dt, grid, params, setup, ctrl, sources=sources)
+    assert kept_step(state, dt, grid, params, setup, ctrl, sources) == cold
+    assert lagas.integrate._SPARE["stage"] is spare
+
+
+def two_trajectories(setup, params, which):
+    """Two (state, grid, gas) starts: on two grids of 64 cells and different lengths with one
+    gas, or on one grid with two equal but distinct gases, or with two gases of other mu and
+    kappa."""
+    (grid_a, state_a), (grid_b, state_b) = bump_state(setup), bump_state(setup, half_length=10.0)
+    if which == "grids":
+        return [(state_a, grid_a, params), (state_b, grid_b, params)]
+    other = dataclasses.replace(params)
+    if which == "other-gas":
+        other = dataclasses.replace(params, mu=2.0, kappa=0.5)
+    return [(state_a, grid_a, params), (state_a.copy(), grid_a, other)]
+
+
+@pytest.mark.parametrize("which", ["grids", "gases", "other-gas"])
+@pytest.mark.parametrize("setup", list(SetupKind), ids=lambda k: k.value)
+def test_steps_alternating_between_two_grids_or_gases_give_each_its_solo_bytes(setup, params,
+                                                                               ctrl, which):
+    # the slot's Stage is reused only on the very grid and gas it was built on: one built on
+    # an equal-sized grid of another length has another dm, one built with another gas other
+    # rows [2*kappa/dm... | 0 | mu...]
+    starts = two_trajectories(setup, params, which)
+    assert starts[0][1].n_cells == starts[1][1].n_cells
+    assert (starts[0][2] == starts[1][2]) is (which != "other-gas")
+
+    def steps(state, grid, gas):
+        state = step(state, stable_dt(state, grid, gas, ctrl), grid, gas, setup, ctrl)
+        return state, state.y.tobytes()
+
+    solo = []
+    for start in starts:
+        lagas.integrate._SPARE.clear()
+        state, got = start[0], []
+        for _ in range(3):
+            state, y = steps(state, *start[1:])
+            got.append(y)
+        solo.append(got)
+    states, alternating = [start[0] for start in starts], [[], []]
+    for _ in range(3):
+        for i, start in enumerate(starts):
+            states[i], y = steps(states[i], *start[1:])
+            alternating[i].append(y)
+    assert alternating == solo
+
+
+def test_a_reused_workspace_leaves_the_first_steps_result_rates_and_w5_alone(monkeypatch,
+                                                                             insulated, params,
+                                                                             ctrl):
+    # the result adopts its own stage buffer, the kept rates are copies and w5 is a copy: none
+    # of them is a view of the workspace that the second step writes
+    grid, state = bump_state(insulated)
+    w5s = []
+
+    class SpyNumpy:
+        """numpy, but for a multiply that notes the w5 that each step's last mix reads."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def multiply(self, a, b, *out):
+            if isinstance(a, float) and a == 0.36:
+                w5s.append(b)
+            return np.multiply(a, b, *out)
+
+    monkeypatch.setattr(lagas.integrate, "np", SpyNumpy())
+    dt, kept = stable_dt(state, grid, params, ctrl), []
+    first = step(state, dt, grid, params, insulated, ctrl, ledger=EnergyLedger(), kept=kept)
+    spare = lagas.integrate._SPARE["stage"]
+    held = [first.y.tobytes(), w5s[0].tobytes(), *(k.tobytes() for k, _ in kept)]
+    step(first, dt, grid, params, insulated, ctrl, ledger=EnergyLedger(), kept=[])
+    assert lagas.integrate._SPARE["stage"] is spare and len(w5s) == 2
+    assert [first.y.tobytes(), w5s[0].tobytes(), *(k.tobytes() for k, _ in kept)] == held
+
+
+def test_two_threads_advancing_on_two_grids_each_give_their_solo_trajectory(cauchy, params,
+                                                                           ctrl):
+    # each step pops the slot, so two threads never share a Stage: each one builds its own
+    # when the other holds the spare, or finds one on the other grid
+    starts = two_trajectories(cauchy, params, "grids")
+
+    def run(state, grid, gas):
+        final, records = advance(state, 4.0, 0.25, grid, gas, cauchy, ctrl)
+        return final.y.tobytes(), repr(records)
+
+    solo = [run(*start) for start in starts]
+    barrier, results, errors = threading.Barrier(2), [None, None], []
+
+    def worker(i):
+        try:
+            barrier.wait()
+            results[i] = run(*starts[i])
+        except Exception as error:  # reported by the main thread
+            errors.append(error)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the threads take turns within a step, not a run apiece
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == [] and results == solo
+
+
+def test_a_failing_step_leaves_no_workspace_in_the_slot(monkeypatch, insulated, params, ctrl):
+    grid, state = bump_state(insulated)
+    dt = stable_dt(state, grid, params, ctrl)
+    step(state, dt, grid, params, insulated, ctrl)
+    assert "stage" in lagas.integrate._SPARE
+
+    def inject(k):
+        k[2] = np.nan
+
+    inject_at_stage(monkeypatch, 3, inject)
+    with pytest.raises(IntegrationError):
+        step(state, dt, grid, params, insulated, ctrl)
+    assert lagas.integrate._SPARE == {}
 
 
 # SSPRK(10,4) (Ketcheson 2008) written out from its Shu-Osher form: five

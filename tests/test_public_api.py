@@ -239,3 +239,12 @@ def test_every_mutant_original_occurs_once_in_its_file():
     counts = {what: (src / name).read_text(encoding="utf-8").count(old)
               for what, name, old, _ in mutants.MUTANTS}
     assert {what: count for what, count in counts.items() if count != 1} == {}
+
+
+@pytest.mark.parametrize("node", ["tests/test_a.py::test_b[x-1]",
+                                  "tests/test_a.py::test_b[a b-c d]"], ids=["no-space", "space"])
+@pytest.mark.parametrize("reason", [" - AssertionError: assert 1 == 2", ""], ids=["reason", "bare"])
+def test_the_mutant_runner_reads_a_failing_node_id_whole(node, reason):
+    # a parametrize id may hold a space; the id ends at pytest's " - " or at the end of the line
+    out = f"..F.\nFAILED {node}{reason}\nFAILED tests/test_c.py::test_d\n1 failed, 3 passed\n"
+    assert mutants._FAILED.search(out).group(1) == node
