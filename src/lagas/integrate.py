@@ -73,6 +73,12 @@ DENSE_CUBICS = ((11 / 15, -13 / 10, 2 / 3), (16 / 45, -11 / 30, 1 / 9),
                 (4 / 45, 7 / 30, -2 / 9), (-1 / 15, 1 / 2, -1 / 3), (-1 / 9, 13 / 30, -2 / 9),
                 (4 / 45, 7 / 30, -2 / 9), (-1 / 15, 1 / 2, -1 / 3), (-1 / 9, 13 / 30, -2 / 9),
                 (-2 / 45, 1 / 30, 1 / 9), (2 / 15, -7 / 10, 2 / 3))
+#: the mixes' weights 2/5, 3/5, 1/25 and 9/25 as read-only 0-d operands, which numpy need not
+#: convert on each call as it does a float; step binds h = dt/6 likewise, as a local once a step,
+#: since two threads may step at once
+_MIX = np.array([0.4, 0.6, 0.04, 0.36])
+_MIX.flags.writeable = False
+_W40, _W60, _W04, _W36 = (_MIX[i, ...] for i in range(4))
 
 
 def dense_block(thetas: list[float]) -> np.ndarray:
@@ -184,7 +190,7 @@ def step(
     y0 = state.y
     if not (on_grid(y0, grid) and positive_and_finite(y0, 0.0)):  # under step's errstate
         require_valid("step", y0, grid)
-    t0, floor, h, mark = state.t, ctrl.positivity_floor, dt / 6.0, len(kept or ())
+    t0, floor, h, mark = state.t, ctrl.positivity_floor, np.array(dt / 6.0), len(kept or ())
     forcing = None if sources is None else sources([t0 + c * dt for c in _TIMES])
     if forcing is not None and getattr(forcing, "shape", None) != (len(_TIMES), y0.shape[0]):
         raise ConfigurationError(f"step: sources must return rows of shape (7, {y0.shape[0]}), "
@@ -209,10 +215,10 @@ def step(
             np.add(y, np.multiply(k, h, k), y)  # in place: y + k h, bit for bit k h + y
             if i == 5:  # y5 = 2/5 w5 + 3/5 y0, keeping w5; the spent k holds each mix product
                 w5 = y.copy()
-                np.add(np.multiply(y, 0.4, y), np.multiply(0.6, y0, k), y)
+                np.add(np.multiply(y, _W40, y), np.multiply(_W60, y0, k), y)
             elif i == 10:  # 3/5 w10 + 1/25 y0 + 9/25 w5
-                np.add(np.multiply(y, 0.6, y), np.multiply(0.04, y0, k), y)
-                np.add(y, np.multiply(0.36, w5, k), y)
+                np.add(np.multiply(y, _W60, y), np.multiply(_W04, y0, k), y)
+                np.add(y, np.multiply(_W36, w5, k), y)
             if not (positive_and_finite(y, floor) if named or i == 10 else above_floor(vth, floor)):
                 if not named:
                     return None

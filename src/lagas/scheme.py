@@ -59,17 +59,19 @@ _add, _sub, _mul, _div = np.add, np.subtract, np.multiply, np.divide
 
 class Stage:
     """A workspace on one grid and gas, built once and reused across the steps of a trajectory,
-    binding dm, 2*kappa/dm, R, mu and c_v: from one 64-byte-aligned block, so that each row
-    written starts 32-byte aligned when 4 divides n, a buffer whose tail is ``rates``, laid out
-    like a state, and whose head is the work row ``[theta diffs | seam | u diffs]``, its u half
-    ``dv``, its spent theta half then the scratch row ``tmp``; faces ``[heat flux | stress |
-    right ghost stress]``; the rows ``[vbar | 1 | dm...]`` dividing the work row and
-    ``[2*kappa/dm... | 0 | mu...]`` scaling it into the faces, filled once, only vbar rewritten;
-    the views :func:`_kernel` needs.  :meth:`load` points it at a stage buffer ``y``."""
+    binding dm, 2*kappa/dm, R, mu and c_v (R, c_v and a twin of dm as the kernel's 0-d operands,
+    which numpy need not convert on each call as it does a float): from one 64-byte-aligned
+    block, so that each row written starts 32-byte aligned when 4 divides n, a buffer whose tail
+    is ``rates``, laid out like a state, and whose head is the work row ``[theta diffs | seam |
+    u diffs]``, its u half ``dv``, its spent theta half then the scratch row ``tmp``; faces
+    ``[heat flux | stress | right ghost stress]``; the rows ``[vbar | 1 | dm...]`` dividing the
+    work row and ``[2*kappa/dm... | 0 | mu...]`` scaling it into the faces, filled once, only
+    vbar rewritten; the views :func:`_kernel` needs.  :meth:`load` points it at ``y``."""
 
     def __init__(self, y: np.ndarray, grid: MassGrid, params: GasParams) -> None:
-        n, self.grid, self.params = grid.n_cells, grid, params
-        self.dm, self.R, self.c_v, mem = grid.dm, params.R, params.c_v, np.empty(10 * n + 15)
+        n, self.grid, self.params, self.dm = grid.n_cells, grid, params, grid.dm
+        self.R, self.c_v, self.dm_0d = (np.array(x, float) for x in (params.R, params.c_v, self.dm))
+        mem = np.empty(10 * n + 15)
         mem = mem[(-mem.ctypes.data % 64) // 8 :]  # numpy writes a 32-byte-aligned row faster
         buf, faces, rows = mem[: 4 * n + 1], mem[4 * n + 3 : 6 * n + 5], mem[6 * n + 8 : 10 * n + 8]
         self.work, self.tmp, self.rates = buf[: 2 * n], buf[:n], buf[n:]
@@ -138,7 +140,7 @@ def _kernel(stage: Stage, setup: SetupKind, sources: np.ndarray | None) -> np.nd
         stage.v, stage.th, stage.u, dm, setup, stage.params)
     rt = _mul(stage.th, stage.R, stage.tmp)
     _div(_sub(stress, rt, stress), stage.v, stress)
-    _div(_sub(stage.faces_hi, stage.faces_lo, stage.dthu), dm, stage.dthu)
+    _div(_sub(stage.faces_hi, stage.faces_lo, stage.dthu), stage.dm_0d, stage.dthu)
     if ghost_left is not None:
         du[0] = (stress.item(0) - ghost_left) / dm
     _add(dth, _mul(stage.dv, stress, rt), dth)  # c_v*dtheta = diff(flux)/dm + u_x*stress

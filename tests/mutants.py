@@ -34,7 +34,7 @@ MUTANTS = [
     ("a DENSE_CUBICS coefficient 2/3 -> 2/3 + 1e-3", "integrate.py",
      "(11 / 15, -13 / 10, 2 / 3)", "(11 / 15, -13 / 10, 2 / 3 + 1e-3)"),
     ("the stage-10 mix weight 0.36 -> 0.35", "integrate.py",
-     "np.multiply(0.36, w5, k)", "np.multiply(0.35, w5, k)"),
+     "np.array([0.4, 0.6, 0.04, 0.36])", "np.array([0.4, 0.6, 0.04, 0.35])"),
     ("the far-field ghost stress's viscous sign", "scheme.py",
      "return -params.R - params.mu * (u_out / dm)", "return -params.R + params.mu * (u_out / dm)"),
     ("the isothermal wall flux halved", "scheme.py",
@@ -90,6 +90,9 @@ MUTANTS = [
      "stage is not None and stage.params is params"),
     ("step reuses the spare Stage with another gas on the same grid", "integrate.py",
      "stage.grid is grid and stage.params is params:", "stage.grid is grid:"),
+    ("the Stage's 0-d c_v operand is bound from R", "scheme.py",
+     "(params.R, params.c_v, self.dm)", "(params.R, params.R, self.dm)"),
+    ("step's h binds dt / 5.0", "integrate.py", "np.array(dt / 6.0)", "np.array(dt / 5.0)"),
 ]
 
 #: a failing test's node id, up to pytest's " - " before the reason or the end of the line; a

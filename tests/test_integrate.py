@@ -461,7 +461,7 @@ def test_a_reused_workspace_leaves_the_first_steps_result_rates_and_w5_alone(mon
             return getattr(np, name)
 
         def multiply(self, a, b, *out):
-            if isinstance(a, float) and a == 0.36:
+            if a is lagas.integrate._W36:
                 w5s.append(b)
             return np.multiply(a, b, *out)
 
@@ -473,6 +473,43 @@ def test_a_reused_workspace_leaves_the_first_steps_result_rates_and_w5_alone(mon
     step(first, dt, grid, params, insulated, ctrl, ledger=EnergyLedger(), kept=[])
     assert lagas.integrate._SPARE["stage"] is spare and len(w5s) == 2
     assert [first.y.tobytes(), w5s[0].tobytes(), *(k.tobytes() for k, _ in kept)] == held
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["bare", "forced"])
+@pytest.mark.parametrize("setup", list(SetupKind), ids=lambda k: k.value)
+def test_no_numpy_call_of_a_step_gets_a_float_operand(monkeypatch, setup, params, ctrl, forced):
+    # numpy converts a float operand afresh on every call, so a step binds its scalars once as
+    # 0-d arrays: the kernel's R, c_v and dm, the step's h and the mixes' read-only weights
+    grid, state, sources = forced_bump(setup, params, forced)
+    dt, seen, floats = stable_dt(state, grid, params, ctrl), set(), []
+
+    def spy(where, ufunc):
+        def call(*args, **kwargs):
+            seen.add((where, ufunc.__name__))
+            floats.extend(a for a in (*args, *kwargs.values()) if isinstance(a, float))
+            return ufunc(*args, **kwargs)
+        return call
+
+    class SpyNumpy:
+        """numpy, but for an add and a multiply that note their operands."""
+
+        add, multiply = (staticmethod(spy("integrate", f)) for f in (np.add, np.multiply))
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    for name in ("_add", "_sub", "_mul", "_div"):
+        monkeypatch.setattr(lagas.scheme, name, spy("scheme", getattr(lagas.scheme, name)))
+    monkeypatch.setattr(lagas.integrate, "np", SpyNumpy())
+    step(state, dt, grid, params, setup, ctrl, sources=sources, ledger=EnergyLedger(), kept=[])
+    assert floats == []
+    assert seen == {("scheme", "add"), ("scheme", "subtract"), ("scheme", "multiply"),
+                    ("scheme", "divide"), ("integrate", "add"), ("integrate", "multiply")}
+    for weight in (lagas.integrate._W40, lagas.integrate._W60, lagas.integrate._W04,
+                   lagas.integrate._W36):
+        assert weight.shape == () and weight.dtype == np.float64
+        with pytest.raises(ValueError):
+            weight[...] = 0.5
 
 
 def test_two_threads_advancing_on_two_grids_each_give_their_solo_trajectory(cauchy, params,
